@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre, gamma as gamma_fn
+from scipy.special import roots_genlaguerre
 
 from .constants import CONST
-
-_GAMMA_3_2 = gamma_fn(1.5)
+from .thermal import MU_RBCS, _GAMMA_3_2, panel_nodes
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,7 @@ def density_weight_measure(bath: BathState, order: int = 48,
         return bath.n0 * np.exp(-u), w / _GAMMA_3_2
     if method == "panel":
         n_panels = max(4, order // 8)
-        edges = math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels
-        xg, wg = roots_legendre(8)
-        a, b = edges[:-1], edges[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        s, w = panel_nodes(math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels)
         w = w * 2.0 * s**2 * np.exp(-(s**2)) / _GAMMA_3_2
         w = w / w.sum()  # absorb the ~1e-13 tail truncation
         return bath.n0 * np.exp(-(s**2)), w
@@ -112,7 +106,6 @@ def interaction_detuning(n, d_a):
     Bilinear in density n and scattering-length difference d_a; the sign
     follows d_a.  Broadcasts over array arguments.
     """
-    from .thermal import MU_RBCS
     n = np.asarray(n, dtype=float)
     if np.any(n < 0.0):
         raise ValueError("density must be nonnegative")

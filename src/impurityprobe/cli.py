@@ -46,8 +46,9 @@ def _prepare(args):
     return cfg
 
 
-def cmd_simulate(args) -> int:
-    cfg = _prepare(args)
+def _synthesize(cfg):
+    """Build the bath, model and protocol of `cfg` and synthesize its
+    fringe; returns (protocol, series)."""
     bath = bath_from_config(cfg)
     model = model_from_config(cfg)
     protocol = protocol_from_config(cfg)
@@ -56,6 +57,12 @@ def cmd_simulate(args) -> int:
         density_order=int(cfg["quadrature"]["density_order"]),
         energy_order=int(cfg["quadrature"]["energy_order"]),
         include_background=bool(cfg["include_background"]))
+    return protocol, series
+
+
+def cmd_simulate(args) -> int:
+    cfg = _prepare(args)
+    _, series = _synthesize(cfg)
     csv_text = fringe_to_csv(series)
     csv_path = os.path.join(args.out, "fringes.csv")
     with open(csv_path, "w") as fh:
@@ -108,14 +115,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         cfg_i = json.loads(canonical_json(cfg))
         cfg_i["bath"][param] = value
-        bath = bath_from_config(cfg_i)
-        model = model_from_config(cfg_i)
-        protocol = protocol_from_config(cfg_i)
-        series = synthesize_fringe(
-            protocol, bath, model, noise=cfg_i["noise"], seed=int(cfg_i["seed"]),
-            density_order=int(cfg_i["quadrature"]["density_order"]),
-            energy_order=int(cfg_i["quadrature"]["energy_order"]),
-            include_background=bool(cfg_i["include_background"]))
+        protocol, series = _synthesize(cfg_i)
         res = analyze_fringes(series, delta_bg=protocol.delta_bg
                               if cfg_i["include_background"] else 0.0,
                               phase_convention="cos2")
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; evaluation is deterministic either way")
         p.add_argument("--quadrature-order", type=int, default=None,
                        help="override the energy quadrature order")
 

@@ -1,9 +1,9 @@
-"""Physical constants and unit conversion helpers.
+"""Physical constants and Rb/Cs atomic data.
 
 All internal computation is done in strict SI units (J, s, m, T, kg,
 rad/s).  Convenience units used at CLI boundaries (nK, mG, Hz, cm^-3,
-Bohr radii) are converted through the helpers at the bottom of this
-module.  Constants are frozen at CODATA 2018 values.
+Bohr radii) are converted at the boundary, in `serialization` and
+`cli`.  Constants are frozen at CODATA 2018 values.
 """
 
 from __future__ import annotations
@@ -44,48 +44,3 @@ class Constants:
 
 CONST = Constants()
 
-
-# --- unit conversions (boundary helpers) ---
-
-def nK_to_K(t_nK: float) -> float:
-    return t_nK * 1e-9
-
-
-def mG_to_T(b_mG: float) -> float:
-    return b_mG * 1e-7
-
-
-def T_to_mG(b_T: float) -> float:
-    return b_T * 1e7
-
-
-def per_cm3_to_per_m3(n: float) -> float:
-    return n * 1e6
-
-
-def per_m3_to_per_cm3(n: float) -> float:
-    return n * 1e-6
-
-
-def hz_to_rad(f_Hz: float) -> float:
-    return TWO_PI * f_Hz
-
-
-def rad_to_hz(w: float) -> float:
-    return w / TWO_PI
-
-
-def a0_to_m(a: float) -> float:
-    return a * CONST.a_0
-
-
-def m_to_a0(a: float) -> float:
-    return a / CONST.a_0
-
-
-def ms_to_s(t_ms: float) -> float:
-    return t_ms * 1e-3
-
-
-def deg_to_rad(phi_deg: float) -> float:
-    return math.radians(phi_deg)

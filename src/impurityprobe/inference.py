@@ -250,11 +250,16 @@ def collision_counts(bath: BathState, model, T2: float,
     thermal-mean ground-state scattering length and the constant
     excited-state one; <n> is the impurity-sampled mean density and the
     relative speed uses the reduced-mass-weighted temperature of bath
-    and impurity.
+    and impurity.  The field B defaults to the model's resonance position
+    B0; a model without one (TabulatedModel) needs B given explicitly.
     """
     if T2 <= 0.0:
         raise ValueError("T2 must be positive")
-    B = model.B0 if (B is None and hasattr(model, "B0")) else (B or 198.5e-7)
+    if B is None:
+        if not hasattr(model, "B0"):
+            raise ValueError("B is required for a model without a resonance "
+                             "position B0")
+        B = model.B0
     a_g_bar = mean_a(B, bath.T, model, check_convergence=False, order=2048)
     n_mean = bath.n0 / 2.0**1.5
     T_eff = effective_collision_temperature(bath.T, T_Cs)

@@ -92,35 +92,34 @@ def fringe_closed_form(t, phi, Delta: float, T2: float):
 
 
 def detuning_nodes(bath: BathState, model, B: float,
-                   density_order: int = 384, energy_order: int = 512,
-                   energy_method: str = "panel",
-                   density_method: str = "panel"):
+                   density_order: int = 384, energy_order: int = 512):
     """Detuning matrix delta_Rb(n_i, B, E_j) with product weights.
 
     Returns (delta, w) where delta has shape (Nd, Ne) and w are the
-    matching product weights summing to 1.  Both defaults use composite
+    matching product weights summing to 1.  Both factors use composite
     panel rules: the integrand oscillates at long evolution times, which
     global Gauss rules cannot track.
     """
-    n, wn = density_weight_measure(bath, order=density_order,
-                                   method=density_method)
-    E, wE = mb_quadrature(bath.T, order=energy_order, method=energy_method)
+    n, wn = density_weight_measure(bath, order=density_order, method="panel")
+    E, wE = mb_quadrature(bath.T, order=energy_order, method="panel")
     da = delta_a(B, E, model)
     delta = interaction_detuning(n[:, None], da[None, :])
     return delta, wn[:, None] * wE[None, :]
 
 
 def _coherence_trace(ts, delta, w):
-    """<cos(delta t)>, <sin(delta t)> over the node measure, per time."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    """<cos(delta t)>, <sin(delta t)> over the node measure, per time.
+
+    Returns two arrays shaped like the array `ts`.
+    """
     C = np.empty(ts.shape)
     S = np.empty(ts.shape)
     d = delta.ravel()
     wf = w.ravel()
-    for k, t in enumerate(ts):
+    for k, t in enumerate(ts.flat):
         th = d * t
-        C[k] = np.dot(wf, np.cos(th))
-        S[k] = np.dot(wf, np.sin(th))
+        C.flat[k] = np.dot(wf, np.cos(th))
+        S.flat[k] = np.dot(wf, np.sin(th))
     return C, S
 
 
@@ -131,28 +130,34 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
     """Ground-state population of the microscopic dephasing model.
 
     Averages cos^2(delta_Rb t / 2 + phi / 2) over the density measure and
-    the collision-energy distribution.  With include_background=True the
-    oscillatory part is additionally damped by exp(-t^2/T2_bg^2) and the
-    phase shifted by delta_bg * t.  `nodes` may supply a precomputed
-    (delta, weights) pair, e.g. a degenerate single-node measure.
+    the collision-energy distribution.  t and phi broadcast against each
+    other (t[:, None] with phi[None, :] gives a (t, phi) grid); the node
+    average is taken once per element of t.  Two scalars return a float.
+    With include_background=True the oscillatory part is additionally
+    damped by exp(-t^2/T2_bg^2) and the phase shifted by delta_bg * t.
+
+    `nodes` may supply a precomputed (delta, weights) pair, e.g. a
+    degenerate single-node measure.  Otherwise the nodes come from
+    detuning_nodes, and check_convergence=True repeats the average at
+    twice the energy order: QuadratureError is raised if <cos>, <sin>
+    move by more than 1e-4 at any time, else the refined values are
+    used.  The density order is not refined.
     """
-    if np.any(np.asarray(t) < 0.0):
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0.0):
         raise ValueError("time must be nonnegative")
+    refine = check_convergence and nodes is None
     if nodes is None:
         nodes = detuning_nodes(bath, model, protocol.B,
                                density_order=density_order,
                                energy_order=energy_order)
-        if check_convergence:
-            nodes2 = detuning_nodes(bath, model, protocol.B,
-                                    density_order=density_order,
-                                    energy_order=2 * energy_order)
-    delta, w = nodes
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    C, S = _coherence_trace(ts, delta, w)
-    if check_convergence and 'nodes2' in locals():
-        C2, S2 = _coherence_trace(ts, *nodes2)
+    C, S = _coherence_trace(ts, *nodes)
+    if refine:
+        C2, S2 = _coherence_trace(ts, *detuning_nodes(
+            bath, model, protocol.B, density_order=density_order,
+            energy_order=2 * energy_order))
         if np.max(np.hypot(C2 - C, S2 - S)) > 1e-4:
-            raise QuadratureError("ramsey_population quadrature not converged")
+            raise QuadratureError("Ramsey quadrature not converged")
         C, S = C2, S2
     phase = np.asarray(phi, dtype=float)
     env = 1.0
@@ -170,24 +175,12 @@ def population_grid(protocol: RamseyProtocol, bath: BathState, model,
                     include_background: bool = True,
                     check_convergence: bool = False) -> np.ndarray:
     """Noiseless population over the protocol's full (t, phi) grid."""
-    delta, w = detuning_nodes(bath, model, protocol.B,
-                              density_order=density_order,
-                              energy_order=energy_order)
-    C, S = _coherence_trace(protocol.t, delta, w)
-    if check_convergence:
-        delta2, w2 = detuning_nodes(bath, model, protocol.B,
-                                    density_order=density_order,
-                                    energy_order=2 * energy_order)
-        C2, S2 = _coherence_trace(protocol.t, delta2, w2)
-        if np.max(np.hypot(C2 - C, S2 - S)) > 1e-4:
-            raise QuadratureError("population_grid quadrature not converged")
-        C, S = C2, S2
-    phase = protocol.phi[None, :]
-    env = 1.0
-    if include_background:
-        phase = phase + (protocol.delta_bg * protocol.t)[:, None]
-        env = np.exp(-((protocol.t / protocol.T2_bg) ** 2))[:, None]
-    return 0.5 + 0.5 * env * (C[:, None] * np.cos(phase) - S[:, None] * np.sin(phase))
+    return ramsey_population(protocol.t[:, None], protocol.phi[None, :],
+                             bath, model, protocol,
+                             density_order=density_order,
+                             energy_order=energy_order,
+                             include_background=include_background,
+                             check_convergence=check_convergence)
 
 
 def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,

@@ -123,18 +123,19 @@ def delta_a(B: float, E_c, model) -> float | np.ndarray:
     return model.a_e - a_ground(B, E_c, model)
 
 
-def _thermal_nodes(B, T_bath, model, order, method):
-    E, w = mb_quadrature(T_bath, order=order, method=method)
+def _thermal_nodes(B, T_bath, model, order):
+    """a_g on the panel MB energy rule, with its weights."""
+    E, w = mb_quadrature(T_bath, order=order, method="panel")
     return a_ground(B, E, model), w
 
 
 def mean_a(B: float, T_bath: float, model, order: int = 512,
-           method: str = "panel", check_convergence: bool = True) -> float:
+           check_convergence: bool = True) -> float:
     """Thermal mean of the ground-state scattering length, m."""
-    a, w = _thermal_nodes(B, T_bath, model, order, method)
+    a, w = _thermal_nodes(B, T_bath, model, order)
     m1 = float(np.dot(w, a))
     if check_convergence:
-        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order, method)
+        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
         m1b = float(np.dot(w2, a2))
         scale = max(abs(m1b), abs(model.a_bg) if hasattr(model, "a_bg") else abs(m1b))
         if abs(m1b - m1) > 1e-4 * scale:
@@ -145,16 +146,16 @@ def mean_a(B: float, T_bath: float, model, order: int = 512,
 
 
 def var_a(B: float, T_bath: float, model, order: int = 512,
-          method: str = "panel", check_convergence: bool = True) -> float:
+          check_convergence: bool = True) -> float:
     """Thermal variance of the ground-state scattering length, m^2."""
     def centered_var(a, w):
         m1 = float(np.dot(w, a))
         return float(np.dot(w, (a - m1) ** 2)), m1
 
-    a, w = _thermal_nodes(B, T_bath, model, order, method)
+    a, w = _thermal_nodes(B, T_bath, model, order)
     v, m1 = centered_var(a, w)
     if check_convergence:
-        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order, method)
+        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
         vb, m1b = centered_var(a2, w2)
         scale = max(vb, (1e-2 * abs(m1b)) ** 2)
         if abs(vb - v) > 1e-4 * scale and abs(vb - v) > 1e-3 * vb:
@@ -165,7 +166,7 @@ def var_a(B: float, T_bath: float, model, order: int = 512,
 
 
 def a_histogram(B: float, T_bath: float, model, bins: int = 50,
-                order: int = 2048, method: str = "panel"):
+                order: int = 2048):
     """Probability mass of a_g over `bins` equal-width bins.
 
     Returns (bin_edges, masses) with masses summing to 1; computed by
@@ -173,7 +174,7 @@ def a_histogram(B: float, T_bath: float, model, bins: int = 50,
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    a, w = _thermal_nodes(B, T_bath, model, order, method)
+    a, w = _thermal_nodes(B, T_bath, model, order)
     lo, hi = float(np.min(a)), float(np.max(a))
     if hi == lo:  # constant scattering length: single occupied bin
         hi = lo + max(abs(lo), A0) * 1e-12

@@ -89,6 +89,14 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
+    # json accepts NaN and Infinity, and NaN passes every "<= 0" check below
+    for section in ("bath", "model", "protocol", "quadrature"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section} must be a JSON object")
+        for key, value in cfg[section].items():
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{section}.{key} must be finite")
     b = cfg["bath"]
     if b["peak_density_per_cm3"] <= 0:
         raise ConfigError("bath.peak_density_per_cm3 must be positive")

@@ -46,6 +46,20 @@ class EnergyDistribution:
         return mb_pdf(E, self.T)
 
 
+def panel_nodes(edges):
+    """Composite 8-point Gauss-Legendre rule on the panels between `edges`.
+
+    Returns flat (nodes, weights) for integrating over [edges[0],
+    edges[-1]]; callers multiply the weights by their density.
+    """
+    xg, wg = roots_legendre(8)
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    return x, w
+
+
 def mb_pdf(E, T: float):
     """Maxwell-Boltzmann pdf of the collision energy, in 1/J.
 
@@ -90,12 +104,7 @@ def mb_quadrature(T: float, order: int = 64, method: str = "gauss"):
         n_panels = max(4, order // 8)
         # quadratic grading concentrates panels at small E where both the
         # MB weight and near-threshold resonance structure live
-        edges = 30.0 * (np.arange(n_panels + 1) / n_panels) ** 2
-        xg, wg = roots_legendre(8)
-        a, b = edges[:-1], edges[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        x, w = panel_nodes(30.0 * (np.arange(n_panels + 1) / n_panels) ** 2)
         w = w * np.sqrt(x) * np.exp(-x) / _GAMMA_3_2
         w = w / w.sum()  # absorb the ~1e-13 tail truncation
         return x * kT, w

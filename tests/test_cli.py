@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_non_object_section_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bath": 5}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -115,6 +121,20 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "2"])
         assert (out1 / "fringes.csv").read_bytes() != \
             (out2 / "fringes.csv").read_bytes()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("bath", "temperature_nK", float("nan")),
+        ("bath", "trap_freq_Hz", [100.0, float("inf"), 100.0]),
+        ("model", "a_bg_a0", float("-inf")),
+        ("protocol", "t_max_ms", float("nan")),
+        ("quadrature", "energy_order", float("inf")),
+    ])
+    def test_nonfinite_config_is_input_error(self, tmp_path, section, key,
+                                             value):
+        cfg = write_config(tmp_path, {section: {key: value}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "fringes.csv").exists()
 
     def test_missing_config_is_input_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),

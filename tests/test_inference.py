@@ -197,3 +197,26 @@ class TestCollisionCounts:
     def test_invalid_t2(self):
         with pytest.raises(ValueError):
             collision_counts(make_bath(), MODEL, T2=0.0)
+
+    def test_explicit_zero_field_is_used(self):
+        from impurityprobe.scattering import mean_a
+        bath = make_bath()
+        N_zero = collision_counts(bath, MODEL, T2=1e-3, B=0.0)
+        a_zero = mean_a(0.0, bath.T, MODEL, check_convergence=False,
+                        order=2048)
+        assert N_zero[0] / N_zero[1] == \
+            pytest.approx((a_zero / MODEL.a_e) ** 2, rel=1e-12)
+        assert N_zero[0] != pytest.approx(
+            collision_counts(bath, MODEL, T2=1e-3)[0], rel=1e-3)
+
+    def test_tabulated_model_needs_field(self):
+        from impurityprobe.scattering import TabulatedModel
+        B = np.array([190e-7, 200e-7])
+        E = np.array([0.0, 1e-29])
+        table = TabulatedModel(B_grid=B, E_grid=E,
+                               a_grid=np.full((2, 2), 1000.0 * 5.29e-11))
+        with pytest.raises(ValueError):
+            collision_counts(make_bath(), table, T2=1e-3)
+        N_g, N_e = collision_counts(make_bath(), table, T2=1e-3, B=195e-7)
+        assert N_g / N_e == pytest.approx((1000.0 * 5.29e-11 / table.a_e) ** 2,
+                                          rel=1e-12)

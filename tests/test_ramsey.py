@@ -11,6 +11,7 @@ from impurityprobe.ramsey import (FringeSeries, RamseyProtocol,
                                   no_bath_trace, population_grid,
                                   ramsey_population, synthesize_fringe)
 from impurityprobe.scattering import ResonanceModel, delta_a
+from impurityprobe.thermal import QuadratureError
 
 TWO_PI = 2 * math.pi
 MODEL = ResonanceModel()
@@ -101,6 +102,32 @@ class TestRamseyPopulation:
                                   energy_order=2048,
                                   include_background=False)
             assert abs(p - vals.mean()) < 3.0 * sem
+
+
+class TestConvergenceCheck:
+    def test_unresolved_quadrature_raises(self):
+        # 12 ms at 3e13 cm^-3: the default 384 x 512 rule and its
+        # doubled-energy refinement differ by more than 1e-4
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=30)
+        bath = make_bath(3e19, 700e-9)
+        with pytest.raises(QuadratureError):
+            population_grid(proto, bath, MODEL, check_convergence=True)
+        with pytest.raises(QuadratureError):
+            ramsey_population(proto.t, 0.0, bath, MODEL, proto,
+                              check_convergence=True)
+
+    def test_converged_returns_refined_result(self):
+        proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=10)
+        bath = make_bath(1e19)
+        refined = population_grid(proto, bath, MODEL, energy_order=1024)
+        checked = population_grid(proto, bath, MODEL, check_convergence=True)
+        assert np.array_equal(checked, refined)
+        assert not np.array_equal(checked, population_grid(proto, bath, MODEL))
+        p = ramsey_population(proto.t, 0.5, bath, MODEL, proto,
+                              check_convergence=True)
+        assert np.array_equal(
+            p, ramsey_population(proto.t, 0.5, bath, MODEL, proto,
+                                 energy_order=1024))
 
 
 class TestSynthesize:
