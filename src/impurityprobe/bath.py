@@ -37,6 +37,10 @@ class BathState:
     N: float | None = None    # atom number
 
     def __post_init__(self):
+        given = (self.n0, self.T, self.omega_x, self.omega_y, self.omega_z,
+                 0.0 if self.N is None else self.N)
+        if not np.all(np.isfinite(given)):
+            raise ValueError("bath parameters must be finite")
         if self.T <= 0.0:
             raise ValueError("bath temperature must be positive")
         if min(self.omega_x, self.omega_y, self.omega_z) <= 0.0:

@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, FitError, FloatingPointError) as exc:
+    except (QuadratureError, FitError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InferenceError as exc:

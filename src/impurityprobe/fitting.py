@@ -11,7 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first fit.
+
+    Importing scipy.optimize takes about half a second, which every CLI
+    verb would pay at start-up whether it fits or not.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 class FitError(RuntimeError):

@@ -189,10 +189,16 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
     if T2_observed <= 0.0:
         raise ValueError("observed T2 must be positive")
 
+    # the monotonicity probe below shares its end points with the coarse
+    # curve, so each T is synthesized and analyzed once
+    memo = {}
+
     def fwd_T2(T):
-        return forward_observables(n0_known, T, model, protocol,
-                                   density_order=density_order,
-                                   energy_order=energy_order)["T2"]
+        if T not in memo:
+            memo[T] = forward_observables(n0_known, T, model, protocol,
+                                          density_order=density_order,
+                                          energy_order=energy_order)["T2"]
+        return memo[T]
 
     def f(T):
         fwd = fwd_T2(T)

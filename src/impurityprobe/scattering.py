@@ -17,7 +17,7 @@ coupled-channel data is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class ResonanceModel:
     a_e: float = 539.0 * A0         # excited-state scattering length, m
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError("resonance parameters must be finite")
         if self.gamma_B <= 0.0:
             raise ValueError("gamma_B must be positive")
         if self.a_cap <= abs(self.a_bg):

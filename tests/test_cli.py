@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import impurityprobe
 from impurityprobe.cli import main
 from impurityprobe.ramsey import no_bath_trace
 from impurityprobe.serialization import (ConfigError, DEFAULT_CONFIG,
@@ -94,6 +97,17 @@ class TestFringeCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
             fringe_from_csv(str(path))
+
+
+class TestStartup:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # every verb imports the cli; only the fitting ones need the solver
+        src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
+        code = "import sys, impurityprobe.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

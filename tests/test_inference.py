@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from impurityprobe import inference
 from impurityprobe.bath import BathState
 from impurityprobe.fitting import FitError
 from impurityprobe.inference import (InferenceError, bootstrap_fit,
@@ -109,6 +110,24 @@ class TestInferTemperature:
                                  T2_error=0.05 * obs["T2"])
         lo, hi = post.interval
         assert lo < T_true < hi
+
+    def test_each_forward_point_computed_once(self, monkeypatch):
+        # the monotonicity probe's end points are also coarse-curve points
+        proto = make_protocol()
+        obs = forward_observables(1.5e19, 700e-9, MODEL, proto,
+                                  density_order=96, energy_order=96)
+        seen = []
+
+        def counting(n0, T, *args, **kw):
+            seen.append(T)
+            return forward_observables(n0, T, *args, **kw)
+
+        monkeypatch.setattr(inference, "forward_observables", counting)
+        post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto,
+                                 density_order=96, energy_order=96)
+        assert post.estimate == pytest.approx(700e-9, rel=0.02)
+        assert len(seen) == len(set(seen))
+        assert {100e-9, 1500e-9} <= set(seen)
 
     def test_invalid_t2(self):
         with pytest.raises(ValueError):

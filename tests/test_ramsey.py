@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 from scipy.signal import argrelmax
 
+from impurityprobe import ramsey
 from impurityprobe.bath import BathState, density_at, interaction_detuning
 from impurityprobe.constants import CONST
 from impurityprobe.ramsey import (FringeSeries, RamseyProtocol,
@@ -130,6 +134,122 @@ class TestConvergenceCheck:
                                  energy_order=1024))
 
 
+def _trace_in_child(conn, ts, delta, w):
+    C, S = ramsey._coherence_trace(ts, delta, w)
+    conn.send((C.tobytes(), S.tobytes()))
+    conn.close()
+
+
+class TestCoherenceSplit:
+    """_coherence_trace deals the times out to one thread per core; the
+    bits must not depend on how many cores there are."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        delta, w = detuning_nodes(make_bath(), MODEL, make_protocol().B)
+        assert delta.size == 384 * 512
+        return delta, w
+
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(ramsey, "_usable_cores", lambda: n)
+
+    @pytest.mark.parametrize("nt", [1, 2, 3, 24, 30])
+    def test_bytes_independent_of_core_count(self, monkeypatch, nodes, nt):
+        bath, proto = make_bath(), make_protocol()
+        t = np.geomspace(0.1e-3, 12e-3, nt)
+        cases = [(t, 0.4), (t[:, None], proto.phi[None, :])]
+        if nt == 1:
+            cases.append((float(t[0]), 0.4))
+        for ts, phi in cases:
+            self.cores(monkeypatch, 1)
+            ref = np.asarray(ramsey_population(ts, phi, bath, MODEL, proto,
+                                               nodes=nodes))
+            for n in (2, 3, 4):
+                self.cores(monkeypatch, n)
+                got = np.asarray(ramsey_population(ts, phi, bath, MODEL, proto,
+                                                   nodes=nodes))
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("density_order, splits", [(96, False),
+                                                       (120, False),
+                                                       (128, True)])
+    def test_split_only_from_2_16_nodes(self, monkeypatch, density_order,
+                                        splits):
+        bath, proto = make_bath(), make_protocol()
+        delta, w = detuning_nodes(bath, MODEL, proto.B,
+                                  density_order=density_order)
+        assert (delta.size >= 2**16) == splits
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(ramsey.threading, "Thread", Counting)
+        self.cores(monkeypatch, 1)
+        ref = ramsey._coherence_trace(proto.t, delta, w)
+        assert not started
+        self.cores(monkeypatch, 3)
+        got = ramsey._coherence_trace(proto.t, delta, w)
+        assert len(started) == (2 if splits else 0)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_convergence_check_independent_of_core_count(self, monkeypatch):
+        proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=10)
+        bath = make_bath(1e19)
+        self.cores(monkeypatch, 1)
+        ref = population_grid(proto, bath, MODEL, check_convergence=True)
+        self.cores(monkeypatch, 3)
+        got = population_grid(proto, bath, MODEL, check_convergence=True)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_worker_exception_propagates(self, monkeypatch, nodes):
+        cos = np.cos
+
+        def cos_failing_off_main_thread(x, *args, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return cos(x, *args, **kw)
+
+        before = threading.active_count()
+        self.cores(monkeypatch, 3)
+        monkeypatch.setattr(ramsey.np, "cos", cos_failing_off_main_thread)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            ramsey._coherence_trace(np.geomspace(0.1e-3, 4e-3, 6), *nodes)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_fork_child_after_threaded_call(self, monkeypatch, nodes):
+        # the threads are per call, so a fork after a call inherits none
+        before = threading.active_count()
+        self.cores(monkeypatch, 3)
+        ts = np.geomspace(0.1e-3, 12e-3, 7)
+        C, S = ramsey._coherence_trace(ts, *nodes)
+        assert threading.active_count() == before
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_trace_in_child, args=(send, ts, *nodes))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60)
+            got = recv.recv()
+        finally:
+            child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == (C.tobytes(), S.tobytes())
+
+    def test_core_count(self, monkeypatch):
+        assert ramsey._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ramsey._usable_cores() == os.cpu_count()
+
+
 class TestSynthesize:
     def test_deterministic_with_seed(self):
         bath, proto = make_bath(), make_protocol()
@@ -192,6 +312,14 @@ class TestProtocol:
     def test_monotone_times_required(self):
         with pytest.raises(ValueError):
             RamseyProtocol(t=np.array([2e-3, 1e-3]), phi=np.array([0.0]))
+
+    @pytest.mark.parametrize("kw", [{"t": [1e-3, math.nan]},
+                                    {"phi": [0.0, math.inf]},
+                                    {"B": math.nan}, {"delta_bg": math.inf},
+                                    {"T2_bg": math.nan}, {"Omega0": -math.inf}])
+    def test_non_finite_parameters_rejected(self, kw):
+        with pytest.raises(ValueError):
+            make_protocol(**kw)
 
     def test_default_grid(self):
         proto = RamseyProtocol.default_grid()

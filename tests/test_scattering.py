@@ -148,6 +148,16 @@ class TestHistogram:
             a_histogram(MODEL.B0, 600e-9, MODEL, bins=1)
 
 
+class TestResonanceModel:
+    @pytest.mark.parametrize("field", ["a_bg", "B0", "delta_B", "dB_dE",
+                                       "gamma_B", "a_cap", "a_e"])
+    def test_non_finite_parameter_rejected(self, field):
+        with pytest.raises(ValueError):
+            ResonanceModel(**{field: math.nan})
+        with pytest.raises(ValueError):
+            replace(MODEL, **{field: -math.inf})
+
+
 class TestTabulatedModel:
     def make_table(self):
         B = np.array([190.0, 195.0, 200.0, 205.0]) * 1e-7
