@@ -1,10 +1,12 @@
 """Fringe extraction pipeline: normalization, per-time fringe fits,
 visibility decay (T2), and interaction-phase slope (delta).
 
-Fringes are fitted with A sin^2[(phi0 - phi)/2] + C; the visibility is
-V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B.  The interaction
-phase is the unwrapped fringe phase minus the background delta_bg * t,
-fitted linearly for t below the dephasing time.
+Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, solved in closed
+form as a linear least-squares problem (a bounded nonlinear fit runs only
+where the free solution leaves the physical range); the visibility is
+V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B, a nonlinear fit.  The
+interaction phase is the unwrapped fringe phase minus the background
+delta_bg * t, fitted linearly for t below the dephasing time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitError, FitReport, fit_least_squares
+from .fitting import FitError, FitReport, fit_least_squares, standard_errors
 from .ramsey import FringeSeries
 
 TWO_PI = 2.0 * math.pi
@@ -32,19 +34,34 @@ def _fringe_model(phi, A, C, phi0):
     return A * np.sin(0.5 * (phi0 - phi)) ** 2 + C
 
 
+BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
+
+
 def fit_fringe(phi, p, p_err=None) -> FitReport:
     """Fit one fixed-time fringe with A sin^2[(phi0 - phi)/2] + C.
 
-    Initialization comes from the discrete Fourier component at one cycle
-    per 2 pi.  Constant data returns a zero-amplitude report rather than
-    an error; phi0 is reported in [0, 2 pi).
+    The model is linear in (A/2 + C, A cos phi0, A sin phi0), so this is a
+    weighted linear least-squares solve, with errors from the analytic
+    Jacobian in (A, C, phi0).  Only when that solution leaves A <= 2,
+    0 <= C <= 2 does a bounded nonlinear fit run, started from the
+    1-cycle Fourier component, and the report then carries BOUNDED_FIT.
+    Constant data returns a zero-amplitude report rather than an error;
+    phi0 is reported in [0, 2 pi).
     """
     phi = np.asarray(phi, dtype=float)
     p = np.asarray(p, dtype=float)
     if len(phi) < 4:
         raise ValueError("need at least 4 phase points")
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(p))):
+        raise ValueError("phases and populations must be finite")
     if np.ptp(phi) <= math.pi:
         raise ValueError("phase points must span more than pi")
+    w = np.ones_like(p)
+    if p_err is not None:
+        p_err = np.asarray(p_err, dtype=float)
+        if not np.all(np.isfinite(p_err) & (p_err > 0.0)):
+            raise ValueError("p_err must be finite and positive")
+        w = 1.0 / p_err
 
     if np.ptp(p) == 0.0:
         return FitReport(params={"A": 0.0, "C": float(p[0]), "phi0": 0.0},
@@ -52,18 +69,36 @@ def fit_fringe(phi, p, p_err=None) -> FitReport:
                          residual_norm=0.0, n_points=len(p), converged=True,
                          warnings=["constant fringe: amplitude pinned to zero"])
 
-    # fringe = (A/2 + C) - (A/2) cos(phi - phi0); the 1-cycle Fourier
-    # coefficient of the data is -(A/2) e^{-i phi0}
+    # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
+    #                                         - (A/2) sin(phi0) sin(phi)
+    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)]) * w[:, None]
+    (c0, a, b), *_ = np.linalg.lstsq(X, p * w, rcond=None)
+    A = 2.0 * math.hypot(a, b)
+    C = float(c0) - 0.5 * A
+    if A <= 2.0 and 0.0 <= C <= 2.0:
+        phi0 = math.atan2(-b, -a) % TWO_PI
+        s2 = np.sin(0.5 * (phi0 - phi)) ** 2
+        jac = np.column_stack([s2, np.ones_like(phi),
+                               0.5 * A * np.sin(phi0 - phi)]) * w[:, None]
+        r = (A * s2 + C - p) * w
+        resid_var = float(r @ r) / max(len(p) - 3, 1) if p_err is None else 1.0
+        errs = standard_errors(jac, resid_var)
+        return FitReport(params={"A": A, "C": C, "phi0": phi0},
+                         errors=dict(zip(("A", "C", "phi0"), map(float, errs))),
+                         residual_norm=float(np.linalg.norm(r)),
+                         n_points=len(p), converged=True)
+
+    # the 1-cycle Fourier coefficient of the data is -(A/2) e^{-i phi0}
     c1 = 2.0 * np.mean(p * np.exp(-1j * phi))
     A0 = min(max(2.0 * abs(c1), 1e-6), 2.0)
     phi0_0 = float(np.angle(-c1)) % TWO_PI
     C0 = max(float(np.mean(p)) - 0.5 * A0, 1e-9)
-
     rep = fit_least_squares(_fringe_model, phi, p, p0=[A0, C0, phi0_0],
                             names=["A", "C", "phi0"], sigma=p_err,
                             bounds=([0.0, 0.0, phi0_0 - TWO_PI],
                                     [2.0, 2.0, phi0_0 + TWO_PI]))
     rep.params["phi0"] %= TWO_PI
+    rep.warnings.append(BOUNDED_FIT)
     return rep
 
 
@@ -220,6 +255,10 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     for k in range(len(series.t)):
         err = None if series.p_err is None else series.p_err[k]
         fits.append(fit_fringe(series.phi, series.p[k], p_err=err))
+    bounded = [t for t, f in zip(series.t, fits) if BOUNDED_FIT in f.warnings]
+    if bounded:
+        warnings.append("bounded fringe fit at t_ms = "
+                        + ", ".join(f"{t * 1e3:.6g}" for t in bounded))
 
     V = np.array([visibility(f.params["A"], f.params["C"]) for f in fits])
     V_err = None

@@ -1,9 +1,11 @@
 """Shared least-squares machinery.
 
-All fits in the package go through `fit_least_squares`, a bounded
-damped least-squares solver (scipy's trust-region reflective backend
-with numerically estimated derivatives) that returns a FitReport with
-1-sigma uncertainties from the local quadratic model.
+Nonlinear fits go through `fit_least_squares`, a bounded damped
+least-squares solver (scipy's trust-region reflective backend with
+numerically estimated derivatives) that returns a FitReport with 1-sigma
+uncertainties from the local quadratic model.  Fits solved in closed form
+(the fringe fit in `analysis`) take their uncertainties from the same
+`standard_errors`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ class FitReport:
                 "converged": self.converged, "warnings": list(self.warnings)}
 
 
+def standard_errors(jac, resid_var: float) -> np.ndarray:
+    """1-sigma parameter errors sqrt(diag(resid_var * (J^T J)^+)).
+
+    jac is the (weighted) residual Jacobian at the solution.  The
+    pseudo-inverse drops singular values below eps * max(shape) * s_max,
+    so a direction the data does not constrain gets error 0.
+    """
+    _, s, VT = np.linalg.svd(jac, full_matrices=False)
+    tol = np.finfo(float).eps * max(jac.shape) * (s[0] if len(s) else 1.0)
+    s_inv2 = np.where(s > tol, 1.0 / np.maximum(s, tol) ** 2, 0.0)
+    cov = (VT.T * s_inv2) @ VT * resid_var
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
 def fit_least_squares(model, x, y, p0, names, sigma=None, bounds=None,
                       max_nfev: int = 2000) -> FitReport:
     """Fit y = model(x, *p) by damped least squares.
@@ -76,11 +92,7 @@ def fit_least_squares(model, x, y, p0, names, sigma=None, bounds=None,
     # covariance from the local quadratic model, J^T J
     dof = max(len(y) - len(sol.x), 1)
     resid_var = 2.0 * sol.cost / dof if sigma is None else 1.0
-    _, s, VT = np.linalg.svd(sol.jac, full_matrices=False)
-    tol = np.finfo(float).eps * max(sol.jac.shape) * (s[0] if len(s) else 1.0)
-    s_inv2 = np.where(s > tol, 1.0 / np.maximum(s, tol) ** 2, 0.0)
-    cov = (VT.T * s_inv2) @ VT * resid_var
-    errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    errs = standard_errors(sol.jac, resid_var)
 
     return FitReport(params=dict(zip(names, map(float, sol.x))),
                      errors=dict(zip(names, map(float, errs))),

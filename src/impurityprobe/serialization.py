@@ -192,11 +192,18 @@ def fringe_from_csv(path) -> FringeSeries:
             raise ConfigError(f"{path}: expected columns t_ms,phase_deg,p[,p_err]")
         for k, row in enumerate(reader, start=2):
             try:
-                rows.append((float(row["t_ms"]), float(row["phase_deg"]),
-                             float(row["p"]),
-                             float(row["p_err"]) if row.get("p_err") else None))
+                t, phi, p = (float(row[c]) for c in ("t_ms", "phase_deg", "p"))
+                err = float(row["p_err"]) if row.get("p_err") else None
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: malformed row {k}: {exc}") from exc
+            # float() accepts "nan" and "inf", and NaN passes every "< 0" check
+            if not all(map(math.isfinite, (t, phi, p, 0.0 if err is None else err))):
+                raise ConfigError(f"{path}: row {k}: values must be finite")
+            if t < 0.0:
+                raise ConfigError(f"{path}: row {k}: t_ms must be nonnegative")
+            if err is not None and err <= 0.0:
+                raise ConfigError(f"{path}: row {k}: p_err must be positive")
+            rows.append((t, phi, p, err))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     ts = sorted({r[0] for r in rows})

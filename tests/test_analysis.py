@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from impurityprobe.analysis import (analyze_fringes, extract_phase_series,
+from impurityprobe.analysis import (BOUNDED_FIT, _fringe_model,
+                                    analyze_fringes, extract_phase_series,
                                     fit_fringe, fit_phase_slope,
                                     fit_visibility_decay, normalize_counts,
                                     visibility, visibility_error)
 from impurityprobe.bath import BathState
-from impurityprobe.fitting import FitError
+from impurityprobe.fitting import FitError, fit_least_squares
 from impurityprobe.ramsey import (FringeSeries, RamseyProtocol,
                                   fringe_closed_form, synthesize_fringe)
 from impurityprobe.scattering import ResonanceModel
@@ -18,6 +20,11 @@ TWO_PI = 2 * math.pi
 
 def fringe_values(phi, A, C, phi0):
     return A * np.sin(0.5 * (phi0 - phi)) ** 2 + C
+
+
+def wrapped(angle):
+    """angle mapped into [-pi, pi)."""
+    return (angle + math.pi) % TWO_PI - math.pi
 
 
 class TestNormalize:
@@ -78,6 +85,64 @@ class TestFitFringe:
         phi = np.linspace(0.0, 2.0, 8)
         with pytest.raises(ValueError):
             fit_fringe(phi, fringe_values(phi, 0.8, 0.1, 1.0))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, float("nan"), float("inf")])
+    def test_invalid_p_err_rejected(self, bad):
+        p = fringe_values(self.PHI, 0.8, 0.1, 1.0)
+        err = np.full_like(p, 0.02)
+        err[3] = bad
+        with pytest.raises(ValueError, match="p_err"):
+            fit_fringe(self.PHI, p, p_err=err)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_population_rejected(self, bad):
+        p = fringe_values(self.PHI, 0.8, 0.1, 1.0)
+        p[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_fringe(self.PHI, p)
+
+    def test_negative_offset_falls_back_to_bounded_fit(self):
+        # the free solution has C = -0.05; the bounded fit pins C at 0
+        p = fringe_values(self.PHI, 0.8, -0.05, 1.0)
+        rep = fit_fringe(self.PHI, p)
+        assert 0.0 <= rep.params["C"] <= 1e-12
+        assert rep.params["A"] > 0.0
+        assert BOUNDED_FIT in rep.warnings
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=st.floats(0.1, 1.5), C=st.floats(0.05, 0.4),
+           phi0=st.floats(0.0, 6.28), noise=st.floats(0.0, 0.03),
+           n_phi=st.integers(6, 16), weighted=st.booleans(),
+           seed=st.integers(0, 2**31))
+    def test_linear_fit_equals_bounded_fit(self, A, C, phi0, noise, n_phi,
+                                           weighted, seed):
+        # where no bound is active the linear fit and the bounded fit that
+        # fit_fringe falls back to minimise the same sum of squares; the
+        # bounded fit starts from the linear solution, since from the
+        # Fourier start it can land in a wrong minimum
+        rng = np.random.default_rng(seed)
+        phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
+        p = fringe_values(phi, A, C, phi0) + noise * rng.standard_normal(n_phi)
+        err = rng.uniform(0.01, 0.05, n_phi) if weighted else None
+        lin = fit_fringe(phi, p, p_err=err)
+        assume(BOUNDED_FIT not in lin.warnings)
+        start = [lin.params[name] for name in ("A", "C", "phi0")]
+        ref = fit_least_squares(_fringe_model, phi, p, p0=start,
+                                names=["A", "C", "phi0"], sigma=err,
+                                bounds=([0.0, 0.0, start[2] - TWO_PI],
+                                        [2.0, 2.0, start[2] + TWO_PI]))
+        # Both sit at the minimum; the bounded fit stops where its
+        # finite-difference gradient vanishes, which fixes a parameter only
+        # to ~sqrt(eps) of its 1-sigma error, so that sets the floor.
+        for name in ("A", "C", "phi0"):
+            diff = lin.params[name] - ref.params[name]
+            if name == "phi0":
+                diff = wrapped(diff)
+            assert abs(diff) <= max(1e-9, 1e-6 * ref.errors[name])
+        assert lin.residual_norm <= ref.residual_norm * (1.0 + 1e-12) + 1e-12
+        for name in ("A", "C", "phi0"):
+            assert lin.errors[name] == pytest.approx(ref.errors[name],
+                                                     rel=1e-6, abs=1e-12)
 
 
 class TestVisibility:
@@ -230,6 +295,59 @@ class TestPipeline:
         mean_delta = float(np.sum(w * d))
         short = fit_phase_slope(series.t, res.phase, T2=0.1 * res.T2)
         assert short.params["delta"] == pytest.approx(mean_delta, rel=0.05)
+
+    @staticmethod
+    def closed_form_analysis(f_hz, T2):
+        t = np.linspace(0.3e-3, 12e-3, 24)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_closed_form(tk, phi, TWO_PI * f_hz, T2) for tk in t])
+        return analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0)
+
+    def test_closed_form_190_hz_6_ms(self):
+        # the iterative fit used to land in a wrong minimum here
+        # (T2 11 % high, delta 74 % low)
+        res = self.closed_form_analysis(190.0, 6e-3)
+        assert res.T2 == pytest.approx(6e-3, rel=1e-6)
+        assert res.delta == pytest.approx(TWO_PI * 190.0, rel=1e-6)
+
+    def test_closed_form_grid(self):
+        # criterion 04's round trip on the whole 100-300 Hz x 3-8 ms grid
+        misses = []
+        for f_hz in np.arange(100.0, 301.0, 10.0):
+            for T2 in np.arange(3.0, 8.01, 0.5) * 1e-3:
+                res = self.closed_form_analysis(f_hz, T2)
+                if not (abs(res.T2 / T2 - 1.0) <= 1e-6
+                        and abs(res.delta / (TWO_PI * f_hz) - 1.0) <= 1e-6):
+                    misses.append((f_hz, T2))
+        assert misses == []
+
+    def test_cos2_convention_maps_phase(self):
+        # cos^2[(Delta t + phi)/2] = sin^2[(phi0 - phi)/2] with
+        # phi0 = -(Delta t + pi); "cos2" maps phi0 back to Delta t
+        t = np.linspace(0.2e-3, 3e-3, 12)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        Delta = TWO_PI * 230.0
+        p = np.array([fringe_closed_form(tk, -(phi + math.pi), Delta, 1.0)
+                      for tk in t])
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0,
+                              phase_convention="cos2")
+        for tk, f in zip(t, res.fringe_fits):
+            assert wrapped(f.params["phi0"] + Delta * tk + math.pi) == \
+                pytest.approx(0.0, abs=1e-9)
+        offset = res.phase[0] - Delta * t[0]
+        assert offset / TWO_PI == pytest.approx(round(offset / TWO_PI), abs=1e-9)
+        assert np.allclose(res.phase - offset, Delta * t, atol=1e-9)
+
+    def test_bounded_fits_listed_in_warnings(self):
+        t = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        V = np.exp(-((t / 4e-3) ** 2))
+        p = np.array([fringe_values(phi, v, 0.5 - 0.5 * v, 1.0) for v in V])
+        p[2] = fringe_values(phi, 0.5, -0.02, 1.0)  # free C < 0 at 3 ms
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0)
+        assert [BOUNDED_FIT in f.warnings for f in res.fringe_fits] == \
+            [False, False, True, False, False]
+        assert "bounded fringe fit at t_ms = 3" in res.warnings
 
     def test_bad_convention_rejected(self):
         proto = RamseyProtocol.default_grid(t_max_ms=2.0, n_t=8)

@@ -9,7 +9,7 @@ import pytest
 
 import impurityprobe
 from impurityprobe.cli import main
-from impurityprobe.ramsey import no_bath_trace
+from impurityprobe.ramsey import FringeSeries, no_bath_trace
 from impurityprobe.serialization import (ConfigError, DEFAULT_CONFIG,
                                          canonical_json, config_hash,
                                          fringe_from_csv, fringe_to_csv,
@@ -179,6 +179,31 @@ class TestAnalyze:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    # (column, value) written into the fifth data row (CSV line 6)
+    @pytest.mark.parametrize("column, value", [
+        ("p_err", "-0.01"), ("p_err", "0"), ("p_err", "nan"),
+        ("p", "inf"), ("p", "nan"), ("t_ms", "nan"), ("t_ms", "-1"),
+        ("phase_deg", "inf"),
+    ])
+    def test_bad_fringe_value_is_input_error(self, tmp_path, capsys, column,
+                                             value):
+        t = np.linspace(0.5e-3, 3e-3, 6)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = 0.5 - 0.4 * np.cos(phi[None, :] - 1.0 - 900.0 * t[:, None])
+        lines = fringe_to_csv(FringeSeries(t=t, phi=phi, p=p,
+                                           p_err=np.full_like(p, 0.02))
+                              ).splitlines()
+        cols = lines[0].split(",")
+        cells = lines[5].split(",")
+        cells[cols.index(column)] = value
+        lines[5] = ",".join(cells)
+        path = tmp_path / "fringes.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert "row 6" in capsys.readouterr().err
+        assert not (out / "analysis.json").exists()
 
 
 class TestSweep:
