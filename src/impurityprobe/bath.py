@@ -5,8 +5,8 @@ density itself, so the spatial average in the dephasing integral depends
 on position only through the local density n(r).  That lets the 3D
 integral collapse to a 1D measure over density values: with standard
 normal coordinates y_i = x_i / sigma_i the density is n = n0 e^{-u}
-where u = |y|^2 / 2 ~ Gamma(3/2), i.e. the same generalized
-Gauss-Laguerre rule as the energy average applies.
+where u = |y|^2 / 2 ~ Gamma(3/2), the same law as the collision energy
+in units of kB T.
 """
 
 from __future__ import annotations

@@ -142,13 +142,19 @@ def cmd_sweep(args) -> int:
 
 
 def _read_xy_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    if data.shape[1] < 2 or np.any(np.isnan(data[:, :2])):
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    if data.shape[1] < 2:
         raise ConfigError(f"{path}: expected numeric CSV columns x,y[,y_err]")
-    y_err = data[:, 2] if data.shape[1] > 2 and not np.any(np.isnan(data[:, 2])) else None
-    return data[:, 0], data[:, 1], y_err
+    # a wholly empty y_err column means no errors; an empty or unparsable
+    # field reads as NaN, so a partly filled column fails the finite check
+    has_err = data.shape[1] > 2 and not np.all(np.isnan(data[:, 2]))
+    data = data[:, :3] if has_err else data[:, :2]
+    for k, row in enumerate(data, start=2):
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(f"{path}: row {k}: x,y[,y_err] must be finite numbers")
+        if has_err and row[2] <= 0.0:
+            raise ConfigError(f"{path}: row {k}: y_err must be positive")
+    return data[:, 0], data[:, 1], data[:, 2] if has_err else None
 
 
 def cmd_calibrate(args) -> int:

@@ -1,6 +1,5 @@
 """Inversion of the forward model: bath density from delta and/or T2,
-bath temperature from T2, bootstrap uncertainties, and collision-count
-diagnostics.
+bath temperature from T2, and collision-count diagnostics.
 
 Inversions are pipeline-consistent: trial forward values are obtained by
 synthesizing a noiseless signal and pushing it through the same fringe
@@ -10,6 +9,7 @@ produced.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .analysis import analyze_fringes
 from .bath import BathState
-from .fitting import FitError
 from .ramsey import RamseyProtocol, synthesize_fringe
 from .scattering import mean_a
 from .thermal import effective_collision_temperature, mean_relative_speed
@@ -147,13 +146,31 @@ def _misfit(observed: dict, forward: dict, errors: dict | None) -> float:
         if errors and errors.get(key):
             total += ((fwd - obs) / errors[key]) ** 2
         else:
-            total += ((fwd - obs) / obs) ** 2 if obs != 0 else fwd**2
+            total += ((fwd - obs) / obs) ** 2
     return total
+
+
+def _invert(forward, observed: dict, errors: dict | None, bracket):
+    """Minimise the misfit of forward(x), the observables at trial x, over
+    bracket; returns the Posterior1D and forward memoized per x."""
+    for key, obs in observed.items():
+        err = errors.get(key) if errors else None
+        if not math.isfinite(obs):
+            raise ValueError(f"observed {key} must be finite")
+        if err is not None and not (math.isfinite(err) and err > 0.0):
+            raise ValueError(f"error of {key} must be finite and positive")
+        if obs == 0.0 and err is None:
+            raise ValueError(f"observed {key} is 0: its misfit needs an error")
+    forward = functools.cache(forward)
+    x, fmin, samples = _golden_minimize(
+        lambda x: _misfit(observed, forward(x), errors), bracket[0], bracket[1])
+    interval = _interval_from_curve(x, fmin, samples, 1.0 if errors else None)
+    return Posterior1D(estimate=x, interval=interval, curve=samples), forward
 
 
 def infer_density(observed: dict, T_known: float, model,
                   protocol: RamseyProtocol, errors: dict | None = None,
-                  bracket=(0.05e19, 5.0e19), n_samples: int = 12,
+                  bracket=(0.05e19, 5.0e19),
                   density_order: int = 384, energy_order: int = 512) -> Posterior1D:
     """Estimate the peak density n0 (m^-3) from observed delta and/or T2.
 
@@ -166,86 +183,30 @@ def infer_density(observed: dict, T_known: float, model,
         raise ValueError("need at least one observable")
     if T_known <= 0.0:
         raise ValueError("known temperature must be positive")
-
-    def f(n0):
-        fwd = forward_observables(n0, T_known, model, protocol,
-                                  density_order=density_order,
-                                  energy_order=energy_order)
-        return _misfit(observed, fwd, errors)
-
-    x, fmin, samples = _golden_minimize(f, bracket[0], bracket[1],
-                                        n_samples=n_samples)
-    flags = []
-    interval = _interval_from_curve(x, fmin, samples,
-                                    1.0 if errors else None)
-    return Posterior1D(estimate=x, interval=interval, curve=samples, flags=flags)
+    post, _ = _invert(lambda n0: forward_observables(
+        n0, T_known, model, protocol, density_order=density_order,
+        energy_order=energy_order), observed, errors, bracket)
+    return post
 
 
 def infer_temperature(T2_observed: float, n0_known: float, model,
                       protocol: RamseyProtocol, T2_error: float | None = None,
-                      bracket=(100e-9, 1500e-9), n_samples: int = 12,
+                      bracket=(100e-9, 1500e-9),
                       density_order: int = 384, energy_order: int = 512) -> Posterior1D:
     """Estimate the bath temperature (K) from the observed T2 (s)."""
     if T2_observed <= 0.0:
         raise ValueError("observed T2 must be positive")
-
-    # the monotonicity probe below shares its end points with the coarse
-    # curve, so each T is synthesized and analyzed once
-    memo = {}
-
-    def fwd_T2(T):
-        if T not in memo:
-            memo[T] = forward_observables(n0_known, T, model, protocol,
-                                          density_order=density_order,
-                                          energy_order=energy_order)["T2"]
-        return memo[T]
-
-    def f(T):
-        fwd = fwd_T2(T)
-        if not math.isfinite(fwd):
-            return 1e6
-        err = T2_error if T2_error else None
-        return ((fwd - T2_observed) / (err if err else T2_observed)) ** 2
-
-    x, fmin, samples = _golden_minimize(f, bracket[0], bracket[1],
-                                        n_samples=n_samples)
-    flags = []
-    # monotonicity of the forward curve over the bracket (coarse check)
-    probe = np.linspace(bracket[0], bracket[1], 5)
-    vals = [fwd_T2(T) for T in probe]
+    post, forward = _invert(lambda T: forward_observables(
+        n0_known, T, model, protocol, density_order=density_order,
+        energy_order=energy_order), {"T2": T2_observed},
+        None if T2_error is None else {"T2": T2_error}, bracket)
+    # monotonicity of the forward curve over the bracket (coarse check); the
+    # probe's end points are coarse-curve points, which the memo serves
+    vals = [forward(T)["T2"] for T in np.linspace(bracket[0], bracket[1], 5)]
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        flags.append("forward T2(T) not monotone over the bracket")
-    interval = _interval_from_curve(x, fmin, samples,
-                                    1.0 if T2_error else None)
-    return Posterior1D(estimate=x, interval=interval, curve=samples, flags=flags)
-
-
-def bootstrap_fit(fit_once, x, y, yhat, resamples: int = 200, seed: int = 0):
-    """Residual-resampling bootstrap of a scalar extraction.
-
-    fit_once(x, y*) must return the scalar of interest; residuals
-    y - yhat are resampled with replacement and added back to the model
-    prediction.  Returns (lo, hi), the percentile 68% interval.
-    """
-    if resamples < 100:
-        raise ValueError("need at least 100 resamples")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    resid = y - yhat
-    out = []
-    for k in range(resamples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        draw = yhat + rng.choice(resid, size=len(resid), replace=True)
-        try:
-            out.append(fit_once(x, draw))
-        except FitError:
-            continue
-    if not out:
-        raise FitError("all bootstrap resamples failed")
-    lo, hi = np.percentile(out, [16.0, 84.0])
-    return float(lo), float(hi)
+        post.flags.append("forward T2(T) not monotone over the bracket")
+    return post
 
 
 def collision_counts(bath: BathState, model, T2: float,

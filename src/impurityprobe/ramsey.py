@@ -106,7 +106,7 @@ def detuning_nodes(bath: BathState, model, B: float,
     global Gauss rules cannot track.
     """
     n, wn = density_weight_measure(bath, order=density_order, method="panel")
-    E, wE = mb_quadrature(bath.T, order=energy_order, method="panel")
+    E, wE = mb_quadrature(bath.T, order=energy_order)
     da = delta_a(B, E, model)
     delta = interaction_detuning(n[:, None], da[None, :])
     return delta, wn[:, None] * wE[None, :]

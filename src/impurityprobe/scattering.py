@@ -127,7 +127,7 @@ def delta_a(B: float, E_c, model) -> float | np.ndarray:
 
 def _thermal_nodes(B, T_bath, model, order):
     """a_g on the panel MB energy rule, with its weights."""
-    E, w = mb_quadrature(T_bath, order=order, method="panel")
+    E, w = mb_quadrature(T_bath, order=order)
     return a_ground(B, E, model), w
 
 

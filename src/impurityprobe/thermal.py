@@ -1,17 +1,16 @@
 """Elementary thermal and atomic formulas shared by all modules.
 
 Covers the Maxwell-Boltzmann collision-energy distribution and its
-quadrature discretization, the reduced mass, and the two bath-independent
-frequency shifts (quadratic Zeeman, differential light shift).
+quadrature discretization, the reduced mass, and the bath-independent
+quadratic Zeeman shift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre, gamma as gamma_fn
+from scipy.special import roots_legendre, gamma as gamma_fn
 
 from .constants import CONST
 
@@ -30,20 +29,6 @@ def reduced_mass(m1: float, m2: float) -> float:
 
 
 MU_RBCS = reduced_mass(CONST.m_Rb, CONST.m_Cs)
-
-
-@dataclass(frozen=True)
-class EnergyDistribution:
-    """Maxwell-Boltzmann distribution of collision energies at temperature T."""
-
-    T: float  # K
-
-    def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("temperature must be positive")
-
-    def pdf(self, E):
-        return mb_pdf(E, self.T)
 
 
 def panel_nodes(edges):
@@ -76,39 +61,28 @@ def mb_pdf(E, T: float):
     return float(out) if out.ndim == 0 else out
 
 
-def mb_quadrature(T: float, order: int = 64, method: str = "gauss"):
+def mb_quadrature(T: float, order: int = 64):
     """Discretize the MB energy average into (nodes, weights).
 
     Returns arrays (E, w) with E strictly increasing, w > 0 and
     sum(w) = 1, such that sum(w_i f(E_i)) approximates the MB average
-    of f.
-
-    method="gauss" uses the generalized Gauss-Laguerre rule for the
-    weight sqrt(x) e^-x (exact MB moments at any order).  method="panel"
-    uses composite 8-point Gauss-Legendre panels on a quadratically
-    graded grid over [0, 30 kB T]; the panels resolve sharp structure
-    (e.g. near-resonant scattering lengths) far better than the global
-    Gauss rule.  `order` is the node count for "gauss" and the total
-    node budget for "panel".
+    of f.  The rule is composite 8-point Gauss-Legendre panels on a
+    quadratically graded grid over [0, 30 kB T], which resolve sharp
+    structure (e.g. near-resonant scattering lengths) far better than a
+    global Gauss rule; `order` is the total node budget.
     """
     if order < 2:
         raise ValueError("quadrature order must be >= 2")
     if T <= 0.0:
         raise ValueError("temperature must be positive")
     kT = CONST.k_B * T
-    if method == "gauss":
-        x, w = roots_genlaguerre(order, 0.5)
-        w = w / _GAMMA_3_2
-        return x * kT, w
-    if method == "panel":
-        n_panels = max(4, order // 8)
-        # quadratic grading concentrates panels at small E where both the
-        # MB weight and near-threshold resonance structure live
-        x, w = panel_nodes(30.0 * (np.arange(n_panels + 1) / n_panels) ** 2)
-        w = w * np.sqrt(x) * np.exp(-x) / _GAMMA_3_2
-        w = w / w.sum()  # absorb the ~1e-13 tail truncation
-        return x * kT, w
-    raise ValueError(f"unknown quadrature method {method!r}")
+    n_panels = max(4, order // 8)
+    # quadratic grading concentrates panels at small E where both the
+    # MB weight and near-threshold resonance structure live
+    x, w = panel_nodes(30.0 * (np.arange(n_panels + 1) / n_panels) ** 2)
+    w = w * np.sqrt(x) * np.exp(-x) / _GAMMA_3_2
+    w = w / w.sum()  # absorb the ~1e-13 tail truncation
+    return x * kT, w
 
 
 def quadratic_zeeman(B: float) -> float:
@@ -126,13 +100,6 @@ def quadratic_zeeman(B: float) -> float:
 def zeeman_coefficient_hz_per_G2() -> float:
     """Quadratic Zeeman coefficient in Hz/G^2 (theory value ~427.5)."""
     return quadratic_zeeman(1e-4) / (2.0 * math.pi)
-
-
-def light_shift(P: float, slope: float) -> float:
-    """Differential dipole-trap light shift, rad/s, linear in beam power P."""
-    if P < 0.0:
-        raise ValueError("beam power must be nonnegative")
-    return slope * P
 
 
 def mean_relative_speed(T_eff: float, mu: float = MU_RBCS) -> float:

@@ -315,6 +315,20 @@ class TestCalibrate:
         assert main(["calibrate", "release", str(path),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("bad_err", ["-0.1", "inf", ""],
+                             ids=["negative", "inf", "half-filled"])
+    def test_bad_y_err_is_input_error(self, tmp_path, bad_err):
+        rows = [[f"{p}", f"{1083.0 * p + 2.0}", "0.5"]
+                for p in np.linspace(0.0, 1.0, 8)]
+        rows[3][2] = bad_err
+        path = tmp_path / "ls.csv"
+        path.write_text("P_W,shift_Hz,err_Hz\n"
+                        + "\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "lightshift", str(path),
+                     "--out", str(out)]) == 2
+        assert not (out / "calibration.json").exists()
+
 
 class TestInfer:
     def test_density_roundtrip(self, tmp_path):
@@ -341,3 +355,13 @@ class TestInfer:
         cfg = write_config(tmp_path)
         assert main(["infer", "density", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("density", "--delta-hz", "nan"), ("density", "--t2-ms", "inf"),
+        ("density", "--delta-hz", "0"), ("temperature", "--t2-ms", "nan")])
+    def test_bad_observable_is_input_error(self, tmp_path, kind, flag, value):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["infer", kind, "--config", cfg, "--out", str(out),
+                     flag, value]) == 2
+        assert not (out / "inference.json").exists()

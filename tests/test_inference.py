@@ -5,10 +5,9 @@ import pytest
 
 from impurityprobe import inference
 from impurityprobe.bath import BathState
-from impurityprobe.fitting import FitError
-from impurityprobe.inference import (InferenceError, bootstrap_fit,
-                                     collision_counts, forward_observables,
-                                     infer_density, infer_temperature)
+from impurityprobe.inference import (InferenceError, collision_counts,
+                                     forward_observables, infer_density,
+                                     infer_temperature)
 from impurityprobe.ramsey import RamseyProtocol
 from impurityprobe.scattering import ResonanceModel
 
@@ -111,73 +110,77 @@ class TestInferTemperature:
         lo, hi = post.interval
         assert lo < T_true < hi
 
-    def test_each_forward_point_computed_once(self, monkeypatch):
-        # the monotonicity probe's end points are also coarse-curve points
-        proto = make_protocol()
-        obs = forward_observables(1.5e19, 700e-9, MODEL, proto,
-                                  density_order=96, energy_order=96)
-        seen = []
-
-        def counting(n0, T, *args, **kw):
-            seen.append(T)
-            return forward_observables(n0, T, *args, **kw)
-
-        monkeypatch.setattr(inference, "forward_observables", counting)
-        post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto,
-                                 density_order=96, energy_order=96)
-        assert post.estimate == pytest.approx(700e-9, rel=0.02)
-        assert len(seen) == len(set(seen))
-        assert {100e-9, 1500e-9} <= set(seen)
-
     def test_invalid_t2(self):
         with pytest.raises(ValueError):
             infer_temperature(-1.0, 1.5e19, MODEL, make_protocol())
 
 
-class TestBootstrap:
-    def slope(self, x, y):
-        coef = np.polyfit(x, y, 1)
-        return float(coef[0])
+def invert_density(value, error=None):
+    return infer_density({"delta": value}, 850e-9, MODEL, make_protocol(),
+                         errors=None if error is None else {"delta": error})
 
-    def test_noiseless_interval_is_tight(self):
-        x = np.linspace(0.0, 1.0, 30)
-        y = 2.0 * x + 0.5
-        lo, hi = bootstrap_fit(self.slope, x, y, y, resamples=200, seed=0)
-        assert hi - lo < 1e-9
-        assert lo <= 2.0 <= hi
 
-    def test_seed_determinism(self):
-        rng = np.random.default_rng(5)
-        x = np.linspace(0.0, 1.0, 40)
-        y = 2.0 * x + 0.5 + 0.1 * rng.normal(size=len(x))
-        yhat = np.polyval(np.polyfit(x, y, 1), x)
-        a = bootstrap_fit(self.slope, x, y, yhat, resamples=200, seed=9)
-        b = bootstrap_fit(self.slope, x, y, yhat, resamples=200, seed=9)
-        assert a == b
-        c = bootstrap_fit(self.slope, x, y, yhat, resamples=200, seed=10)
-        assert a != c
+def invert_temperature(value, error=None):
+    return infer_temperature(value, 1.5e19, MODEL, make_protocol(),
+                             T2_error=error)
 
-    def test_coverage_near_68_percent(self):
-        # repeated noisy experiments: the bootstrap interval should cover
-        # the true slope in roughly 68% of them
-        true_slope, sigma = 2.0, 0.3
-        x = np.linspace(0.0, 1.0, 25)
-        master = np.random.default_rng(2024)
-        hits = 0
-        n_trials = 200
-        for _ in range(n_trials):
-            y = true_slope * x + 0.5 + sigma * master.normal(size=len(x))
-            yhat = np.polyval(np.polyfit(x, y, 1), x)
-            lo, hi = bootstrap_fit(self.slope, x, y, yhat, resamples=120,
-                                   seed=int(master.integers(1 << 30)))
-            hits += lo <= true_slope <= hi
-        # binomial 3-sigma window around 0.68 for 200 trials
-        assert 0.58 <= hits / n_trials <= 0.78
 
-    def test_too_few_resamples(self):
+# each wrapper with a valid observed value
+WRAPPERS = [pytest.param(invert_density, -TWO_PI * 300.0, id="density"),
+            pytest.param(invert_temperature, 1e-3, id="temperature")]
+
+
+class TestInvert:
+    """The engine behind both wrappers: its memo and its input checks."""
+
+    @pytest.mark.parametrize("target", ["density", "temperature"])
+    def test_each_forward_point_computed_once(self, monkeypatch, target):
+        # the temperature probe's end points are also coarse-curve points
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
+        seen = []
+
+        def counting(n0, T, *args, **kw):
+            seen.append(n0 if target == "density" else T)
+            return forward_observables(n0, T, *args, **kw)
+
+        monkeypatch.setattr(inference, "forward_observables", counting)
+        if target == "density":
+            post = infer_density(obs, 700e-9, MODEL, proto, **kw)
+            truth, bracket = 1.5e19, (0.05e19, 5.0e19)
+        else:
+            post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto, **kw)
+            truth, bracket = 700e-9, (100e-9, 1500e-9)
+        assert post.estimate == pytest.approx(truth, rel=0.02)
+        assert len(seen) == len(set(seen))
+        assert set(bracket) <= set(seen)
+
+    @pytest.fixture
+    def no_forward(self, monkeypatch):
+        def fail(*args, **kw):
+            raise AssertionError("inputs must be checked before any forward call")
+
+        monkeypatch.setattr(inference, "forward_observables", fail)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("invert,valid", WRAPPERS)
+    def test_nonfinite_observable_rejected(self, no_forward, invert, valid,
+                                           value):
         with pytest.raises(ValueError):
-            bootstrap_fit(self.slope, np.arange(5.0), np.arange(5.0),
-                          np.arange(5.0), resamples=10)
+            invert(value)
+
+    @pytest.mark.parametrize("error", [0.0, -1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("invert,valid", WRAPPERS)
+    def test_bad_error_rejected(self, no_forward, invert, valid, error):
+        with pytest.raises(ValueError, match="error"):
+            invert(valid, error)
+
+    @pytest.mark.parametrize("invert,valid", WRAPPERS)
+    def test_zero_observable_without_error_rejected(self, no_forward, invert,
+                                                    valid):
+        with pytest.raises(ValueError):
+            invert(0.0)
 
 
 class TestCollisionCounts:

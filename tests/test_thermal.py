@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from impurityprobe.constants import CONST
-from impurityprobe.thermal import (EnergyDistribution, light_shift, mb_pdf,
-                                   mb_quadrature, quadratic_zeeman,
+from impurityprobe.thermal import (mb_pdf, mb_quadrature, quadratic_zeeman,
                                    reduced_mass, zeeman_coefficient_hz_per_G2)
 
 K_B = CONST.k_B
@@ -63,42 +61,35 @@ class TestMBPdf:
         with pytest.raises(ValueError):
             mb_pdf(-1e-30, 500e-9)
 
-    def test_distribution_wrapper(self):
-        d = EnergyDistribution(T=300e-9)
-        assert d.pdf(K_B * 300e-9) == mb_pdf(K_B * 300e-9, 300e-9)
-        with pytest.raises(ValueError):
-            EnergyDistribution(T=0.0)
 
-
-@pytest.mark.parametrize("method", ["gauss", "panel"])
 class TestMBQuadrature:
-    def test_weights_normalized(self, method):
-        E, w = mb_quadrature(500e-9, order=64, method=method)
+    def test_weights_normalized(self):
+        E, w = mb_quadrature(500e-9, order=64)
         assert np.all(np.diff(E) > 0)
         assert np.all(w > 0)
         assert abs(w.sum() - 1.0) < 1e-9
 
-    def test_mean_energy(self, method):
+    def test_mean_energy(self):
         T = 850e-9
-        E, w = mb_quadrature(T, order=32, method=method)
+        E, w = mb_quadrature(T, order=32)
         assert np.dot(w, E) == pytest.approx(1.5 * K_B * T, rel=1e-6)
 
-    def test_second_moment(self, method):
+    def test_second_moment(self):
         T = 400e-9
-        E, w = mb_quadrature(T, order=64, method=method)
+        E, w = mb_quadrature(T, order=64)
         assert np.dot(w, E**2) == pytest.approx(3.75 * (K_B * T) ** 2, rel=1e-6)
 
-    def test_order_too_small(self, method):
+    def test_order_too_small(self):
         with pytest.raises(ValueError):
-            mb_quadrature(500e-9, order=1, method=method)
+            mb_quadrature(500e-9, order=1)
 
-    def test_convergence_monotone(self, method):
+    def test_convergence_monotone(self):
         # error of a non-polynomial moment shrinks with order
         T = 600e-9
         exact = math.gamma(2.0) / math.gamma(1.5) * math.sqrt(K_B * T)
         errs = []
         for order in (8, 16, 32, 64):
-            E, w = mb_quadrature(T, order=order, method=method)
+            E, w = mb_quadrature(T, order=order)
             errs.append(abs(np.dot(w, np.sqrt(E)) - exact))
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi * (1.0 + 1e-9) + 1e-18
@@ -125,26 +116,3 @@ class TestZeeman:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             quadratic_zeeman(-1e-5)
-
-
-class TestLightShift:
-    def test_zero_power(self):
-        assert light_shift(0.0, 2 * math.pi * 1083.0) == 0.0
-
-    def test_fixture_slope(self):
-        assert light_shift(0.1, 2 * math.pi * 1083.0) == pytest.approx(
-            2 * math.pi * 108.3, rel=1e-12)
-        assert light_shift(1.0, 2 * math.pi * 1104.0) == pytest.approx(
-            2 * math.pi * 1104.0, rel=1e-12)
-
-    @given(st.floats(0, 10), st.floats(0, 10), st.floats(0.1, 10))
-    def test_linearity(self, p1, p2, lam):
-        slope = 2 * math.pi * 1083.0
-        add = light_shift(p1, slope) + light_shift(p2, slope)
-        assert light_shift(p1 + p2, slope) == pytest.approx(add, rel=1e-12, abs=1e-12)
-        assert light_shift(lam * p1, slope) == pytest.approx(
-            lam * light_shift(p1, slope), rel=1e-12, abs=1e-12)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            light_shift(-0.1, 1.0)
