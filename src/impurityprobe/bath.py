@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .constants import CONST
 from .thermal import MU_RBCS, _GAMMA_3_2, panel_nodes
@@ -93,6 +92,7 @@ def density_weight_measure(bath: BathState, order: int = 48,
     if order < 2:
         raise ValueError("measure order must be >= 2")
     if method == "gauss":
+        from scipy.special import roots_genlaguerre
         u, w = roots_genlaguerre(order, 0.5)
         return bath.n0 * np.exp(-u), w / _GAMMA_3_2
     if method == "panel":

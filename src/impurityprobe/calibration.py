@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .constants import CONST, TWO_PI
 from .fitting import FitError, FitReport, fit_least_squares
@@ -164,6 +163,7 @@ def release_curve(E0, T: float):
     E0 = np.asarray(E0, dtype=float)
     if np.any(E0 < 0.0):
         raise ValueError("trap depth must be nonnegative")
+    from scipy.special import gammainc
     out = gammainc(1.5, E0 / (CONST.k_B * T))
     return float(out) if out.ndim == 0 else out
 
@@ -187,9 +187,5 @@ def fit_release_curve(E0, fraction, fraction_err=None) -> FitReport:
     order = np.argsort(fraction)
     E_half = float(np.interp(0.5, fraction[order], E0[order]))
     T0 = max(E_half / (1.16 * CONST.k_B), 1e-9)
-
-    def model(x, T):
-        return gammainc(1.5, x / (CONST.k_B * T))
-
-    return fit_least_squares(model, E0, fraction, p0=[T0], names=["T"],
+    return fit_least_squares(release_curve, E0, fraction, p0=[T0], names=["T"],
                              sigma=fraction_err, bounds=([1e-12], [np.inf]))

@@ -42,7 +42,6 @@ def _prepare(args):
         cfg["seed"] = args.seed
     if args.quadrature_order is not None:
         cfg["quadrature"]["energy_order"] = args.quadrature_order
-    os.makedirs(args.out, exist_ok=True)
     return cfg
 
 
@@ -64,6 +63,7 @@ def cmd_simulate(args) -> int:
     cfg = _prepare(args)
     _, series = _synthesize(cfg)
     csv_text = fringe_to_csv(series)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "fringes.csv")
     with open(csv_path, "w") as fh:
         fh.write(csv_text)
@@ -130,6 +130,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join("" if v is None else format(float(v), ".17g")
                               for v in row))
     text = "\n".join(lines) + "\n"
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(text)
@@ -230,6 +231,7 @@ def cmd_infer(args) -> int:
 
     payload.update({"schema_version": 1, "config_hash": config_hash(cfg),
                     "posterior": post.to_dict(), "flags": post.flags})
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "inference.json")
     write_json(path, payload)
     print(f"wrote {path}")

@@ -136,14 +136,14 @@ def _interval_from_curve(x_min, f_min, samples, sigma_level: float | None):
     return (x_min - half, x_min + half)
 
 
-def _misfit(observed: dict, forward: dict, errors: dict | None) -> float:
+def _misfit(observed: dict, forward: dict, errors: dict) -> float:
     total = 0.0
     for key, obs in observed.items():
         fwd = forward.get(key)
         if fwd is None or not math.isfinite(fwd):
             total += 1e6
             continue
-        if errors and errors.get(key):
+        if key in errors:
             total += ((fwd - obs) / errors[key]) ** 2
         else:
             total += ((fwd - obs) / obs) ** 2
@@ -153,8 +153,12 @@ def _misfit(observed: dict, forward: dict, errors: dict | None) -> float:
 def _invert(forward, observed: dict, errors: dict | None, bracket):
     """Minimise the misfit of forward(x), the observables at trial x, over
     bracket; returns the Posterior1D and forward memoized per x."""
+    errors = {k: v for k, v in (errors or {}).items() if v is not None}
+    unobserved = set(errors) - set(observed)
+    if unobserved:
+        raise ValueError(f"errors given for unobserved {sorted(unobserved)}")
     for key, obs in observed.items():
-        err = errors.get(key) if errors else None
+        err = errors.get(key)
         if not math.isfinite(obs):
             raise ValueError(f"observed {key} must be finite")
         if err is not None and not (math.isfinite(err) and err > 0.0):
@@ -164,6 +168,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     forward = functools.cache(forward)
     x, fmin, samples = _golden_minimize(
         lambda x: _misfit(observed, forward(x), errors), bracket[0], bracket[1])
+    # every error key is observed: the chi^2 rule needs one with an error
     interval = _interval_from_curve(x, fmin, samples, 1.0 if errors else None)
     return Posterior1D(estimate=x, interval=interval, curve=samples), forward
 
@@ -175,8 +180,8 @@ def infer_density(observed: dict, T_known: float, model,
     """Estimate the peak density n0 (m^-3) from observed delta and/or T2.
 
     observed maps observable names ("delta" in rad/s, "T2" in s) to
-    values; errors optionally maps the same names to 1-sigma
-    uncertainties (enabling a chi^2 interval).
+    values; errors optionally maps observed names to 1-sigma
+    uncertainties (enabling a chi^2 interval), and None to no error.
     """
     observed = {k: v for k, v in observed.items() if v is not None}
     if not observed:

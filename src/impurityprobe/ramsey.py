@@ -5,15 +5,13 @@ over the impurity-sampled density measure and the Maxwell-Boltzmann
 collision-energy distribution.  Because the node average of
 cos^2((theta + phi)/2) separates as
 1/2 + (1/2)(<cos theta> cos phi - <sin theta> sin phi), the double
-quadrature is computed once per evolution time and the full phase fringe
-follows analytically.
+quadrature is computed once per evolution time, from a Taylor table of
+the density average, and the full phase fringe follows analytically.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,76 +96,59 @@ def fringe_closed_form(t, phi, Delta: float, T2: float):
 
 def detuning_nodes(bath: BathState, model, B: float,
                    density_order: int = 384, energy_order: int = 512):
-    """Detuning matrix delta_Rb(n_i, B, E_j) with product weights.
+    """Factored detuning rule delta_ij = x_j s_i with weights wn_i wE_j.
 
-    Returns (delta, w) where delta has shape (Nd, Ne) and w are the
-    matching product weights summing to 1.  Both factors use composite
-    panel rules: the integrand oscillates at long evolution times, which
-    global Gauss rules cannot track.
+    Returns (s, wn, x, wE): the density fractions s = n / n0 in (0, 1]
+    with their weights, and the peak-density detunings
+    x = delta_Rb(n0, B, E_j) with the energy weights; each weight vector
+    sums to 1.  Both factors use composite panel rules: the integrand
+    oscillates at long evolution times, which global Gauss rules cannot
+    track.
     """
     n, wn = density_weight_measure(bath, order=density_order, method="panel")
     E, wE = mb_quadrature(bath.T, order=energy_order)
-    da = delta_a(B, E, model)
-    delta = interaction_detuning(n[:, None], da[None, :])
-    return delta, wn[:, None] * wE[None, :]
+    x = interaction_detuning(bath.n0, delta_a(B, E, model))
+    return n / bath.n0, wn, x, wE
 
 
-# Smaller node sets stay on the calling thread: at the CLI's 96 x 96 rule
-# starting the threads costs more than the split saves.
-_SPLIT_NODES = 1 << 16
+# Taylor terms per table row: with s <= 1 and |d| <= 1/2 the first term
+# left out is at most (1/2)^14 / 14! ~ 7e-16.
+_TAYLOR_TERMS = 14
+_INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_TERMS)])
+# table rows built per block, so the (rows, Nd) trig matrices stay small
+_ROW_BLOCK = 64
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (its affinity mask where available)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _coherence_trace(ts, s, wn, x, wE):
+    """<cos(delta t)>, <sin(delta t)> over the rule delta_ij = x_j s_i.
 
-
-def _coherence_trace(ts, delta, w):
-    """<cos(delta t)>, <sin(delta t)> over the node measure, per time.
-
-    Returns two arrays shaped like the array `ts`.  With at least
-    _SPLIT_NODES nodes the times are dealt round-robin to one thread per
-    core the process may run on (restrict them with `taskset`); the
-    calling thread takes the first share.  Each time is still one cos,
-    one sin and one dot over the full node vector, so the result is
-    bit-identical at any core count.  The threads call numpy only.
+    Returns two arrays shaped like the array `ts`.  The density average
+    g(q) = sum_i wn_i exp(i q s_i) is read from a Taylor table on integer
+    q: row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i) / k!, and
+    g(m + d) = sum_k c_mk (i d)^k for |d| <= 1/2; g(-q) = conj g(q)
+    covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).  Only the
+    rows the queries use are built.  Every sum is an einsum loop, not
+    BLAS, so the bits depend neither on the BLAS thread count nor on the
+    other times in the call.
     """
-    C = np.empty(ts.shape)
-    S = np.empty(ts.shape)
-    Cf, Sf, tf = C.reshape(-1), S.reshape(-1), ts.reshape(-1)
-    d = delta.ravel()
-    wf = w.ravel()
-
-    def share(first, step):
-        for k in range(first, tf.size, step):
-            th = d * tf[k]
-            Cf[k] = np.dot(wf, np.cos(th))
-            Sf[k] = np.dot(wf, np.sin(th))
-
-    n_shares = min(_usable_cores(), tf.size) if d.size >= _SPLIT_NODES else 1
-    errors = []
-
-    def worker(first):
-        try:
-            share(first, n_shares)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(1, n_shares)]
-    for thread in threads:
-        thread.start()
-    try:
-        share(0, n_shares)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return C, S
+    q = np.abs(np.multiply.outer(ts, x))
+    m = np.rint(q)
+    d = q - m
+    rows, row_of = np.unique(m, return_inverse=True)
+    row_of = row_of.reshape(q.shape)
+    moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
+               * wn[None, :] * _INV_FACTORIALS[:, None])
+    re, im = np.empty((2, rows.size, _TAYLOR_TERMS))
+    for b in range(0, rows.size, _ROW_BLOCK):
+        phase = np.multiply.outer(rows[b:b + _ROW_BLOCK], s)
+        re[b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments)
+        im[b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments)
+    # Horner in i d: (gr + i gi) i d + c = (c_r - gi d) + i (c_i + gr d)
+    gr, gi = re[row_of, -1], im[row_of, -1]
+    for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        gr, gi = re[row_of, k] - gi * d, im[row_of, k] + gr * d
+    return (np.einsum("...j,j->...", gr, wE),
+            np.einsum("...j,j->...", gi, np.where(x < 0.0, -wE, wE)))
 
 
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
@@ -183,12 +164,13 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
     With include_background=True the oscillatory part is additionally
     damped by exp(-t^2/T2_bg^2) and the phase shifted by delta_bg * t.
 
-    `nodes` may supply a precomputed (delta, weights) pair, e.g. a
-    degenerate single-node measure.  Otherwise the nodes come from
-    detuning_nodes, and check_convergence=True repeats the average at
-    twice the energy order: QuadratureError is raised if <cos>, <sin>
-    move by more than 1e-4 at any time, else the refined values are
-    used.  The density order is not refined.
+    `nodes` may supply a factored rule from detuning_nodes, or any
+    (delta, weights) pair of equal shape, e.g. a degenerate single-node
+    measure, which is read as one density fraction s = 1.  Otherwise the
+    nodes come from detuning_nodes, and check_convergence=True repeats
+    the average at twice the density and twice the energy order:
+    QuadratureError is raised if <cos>, <sin> move by more than 1e-4 at
+    any time, else the refined values are used.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0.0):
@@ -198,10 +180,13 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
         nodes = detuning_nodes(bath, model, protocol.B,
                                density_order=density_order,
                                energy_order=energy_order)
+    elif len(nodes) == 2:
+        delta, w = (np.asarray(a, dtype=float).ravel() for a in nodes)
+        nodes = (np.ones(1), np.ones(1), delta, w)
     C, S = _coherence_trace(ts, *nodes)
     if refine:
         C2, S2 = _coherence_trace(ts, *detuning_nodes(
-            bath, model, protocol.B, density_order=density_order,
+            bath, model, protocol.B, density_order=2 * density_order,
             energy_order=2 * energy_order))
         if np.max(np.hypot(C2 - C, S2 - S)) > 1e-4:
             raise QuadratureError("Ramsey quadrature not converged")

@@ -10,11 +10,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import roots_legendre, gamma as gamma_fn
 
 from .constants import CONST
 
-_GAMMA_3_2 = gamma_fn(1.5)  # sqrt(pi)/2, normalization of sqrt(E) e^-E
+# sqrt(pi)/2, normalization of sqrt(E) e^-E, and the 8-point Gauss-Legendre
+# rule on [-1, 1], both bit-equal to scipy.special's gamma(1.5) and
+# roots_legendre(8); math.gamma(1.5) and numpy's leggauss(8) are not
+_GAMMA_3_2 = 0.8862269254527579
+_LEGENDRE_8_X = np.array([-0.9602898564975363, -0.7966664774136267,
+                          -0.525532409916329, -0.18343464249564984,
+                          0.18343464249564984, 0.525532409916329,
+                          0.7966664774136267, 0.9602898564975363])
+_LEGENDRE_8_W = np.array([0.10122853629037562, 0.22238103445337473,
+                          0.3137066458778876, 0.36268378337836205,
+                          0.36268378337836205, 0.3137066458778876,
+                          0.22238103445337473, 0.10122853629037562])
 
 
 class QuadratureError(RuntimeError):
@@ -37,11 +47,10 @@ def panel_nodes(edges):
     Returns flat (nodes, weights) for integrating over [edges[0],
     edges[-1]]; callers multiply the weights by their density.
     """
-    xg, wg = roots_legendre(8)
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * _LEGENDRE_8_X[None, :]).ravel()
+    w = (half[:, None] * _LEGENDRE_8_W[None, :]).ravel()
     return x, w
 
 

@@ -291,7 +291,8 @@ class TestPipeline:
         series = synthesize_fringe(proto, self.BATH, self.MODEL)
         res = analyze_fringes(series, delta_bg=proto.delta_bg,
                               phase_convention="cos2")
-        d, w = detuning_nodes(self.BATH, self.MODEL, proto.B)
+        s, wn, x, wE = detuning_nodes(self.BATH, self.MODEL, proto.B)
+        d, w = np.outer(s, x), np.outer(wn, wE)
         mean_delta = float(np.sum(w * d))
         short = fit_phase_slope(series.t, res.phase, T2=0.1 * res.T2)
         assert short.params["delta"] == pytest.approx(mean_delta, rel=0.05)

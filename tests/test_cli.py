@@ -109,6 +109,16 @@ class TestStartup:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_special_unloaded(self):
+        # the forward model's rules are module constants; only the Gauss
+        # density rule and the release-curve calibration need scipy.special
+        src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
+        code = "import sys, impurityprobe.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -365,3 +375,12 @@ class TestInfer:
         assert main(["infer", kind, "--config", cfg, "--out", str(out),
                      flag, value]) == 2
         assert not (out / "inference.json").exists()
+
+    def test_failed_run_creates_no_output_directory(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["infer", "density", "--config", cfg, "--out", str(out),
+                     "--delta-hz", "nan"]) == 2
+        assert main(["infer", "density", "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert not out.exists()

@@ -182,6 +182,26 @@ class TestInvert:
         with pytest.raises(ValueError):
             invert(0.0)
 
+    def test_error_of_unobserved_key_rejected(self, no_forward):
+        with pytest.raises(ValueError, match="unobserved"):
+            infer_density({"T2": 1e-3}, 850e-9, MODEL, make_protocol(),
+                          errors={"delta": TWO_PI * 5.0})
+
+    @pytest.mark.parametrize("errors", [{"delta": None}, {"T2": None}])
+    def test_interval_rule_needs_an_observed_error(self, errors):
+        # 96 x 96 at 1.5e19 m^-3, 850 nK from T2 alone: an errors dict
+        # with no error of an observed key used to select the chi^2
+        # interval over the relative misfit, (-6.2e18, 3.6e19) m^-3
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        obs = {"T2": forward_observables(1.5e19, 850e-9, MODEL, proto, **kw)["T2"]}
+        post = infer_density(obs, 850e-9, MODEL, proto, errors=errors, **kw)
+        lo, hi = post.interval
+        assert 0.0 < lo < post.estimate < hi
+        assert hi - lo < 1e-4 * post.estimate
+        assert post.to_dict() == infer_density(obs, 850e-9, MODEL, proto,
+                                               **kw).to_dict()
+
 
 class TestCollisionCounts:
     def test_zero_scattering_gives_zero(self):

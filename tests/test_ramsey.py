@@ -1,10 +1,11 @@
 import math
-import multiprocessing
 import os
-import threading
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import argrelmax
 
 from impurityprobe import ramsey
@@ -83,7 +84,8 @@ class TestRamseyPopulation:
 
     def test_contrast_non_increasing(self):
         bath, proto = make_bath(), make_protocol()
-        delta, w = detuning_nodes(bath, MODEL, proto.B)
+        s, wn, x, wE = detuning_nodes(bath, MODEL, proto.B)
+        delta, w = np.outer(s, x), np.outer(wn, wE)
         d, wf = delta.ravel(), w.ravel()
         R = [math.hypot(np.dot(wf, np.cos(d * t)), np.dot(wf, np.sin(d * t)))
              for t in proto.t]
@@ -111,7 +113,7 @@ class TestRamseyPopulation:
 class TestConvergenceCheck:
     def test_unresolved_quadrature_raises(self):
         # 12 ms at 3e13 cm^-3: the default 384 x 512 rule and its
-        # doubled-energy refinement differ by more than 1e-4
+        # doubled refinement differ by more than 1e-4
         proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=30)
         bath = make_bath(3e19, 700e-9)
         with pytest.raises(QuadratureError):
@@ -120,10 +122,19 @@ class TestConvergenceCheck:
             ramsey_population(proto.t, 0.0, bath, MODEL, proto,
                               check_convergence=True)
 
+    def test_short_density_rule_raises(self):
+        # 12 ms at 2e13 cm^-3: doubling the energy order alone moves the
+        # trace by 1.3e-5, doubling both orders by 2.5e-4
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24)
+        with pytest.raises(QuadratureError):
+            population_grid(proto, make_bath(2e19, 850e-9), MODEL,
+                            check_convergence=True)
+
     def test_converged_returns_refined_result(self):
         proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=10)
         bath = make_bath(1e19)
-        refined = population_grid(proto, bath, MODEL, energy_order=1024)
+        refined = population_grid(proto, bath, MODEL, density_order=768,
+                                  energy_order=1024)
         checked = population_grid(proto, bath, MODEL, check_convergence=True)
         assert np.array_equal(checked, refined)
         assert not np.array_equal(checked, population_grid(proto, bath, MODEL))
@@ -131,123 +142,132 @@ class TestConvergenceCheck:
                               check_convergence=True)
         assert np.array_equal(
             p, ramsey_population(proto.t, 0.5, bath, MODEL, proto,
-                                 energy_order=1024))
+                                 density_order=768, energy_order=1024))
 
 
-def _trace_in_child(conn, ts, delta, w):
-    C, S = ramsey._coherence_trace(ts, delta, w)
-    conn.send((C.tobytes(), S.tobytes()))
-    conn.close()
+def direct_trace(ts, s, wn, x, wE):
+    """<cos>, <sin> summed over the full 2-D product rule, time by time."""
+    d, w = np.outer(s, x).ravel(), np.outer(wn, wE).ravel()
+    t = np.ravel(ts)
+    C = np.array([np.dot(w, np.cos(d * tk)) for tk in t]).reshape(np.shape(ts))
+    S = np.array([np.dot(w, np.sin(d * tk)) for tk in t]).reshape(np.shape(ts))
+    return C, S
 
 
-class TestCoherenceSplit:
-    """_coherence_trace deals the times out to one thread per core; the
-    bits must not depend on how many cores there are."""
+def random_rule(rng, n_d, n_e, x_max, negative):
+    """A factored rule (s, wn, x, wE) with s in (0, 1], s[0] = 1, and a
+    fraction `negative` of the detunings x below 0."""
+    s = rng.uniform(0.0, 1.0, n_d)
+    s[0] = 1.0
+    wn = rng.uniform(0.1, 1.0, n_d)
+    sign = np.where(rng.uniform(size=n_e) < negative, -1.0, 1.0)
+    x = sign * rng.uniform(0.0, x_max, n_e)
+    wE = rng.uniform(0.1, 1.0, n_e)
+    return s, wn / wn.sum(), x, wE / wE.sum()
 
-    @pytest.fixture(scope="class")
-    def nodes(self):
-        delta, w = detuning_nodes(make_bath(), MODEL, make_protocol().B)
-        assert delta.size == 384 * 512
-        return delta, w
 
-    @staticmethod
-    def cores(monkeypatch, n):
-        monkeypatch.setattr(ramsey, "_usable_cores", lambda: n)
+# 3e13 cm^-3 at 12 ms reaches |x t| ~ 410; the property goes a little past it
+X_MAX = 3.6e4    # rad/s
+T_MAX = 12e-3    # s
+
+
+def assert_trace_close(ts, rule):
+    C, S = ramsey._coherence_trace(ts, *rule)
+    refC, refS = direct_trace(ts, *rule)
+    assert C.shape == S.shape == np.shape(ts)
+    np.testing.assert_allclose(C, refC, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(S, refS, rtol=0.0, atol=1e-13)
+
+
+class TestCoherenceTable:
+    """_coherence_trace reads the density average from a Taylor table; it
+    must equal the node-by-node sum over the product rule at round-off."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_d=st.integers(1, 40), n_e=st.integers(1, 40),
+           n_t=st.integers(1, 8), negative=st.sampled_from([0.0, 0.5, 1.0]),
+           column=st.booleans(), seed=st.integers(0, 2**31))
+    def test_matches_product_rule(self, n_d, n_e, n_t, negative, column, seed):
+        rng = np.random.default_rng(seed)
+        rule = random_rule(rng, n_d, n_e, X_MAX, negative)
+        t = np.sort(rng.uniform(0.0, T_MAX, n_t))
+        if rng.uniform() < 0.3:
+            t[0] = 0.0
+        assert_trace_close(t[:, None] if column else t, rule)
+
+    @pytest.mark.parametrize("ts", [np.array([0.0]), np.array([3.7e-3]),
+                                    np.array([[0.0], [5e-3], [12e-3]])])
+    def test_edge_cases(self, ts):
+        # t = 0, one time, a column of times; one node; negative x
+        one_node = (np.ones(1), np.ones(1), np.array([-2.9e4]), np.ones(1))
+        assert_trace_close(ts, one_node)
+        assert_trace_close(ts, random_rule(np.random.default_rng(5), 7, 9,
+                                           X_MAX, 0.5))
+        C, S = ramsey._coherence_trace(np.zeros(1), *one_node)
+        assert C[0] == pytest.approx(1.0, abs=1e-15) and S[0] == 0.0
+
+    def test_default_rule_at_3e13_and_12_ms(self):
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=30)
+        rule = detuning_nodes(make_bath(3e19, 700e-9), MODEL, proto.B)
+        assert np.max(np.abs(rule[2])) * proto.t[-1] > 400.0
+        assert_trace_close(proto.t, rule)
 
     @pytest.mark.parametrize("nt", [1, 2, 3, 24, 30])
-    def test_bytes_independent_of_core_count(self, monkeypatch, nodes, nt):
+    def test_bytes_independent_of_time_grouping(self, nt):
+        # the table holds only the rows a call needs, so a time's value
+        # must not depend on which other times share the call
         bath, proto = make_bath(), make_protocol()
+        nodes = detuning_nodes(bath, MODEL, proto.B)
         t = np.geomspace(0.1e-3, 12e-3, nt)
-        cases = [(t, 0.4), (t[:, None], proto.phi[None, :])]
-        if nt == 1:
-            cases.append((float(t[0]), 0.4))
-        for ts, phi in cases:
-            self.cores(monkeypatch, 1)
-            ref = np.asarray(ramsey_population(ts, phi, bath, MODEL, proto,
-                                               nodes=nodes))
-            for n in (2, 3, 4):
-                self.cores(monkeypatch, n)
-                got = np.asarray(ramsey_population(ts, phi, bath, MODEL, proto,
-                                                   nodes=nodes))
-                assert got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes()
+        C, S = ramsey._coherence_trace(t, *nodes)
+        for k in range(nt):
+            Ck, Sk = ramsey._coherence_trace(t[k:k + 1], *nodes)
+            assert Ck.tobytes() == C[k:k + 1].tobytes()
+            assert Sk.tobytes() == S[k:k + 1].tobytes()
+        grid = ramsey_population(t[:, None], proto.phi[None, :], bath, MODEL,
+                                 proto)
+        rows = [ramsey_population(tk, proto.phi, bath, MODEL, proto) for tk in t]
+        assert grid.tobytes() == np.stack(rows).tobytes()
+        scalar = ramsey_population(float(t[0]), 0.4, bath, MODEL, proto)
+        assert scalar == ramsey_population(t, 0.4, bath, MODEL, proto)[0]
 
-    @pytest.mark.parametrize("density_order, splits", [(96, False),
-                                                       (120, False),
-                                                       (128, True)])
-    def test_split_only_from_2_16_nodes(self, monkeypatch, density_order,
-                                        splits):
+    def test_matrix_pair_is_one_density_fraction(self):
         bath, proto = make_bath(), make_protocol()
-        delta, w = detuning_nodes(bath, MODEL, proto.B,
-                                  density_order=density_order)
-        assert (delta.size >= 2**16) == splits
-        started = []
+        s, wn, x, wE = detuning_nodes(bath, MODEL, proto.B, density_order=16,
+                                      energy_order=16)
+        pair = (np.outer(s, x), np.outer(wn, wE))
+        got = ramsey_population(proto.t, 0.3, bath, MODEL, proto, nodes=pair)
+        ref = ramsey_population(proto.t, 0.3, bath, MODEL, proto,
+                                nodes=(s, wn, x, wE))
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
 
-        class Counting(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
 
-        monkeypatch.setattr(ramsey.threading, "Thread", Counting)
-        self.cores(monkeypatch, 1)
-        ref = ramsey._coherence_trace(proto.t, delta, w)
-        assert not started
-        self.cores(monkeypatch, 3)
-        got = ramsey._coherence_trace(proto.t, delta, w)
-        assert len(started) == (2 if splits else 0)
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
+# prints the sha256 of a noiseless default-rule forward CSV
+_FORWARD_CSV_DIGEST = """
+import hashlib, math
+from impurityprobe.bath import BathState
+from impurityprobe.ramsey import RamseyProtocol, synthesize_fringe
+from impurityprobe.scattering import ResonanceModel
+from impurityprobe.serialization import fringe_to_csv
+w = 2 * math.pi * 100.0
+bath = BathState(n0=1.45e19, T=850e-9, omega_x=w, omega_y=w, omega_z=w)
+series = synthesize_fringe(RamseyProtocol.default_grid(), bath, ResonanceModel())
+print(hashlib.sha256(fringe_to_csv(series).encode()).hexdigest())
+"""
 
-    def test_convergence_check_independent_of_core_count(self, monkeypatch):
-        proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=10)
-        bath = make_bath(1e19)
-        self.cores(monkeypatch, 1)
-        ref = population_grid(proto, bath, MODEL, check_convergence=True)
-        self.cores(monkeypatch, 3)
-        got = population_grid(proto, bath, MODEL, check_convergence=True)
-        assert got.tobytes() == ref.tobytes()
 
-    def test_worker_exception_propagates(self, monkeypatch, nodes):
-        cos = np.cos
-
-        def cos_failing_off_main_thread(x, *args, **kw):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("worker failed")
-            return cos(x, *args, **kw)
-
-        before = threading.active_count()
-        self.cores(monkeypatch, 3)
-        monkeypatch.setattr(ramsey.np, "cos", cos_failing_off_main_thread)
-        with pytest.raises(RuntimeError, match="worker failed"):
-            ramsey._coherence_trace(np.geomspace(0.1e-3, 4e-3, 6), *nodes)
-        assert threading.active_count() == before
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    def test_fork_child_after_threaded_call(self, monkeypatch, nodes):
-        # the threads are per call, so a fork after a call inherits none
-        before = threading.active_count()
-        self.cores(monkeypatch, 3)
-        ts = np.geomspace(0.1e-3, 12e-3, 7)
-        C, S = ramsey._coherence_trace(ts, *nodes)
-        assert threading.active_count() == before
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_trace_in_child, args=(send, ts, *nodes))
-        child.start()
-        send.close()
-        try:
-            assert recv.poll(60)
-            got = recv.recv()
-        finally:
-            child.join(60)
-        assert not child.is_alive() and child.exitcode == 0
-        assert got == (C.tobytes(), S.tobytes())
-
-    def test_core_count(self, monkeypatch):
-        assert ramsey._usable_cores() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert ramsey._usable_cores() == os.cpu_count()
+def test_forward_bytes_independent_of_blas_threads():
+    # no sum of the forward model goes through BLAS, whose threaded dot
+    # splits its sum by the thread count
+    src = os.path.dirname(os.path.dirname(ramsey.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _FORWARD_CSV_DIGEST],
+                             capture_output=True, text=True, check=True,
+                             timeout=300, env=env)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestSynthesize:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from impurityprobe import thermal
 from impurityprobe.constants import CONST
 from impurityprobe.thermal import (mb_pdf, mb_quadrature, quadratic_zeeman,
                                    reduced_mass, zeeman_coefficient_hz_per_G2)
@@ -93,6 +94,17 @@ class TestMBQuadrature:
             errs.append(abs(np.dot(w, np.sqrt(E)) - exact))
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi * (1.0 + 1e-9) + 1e-18
+
+
+class TestRuleConstants:
+    def test_bit_equal_to_scipy(self):
+        # the module carries scipy's values so that importing it does not
+        # load scipy.special; numpy's leggauss(8) is not bit-equal
+        from scipy.special import gamma, roots_legendre
+        x, w = roots_legendre(8)
+        assert np.array_equal(thermal._LEGENDRE_8_X, x)
+        assert np.array_equal(thermal._LEGENDRE_8_W, w)
+        assert thermal._GAMMA_3_2 == gamma(1.5)
 
 
 class TestZeeman:
