@@ -1,7 +1,10 @@
+import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +271,102 @@ def test_forward_bytes_independent_of_blas_threads():
                              timeout=300, env=env)
         digests.append(out.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# prints, as JSON, the sha256 of the forward populations for each time count
+# and of a convergence-checked grid, on the first argv[1] usable cores
+_CORE_RUN_DIGESTS = """
+import hashlib, json, math, os, sys
+n = int(sys.argv[1])
+if hasattr(os, "sched_setaffinity"):  # before numpy sizes its BLAS pool
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:n])
+import numpy as np
+from impurityprobe.bath import BathState
+from impurityprobe.ramsey import (RamseyProtocol, detuning_nodes,
+                                  population_grid, ramsey_population)
+from impurityprobe.scattering import ResonanceModel
+digest = lambda a: hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+w, model = 2 * math.pi * 100.0, ResonanceModel()
+bath = BathState(n0=1.0e19, T=850e-9, omega_x=w, omega_y=w, omega_z=w)
+proto = RamseyProtocol(t=np.geomspace(0.1e-3, 6e-3, 12),
+                       phi=np.deg2rad(np.arange(0.0, 360.0, 30.0)))
+nodes = detuning_nodes(bath, model, proto.B)
+out = {}
+for nt in (1, 2, 3, 24, 30):
+    t = np.geomspace(0.1e-3, 12e-3, nt)
+    cases = [(t, 0.4), (t[:, None], proto.phi[None, :])]
+    if nt == 1:
+        cases.append((float(t[0]), 0.4))
+    out[str(nt)] = [digest(ramsey_population(ts, phi, bath, model, proto,
+                                             nodes=nodes))
+                    for ts, phi in cases]
+grid = population_grid(RamseyProtocol.default_grid(t_max_ms=4.0, n_t=10),
+                       bath, model, check_convergence=True)
+out["convergence"] = digest(grid)
+print(json.dumps(out))
+"""
+
+
+def _trace_in_child(conn, ts, *nodes):
+    C, S = ramsey._coherence_trace(ts, *nodes)
+    conn.send((C.tobytes(), S.tobytes()))
+    conn.close()
+
+
+class TestCoherenceSplit:
+    """Nothing in the forward model may split its sums by the number of
+    cores: the bits must be the same on one core as on several, and a
+    forked child must compute what its parent did."""
+
+    @pytest.fixture(scope="class")
+    def core_runs(self):
+        # one child per core count, with as many BLAS threads as cores
+        src = os.path.dirname(os.path.dirname(ramsey.__file__))
+        runs = {}
+        for n in (1, 2, 3, 4):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS":
+                   str(n), "OMP_NUM_THREADS": str(n), "MKL_NUM_THREADS": str(n)}
+            out = subprocess.run([sys.executable, "-c", _CORE_RUN_DIGESTS,
+                                  str(n)], capture_output=True, text=True,
+                                 check=True, timeout=300, env=env)
+            runs[n] = json.loads(out.stdout)
+        return runs
+
+    @pytest.mark.parametrize("nt", [1, 2, 3, 24, 30])
+    def test_bytes_independent_of_core_count(self, core_runs, nt):
+        ref = core_runs[1][str(nt)]
+        assert len(ref) == (3 if nt == 1 else 2)
+        assert all(len(d) == 64 for d in ref)
+        for n in (2, 3, 4):
+            assert core_runs[n][str(nt)] == ref
+
+    def test_convergence_check_independent_of_core_count(self, core_runs):
+        ref = core_runs[1]["convergence"]
+        assert len(ref) == 64
+        for n in (2, 3, 4):
+            assert core_runs[n]["convergence"] == ref
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_fork_child_after_threaded_call(self):
+        # the trace starts no threads, so a fork after a call inherits none
+        nodes = detuning_nodes(make_bath(), MODEL, make_protocol().B)
+        before = threading.active_count()
+        ts = np.geomspace(0.1e-3, 12e-3, 7)
+        C, S = ramsey._coherence_trace(ts, *nodes)
+        assert threading.active_count() == before
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_trace_in_child, args=(send, ts, *nodes))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60)
+            got = recv.recv()
+        finally:
+            child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == (C.tobytes(), S.tobytes())
 
 
 class TestSynthesize:
