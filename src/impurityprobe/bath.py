@@ -6,7 +6,8 @@ on position only through the local density n(r).  That lets the 3D
 integral collapse to a 1D measure over density values: with standard
 normal coordinates y_i = x_i / sigma_i the density is n = n0 e^{-u}
 where u = |y|^2 / 2 ~ Gamma(3/2), the same law as the collision energy
-in units of kB T.
+in units of kB T.  One composite panel rule in s = sqrt(u) integrates
+that measure at every order.
 """
 
 from __future__ import annotations
@@ -73,35 +74,24 @@ def density_at(r, bath: BathState):
     return float(out) if out.ndim == 0 else out
 
 
-def density_weight_measure(bath: BathState, order: int = 48,
-                           method: str = "gauss"):
+def density_weight_measure(bath: BathState, order: int = 48):
     """Quadrature (densities, weights) for the impurity-sampled density.
 
     Positions drawn with probability n(r)/N see the local density
-    n = n0 e^{-u} with u ~ Gamma(3/2, 1).
-
-    method="gauss" returns the generalized Gauss-Laguerre rule for that
-    law (exact density moments at any order).  method="panel" substitutes
-    u = s^2 — turning the measure into the smooth weight 2 s^2 e^{-s^2} —
-    and applies composite 8-point Gauss-Legendre panels on s in
-    [0, sqrt(30)]; the panels track rapidly oscillating integrands (long
-    evolution times) that defeat the global Gauss rule.  `order` is the
-    node count for "gauss" and the total node budget for "panel".
-    Weights are positive and sum to 1 in both cases.
+    n = n0 e^{-u} with u ~ Gamma(3/2, 1).  Substituting u = s^2 turns the
+    measure into the smooth weight 2 s^2 e^{-s^2}, integrated with
+    composite 8-point Gauss-Legendre panels on s in [0, sqrt(30)]; the
+    panels track the rapidly oscillating integrands of long evolution
+    times.  `order` is the total node budget.  Weights are positive and
+    sum to 1.
     """
     if order < 2:
         raise ValueError("measure order must be >= 2")
-    if method == "gauss":
-        from scipy.special import roots_genlaguerre
-        u, w = roots_genlaguerre(order, 0.5)
-        return bath.n0 * np.exp(-u), w / _GAMMA_3_2
-    if method == "panel":
-        n_panels = max(4, order // 8)
-        s, w = panel_nodes(math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels)
-        w = w * 2.0 * s**2 * np.exp(-(s**2)) / _GAMMA_3_2
-        w = w / w.sum()  # absorb the ~1e-13 tail truncation
-        return bath.n0 * np.exp(-(s**2)), w
-    raise ValueError(f"unknown quadrature method {method!r}")
+    n_panels = max(4, order // 8)
+    s, w = panel_nodes(math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels)
+    w = w * 2.0 * s**2 * np.exp(-(s**2)) / _GAMMA_3_2
+    w = w / w.sum()  # absorb the ~1e-13 tail truncation
+    return bath.n0 * np.exp(-(s**2)), w
 
 
 def interaction_detuning(n, d_a):

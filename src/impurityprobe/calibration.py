@@ -17,26 +17,20 @@ ZEEMAN_HZ_PER_G = 0.7e6
 LIGHT_SHIFT_THEORY = TWO_PI * 1104.0  # rad/s per W
 
 
-def rabi_lineshape(omega_coil, Omega0: float, omega_bg: float, omega_MW: float,
-                   pulse_duration: float | None = None):
-    """Population transferred by a near-resonant microwave pulse.
+def rabi_lineshape(omega_coil, Omega0: float, omega_bg: float, omega_MW: float):
+    """Population transferred by a microwave pi pulse of duration pi/Omega0.
 
-    With detuning D = omega_coil + omega_bg - omega_MW:
-    p = Omega0^2/(Omega0^2 + D^2) * sin^2(0.5 * 2 pi sqrt(Omega0^2 + D^2) / (2 Omega0)),
-    i.e. a fixed pulse area written with an explicit 2 pi factor.  Passing
-    `pulse_duration` (s) instead evaluates standard Rabi flopping
-    sin^2(sqrt(Omega0^2 + D^2) * duration / 2).
+    With detuning D = omega_coil + omega_bg - omega_MW and generalized
+    Rabi frequency W = sqrt(Omega0^2 + D^2), standard Rabi flopping gives
+    p = Omega0^2/W^2 * sin^2(W * (pi/Omega0) / 2), written below as
+    sin^2(0.5 * 2 pi W / (2 Omega0)).
     """
     if Omega0 <= 0.0:
         raise ValueError("Rabi frequency must be positive")
     D = np.asarray(omega_coil, dtype=float) + omega_bg - omega_MW
     W = np.sqrt(Omega0**2 + D * D)
     pre = Omega0**2 / (W * W)
-    if pulse_duration is None:
-        arg = 0.5 * TWO_PI * W / (2.0 * Omega0)
-    else:
-        arg = 0.5 * W * pulse_duration
-    out = pre * np.sin(arg) ** 2
+    out = pre * np.sin(0.5 * TWO_PI * W / (2.0 * Omega0)) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -40,8 +40,6 @@ def _prepare(args):
         json.dumps(DEFAULT_CONFIG))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.quadrature_order is not None:
-        cfg["quadrature"]["energy_order"] = args.quadrature_order
     return cfg
 
 
@@ -250,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quadrature-order", type=int, default=None,
-                       help="override the energy quadrature order")
 
     p = sub.add_parser("simulate", help="synthesize a fringe dataset")
     common(p)

@@ -44,9 +44,6 @@ class FitReport:
     converged: bool
     warnings: list = field(default_factory=list)
 
-    def __getitem__(self, key):
-        return self.params[key]
-
     def to_dict(self) -> dict:
         return {"params": self.params, "errors": self.errors,
                 "residual_norm": self.residual_norm, "n_points": self.n_points,
@@ -67,8 +64,8 @@ def standard_errors(jac, resid_var: float) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def fit_least_squares(model, x, y, p0, names, sigma=None, bounds=None,
-                      max_nfev: int = 2000) -> FitReport:
+def fit_least_squares(model, x, y, p0, names, sigma=None,
+                      bounds=None) -> FitReport:
     """Fit y = model(x, *p) by damped least squares.
 
     sigma, when given, weights residuals as (y - model)/sigma.  bounds is
@@ -85,7 +82,7 @@ def fit_least_squares(model, x, y, p0, names, sigma=None, bounds=None,
 
     lb, ub = (-np.inf, np.inf) if bounds is None else bounds
     sol = least_squares(resid, np.asarray(p0, dtype=float), bounds=(lb, ub),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not sol.success:
         raise FitError(f"least-squares fit did not converge: {sol.message}")
 

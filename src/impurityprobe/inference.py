@@ -17,7 +17,8 @@ import numpy as np
 
 from .analysis import analyze_fringes
 from .bath import BathState
-from .ramsey import RamseyProtocol, synthesize_fringe
+from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
+                     synthesize_fringe)
 from .scattering import mean_a
 from .thermal import effective_collision_temperature, mean_relative_speed
 
@@ -47,7 +48,8 @@ class Posterior1D:
 
 
 def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
-                        density_order: int = 384, energy_order: int = 512,
+                        density_order: int = DENSITY_ORDER,
+                        energy_order: int = ENERGY_ORDER,
                         include_background: bool = True) -> dict:
     """Synthesize a noiseless signal and analyze it; returns {delta, T2}."""
     omega = 2.0 * math.pi * 100.0  # isotropic reference trap; measure is shape-free
@@ -176,7 +178,8 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
 def infer_density(observed: dict, T_known: float, model,
                   protocol: RamseyProtocol, errors: dict | None = None,
                   bracket=(0.05e19, 5.0e19),
-                  density_order: int = 384, energy_order: int = 512) -> Posterior1D:
+                  density_order: int = DENSITY_ORDER,
+                  energy_order: int = ENERGY_ORDER) -> Posterior1D:
     """Estimate the peak density n0 (m^-3) from observed delta and/or T2.
 
     observed maps observable names ("delta" in rad/s, "T2" in s) to
@@ -197,7 +200,8 @@ def infer_density(observed: dict, T_known: float, model,
 def infer_temperature(T2_observed: float, n0_known: float, model,
                       protocol: RamseyProtocol, T2_error: float | None = None,
                       bracket=(100e-9, 1500e-9),
-                      density_order: int = 384, energy_order: int = 512) -> Posterior1D:
+                      density_order: int = DENSITY_ORDER,
+                      energy_order: int = ENERGY_ORDER) -> Posterior1D:
     """Estimate the bath temperature (K) from the observed T2 (s)."""
     if T2_observed <= 0.0:
         raise ValueError("observed T2 must be positive")

@@ -12,13 +12,17 @@ the density average, and the full phase fringe follows analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bath import BathState, density_weight_measure, interaction_detuning
 from .scattering import delta_a
 from .thermal import mb_quadrature, QuadratureError
+
+# default node budgets of the density and energy panel rules
+DENSITY_ORDER = 384
+ENERGY_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,6 @@ class FringeSeries:
     phi: np.ndarray        # rad, shape (Nphi,)
     p: np.ndarray          # shape (Nt, Nphi), values in [0, 1]
     p_err: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.p.shape != (len(self.t), len(self.phi)):
@@ -95,7 +98,8 @@ def fringe_closed_form(t, phi, Delta: float, T2: float):
 
 
 def detuning_nodes(bath: BathState, model, B: float,
-                   density_order: int = 384, energy_order: int = 512):
+                   density_order: int = DENSITY_ORDER,
+                   energy_order: int = ENERGY_ORDER):
     """Factored detuning rule delta_ij = x_j s_i with weights wn_i wE_j.
 
     Returns (s, wn, x, wE): the density fractions s = n / n0 in (0, 1]
@@ -105,7 +109,7 @@ def detuning_nodes(bath: BathState, model, B: float,
     oscillates at long evolution times, which global Gauss rules cannot
     track.
     """
-    n, wn = density_weight_measure(bath, order=density_order, method="panel")
+    n, wn = density_weight_measure(bath, order=density_order)
     E, wE = mb_quadrature(bath.T, order=energy_order)
     x = interaction_detuning(bath.n0, delta_a(B, E, model))
     return n / bath.n0, wn, x, wE
@@ -152,7 +156,8 @@ def _coherence_trace(ts, s, wn, x, wE):
 
 
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
-                      density_order: int = 384, energy_order: int = 512,
+                      density_order: int = DENSITY_ORDER,
+                      energy_order: int = ENERGY_ORDER,
                       include_background: bool = False,
                       nodes=None, check_convergence: bool = False):
     """Ground-state population of the microscopic dephasing model.
@@ -203,7 +208,8 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
 
 
 def population_grid(protocol: RamseyProtocol, bath: BathState, model,
-                    density_order: int = 384, energy_order: int = 512,
+                    density_order: int = DENSITY_ORDER,
+                    energy_order: int = ENERGY_ORDER,
                     include_background: bool = True,
                     check_convergence: bool = False) -> np.ndarray:
     """Noiseless population over the protocol's full (t, phi) grid."""
@@ -217,14 +223,15 @@ def population_grid(protocol: RamseyProtocol, bath: BathState, model,
 
 def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
                       noise: dict | None = None, seed: int = 0,
-                      density_order: int = 384, energy_order: int = 512,
+                      density_order: int = DENSITY_ORDER,
+                      energy_order: int = ENERGY_ORDER,
                       include_background: bool = True) -> FringeSeries:
     """Synthesize a FringeSeries, optionally with binomial counting noise.
 
     noise = {"atoms_per_shot": int, "repetitions": int} replaces each
     population by a binomial draw over atoms_per_shot * repetitions
-    trials.  Each grid cell derives its own RNG from (seed, it, iphi), so
-    results are independent of any evaluation partitioning.
+    trials.  Each grid cell draws from its own RNG, seeded by
+    (seed, it, iphi), so a seeded noisy CSV stays byte-stable.
     """
     p = population_grid(protocol, bath, model, density_order=density_order,
                         energy_order=energy_order,
@@ -241,10 +248,8 @@ def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
                 draws[it, ip] = rng.binomial(trials, p[it, ip]) / trials
         p_err = np.sqrt(np.clip(draws * (1.0 - draws), 1.0 / trials**2, None) / trials)
         p = draws
-    meta = {"seed": seed, "noise": noise, "include_background": include_background,
-            "density_order": density_order, "energy_order": energy_order}
     return FringeSeries(t=protocol.t.copy(), phi=protocol.phi.copy(),
-                        p=p, p_err=p_err, meta=meta)
+                        p=p, p_err=p_err)
 
 
 def no_bath_trace(t, A: float, C: float, delta: float, T2: float):

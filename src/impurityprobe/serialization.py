@@ -18,7 +18,7 @@ import numpy as np
 
 from .bath import BathState
 from .constants import CONST, TWO_PI
-from .ramsey import FringeSeries, RamseyProtocol
+from .ramsey import DENSITY_ORDER, ENERGY_ORDER, FringeSeries, RamseyProtocol
 from .scattering import ResonanceModel, TabulatedModel
 
 SCHEMA_VERSION = 1
@@ -57,7 +57,7 @@ DEFAULT_CONFIG = {
         "T2_bg_ms": 27.2,
         "rabi_freq_kHz": 15.4,
     },
-    "quadrature": {"density_order": 384, "energy_order": 512},
+    "quadrature": {"density_order": DENSITY_ORDER, "energy_order": ENERGY_ORDER},
     "noise": None,
     "include_background": True,
     "seed": 0,

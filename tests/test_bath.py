@@ -79,17 +79,22 @@ class TestDensityAt:
 
 
 class TestDensityWeightMeasure:
-    def test_weights_normalized(self):
+    # 384 is the forward model's default order; the rule must stay finite
+    # at it and above
+    @pytest.mark.parametrize("order", [48, 384, 768])
+    def test_weights_normalized(self, order):
         b = make_bath()
-        n, w = density_weight_measure(b, order=48)
+        n, w = density_weight_measure(b, order=order)
+        assert np.all(np.isfinite(n)) and np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w > 0)
         assert np.max(n) <= b.n0
 
-    def test_mean_density_analytic(self):
+    @pytest.mark.parametrize("order", [48, 384, 768])
+    def test_mean_density_analytic(self, order):
         # impurity-sampled mean density is n0 / 2^(3/2)
         b = make_bath()
-        n, w = density_weight_measure(b, order=48)
+        n, w = density_weight_measure(b, order=order)
         assert np.dot(w, n) == pytest.approx(b.n0 / 2**1.5, rel=1e-10)
 
     def test_moments_against_3d_monte_carlo(self):

@@ -39,11 +39,6 @@ class TestRabiLineshape:
         b = rabi_lineshape(1300.0, OMEGA0, 0.0, 0.0)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_explicit_duration_mode(self):
-        dur = math.pi / OMEGA0  # pi pulse
-        assert rabi_lineshape(0.0, OMEGA0, 0.0, 0.0,
-                              pulse_duration=dur) == pytest.approx(1.0)
-
     def test_invalid_rabi_frequency(self):
         with pytest.raises(ValueError):
             rabi_lineshape(0.0, 0.0, 0.0, 0.0)

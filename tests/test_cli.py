@@ -110,8 +110,8 @@ class TestStartup:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_scipy_special_unloaded(self):
-        # the forward model's rules are module constants; only the Gauss
-        # density rule and the release-curve calibration need scipy.special
+        # the forward model's rules are module constants; only the
+        # release-curve calibration needs scipy.special
         src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
         code = "import sys, impurityprobe.cli; print('scipy.special' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
