@@ -6,7 +6,8 @@ form as a linear least-squares problem (a bounded nonlinear fit runs only
 where the free solution leaves the physical range); the visibility is
 V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B, a nonlinear fit.  The
 interaction phase is the unwrapped fringe phase minus the background
-delta_bg * t, fitted linearly for t below the dephasing time.
+delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
+dephasing time.  Every fitted report is built by `fitting.fit_report`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitError, FitReport, fit_least_squares, standard_errors
+from .fitting import (FitError, FitReport, fit_least_squares, fit_report,
+                      linear_fit)
 from .ramsey import FringeSeries
 
 TWO_PI = 2.0 * math.pi
@@ -80,13 +82,8 @@ def fit_fringe(phi, p, p_err=None) -> FitReport:
         s2 = np.sin(0.5 * (phi0 - phi)) ** 2
         jac = np.column_stack([s2, np.ones_like(phi),
                                0.5 * A * np.sin(phi0 - phi)]) * w[:, None]
-        r = (A * s2 + C - p) * w
-        resid_var = float(r @ r) / max(len(p) - 3, 1) if p_err is None else 1.0
-        errs = standard_errors(jac, resid_var)
-        return FitReport(params={"A": A, "C": C, "phi0": phi0},
-                         errors=dict(zip(("A", "C", "phi0"), map(float, errs))),
-                         residual_norm=float(np.linalg.norm(r)),
-                         n_points=len(p), converged=True)
+        return fit_report(("A", "C", "phi0"), (A, C, phi0), jac,
+                          (A * s2 + C - p) * w, p_err is not None)
 
     # the 1-cycle Fourier coefficient of the data is -(A/2) e^{-i phi0}
     c1 = 2.0 * np.mean(p * np.exp(-1j * phi))
@@ -187,20 +184,10 @@ def fit_phase_slope(t, Phi, T2: float, Phi_err=None) -> FitReport:
     mask = t <= T2
     if np.count_nonzero(mask) < 2:
         raise FitError("fewer than 2 phase points below the dephasing time")
-    tm, Pm = t[mask], Phi[mask]
-    w = np.ones_like(tm) if Phi_err is None else 1.0 / np.asarray(Phi_err)[mask]
-    X = np.column_stack([tm, np.ones_like(tm)]) * w[:, None]
-    yw = Pm * w
-    coef, res, *_ = np.linalg.lstsq(X, yw, rcond=None)
-    r = X @ coef - yw
-    dof = max(len(tm) - 2, 1)
-    scale = float(r @ r) / dof if Phi_err is None else 1.0
-    cov = np.linalg.inv(X.T @ X) * scale
-    return FitReport(params={"delta": float(coef[0]), "intercept": float(coef[1])},
-                     errors={"delta": float(np.sqrt(cov[0, 0])),
-                             "intercept": float(np.sqrt(cov[1, 1]))},
-                     residual_norm=float(np.linalg.norm(r)),
-                     n_points=int(mask.sum()), converged=True)
+    tm = t[mask]
+    return linear_fit(np.column_stack([tm, np.ones_like(tm)]), Phi[mask],
+                      ["delta", "intercept"],
+                      sigma=None if Phi_err is None else np.asarray(Phi_err)[mask])
 
 
 @dataclass

@@ -1,20 +1,20 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
-slope, quadratic Zeeman fit, and release-curve thermometry.
+slope and quadratic Zeeman fit (both linear, solved exactly), and
+release-curve thermometry.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .constants import CONST, TWO_PI
-from .fitting import FitError, FitReport, fit_least_squares
-from .thermal import zeeman_coefficient_hz_per_G2
+from .fitting import FitError, FitReport, fit_least_squares, linear_fit
+from .ramsey import no_bath_trace
 
 # linear Zeeman conversion for the Rb calibration transition
 ZEEMAN_HZ_PER_G = 0.7e6
 LIGHT_SHIFT_THEORY = TWO_PI * 1104.0  # rad/s per W
+LIGHT_SHIFT_TOLERANCE = 0.05  # flagged relative deviation from the theory
 
 
 def rabi_lineshape(omega_coil, Omega0: float, omega_bg: float, omega_MW: float):
@@ -62,32 +62,27 @@ def fit_bfield(omega_coil, p, Omega0: float, omega_MW: float,
     return rep, B_coil
 
 
-def fit_light_shift(P, delta, delta_err=None,
-                    theory_tolerance: float = 0.05) -> FitReport:
-    """Ordinary least squares of detuning vs beam power (intercept allowed).
+def fit_light_shift(P, delta, delta_err=None) -> FitReport:
+    """Linear least squares of detuning vs beam power (intercept allowed).
 
     Flags the report when the slope deviates from the theoretical
-    2 pi x 1104 Hz/W expectation by more than `theory_tolerance`.
+    2 pi x 1104 Hz/W expectation by more than LIGHT_SHIFT_TOLERANCE.
     """
     P = np.asarray(P, dtype=float)
     delta = np.asarray(delta, dtype=float)
     if len(np.unique(P)) < 2:
         raise ValueError("need at least 2 distinct powers")
-
-    def model(x, slope, intercept):
-        return slope * x + intercept
-
-    rep = fit_least_squares(model, P, delta, p0=[0.0, float(np.mean(delta))],
-                            names=["slope", "intercept"], sigma=delta_err)
+    rep = linear_fit(np.column_stack([P, np.ones_like(P)]), delta,
+                     ["slope", "intercept"], sigma=delta_err)
     dev = abs(rep.params["slope"] - LIGHT_SHIFT_THEORY) / LIGHT_SHIFT_THEORY
-    if dev > theory_tolerance:
+    if dev > LIGHT_SHIFT_TOLERANCE:
         rep.warnings.append(
             f"light-shift slope deviates {100*dev:.1f}% from the theory value")
     return rep
 
 
 def fit_zeeman(B, delta, delta_err=None) -> FitReport:
-    """Quadratic fit delta = a B^2 + c; a in rad/s/T^2, c in rad/s.
+    """Linear fit delta = a B^2 + c; a in rad/s/T^2, c in rad/s.
 
     The offset c absorbs the field-independent light shift.  The report
     also carries the coefficient in Hz/G^2 for comparison against the
@@ -97,13 +92,8 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     delta = np.asarray(delta, dtype=float)
     if len(np.unique(np.abs(B))) < 3:
         raise ValueError("need at least 3 distinct field magnitudes")
-
-    def model(x, a, c):
-        return a * x * x + c
-
-    a0 = zeeman_coefficient_hz_per_G2() * TWO_PI * 1e8  # theory init, rad/s/T^2
-    rep = fit_least_squares(model, B, delta, p0=[a0, float(np.mean(delta))],
-                            names=["a", "c"], sigma=delta_err)
+    rep = linear_fit(np.column_stack([B * B, np.ones_like(B)]), delta,
+                     ["a", "c"], sigma=delta_err)
     rep.params["a_hz_per_G2"] = rep.params["a"] / TWO_PI * 1e-8
     rep.errors["a_hz_per_G2"] = rep.errors["a"] / TWO_PI * 1e-8
     return rep
@@ -136,12 +126,8 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     if delta0 == 0.0:
         delta0 = TWO_PI / (t[-1] - t[0])
     T20 = 0.5 * (t[-1] - t[0])
-
-    def model(x, A, C, delta, T2):
-        return 0.5 * A * (1.0 - np.exp(-((x / T2) ** 2)) * np.cos(delta * x)) + C
-
     return fit_least_squares(
-        model, t, N, p0=[A0, C0, delta0, T20],
+        no_bath_trace, t, N, p0=[A0, C0, delta0, T20],
         names=["A", "C", "delta", "T2"], sigma=N_err,
         bounds=([0.0, -np.inf, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]))
 

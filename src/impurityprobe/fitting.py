@@ -1,11 +1,12 @@
 """Shared least-squares machinery.
 
-Nonlinear fits go through `fit_least_squares`, a bounded damped
+Every fit with errors ends in `fit_report`, which turns a solution, its
+weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
+uncertainties from the local quadratic model (`standard_errors`).  Models
+linear in every parameter go through `linear_fit`, an exact weighted
+`lstsq`; nonlinear ones through `fit_least_squares`, a bounded damped
 least-squares solver (scipy's trust-region reflective backend with
-numerically estimated derivatives) that returns a FitReport with 1-sigma
-uncertainties from the local quadratic model.  Fits solved in closed form
-(the fringe fit in `analysis`) take their uncertainties from the same
-`standard_errors`.
+numerically estimated derivatives).
 """
 
 from __future__ import annotations
@@ -64,6 +65,37 @@ def standard_errors(jac, resid_var: float) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
+def fit_report(names, values, jac, resid, weighted: bool) -> FitReport:
+    """FitReport of the least-squares solution `values`, given the residual
+    Jacobian and residuals there.  The residual variance is 1 if they are
+    weighted by 1/sigma, else r.r / dof."""
+    dof = max(len(resid) - len(values), 1)
+    resid_var = 1.0 if weighted else float(resid @ resid) / dof
+    errs = standard_errors(jac, resid_var)
+    return FitReport(params=dict(zip(names, map(float, values))),
+                     errors=dict(zip(names, map(float, errs))),
+                     residual_norm=float(np.linalg.norm(resid)),
+                     n_points=len(resid), converged=True)
+
+
+def linear_fit(X, y, names, sigma=None) -> FitReport:
+    """Exact least-squares fit of y = X @ p, one X column per name in
+    `names`; sigma, when given, weights the rows by 1/sigma."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("design matrix and data must be finite")
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+            raise ValueError("sigma must be finite and positive")
+    w = np.ones_like(y) if sigma is None else 1.0 / sigma
+    Xw = X * w[:, None]
+    yw = y * w
+    coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+    return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
+
+
 def fit_least_squares(model, x, y, p0, names, sigma=None,
                       bounds=None) -> FitReport:
     """Fit y = model(x, *p) by damped least squares.
@@ -85,13 +117,4 @@ def fit_least_squares(model, x, y, p0, names, sigma=None,
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not sol.success:
         raise FitError(f"least-squares fit did not converge: {sol.message}")
-
-    # covariance from the local quadratic model, J^T J
-    dof = max(len(y) - len(sol.x), 1)
-    resid_var = 2.0 * sol.cost / dof if sigma is None else 1.0
-    errs = standard_errors(sol.jac, resid_var)
-
-    return FitReport(params=dict(zip(names, map(float, sol.x))),
-                     errors=dict(zip(names, map(float, errs))),
-                     residual_norm=float(np.linalg.norm(resid(sol.x))),
-                     n_points=len(y), converged=True)
+    return fit_report(names, sol.x, sol.jac, sol.fun, sigma is not None)

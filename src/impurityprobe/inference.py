@@ -23,6 +23,8 @@ from .scattering import mean_a
 from .thermal import effective_collision_temperature, mean_relative_speed
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BRACKET_SAMPLES = 12  # coarse objective samples before the golden search
+GOLDEN_REL_TOL = 1e-4  # relative bracket width at which the search stops
 
 
 class InferenceError(RuntimeError):
@@ -64,14 +66,13 @@ def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
     return {"delta": res.delta, "T2": res.T2}
 
 
-def _golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-4,
-                     n_samples: int = 12):
+def _golden_minimize(f, lo: float, hi: float):
     """Golden-section minimization with a coarse-sample bracket pass.
 
     Returns (x_min, f_min, samples) where samples holds the coarse
     objective curve.
     """
-    xs = np.linspace(lo, hi, n_samples)
+    xs = np.linspace(lo, hi, BRACKET_SAMPLES)
     fs = np.array([f(x) for x in xs])
     samples = list(zip(xs.tolist(), fs.tolist()))
     span = max(np.max(fs) - np.min(fs), 0.0)
@@ -79,14 +80,14 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-4,
         raise InferenceError("objective is flat over the bracket",
                              flag="insensitive")
     k = int(np.argmin(fs))
-    if k == 0 or k == n_samples - 1:
+    if k == 0 or k == BRACKET_SAMPLES - 1:
         raise InferenceError("objective minimum not inside the bracket",
                              flag="bracket")
     a, b = xs[k - 1], xs[k + 1]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
+    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -100,10 +101,10 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-4,
     return float(x), float(f(x)), samples
 
 
-def _interval_from_curve(x_min, f_min, samples, sigma_level: float | None):
+def _interval_from_curve(x_min, f_min, samples, chi2: bool):
     """1-sigma interval from a local quadratic model of the misfit.
 
-    With chi^2-style misfits (uncertainties supplied) the interval is the
+    With chi^2 misfits (chi2: uncertainties supplied) the interval is the
     f_min + 1 crossing; otherwise it scales with the residual misfit and
     collapses to ~0 width for a perfect noiseless fit.
     """
@@ -133,7 +134,7 @@ def _interval_from_curve(x_min, f_min, samples, sigma_level: float | None):
         curv = 0.0
     if curv <= 0.0:
         return (x_min, x_min)
-    rise = 1.0 if sigma_level is not None else max(f_min, 1e-16)
+    rise = 1.0 if chi2 else max(f_min, 1e-16)
     half = math.sqrt(rise / curv)
     return (x_min - half, x_min + half)
 
@@ -171,7 +172,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     x, fmin, samples = _golden_minimize(
         lambda x: _misfit(observed, forward(x), errors), bracket[0], bracket[1])
     # every error key is observed: the chi^2 rule needs one with an error
-    interval = _interval_from_curve(x, fmin, samples, 1.0 if errors else None)
+    interval = _interval_from_curve(x, fmin, samples, bool(errors))
     return Posterior1D(estimate=x, interval=interval, curve=samples), forward
 
 
@@ -236,7 +237,7 @@ def collision_counts(bath: BathState, model, T2: float,
             raise ValueError("B is required for a model without a resonance "
                              "position B0")
         B = model.B0
-    a_g_bar = mean_a(B, bath.T, model, check_convergence=False, order=2048)
+    a_g_bar = mean_a(B, bath.T, model, order=1024)
     n_mean = bath.n0 / 2.0**1.5
     T_eff = effective_collision_temperature(bath.T, T_Cs)
     v_rel = mean_relative_speed(T_eff)

@@ -131,40 +131,34 @@ def _thermal_nodes(B, T_bath, model, order):
     return a_ground(B, E, model), w
 
 
-def mean_a(B: float, T_bath: float, model, order: int = 512,
-           check_convergence: bool = True) -> float:
-    """Thermal mean of the ground-state scattering length, m."""
+def mean_a(B: float, T_bath: float, model, order: int = 512) -> float:
+    """Thermal mean of a_g (m) at twice `order`, checked against `order`."""
     a, w = _thermal_nodes(B, T_bath, model, order)
     m1 = float(np.dot(w, a))
-    if check_convergence:
-        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
-        m1b = float(np.dot(w2, a2))
-        scale = max(abs(m1b), abs(model.a_bg) if hasattr(model, "a_bg") else abs(m1b))
-        if abs(m1b - m1) > 1e-4 * scale:
-            raise QuadratureError(
-                f"mean_a not converged at order {order}: {m1} vs {m1b}")
-        m1 = m1b
-    return m1
+    a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
+    m1b = float(np.dot(w2, a2))
+    scale = max(abs(m1b), abs(model.a_bg) if hasattr(model, "a_bg") else abs(m1b))
+    if abs(m1b - m1) > 1e-4 * scale:
+        raise QuadratureError(
+            f"mean_a not converged at order {order}: {m1} vs {m1b}")
+    return m1b
 
 
-def var_a(B: float, T_bath: float, model, order: int = 512,
-          check_convergence: bool = True) -> float:
-    """Thermal variance of the ground-state scattering length, m^2."""
+def var_a(B: float, T_bath: float, model, order: int = 512) -> float:
+    """Thermal variance of a_g (m^2) at twice `order`, checked against `order`."""
     def centered_var(a, w):
         m1 = float(np.dot(w, a))
         return float(np.dot(w, (a - m1) ** 2)), m1
 
     a, w = _thermal_nodes(B, T_bath, model, order)
-    v, m1 = centered_var(a, w)
-    if check_convergence:
-        a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
-        vb, m1b = centered_var(a2, w2)
-        scale = max(vb, (1e-2 * abs(m1b)) ** 2)
-        if abs(vb - v) > 1e-4 * scale and abs(vb - v) > 1e-3 * vb:
-            raise QuadratureError(
-                f"var_a not converged at order {order}: {v} vs {vb}")
-        v = vb
-    return v
+    v, _ = centered_var(a, w)
+    a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
+    vb, m1b = centered_var(a2, w2)
+    scale = max(vb, (1e-2 * abs(m1b)) ** 2)
+    if abs(vb - v) > 1e-4 * scale and abs(vb - v) > 1e-3 * vb:
+        raise QuadratureError(
+            f"var_a not converged at order {order}: {v} vs {vb}")
+    return vb
 
 
 def a_histogram(B: float, T_bath: float, model, bins: int = 50,

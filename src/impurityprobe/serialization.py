@@ -184,7 +184,7 @@ def fringe_to_csv(series: FringeSeries) -> str:
 
 
 def fringe_from_csv(path) -> FringeSeries:
-    rows = []
+    rows = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"t_ms", "phase_deg", "p"}
@@ -203,26 +203,30 @@ def fringe_from_csv(path) -> FringeSeries:
                 raise ConfigError(f"{path}: row {k}: t_ms must be nonnegative")
             if err is not None and err <= 0.0:
                 raise ConfigError(f"{path}: row {k}: p_err must be positive")
-            rows.append((t, phi, p, err))
+            if (t, phi) in rows:
+                raise ConfigError(f"{path}: row {k}: repeats (t_ms, phase_deg) "
+                                  f"of row {rows[t, phi][0]}")
+            rows[t, phi] = (k, p, err)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    ts = sorted({r[0] for r in rows})
-    phis = sorted({r[1] for r in rows})
+    # empty p_err fields mean no weighting only if the whole column is empty
+    empty = [k for k, _, err in rows.values() if err is None]
+    if empty and len(empty) < len(rows):
+        raise ConfigError(f"{path}: row {empty[0]}: p_err is empty but "
+                          "other rows have one")
+    ts = sorted({t for t, _ in rows})
+    phis = sorted({phi for _, phi in rows})
     p = np.full((len(ts), len(phis)), np.nan)
     perr = np.full((len(ts), len(phis)), np.nan)
     t_idx = {t: i for i, t in enumerate(ts)}
     phi_idx = {f: j for j, f in enumerate(phis)}
-    has_err = True
-    for t, phi, val, err in rows:
+    for (t, phi), (_, val, err) in rows.items():
         p[t_idx[t], phi_idx[phi]] = val
-        if err is None:
-            has_err = False
-        else:
-            perr[t_idx[t], phi_idx[phi]] = err
+        perr[t_idx[t], phi_idx[phi]] = err  # None reads as NaN
     if np.any(np.isnan(p)):
         raise ConfigError(f"{path}: (t, phase) grid is not rectangular")
     return FringeSeries(t=np.array(ts) * 1e-3, phi=np.deg2rad(np.array(phis)),
-                        p=p, p_err=perr if has_err else None)
+                        p=p, p_err=None if empty else perr)
 
 
 def write_json(path, obj) -> None:

@@ -200,8 +200,7 @@ def test_08_collision_count_window():
         N_g, N_e = collision_counts(bath, MODEL, T2=T2)
         assert 6.0 <= N_g <= 18.0
         assert 0.4 <= N_e <= 1.8
-        a_bar = mean_a(MODEL.B0, bath.T, MODEL, check_convergence=False,
-                       order=2048)
+        a_bar = mean_a(MODEL.B0, bath.T, MODEL, order=1024)
         assert N_g / N_e == pytest.approx((a_bar / MODEL.a_e) ** 2,
                                           rel=1e-12)
 

@@ -121,6 +121,35 @@ class TestZeeman:
             fit_zeeman(np.array([0.0, 1e-5]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+class TestLinearCalibrationsExact:
+    """Both models are linear in their parameters, so each fit must be the
+    exact weighted least-squares solution, as np.polyfit computes it."""
+
+    def test_light_shift(self, weighted):
+        rng = np.random.default_rng(21)
+        P = np.linspace(0.0, 1.2, 10)
+        err = TWO_PI * rng.uniform(10.0, 40.0, P.size)
+        delta = TWO_PI * (1083.0 * P + 2.0) + err * rng.normal(size=P.size)
+        sigma = err if weighted else None
+        rep = fit_light_shift(P, delta, delta_err=sigma)
+        ref = np.polyfit(P, delta, 1, w=None if sigma is None else 1.0 / sigma)
+        assert rep.params["slope"] == pytest.approx(ref[0], rel=1e-10)
+        assert rep.params["intercept"] == pytest.approx(ref[1], rel=1e-10)
+
+    def test_zeeman(self, weighted):
+        rng = np.random.default_rng(22)
+        B = np.linspace(0.0, 0.5, 15) * 1e-4
+        err = TWO_PI * rng.uniform(1.0, 4.0, B.size)
+        delta = 417.2 * TWO_PI * 1e8 * B**2 + 20.0 + err * rng.normal(size=B.size)
+        sigma = err if weighted else None
+        rep = fit_zeeman(B, delta, delta_err=sigma)
+        ref = np.polyfit(B**2, delta, 1, w=None if sigma is None else 1.0 / sigma)
+        assert rep.params["a"] == pytest.approx(ref[0], rel=1e-10)
+        assert rep.params["c"] == pytest.approx(ref[1], rel=1e-10)
+
+
 class TestReleaseCurve:
     def test_zero_depth(self):
         assert release_curve(0.0, 1.7e-6) == 0.0

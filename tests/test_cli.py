@@ -98,6 +98,22 @@ class TestFringeCsv:
         with pytest.raises(ConfigError):
             fringe_from_csv(str(path))
 
+    def test_repeated_row_rejected(self, tmp_path):
+        # a second (t, phase 0) row would overwrite the first: p = 0.7, not 0.1
+        path = tmp_path / "dup.csv"
+        path.write_text("t_ms,phase_deg,p\n1,0,0.1\n1,90,0.5\n1,180,0.9\n"
+                        "1,270,0.5\n1,0,0.7\n")
+        with pytest.raises(ConfigError, match="row 6: repeats .* of row 2"):
+            fringe_from_csv(str(path))
+
+    def test_partly_filled_p_err_rejected(self, tmp_path):
+        # dropping the column would run the analysis unweighted
+        path = tmp_path / "half.csv"
+        path.write_text("t_ms,phase_deg,p,p_err\n1,0,0.1,0.01\n1,90,0.5,\n"
+                        "1,180,0.9,0.01\n1,270,0.5,0.01\n")
+        with pytest.raises(ConfigError, match="row 3: p_err is empty"):
+            fringe_from_csv(str(path))
+
 
 class TestStartup:
     def test_import_leaves_scipy_optimize_unloaded(self):
@@ -118,6 +134,22 @@ class TestStartup:
                              text=True, check=True, timeout=120,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("kind", ["lightshift", "zeeman"])
+    def test_linear_calibration_leaves_scipy_optimize_unloaded(self, tmp_path,
+                                                               kind):
+        # both models are linear in their parameters: one exact lstsq
+        src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
+        path = tmp_path / "cal.csv"
+        path.write_text("x,y\n" + "".join(f"{x},{400.0 * x * x + 2.0 * x}\n"
+                                          for x in np.linspace(0.0, 1.0, 10)))
+        argv = ["calibrate", kind, str(path), "--out", str(tmp_path / "cal")]
+        code = ("import sys; from impurityprobe.cli import main; "
+                f"rc = main({argv!r}); print(rc, 'scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestSimulate:

@@ -214,8 +214,7 @@ class TestCollisionCounts:
         from impurityprobe.scattering import mean_a
         bath = make_bath()
         N_g, N_e = collision_counts(bath, MODEL, T2=0.6e-3)
-        a_bar = mean_a(MODEL.B0, bath.T, MODEL, check_convergence=False,
-                       order=2048)
+        a_bar = mean_a(MODEL.B0, bath.T, MODEL, order=1024)
         assert N_g / N_e == pytest.approx((a_bar / MODEL.a_e) ** 2, rel=1e-12)
 
     def test_operating_point_windows(self):
@@ -244,8 +243,7 @@ class TestCollisionCounts:
         from impurityprobe.scattering import mean_a
         bath = make_bath()
         N_zero = collision_counts(bath, MODEL, T2=1e-3, B=0.0)
-        a_zero = mean_a(0.0, bath.T, MODEL, check_convergence=False,
-                        order=2048)
+        a_zero = mean_a(0.0, bath.T, MODEL, order=1024)
         assert N_zero[0] / N_zero[1] == \
             pytest.approx((a_zero / MODEL.a_e) ** 2, rel=1e-12)
         assert N_zero[0] != pytest.approx(

@@ -104,7 +104,7 @@ class TestThermalStatistics:
                                                               abs=(1e-6 * A0) ** 2)
 
     def test_zero_temperature_limit(self):
-        a_cold = mean_a(MODEL.B0 + 10e-7, 1e-12, MODEL, check_convergence=False)
+        a_cold = mean_a(MODEL.B0 + 10e-7, 1e-12, MODEL)
         assert a_cold == pytest.approx(a_ground(MODEL.B0 + 10e-7, 0.0, MODEL),
                                        rel=1e-3)
 
