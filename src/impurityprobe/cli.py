@@ -7,12 +7,8 @@ Verbs: simulate, analyze, sweep, calibrate, infer.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .analysis import analyze_fringes
@@ -22,11 +18,11 @@ from .constants import CONST, TWO_PI
 from .fitting import FitError
 from .inference import InferenceError, infer_density, infer_temperature
 from .ramsey import synthesize_fringe
-from .serialization import (ConfigError, DEFAULT_CONFIG, bath_from_config,
-                            canonical_json, config_hash, fringe_from_csv,
-                            fringe_to_csv, hash_bytes, load_config,
-                            model_from_config, protocol_from_config,
-                            write_json)
+from .serialization import (ConfigError, bath_from_config, config_hash,
+                            fringe_from_csv, fringe_to_csv, hash_bytes,
+                            load_config, merge_config, model_from_config,
+                            protocol_from_config, validate_config,
+                            write_artifacts, xy_from_csv)
 from .thermal import QuadratureError
 
 EXIT_OK = 0
@@ -36,8 +32,7 @@ EXIT_INFERENCE = 4
 
 
 def _prepare(args):
-    cfg = load_config(args.config) if args.config else json.loads(
-        json.dumps(DEFAULT_CONFIG))
+    cfg = load_config(args.config) if args.config else merge_config({})
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -50,10 +45,10 @@ def _synthesize(cfg):
     model = model_from_config(cfg)
     protocol = protocol_from_config(cfg)
     series = synthesize_fringe(
-        protocol, bath, model, noise=cfg["noise"], seed=int(cfg["seed"]),
-        density_order=int(cfg["quadrature"]["density_order"]),
-        energy_order=int(cfg["quadrature"]["energy_order"]),
-        include_background=bool(cfg["include_background"]))
+        protocol, bath, model, noise=cfg["noise"], seed=cfg["seed"],
+        density_order=cfg["quadrature"]["density_order"],
+        energy_order=cfg["quadrature"]["energy_order"],
+        include_background=cfg["include_background"])
     return protocol, series
 
 
@@ -61,16 +56,13 @@ def cmd_simulate(args) -> int:
     cfg = _prepare(args)
     _, series = _synthesize(cfg)
     csv_text = fringe_to_csv(series)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "fringes.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(csv_text)
     sidecar = {"schema_version": cfg["schema_version"], "config": cfg,
                "config_hash": config_hash(cfg),
                "csv_hash": hash_bytes(csv_text.encode()),
                "tool_version": __version__}
-    write_json(os.path.join(args.out, "fringes.meta.json"), sidecar)
-    print(f"wrote {csv_path} ({len(series.t)}x{len(series.phi)} grid)")
+    paths = write_artifacts(args.out, {"fringes.csv": csv_text,
+                                       "fringes.meta.json": sidecar})
+    print(f"wrote {paths[0]} ({len(series.t)}x{len(series.phi)} grid)")
     return EXIT_OK
 
 
@@ -79,9 +71,7 @@ def cmd_analyze(args) -> int:
     delta_bg = TWO_PI * args.delta_bg_hz
     result = analyze_fringes(series, delta_bg=delta_bg,
                              phase_convention=args.phase_convention)
-    with open(args.fringes, "rb") as fh:
-        input_hash = hash_bytes(fh.read())
-    out = {"schema_version": 1, "input_hash": input_hash,
+    out = {"schema_version": 1, "input_hash": series.source_hash,
            "delta_bg_Hz": args.delta_bg_hz,
            "phase_convention": args.phase_convention,
            "analysis": result.to_dict(),
@@ -90,9 +80,7 @@ def cmd_analyze(args) -> int:
            "T2_ms": (None if not math.isfinite(result.T2)
                      else result.T2 * 1e3),
            "warning_count": len(result.warnings)}
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "analysis.json")
-    write_json(path, out)
+    (path,) = write_artifacts(args.out, {"analysis.json": out})
     print(f"wrote {path} ({len(result.warnings)} warnings)")
     return EXIT_OK
 
@@ -100,10 +88,11 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _prepare(args)
     sweep = cfg.get("sweep")
-    if not sweep or "parameter" not in sweep or "values" not in sweep:
+    if not isinstance(sweep, dict) or set(sweep) != {"parameter", "values"} \
+            or not isinstance(sweep["values"], list):
         raise ConfigError("sweep config needs {'parameter':..., 'values':[...]}")
     param = sweep["parameter"]
-    values = list(sweep["values"])
+    values = sweep["values"]
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
     if param not in ("peak_density_per_cm3", "temperature_nK"):
@@ -111,8 +100,8 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in values:
-        cfg_i = json.loads(canonical_json(cfg))
-        cfg_i["bath"][param] = value
+        cfg_i = {**cfg, "bath": {**cfg["bath"], param: value}}
+        validate_config(cfg_i)
         protocol, series = _synthesize(cfg_i)
         res = analyze_fringes(series, delta_bg=protocol.delta_bg
                               if cfg_i["include_background"] else 0.0,
@@ -128,36 +117,15 @@ def cmd_sweep(args) -> int:
         lines.append(",".join("" if v is None else format(float(v), ".17g")
                               for v in row))
     text = "\n".join(lines) + "\n"
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(text)
-    write_json(os.path.join(args.out, "sweep.meta.json"),
-               {"schema_version": cfg["schema_version"], "config": cfg,
-                "config_hash": config_hash(cfg),
-                "csv_hash": hash_bytes(text.encode())})
-    print(f"wrote {path} ({len(rows)} points)")
+    meta = {"schema_version": cfg["schema_version"], "config": cfg,
+            "config_hash": config_hash(cfg), "csv_hash": hash_bytes(text.encode())}
+    paths = write_artifacts(args.out, {"sweep.csv": text, "sweep.meta.json": meta})
+    print(f"wrote {paths[0]} ({len(rows)} points)")
     return EXIT_OK
 
 
-def _read_xy_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ConfigError(f"{path}: expected numeric CSV columns x,y[,y_err]")
-    # a wholly empty y_err column means no errors; an empty or unparsable
-    # field reads as NaN, so a partly filled column fails the finite check
-    has_err = data.shape[1] > 2 and not np.all(np.isnan(data[:, 2]))
-    data = data[:, :3] if has_err else data[:, :2]
-    for k, row in enumerate(data, start=2):
-        if not np.all(np.isfinite(row)):
-            raise ConfigError(f"{path}: row {k}: x,y[,y_err] must be finite numbers")
-        if has_err and row[2] <= 0.0:
-            raise ConfigError(f"{path}: row {k}: y_err must be positive")
-    return data[:, 0], data[:, 1], data[:, 2] if has_err else None
-
-
 def cmd_calibrate(args) -> int:
-    x, y, y_err = _read_xy_csv(args.data)
+    x, y, y_err, input_hash = xy_from_csv(args.data)
     if args.kind == "bfield":
         rep, B_coil = fit_bfield(TWO_PI * x, y, Omega0=TWO_PI * args.rabi_hz,
                                  omega_MW=TWO_PI * args.mw_hz, p_err=y_err)
@@ -174,35 +142,27 @@ def cmd_calibrate(args) -> int:
                          else TWO_PI * y_err)
         payload = {"kind": "zeeman", "fit": rep.to_dict(),
                    "a_Hz_per_G2": rep.params["a_hz_per_G2"]}
-    elif args.kind == "release":
+    else:  # release
         rep = fit_release_curve(x * CONST.k_B * 1e-6, y, fraction_err=y_err)
         payload = {"kind": "release", "fit": rep.to_dict(),
                    "T_uK": rep.params["T"] * 1e6}
-    else:
-        raise ConfigError(f"unknown calibration kind {args.kind!r}")
-
-    with open(args.data, "rb") as fh:
-        input_hash = hash_bytes(fh.read())
     payload["input_hash"] = input_hash
     payload["schema_version"] = 1
-    os.makedirs(args.out, exist_ok=True)
-    ledger_path = os.path.join(args.out, "calibration.json")
-    ledger = {}
-    if os.path.exists(ledger_path):
-        with open(ledger_path) as fh:
-            ledger = json.load(fh)
-    ledger[input_hash] = payload
-    write_json(ledger_path, ledger)
-    print(f"wrote {ledger_path} entry {input_hash[:12]}")
+    (path,) = write_artifacts(args.out, {"calibration.json": {input_hash: payload}},
+                              merge=True)
+    print(f"wrote {path} entry {input_hash[:12]}")
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
     cfg = _prepare(args)
+    if not cfg["include_background"]:
+        raise ConfigError("infer always models the background detuning and "
+                          "dephasing; include_background must be true")
     model = model_from_config(cfg)
     protocol = protocol_from_config(cfg)
-    qd = int(cfg["quadrature"]["density_order"])
-    qe = int(cfg["quadrature"]["energy_order"])
+    qd = cfg["quadrature"]["density_order"]
+    qe = cfg["quadrature"]["energy_order"]
     if args.kind == "density":
         observed = {}
         if args.delta_hz is not None:
@@ -215,7 +175,7 @@ def cmd_infer(args) -> int:
                              model, protocol, density_order=qd, energy_order=qe)
         payload = {"kind": "density", "estimate_per_cm3": post.estimate / 1e6,
                    "interval_per_cm3": [v / 1e6 for v in post.interval]}
-    elif args.kind == "temperature":
+    else:  # temperature
         if args.t2_ms is None:
             raise ConfigError("temperature inference needs --t2-ms")
         post = infer_temperature(args.t2_ms * 1e-3,
@@ -224,14 +184,10 @@ def cmd_infer(args) -> int:
                                  energy_order=qe)
         payload = {"kind": "temperature", "estimate_nK": post.estimate * 1e9,
                    "interval_nK": [v * 1e9 for v in post.interval]}
-    else:
-        raise ConfigError(f"unknown inference kind {args.kind!r}")
 
     payload.update({"schema_version": 1, "config_hash": config_hash(cfg),
                     "posterior": post.to_dict(), "flags": post.flags})
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "inference.json")
-    write_json(path, payload)
+    (path,) = write_artifacts(args.out, {"inference.json": payload})
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -268,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit a calibration dataset")
     p.add_argument("kind", choices=["bfield", "lightshift", "zeeman", "release"])
-    p.add_argument("data", help="CSV with columns x,y[,y_err]")
+    p.add_argument("data", help="CSV with a header row, then columns x,y[,y_err]")
     p.add_argument("--out", default=".")
     p.add_argument("--rabi-hz", type=float, default=1.0e3,
                    help="bare Rabi frequency for bfield spectra, Hz")

@@ -25,6 +25,8 @@ from .thermal import effective_collision_temperature, mean_relative_speed
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BRACKET_SAMPLES = 12  # coarse objective samples before the golden search
 GOLDEN_REL_TOL = 1e-4  # relative bracket width at which the search stops
+DENSITY_BRACKET = (0.05e19, 5.0e19)  # m^-3, searched by infer_density
+TEMPERATURE_BRACKET = (100e-9, 1500e-9)  # K, searched by infer_temperature
 
 
 class InferenceError(RuntimeError):
@@ -51,17 +53,15 @@ class Posterior1D:
 
 def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
                         density_order: int = DENSITY_ORDER,
-                        energy_order: int = ENERGY_ORDER,
-                        include_background: bool = True) -> dict:
-    """Synthesize a noiseless signal and analyze it; returns {delta, T2}."""
+                        energy_order: int = ENERGY_ORDER) -> dict:
+    """Synthesize a noiseless signal, background included, and analyze it;
+    returns {delta, T2}."""
     omega = 2.0 * math.pi * 100.0  # isotropic reference trap; measure is shape-free
     bath = BathState(n0=n0, T=T, omega_x=omega, omega_y=omega, omega_z=omega)
     series = synthesize_fringe(protocol, bath, model, noise=None,
                                density_order=density_order,
-                               energy_order=energy_order,
-                               include_background=include_background)
-    res = analyze_fringes(series, delta_bg=protocol.delta_bg
-                          if include_background else 0.0,
+                               energy_order=energy_order)
+    res = analyze_fringes(series, delta_bg=protocol.delta_bg,
                           phase_convention="cos2")
     return {"delta": res.delta, "T2": res.T2}
 
@@ -178,7 +178,6 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
 
 def infer_density(observed: dict, T_known: float, model,
                   protocol: RamseyProtocol, errors: dict | None = None,
-                  bracket=(0.05e19, 5.0e19),
                   density_order: int = DENSITY_ORDER,
                   energy_order: int = ENERGY_ORDER) -> Posterior1D:
     """Estimate the peak density n0 (m^-3) from observed delta and/or T2.
@@ -194,28 +193,32 @@ def infer_density(observed: dict, T_known: float, model,
         raise ValueError("known temperature must be positive")
     post, _ = _invert(lambda n0: forward_observables(
         n0, T_known, model, protocol, density_order=density_order,
-        energy_order=energy_order), observed, errors, bracket)
+        energy_order=energy_order), observed, errors, DENSITY_BRACKET)
     return post
 
 
 def infer_temperature(T2_observed: float, n0_known: float, model,
                       protocol: RamseyProtocol, T2_error: float | None = None,
-                      bracket=(100e-9, 1500e-9),
                       density_order: int = DENSITY_ORDER,
                       energy_order: int = ENERGY_ORDER) -> Posterior1D:
-    """Estimate the bath temperature (K) from the observed T2 (s)."""
+    """Estimate the bath temperature (K) from the observed T2 (s).
+
+    T2(T) need not be monotone (it has a minimum near 230 nK at high
+    density); the posterior is flagged when the coarse forward curve,
+    served by the memo, crosses the observed T2 more than once.
+    """
     if T2_observed <= 0.0:
         raise ValueError("observed T2 must be positive")
     post, forward = _invert(lambda T: forward_observables(
         n0_known, T, model, protocol, density_order=density_order,
         energy_order=energy_order), {"T2": T2_observed},
-        None if T2_error is None else {"T2": T2_error}, bracket)
-    # monotonicity of the forward curve over the bracket (coarse check); the
-    # probe's end points are coarse-curve points, which the memo serves
-    vals = [forward(T)["T2"] for T in np.linspace(bracket[0], bracket[1], 5)]
-    diffs = np.diff(vals)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        post.flags.append("forward T2(T) not monotone over the bracket")
+        None if T2_error is None else {"T2": T2_error}, TEMPERATURE_BRACKET)
+    coarse = np.linspace(*TEMPERATURE_BRACKET, BRACKET_SAMPLES)
+    side = np.sign([forward(T)["T2"] - T2_observed for T in coarse])
+    side = side[side != 0]
+    if np.count_nonzero(side[1:] != side[:-1]) > 1:
+        post.flags.append("observed T2 is reached at more than one "
+                          "temperature in the bracket")
     return post
 
 

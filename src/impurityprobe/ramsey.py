@@ -76,6 +76,7 @@ class FringeSeries:
     phi: np.ndarray        # rad, shape (Nphi,)
     p: np.ndarray          # shape (Nt, Nphi), values in [0, 1]
     p_err: np.ndarray | None = None
+    source_hash: str | None = None  # SHA-256 of the CSV it was read from
 
     def __post_init__(self):
         if self.p.shape != (len(self.t), len(self.phi)):
@@ -221,6 +222,16 @@ def population_grid(protocol: RamseyProtocol, bath: BathState, model,
                              check_convergence=check_convergence)
 
 
+def noise_trials(noise: dict) -> int:
+    """Binomial trials per grid cell of a noise spec, which must be exactly
+    {"atoms_per_shot": n, "repetitions": m} with positive integers n, m."""
+    if not (isinstance(noise, dict) and set(noise) == {"atoms_per_shot", "repetitions"}
+            and all(type(v) is int and v > 0 for v in noise.values())):
+        raise ValueError("noise must be null or {atoms_per_shot, repetitions} "
+                         f"with positive integer values, not {noise!r}")
+    return noise["atoms_per_shot"] * noise["repetitions"]
+
+
 def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
                       noise: dict | None = None, seed: int = 0,
                       density_order: int = DENSITY_ORDER,
@@ -233,14 +244,12 @@ def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
     trials.  Each grid cell draws from its own RNG, seeded by
     (seed, it, iphi), so a seeded noisy CSV stays byte-stable.
     """
+    trials = None if noise is None else noise_trials(noise)
     p = population_grid(protocol, bath, model, density_order=density_order,
                         energy_order=energy_order,
                         include_background=include_background)
     p_err = None
-    if noise is not None:
-        trials = int(noise.get("atoms_per_shot", 10)) * int(noise.get("repetitions", 1))
-        if trials < 1:
-            raise ValueError("noise requires at least one trial")
+    if trials is not None:
         draws = np.empty_like(p)
         for it in range(p.shape[0]):
             for ip in range(p.shape[1]):

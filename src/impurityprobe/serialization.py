@@ -13,12 +13,14 @@ import hashlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 
 from .bath import BathState
 from .constants import CONST, TWO_PI
-from .ramsey import DENSITY_ORDER, ENERGY_ORDER, FringeSeries, RamseyProtocol
+from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, FringeSeries,
+                     RamseyProtocol, noise_trials)
 from .scattering import ResonanceModel, TabulatedModel
 
 SCHEMA_VERSION = 1
@@ -75,28 +77,63 @@ def merge_config(user: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+def _read_json_object(path, what: str) -> dict:
     try:
         with open(path) as fh:
-            user = json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg = merge_config(user)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def load_config(path) -> dict:
+    cfg = merge_config(_read_json_object(path, "config"))
     validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
+def _number(v) -> bool:
     # json accepts NaN and Infinity, and NaN passes every "<= 0" check below
-    for section in ("bath", "model", "protocol", "quadrature"):
-        if not isinstance(cfg[section], dict):
-            raise ConfigError(f"{section} must be a JSON object")
-        for key, value in cfg[section].items():
-            for v in value if isinstance(value, list) else [value]:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{section}.{key} must be finite")
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _check(name: str, value, default) -> None:
+    """Refuse a config value of another type than its default's: an int
+    passes for a float, and a None default is an optional string."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        for key, v in value.items():
+            if key not in default:
+                raise ConfigError(f"unknown config key {name}.{key}")
+            _check(f"{name}.{key}", v, default[key])
+        return
+    if isinstance(default, list):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(map(_number, value)))
+    elif isinstance(default, float):
+        ok = _number(value)
+    else:
+        ok = type(value) is type(default) or (default is None
+                                              and type(value) is str)
+    if not ok:
+        raise ConfigError(f"{name} must have the type of its default "
+                          f"{default!r}, not {value!r}")
+
+
+def validate_config(cfg: dict) -> None:
+    """Refuse unknown keys, values of another type than the default's and
+    out-of-range values.  `sweep` is a section only the user writes, and
+    the sweep verb checks it."""
+    for key, value in cfg.items():
+        if key not in DEFAULT_CONFIG and key != "sweep":
+            raise ConfigError(f"unknown config key {key!r}")
+        if key == "noise" and value is not None:
+            noise_trials(value)
+        elif key != "sweep":
+            _check(key, value, DEFAULT_CONFIG[key])
     b = cfg["bath"]
     if b["peak_density_per_cm3"] <= 0:
         raise ConfigError("bath.peak_density_per_cm3 must be positive")
@@ -105,12 +142,14 @@ def validate_config(cfg: dict) -> None:
     p = cfg["protocol"]
     if p["t_min_ms"] <= 0 or p["t_max_ms"] <= p["t_min_ms"]:
         raise ConfigError("protocol times must satisfy 0 < t_min_ms < t_max_ms")
-    if int(p["n_t"]) < 2:
+    if p["n_t"] < 2:
         raise ConfigError("protocol.n_t must be >= 2")
+    if p["t_spacing"] not in ("log", "linear"):
+        raise ConfigError("protocol.t_spacing must be 'log' or 'linear'")
     if p["T2_bg_ms"] <= 0:
         raise ConfigError("protocol.T2_bg_ms must be positive")
     q = cfg["quadrature"]
-    if int(q["density_order"]) < 2 or int(q["energy_order"]) < 2:
+    if q["density_order"] < 2 or q["energy_order"] < 2:
         raise ConfigError("quadrature orders must be >= 2")
 
 
@@ -153,12 +192,8 @@ def model_from_config(cfg: dict):
 
 def protocol_from_config(cfg: dict) -> RamseyProtocol:
     p = cfg["protocol"]
-    if p["t_spacing"] == "log":
-        t = np.geomspace(p["t_min_ms"], p["t_max_ms"], int(p["n_t"])) * 1e-3
-    elif p["t_spacing"] == "linear":
-        t = np.linspace(p["t_min_ms"], p["t_max_ms"], int(p["n_t"])) * 1e-3
-    else:
-        raise ConfigError("protocol.t_spacing must be 'log' or 'linear'")
+    space = np.geomspace if p["t_spacing"] == "log" else np.linspace
+    t = space(p["t_min_ms"], p["t_max_ms"], p["n_t"]) * 1e-3
     phi = np.deg2rad(np.arange(0.0, 360.0, p["phi_step_deg"]))
     return RamseyProtocol(t=t, phi=phi, B=p["bfield_mG"] * 1e-7,
                           delta_bg=TWO_PI * p["delta_bg_Hz"],
@@ -166,7 +201,98 @@ def protocol_from_config(cfg: dict) -> RamseyProtocol:
                           Omega0=TWO_PI * p["rabi_freq_kHz"] * 1e3)
 
 
-# --- fringe CSV ---
+# --- CSV readers ---
+
+def _read_csv(path, columns, expected: str):
+    """Parse the CSV at path by the rules every reader shares.
+
+    Row 1 is the header; columns(header) picks the indices of the value
+    columns and of the optional error column (None if absent).  Every row
+    has the header's length, every value is a finite float, and an error
+    is positive and filled on every row or on none.  Returns the values,
+    the errors (or None) and the file's SHA-256; blank rows are skipped
+    and not counted.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = [r for r in csv.reader(io.StringIO(data.decode(), newline="")) if r]
+    header = rows[0] if rows else []
+    try:
+        idx, err_col = columns(header)
+        if max(idx) >= len(header) or all(map(_is_float, header)):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"{path}: row 1 must be the header {expected}") from None
+    values, errors = [], []
+    for k, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            vals = [float(row[i]) for i in idx]
+            err = float(row[err_col]) if err_col is not None and row[err_col] else None
+            # float() accepts "nan" and "inf", and NaN passes every "<= 0" check
+            if not all(map(math.isfinite, vals + [err or 0.0])):
+                raise ValueError("values must be finite")
+            if err is not None and err <= 0.0:
+                raise ValueError(f"{header[err_col]} must be positive")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {k}: {exc}") from None
+        values.append(vals)
+        errors.append(err)
+    if not values:
+        raise ConfigError(f"{path}: no data rows")
+    empty = [k for k, err in enumerate(errors, start=2) if err is None]
+    if 0 < len(empty) < len(errors):
+        raise ConfigError(f"{path}: row {empty[0]}: {header[err_col]} is empty "
+                          "but other rows have one")
+    return np.array(values), None if empty else np.array(errors), hash_bytes(data)
+
+
+def _is_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def fringe_from_csv(path) -> FringeSeries:
+    """The fringe series in the CSV at path: columns t_ms, phase_deg, p and
+    an optional p_err, in any order, on a rectangular (t, phase) grid."""
+    v, errors, digest = _read_csv(
+        path, lambda h: ([h.index(c) for c in ("t_ms", "phase_deg", "p")],
+                         h.index("p_err") if "p_err" in h else None),
+        "t_ms,phase_deg,p[,p_err]")
+    seen = {}
+    for k, (t, phi) in enumerate(v[:, :2].tolist(), start=2):
+        if t < 0.0:
+            raise ConfigError(f"{path}: row {k}: t_ms must be nonnegative")
+        if (t, phi) in seen:
+            raise ConfigError(f"{path}: row {k}: repeats (t_ms, phase_deg) "
+                              f"of row {seen[t, phi]}")
+        seen[t, phi] = k
+    ts, it = np.unique(v[:, 0], return_inverse=True)
+    phis, ip = np.unique(v[:, 1], return_inverse=True)
+    if len(v) != len(ts) * len(phis):
+        raise ConfigError(f"{path}: (t, phase) grid is not rectangular")
+    p, p_err = np.empty((2, len(ts), len(phis)))
+    p[it, ip] = v[:, 2]
+    if errors is not None:
+        p_err[it, ip] = errors
+    return FringeSeries(t=ts * 1e-3, phi=np.deg2rad(phis), p=p,
+                        p_err=None if errors is None else p_err,
+                        source_hash=digest)
+
+
+def xy_from_csv(path):
+    """Calibration data x, y, y_err (None without errors) and the file's
+    SHA-256 from a CSV with a header and the columns x, y[, y_err]."""
+    v, y_err, digest = _read_csv(
+        path, lambda h: ([0, 1], 2 if len(h) > 2 else None), "x,y[,y_err]")
+    return v[:, 0], v[:, 1], y_err, digest
+
+
+# --- artifacts ---
 
 def _fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
@@ -183,53 +309,35 @@ def fringe_to_csv(series: FringeSeries) -> str:
     return buf.getvalue()
 
 
-def fringe_from_csv(path) -> FringeSeries:
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"t_ms", "phase_deg", "p"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigError(f"{path}: expected columns t_ms,phase_deg,p[,p_err]")
-        for k, row in enumerate(reader, start=2):
-            try:
-                t, phi, p = (float(row[c]) for c in ("t_ms", "phase_deg", "p"))
-                err = float(row["p_err"]) if row.get("p_err") else None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: malformed row {k}: {exc}") from exc
-            # float() accepts "nan" and "inf", and NaN passes every "< 0" check
-            if not all(map(math.isfinite, (t, phi, p, 0.0 if err is None else err))):
-                raise ConfigError(f"{path}: row {k}: values must be finite")
-            if t < 0.0:
-                raise ConfigError(f"{path}: row {k}: t_ms must be nonnegative")
-            if err is not None and err <= 0.0:
-                raise ConfigError(f"{path}: row {k}: p_err must be positive")
-            if (t, phi) in rows:
-                raise ConfigError(f"{path}: row {k}: repeats (t_ms, phase_deg) "
-                                  f"of row {rows[t, phi][0]}")
-            rows[t, phi] = (k, p, err)
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    # empty p_err fields mean no weighting only if the whole column is empty
-    empty = [k for k, _, err in rows.values() if err is None]
-    if empty and len(empty) < len(rows):
-        raise ConfigError(f"{path}: row {empty[0]}: p_err is empty but "
-                          "other rows have one")
-    ts = sorted({t for t, _ in rows})
-    phis = sorted({phi for _, phi in rows})
-    p = np.full((len(ts), len(phis)), np.nan)
-    perr = np.full((len(ts), len(phis)), np.nan)
-    t_idx = {t: i for i, t in enumerate(ts)}
-    phi_idx = {f: j for j, f in enumerate(phis)}
-    for (t, phi), (_, val, err) in rows.items():
-        p[t_idx[t], phi_idx[phi]] = val
-        perr[t_idx[t], phi_idx[phi]] = err  # None reads as NaN
-    if np.any(np.isnan(p)):
-        raise ConfigError(f"{path}: (t, phase) grid is not rectangular")
-    return FringeSeries(t=np.array(ts) * 1e-3, phi=np.deg2rad(np.array(phis)),
-                        p=p, p_err=None if empty else perr)
+def _write_text(path, text: str) -> None:
+    """Write text to path atomically: to a temporary file in the same
+    directory, then os.replace, so no reader sees a partial artifact."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_artifacts(out_dir, files: dict, merge: bool = False) -> list:
+    """Create out_dir and write each of files (name -> text, or a JSON
+    object) into it atomically; returns the paths.  With merge, a JSON
+    artifact that exists keeps its other entries (the calibration ledger)."""
+    paths = [os.path.join(out_dir, name) for name in files]
+    contents = [{**_read_json_object(path, "artifact"), **obj}
+                if merge and os.path.exists(path) else obj
+                for path, obj in zip(paths, files.values())]
+    os.makedirs(out_dir, exist_ok=True)
+    for path, content in zip(paths, contents):
+        if isinstance(content, str):
+            _write_text(path, content)
+        else:
+            write_json(path, content)
+    return paths

@@ -13,7 +13,8 @@ from impurityprobe.ramsey import FringeSeries, no_bath_trace
 from impurityprobe.serialization import (ConfigError, DEFAULT_CONFIG,
                                          canonical_json, config_hash,
                                          fringe_from_csv, fringe_to_csv,
-                                         load_config, merge_config)
+                                         load_config, merge_config,
+                                         validate_config)
 
 TWO_PI = 2 * math.pi
 
@@ -67,6 +68,41 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_integers_accepted_for_numbers(self):
+        validate_config(merge_config({"bath": {"temperature_nK": 850,
+                                               "trap_freq_Hz": [90, 100, 110]},
+                                      "noise": {"atoms_per_shot": 10,
+                                                "repetitions": 3}}))
+
+    # (user config, the key the message must name)
+    @pytest.mark.parametrize("extra, key", [
+        ({"bath": {"temprature_nK": 400.0}}, "bath.temprature_nK"),
+        ({"bth": {"temperature_nK": 400.0}}, "'bth'"),
+        ({"bath": {"temperature_nK": "850"}}, "bath.temperature_nK"),
+        ({"bath": {"temperature_nK": True}}, "bath.temperature_nK"),
+        ({"bath": {"temperature_nK": None}}, "bath.temperature_nK"),
+        ({"protocol": {"n_t": 10.5}}, "protocol.n_t"),
+        ({"quadrature": {"density_order": 96.0}}, "quadrature.density_order"),
+        ({"seed": 1.5}, "seed"),
+        ({"bath": {"trap_freq_Hz": [100.0, 100.0]}}, "bath.trap_freq_Hz"),
+        ({"bath": {"trap_freq_Hz": [100.0, "100", 100.0]}}, "bath.trap_freq_Hz"),
+        ({"include_background": "false"}, "include_background"),
+        ({"protocol": {"t_spacing": "cubic"}}, "protocol.t_spacing"),
+        ({"model": {"table_csv": 5}}, "model.table_csv"),
+        ({"noise": {"atoms": 1000, "repetitions": 1}}, "noise"),
+        ({"noise": {"atoms_per_shot": 10.9, "repetitions": 1}}, "noise"),
+    ], ids=["unknown-key", "unknown-section", "string", "bool", "null",
+            "fractional-n_t", "float-order", "fractional-seed", "trap-length",
+            "trap-string", "string-bool", "spacing", "table-type",
+            "noise-key", "noise-fraction"])
+    def test_bad_key_or_type_is_input_error(self, tmp_path, capsys, extra,
+                                             key):
+        cfg = write_config(tmp_path, extra)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFringeCsv:
     def test_roundtrip(self, tmp_path):
@@ -104,6 +140,17 @@ class TestFringeCsv:
         path.write_text("t_ms,phase_deg,p\n1,0,0.1\n1,90,0.5\n1,180,0.9\n"
                         "1,270,0.5\n1,0,0.7\n")
         with pytest.raises(ConfigError, match="row 6: repeats .* of row 2"):
+            fringe_from_csv(str(path))
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,0,0.1\n1,90,0.5\n", "row 1 must be the header"),
+        ("t_ms,phase_deg,p\n1,0,0.1\n1,90\n", "row 3: 2 fields"),
+        ("", "row 1 must be the header"),
+    ], ids=["headerless", "short-row", "empty"])
+    def test_malformed_layout_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
             fringe_from_csv(str(path))
 
     def test_partly_filled_p_err_rejected(self, tmp_path):
@@ -273,6 +320,13 @@ class TestSweep:
             "parameter": "temperature_nK", "values": [300.0]}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_bad_value_is_input_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {
+            "parameter": "temperature_nK", "values": [300.0, "hot"]}})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_parameter_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {
             "parameter": "rabi_freq_kHz", "values": [1.0, 2.0]}})
@@ -351,6 +405,39 @@ class TestCalibrate:
         ledger = json.loads((out / "calibration.json").read_text())
         assert len(ledger) == 2
 
+    @pytest.mark.parametrize("text", ["", "0.1,1083\n0.2,1094\n0.3,1105\n"
+                                      "0.4,1116\n"], ids=["empty", "headerless"])
+    def test_csv_without_header_is_input_error(self, tmp_path, capsys, text):
+        # read as a header, a data row would silently drop out of the fit
+        path = tmp_path / "ls.csv"
+        path.write_text(text)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "lightshift", str(path),
+                     "--out", str(out)]) == 2
+        assert f"{path}: row 1 must be the header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_replace_keeps_ledger(self, tmp_path, monkeypatch):
+        P = np.linspace(0.0, 1.0, 10)
+        out = tmp_path / "cal"
+        paths = []
+        for k, slope in enumerate((1083.0, 1104.0)):
+            paths.append(tmp_path / f"ls{k}.csv")
+            paths[-1].write_text("P_W,shift_Hz\n" + "".join(
+                f"{p},{slope * p}\n" for p in P))
+        assert main(["calibrate", "lightshift", str(paths[0]),
+                     "--out", str(out)]) == 0
+        ledger = (out / "calibration.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["calibrate", "lightshift", str(paths[1]), "--out", str(out)])
+        assert (out / "calibration.json").read_bytes() == ledger
+        assert os.listdir(out) == ["calibration.json"]
+
     def test_malformed_csv_is_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\noops,data\n")
@@ -392,6 +479,15 @@ class TestInfer:
                                                 "a_bg_a0": 539.0}})
         assert main(["infer", "density", "--config", cfg,
                      "--out", str(tmp_path), "--t2-ms", "1.0"]) == 4
+
+    def test_without_background_is_input_error(self, tmp_path, capsys):
+        # the forward model behind every inversion includes the background
+        cfg = write_config(tmp_path, {"include_background": False})
+        out = tmp_path / "run"
+        assert main(["infer", "density", "--config", cfg, "--out", str(out),
+                     "--t2-ms", "0.6"]) == 2
+        assert "include_background" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_observable_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -114,6 +114,12 @@ class TestInferTemperature:
         with pytest.raises(ValueError):
             infer_temperature(-1.0, 1.5e19, MODEL, make_protocol())
 
+    def test_flags_t2_reached_on_both_sides_of_the_minimum(self):
+        # at 1.8e19 m^-3 the coarse T2(T) is 0.3435, 0.3154 and 0.3465 ms at
+        # 100, 227 and 355 nK: 0.32 ms is reached twice, once below 227 nK
+        post = infer_temperature(0.32e-3, 1.8e19, MODEL, make_protocol())
+        assert any("more than one temperature" in f for f in post.flags)
+
 
 def invert_density(value, error=None):
     return infer_density({"delta": value}, 850e-9, MODEL, make_protocol(),
@@ -135,7 +141,6 @@ class TestInvert:
 
     @pytest.mark.parametrize("target", ["density", "temperature"])
     def test_each_forward_point_computed_once(self, monkeypatch, target):
-        # the temperature probe's end points are also coarse-curve points
         proto = make_protocol()
         kw = {"density_order": 96, "energy_order": 96}
         obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
@@ -155,6 +160,27 @@ class TestInvert:
         assert post.estimate == pytest.approx(truth, rel=0.02)
         assert len(seen) == len(set(seen))
         assert set(bracket) <= set(seen)
+
+    @pytest.mark.parametrize("target", ["density", "temperature"])
+    def test_forward_calls_per_inversion(self, monkeypatch, target):
+        # 12 coarse samples, the 2 golden start points, 1 per refinement
+        # (each adds a curve point) and the estimate: the temperature
+        # ambiguity check reads the memo and costs no call of its own
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return forward_observables(*args, **kw)
+
+        monkeypatch.setattr(inference, "forward_observables", counting)
+        if target == "density":
+            post = infer_density(obs, 700e-9, MODEL, proto, **kw)
+        else:
+            post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto, **kw)
+        assert len(calls) == len(post.curve) + 3
 
     @pytest.fixture
     def no_forward(self, monkeypatch):

@@ -391,6 +391,19 @@ class TestSynthesize:
         cell = rng.binomial(20, clean[it, ip]) / 20
         assert full.p[it, ip] == cell
 
+    @pytest.mark.parametrize("noise", [
+        {"atoms": 1000, "repetitions": 1},
+        {"atoms_per_shot": 10},
+        {"atoms_per_shot": 10.9, "repetitions": 1},
+        {"atoms_per_shot": 10, "repetitions": 0},
+        {"atoms_per_shot": True, "repetitions": 1},
+        {"atoms_per_shot": 10, "repetitions": 1, "seed": 2},
+    ], ids=["misspelt", "missing", "fraction", "zero", "bool", "extra"])
+    def test_bad_noise_rejected(self, noise):
+        # no key falls back to a default, and no count is truncated
+        with pytest.raises(ValueError, match="noise"):
+            synthesize_fringe(make_protocol(), make_bath(), MODEL, noise=noise)
+
     def test_zero_interaction_matches_background_fringe(self):
         flat = ResonanceModel(delta_B=0.0, a_bg=MODEL.a_e, a_e=MODEL.a_e)
         bath, proto = make_bath(), make_protocol()
