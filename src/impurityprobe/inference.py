@@ -22,9 +22,10 @@ from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
 from .scattering import mean_a
 from .thermal import effective_collision_temperature, mean_relative_speed
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-BRACKET_SAMPLES = 12  # coarse objective samples before the golden search
-GOLDEN_REL_TOL = 1e-4  # relative bracket width at which the search stops
+BRACKET_SAMPLES = 12  # coarse misfit samples before the Gauss-Newton steps
+GN_STEPS = 30  # Gauss-Newton steps at most
+GN_REL_STEP = 1e-7  # relative step below which the refinement stops
+SLOPE_REL_STEP = 1e-4  # relative forward-difference step of the slope
 DENSITY_BRACKET = (0.05e19, 5.0e19)  # m^-3, searched by infer_density
 TEMPERATURE_BRACKET = (100e-9, 1500e-9)  # K, searched by infer_temperature
 
@@ -43,7 +44,7 @@ class Posterior1D:
 
     estimate: float
     interval: tuple
-    curve: list                      # (parameter, misfit) samples
+    curve: list                      # (parameter, misfit) at every forward call
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -66,96 +67,30 @@ def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
     return {"delta": res.delta, "T2": res.T2}
 
 
-def _golden_minimize(f, lo: float, hi: float):
-    """Golden-section minimization with a coarse-sample bracket pass.
-
-    Returns (x_min, f_min, samples) where samples holds the coarse
-    objective curve.
-    """
-    xs = np.linspace(lo, hi, BRACKET_SAMPLES)
-    fs = np.array([f(x) for x in xs])
-    samples = list(zip(xs.tolist(), fs.tolist()))
-    span = max(np.max(fs) - np.min(fs), 0.0)
-    if span < 1e-10 * (1.0 + abs(float(np.min(fs)))):
-        raise InferenceError("objective is flat over the bracket",
-                             flag="insensitive")
-    k = int(np.argmin(fs))
-    if k == 0 or k == BRACKET_SAMPLES - 1:
-        raise InferenceError("objective minimum not inside the bracket",
-                             flag="bracket")
-    a, b = xs[k - 1], xs[k + 1]
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        samples.append((float(c), float(fc)) if fc < fd else (float(d), float(fd)))
-    x = 0.5 * (a + b)
-    return float(x), float(f(x)), samples
-
-
-def _interval_from_curve(x_min, f_min, samples, chi2: bool):
-    """1-sigma interval from a local quadratic model of the misfit.
-
-    With chi^2 misfits (chi2: uncertainties supplied) the interval is the
-    f_min + 1 crossing; otherwise it scales with the residual misfit and
-    collapses to ~0 width for a perfect noiseless fit.
-    """
-    xs = np.array([s[0] for s in samples])
-    fs = np.array([s[1] for s in samples])
-    # the refinement history clusters exponentially around the minimum;
-    # keep the nearest samples but drop near-duplicates so the quadratic
-    # fit stays well conditioned
-    order = np.argsort(np.abs(xs - x_min))
-    dx, fsel = [], []
-    for i in order:
-        d = xs[i] - x_min
-        if all(abs(d - prev) > 0.3 * (abs(d) + abs(prev)) + 1e-300
-               for prev in dx) or not dx:
-            dx.append(d)
-            fsel.append(fs[i])
-        if len(dx) >= 7:
-            break
-    dx, fsel = np.array(dx), np.array(fsel)
-    scale = float(np.max(np.abs(dx)))
-    if scale == 0.0 or len(dx) < 3:
-        return (x_min, x_min)
-    try:
-        coef = np.polyfit(dx / scale, fsel, 2)
-        curv = max(coef[0] / scale**2, 0.0)
-    except np.linalg.LinAlgError:
-        curv = 0.0
-    if curv <= 0.0:
-        return (x_min, x_min)
-    rise = 1.0 if chi2 else max(f_min, 1e-16)
-    half = math.sqrt(rise / curv)
-    return (x_min - half, x_min + half)
-
-
-def _misfit(observed: dict, forward: dict, errors: dict) -> float:
-    total = 0.0
+def _residuals(observed: dict, forward: dict, errors: dict) -> np.ndarray:
+    """Scaled residuals (fwd - obs)/sigma, or /|obs| where no error is
+    given; a missing or non-finite forward value counts 1e3.  The misfit is
+    their sum of squares."""
+    r = []
     for key, obs in observed.items():
         fwd = forward.get(key)
         if fwd is None or not math.isfinite(fwd):
-            total += 1e6
-            continue
-        if key in errors:
-            total += ((fwd - obs) / errors[key]) ** 2
+            r.append(1e3)
         else:
-            total += ((fwd - obs) / obs) ** 2
-    return total
+            r.append((fwd - obs) / errors.get(key, abs(obs)))
+    return np.array(r)
 
 
 def _invert(forward, observed: dict, errors: dict | None, bracket):
     """Minimise the misfit of forward(x), the observables at trial x, over
-    bracket; returns the Posterior1D and forward memoized per x."""
+    bracket; returns the Posterior1D and forward memoized per x.
+
+    A coarse scan brackets the minimum (and guards against a second one),
+    Gauss-Newton steps with step halving refine it inside a bracket that
+    every trial point shrinks, and the interval is x +- sqrt(rise/JtJ):
+    the f_min + 1 crossing of the locally quadratic chi^2 when an observed
+    key has an error, else scaled by the residual misfit.
+    """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
     if unobserved:
@@ -169,11 +104,57 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
         if obs == 0.0 and err is None:
             raise ValueError(f"observed {key} is 0: its misfit needs an error")
     forward = functools.cache(forward)
-    x, fmin, samples = _golden_minimize(
-        lambda x: _misfit(observed, forward(x), errors), bracket[0], bracket[1])
+    misfits = {}  # x -> misfit at every point the forward model ran at
+
+    def residuals(x):
+        r = _residuals(observed, forward(x), errors)
+        misfits[x] = float(r @ r)
+        return r
+
+    xs = np.linspace(bracket[0], bracket[1], BRACKET_SAMPLES).tolist()
+    rs = [residuals(x) for x in xs]
+    fs = np.array([misfits[x] for x in xs])
+    if np.max(fs) - np.min(fs) < 1e-10 * (1.0 + abs(float(np.min(fs)))):
+        raise InferenceError("objective is flat over the bracket",
+                             flag="insensitive")
+    k = int(np.argmin(fs))
+    if k == 0 or k == BRACKET_SAMPLES - 1:
+        raise InferenceError("objective minimum not inside the bracket",
+                             flag="bracket")
+    lo, hi = xs[k - 1], xs[k + 1]
+    x, r = xs[k], rs[k]
+
+    def slope(x, r):
+        # forward difference: while delta is discontinuous in the bath
+        # (ROADMAP defect 5) it sees only the continuous piece it lands on
+        h = SLOPE_REL_STEP * x
+        return (residuals(x + h) - r) / h
+
+    J = slope(x, r)
+    for _ in range(GN_STEPS):
+        jtj = float(J @ J)
+        if jtj == 0.0:
+            break
+        t = min(max(x - float(J @ r) / jtj, lo), hi)
+        while abs(t - x) >= GN_REL_STEP * x:
+            r_t = residuals(t)
+            if misfits[t] <= misfits[x]:
+                break
+            # a point that raises the misfit bounds the minimum on its side,
+            # and so does the point a step leaves
+            lo, hi = (lo, t) if t > x else (t, hi)
+            t = 0.5 * (x + t)
+        else:
+            break
+        lo, hi = (x, hi) if t > x else (lo, x)
+        x, r = t, r_t
+        J = slope(x, r)
+    jtj = float(J @ J)
     # every error key is observed: the chi^2 rule needs one with an error
-    interval = _interval_from_curve(x, fmin, samples, bool(errors))
-    return Posterior1D(estimate=x, interval=interval, curve=samples), forward
+    rise = 1.0 if errors else max(misfits[x], 1e-16)
+    half = math.sqrt(rise / jtj) if jtj > 0.0 else 0.0
+    return Posterior1D(estimate=x, interval=(x - half, x + half),
+                       curve=sorted(misfits.items())), forward
 
 
 def infer_density(observed: dict, T_known: float, model,

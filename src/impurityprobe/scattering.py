@@ -79,20 +79,6 @@ class TabulatedModel:
         if self.a_grid.shape != (len(self.B_grid), len(self.E_grid)):
             raise ValueError("table shape mismatch")
 
-    @classmethod
-    def from_csv(cls, path, a_e: float = 539.0 * A0) -> "TabulatedModel":
-        """Load from CSV with header B_mG,E_over_kB_nK,a_over_a0."""
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        B = np.unique(data["B_mG"]) * 1e-7
-        E = np.unique(data["E_over_kB_nK"]) * K_B * 1e-9
-        a = np.full((len(B), len(E)), np.nan)
-        iB = np.searchsorted(B, data["B_mG"] * 1e-7)
-        iE = np.searchsorted(E, data["E_over_kB_nK"] * K_B * 1e-9)
-        a[iB, iE] = data["a_over_a0"] * A0
-        if np.any(np.isnan(a)):
-            raise ValueError("scattering table is not a complete rectangular grid")
-        return cls(B_grid=B, E_grid=E, a_grid=a, a_e=a_e)
-
 
 def a_ground(B: float, E_c, model) -> float | np.ndarray:
     """Ground-state scattering length at field B and collision energy E_c (m).

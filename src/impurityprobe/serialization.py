@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -146,6 +147,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("protocol.n_t must be >= 2")
     if p["t_spacing"] not in ("log", "linear"):
         raise ConfigError("protocol.t_spacing must be 'log' or 'linear'")
+    if not 0 < p["phi_step_deg"] <= 90:
+        # at least the 4 phases per time that a fringe fit needs
+        raise ConfigError("protocol.phi_step_deg must be in (0, 90]")
     if p["T2_bg_ms"] <= 0:
         raise ConfigError("protocol.T2_bg_ms must be positive")
     q = cfg["quadrature"]
@@ -177,8 +181,8 @@ def bath_from_config(cfg: dict) -> BathState:
 
 def model_from_config(cfg: dict):
     m = cfg["model"]
-    if m.get("table_csv"):
-        return TabulatedModel.from_csv(m["table_csv"], a_e=m["a_e_a0"] * CONST.a_0)
+    if m["table_csv"]:
+        return _table_from_csv(m["table_csv"], a_e=m["a_e_a0"] * CONST.a_0)
     return ResonanceModel(
         a_bg=m["a_bg_a0"] * CONST.a_0,
         B0=m["B0_mG"] * 1e-7,
@@ -256,6 +260,38 @@ def _is_float(field: str) -> bool:
     return True
 
 
+def _grid(path, keys, names: str):
+    """The sorted axes of the rows' key pairs keys[:, 0], keys[:, 1] and
+    each row's indices on them; refuses a repeated pair, naming the row,
+    and a grid that is not rectangular, naming a missing pair."""
+    seen = {}
+    for k, pair in enumerate(map(tuple, keys.tolist()), start=2):
+        if pair in seen:
+            raise ConfigError(f"{path}: row {k}: repeats {names} of row "
+                              f"{seen[pair]}")
+        seen[pair] = k
+    (x, ix), (y, iy) = (np.unique(c, return_inverse=True) for c in keys.T)
+    if len(keys) != len(x) * len(y):
+        gap = next(p for p in itertools.product(x.tolist(), y.tolist())
+                   if p not in seen)
+        raise ConfigError(f"{path}: grid is not rectangular: no row with "
+                          f"{names} = ({gap[0]:g}, {gap[1]:g})")
+    return x, y, ix, iy
+
+
+def _table_from_csv(path, a_e: float) -> TabulatedModel:
+    """The scattering table in the CSV at path, with the columns B_mG,
+    E_over_kB_nK and a_over_a0 in any order, on a rectangular (B, E) grid."""
+    names = ("B_mG", "E_over_kB_nK", "a_over_a0")
+    v, _, _ = _read_csv(path, lambda h: ([h.index(c) for c in names], None),
+                        ",".join(names))
+    B, E, iB, iE = _grid(path, v[:, :2], "(B_mG, E_over_kB_nK)")
+    a = np.empty((len(B), len(E)))
+    a[iB, iE] = v[:, 2] * CONST.a_0
+    return TabulatedModel(B_grid=B * 1e-7, E_grid=E * CONST.k_B * 1e-9,
+                          a_grid=a, a_e=a_e)
+
+
 def fringe_from_csv(path) -> FringeSeries:
     """The fringe series in the CSV at path: columns t_ms, phase_deg, p and
     an optional p_err, in any order, on a rectangular (t, phase) grid."""
@@ -263,18 +299,10 @@ def fringe_from_csv(path) -> FringeSeries:
         path, lambda h: ([h.index(c) for c in ("t_ms", "phase_deg", "p")],
                          h.index("p_err") if "p_err" in h else None),
         "t_ms,phase_deg,p[,p_err]")
-    seen = {}
-    for k, (t, phi) in enumerate(v[:, :2].tolist(), start=2):
-        if t < 0.0:
-            raise ConfigError(f"{path}: row {k}: t_ms must be nonnegative")
-        if (t, phi) in seen:
-            raise ConfigError(f"{path}: row {k}: repeats (t_ms, phase_deg) "
-                              f"of row {seen[t, phi]}")
-        seen[t, phi] = k
-    ts, it = np.unique(v[:, 0], return_inverse=True)
-    phis, ip = np.unique(v[:, 1], return_inverse=True)
-    if len(v) != len(ts) * len(phis):
-        raise ConfigError(f"{path}: (t, phase) grid is not rectangular")
+    if np.any(v[:, 0] < 0.0):
+        raise ConfigError(f"{path}: row {np.argmax(v[:, 0] < 0.0) + 2}: "
+                          "t_ms must be nonnegative")
+    ts, phis, it, ip = _grid(path, v[:, :2], "(t_ms, phase_deg)")
     p, p_err = np.empty((2, len(ts), len(phis)))
     p[it, ip] = v[:, 2]
     if errors is not None:

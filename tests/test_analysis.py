@@ -222,6 +222,24 @@ class TestPhaseSeries:
         Phi, _ = extract_phase_series(t, np.full_like(t, 1.2), 0.0)
         assert np.allclose(Phi, 1.2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), start=st.floats(-3.1, 3.1),
+           delta_bg=st.floats(-2e3, 2e3), n=st.integers(2, 30))
+    def test_invariant_under_2pi_shifts(self, data, start, delta_bg, n):
+        # steps below pi/2 are never branch-ambiguous, so each wrapped phase
+        # may sit on any branch: only the first one's branch reaches Phi
+        steps = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1,
+                                   max_size=n - 1))
+        m = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n,
+                                        max_size=n)))
+        t = np.linspace(0.1e-3, 8e-3, n)
+        phi0 = np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]), TWO_PI)
+        Phi, warn = extract_phase_series(t, phi0, delta_bg)
+        shifted, warn_shifted = extract_phase_series(t, phi0 + TWO_PI * m,
+                                                     delta_bg)
+        assert not warn and not warn_shifted
+        assert np.allclose(shifted, Phi + TWO_PI * m[0], rtol=0.0, atol=1e-9)
+
 
 class TestPhaseSlope:
     def test_exact_line(self):

@@ -89,11 +89,14 @@ class TestConfig:
         ({"include_background": "false"}, "include_background"),
         ({"protocol": {"t_spacing": "cubic"}}, "protocol.t_spacing"),
         ({"model": {"table_csv": 5}}, "model.table_csv"),
+        ({"protocol": {"phi_step_deg": 0.0}}, "protocol.phi_step_deg"),
+        ({"protocol": {"phi_step_deg": 200.0}}, "protocol.phi_step_deg"),
         ({"noise": {"atoms": 1000, "repetitions": 1}}, "noise"),
         ({"noise": {"atoms_per_shot": 10.9, "repetitions": 1}}, "noise"),
     ], ids=["unknown-key", "unknown-section", "string", "bool", "null",
             "fractional-n_t", "float-order", "fractional-seed", "trap-length",
             "trap-string", "string-bool", "spacing", "table-type",
+            "phi-step-zero", "phi-step-wide",
             "noise-key", "noise-fraction"])
     def test_bad_key_or_type_is_input_error(self, tmp_path, capsys, extra,
                                              key):

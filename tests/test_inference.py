@@ -163,9 +163,9 @@ class TestInvert:
 
     @pytest.mark.parametrize("target", ["density", "temperature"])
     def test_forward_calls_per_inversion(self, monkeypatch, target):
-        # 12 coarse samples, the 2 golden start points, 1 per refinement
-        # (each adds a curve point) and the estimate: the temperature
-        # ambiguity check reads the memo and costs no call of its own
+        # 12 coarse samples, then a slope and one or more trial points per
+        # Gauss-Newton step; every call adds one curve point, and the
+        # temperature ambiguity check reads the memo and costs no call
         proto = make_protocol()
         kw = {"density_order": 96, "energy_order": 96}
         obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
@@ -180,7 +180,29 @@ class TestInvert:
             post = infer_density(obs, 700e-9, MODEL, proto, **kw)
         else:
             post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto, **kw)
-        assert len(calls) == len(post.curve) + 3
+        assert len(calls) == len(post.curve) <= 26
+
+    @pytest.mark.parametrize("target", ["density", "temperature"])
+    @pytest.mark.parametrize("n0, T", [(1.2e19, 850e-9), (2e19, 950e-9),
+                                       (0.8e19, 600e-9)])
+    def test_interval_ends_at_chi2_of_one(self, target, n0, T):
+        # for a locally quadratic chi^2 the interval x +- sqrt(1/JtJ) ends
+        # at its f_min + 1 crossing, and f_min is 0 for noiseless data
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        T2 = forward_observables(n0, T, MODEL, proto, **kw)["T2"]
+        err = 0.02 * T2
+        if target == "density":
+            post = infer_density({"T2": T2}, T, MODEL, proto,
+                                 errors={"T2": err}, **kw)
+            ends = [forward_observables(x, T, MODEL, proto, **kw)
+                    for x in post.interval]
+        else:
+            post = infer_temperature(T2, n0, MODEL, proto, T2_error=err, **kw)
+            ends = [forward_observables(n0, x, MODEL, proto, **kw)
+                    for x in post.interval]
+        chi2 = [((end["T2"] - T2) / err) ** 2 for end in ends]
+        assert chi2 == pytest.approx([1.0, 1.0], abs=0.15)
 
     @pytest.fixture
     def no_forward(self, monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 from impurityprobe.constants import CONST
 from impurityprobe.scattering import (ResonanceModel, TabulatedModel, a_ground,
                                       a_histogram, delta_a, mean_a, var_a)
+from impurityprobe.serialization import (ConfigError, merge_config,
+                                         model_from_config)
 
 A0 = CONST.a_0
 K_B = CONST.k_B
@@ -180,16 +182,39 @@ class TestTabulatedModel:
                            + tab.a_grid[2, 1] + tab.a_grid[2, 2])
         assert a_ground(b, e, tab) == pytest.approx(expected, rel=1e-12)
 
+    @staticmethod
+    def load(tmp_path, lines):
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = merge_config({"model": {"table_csv": str(path),
+                                      "a_e_a0": MODEL.a_e / A0}})
+        return model_from_config(cfg)
+
     def test_csv_roundtrip(self, tmp_path):
         tab = self.make_table()
         lines = ["B_mG,E_over_kB_nK,a_over_a0"]
         for i, b in enumerate(tab.B_grid):
             for j, e in enumerate(tab.E_grid):
                 lines.append(f"{b*1e7},{e/(K_B*1e-9)},{tab.a_grid[i,j]/A0}")
-        path = tmp_path / "table.csv"
-        path.write_text("\n".join(lines) + "\n")
-        loaded = TabulatedModel.from_csv(path, a_e=MODEL.a_e)
+        loaded = self.load(tmp_path, lines)
         assert np.allclose(loaded.a_grid, tab.a_grid, rtol=1e-10)
+        assert np.allclose(loaded.B_grid, tab.B_grid, rtol=1e-12)
+        assert np.allclose(loaded.E_grid, tab.E_grid, rtol=1e-12)
+        assert loaded.a_e == pytest.approx(MODEL.a_e, rel=1e-12)
+
+    SMALL = ["B_mG,E_over_kB_nK,a_over_a0", "190,0,600", "190,200,610",
+             "200,0,620", "200,200,630"]
+
+    @pytest.mark.parametrize("lines, match", [
+        # a repeated (B, E) row would overwrite the earlier one: 999, not 630
+        (SMALL + ["200,200,999"], "row 6: repeats .* of row 5"),
+        (SMALL[:1] + ["190,0,600", "190,200,abc"], "row 3: could not convert"),
+        (SMALL[:4], "not rectangular: no row .* = \\(200, 200\\)"),
+        (["B_mG,E_nK,a_over_a0", "190,0,600"], "row 1 must be the header"),
+    ], ids=["repeated", "non-numeric", "non-rectangular", "header"])
+    def test_bad_csv_rejected(self, tmp_path, lines, match):
+        with pytest.raises(ConfigError, match=match):
+            self.load(tmp_path, lines)
 
     def test_nonmonotone_grid_rejected(self):
         with pytest.raises(ValueError):
