@@ -23,22 +23,17 @@ from .thermal import MU_RBCS, _GAMMA_3_2, panel_nodes
 
 @dataclass(frozen=True)
 class BathState:
-    """Thermal Rb cloud in a harmonic trap (SI units).
-
-    Either the peak density n0 or the atom number N may be given; the
-    other is filled in from n0 = N / ((2 pi)^{3/2} sx sy sz).
-    """
+    """Thermal Rb cloud in a harmonic trap (SI units), set by its peak
+    density n0; the atom number N = n0 (2 pi)^{3/2} sx sy sz follows."""
 
     n0: float                 # peak density, m^-3
     T: float                  # K
     omega_x: float            # rad/s
     omega_y: float
     omega_z: float
-    N: float | None = None    # atom number
 
     def __post_init__(self):
-        given = (self.n0, self.T, self.omega_x, self.omega_y, self.omega_z,
-                 0.0 if self.N is None else self.N)
+        given = (self.n0, self.T, self.omega_x, self.omega_y, self.omega_z)
         if not np.all(np.isfinite(given)):
             raise ValueError("bath parameters must be finite")
         if self.T <= 0.0:
@@ -47,11 +42,11 @@ class BathState:
             raise ValueError("trap frequencies must be positive")
         if self.n0 <= 0.0:
             raise ValueError("peak density must be positive")
-        vol = (2.0 * math.pi) ** 1.5 * np.prod(self.sigmas())
-        if self.N is None:
-            object.__setattr__(self, "N", self.n0 * vol)
-        elif abs(self.N - self.n0 * vol) > 1e-6 * self.N:
-            raise ValueError("atom number inconsistent with peak density")
+
+    @property
+    def N(self) -> float:
+        """Atom number."""
+        return self.n0 * ((2.0 * math.pi) ** 1.5 * np.prod(self.sigmas()))
 
     def sigmas(self) -> np.ndarray:
         """Gaussian cloud radii sigma_i = sqrt(kB T / (m_Rb omega_i^2)), m."""

@@ -18,11 +18,11 @@ from .constants import CONST, TWO_PI
 from .fitting import FitError
 from .inference import InferenceError, infer_density, infer_temperature
 from .ramsey import synthesize_fringe
-from .serialization import (ConfigError, bath_from_config, config_hash,
-                            fringe_from_csv, fringe_to_csv, hash_bytes,
-                            load_config, merge_config, model_from_config,
-                            protocol_from_config, validate_config,
-                            write_artifacts, xy_from_csv)
+from .serialization import (SCHEMA_VERSION, ConfigError, bath_from_config,
+                            config_hash, fringe_from_csv, fringe_to_csv,
+                            hash_bytes, load_config, merge_config,
+                            model_from_config, protocol_from_config,
+                            validate_config, write_artifacts, xy_from_csv)
 from .thermal import QuadratureError
 
 EXIT_OK = 0
@@ -47,8 +47,7 @@ def _synthesize(cfg):
     series = synthesize_fringe(
         protocol, bath, model, noise=cfg["noise"], seed=cfg["seed"],
         density_order=cfg["quadrature"]["density_order"],
-        energy_order=cfg["quadrature"]["energy_order"],
-        include_background=cfg["include_background"])
+        energy_order=cfg["quadrature"]["energy_order"])
     return protocol, series
 
 
@@ -56,7 +55,7 @@ def cmd_simulate(args) -> int:
     cfg = _prepare(args)
     _, series = _synthesize(cfg)
     csv_text = fringe_to_csv(series)
-    sidecar = {"schema_version": cfg["schema_version"], "config": cfg,
+    sidecar = {"schema_version": SCHEMA_VERSION, "config": cfg,
                "config_hash": config_hash(cfg),
                "csv_hash": hash_bytes(csv_text.encode()),
                "tool_version": __version__}
@@ -71,7 +70,7 @@ def cmd_analyze(args) -> int:
     delta_bg = TWO_PI * args.delta_bg_hz
     result = analyze_fringes(series, delta_bg=delta_bg,
                              phase_convention=args.phase_convention)
-    out = {"schema_version": 1, "input_hash": series.source_hash,
+    out = {"schema_version": SCHEMA_VERSION, "input_hash": series.source_hash,
            "delta_bg_Hz": args.delta_bg_hz,
            "phase_convention": args.phase_convention,
            "analysis": result.to_dict(),
@@ -103,8 +102,7 @@ def cmd_sweep(args) -> int:
         cfg_i = {**cfg, "bath": {**cfg["bath"], param: value}}
         validate_config(cfg_i)
         protocol, series = _synthesize(cfg_i)
-        res = analyze_fringes(series, delta_bg=protocol.delta_bg
-                              if cfg_i["include_background"] else 0.0,
+        res = analyze_fringes(series, delta_bg=protocol.delta_bg,
                               phase_convention="cos2")
         slope = res.slope_fit
         rows.append((value,
@@ -117,7 +115,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join("" if v is None else format(float(v), ".17g")
                               for v in row))
     text = "\n".join(lines) + "\n"
-    meta = {"schema_version": cfg["schema_version"], "config": cfg,
+    meta = {"schema_version": SCHEMA_VERSION, "config": cfg,
             "config_hash": config_hash(cfg), "csv_hash": hash_bytes(text.encode())}
     paths = write_artifacts(args.out, {"sweep.csv": text, "sweep.meta.json": meta})
     print(f"wrote {paths[0]} ({len(rows)} points)")
@@ -147,7 +145,7 @@ def cmd_calibrate(args) -> int:
         payload = {"kind": "release", "fit": rep.to_dict(),
                    "T_uK": rep.params["T"] * 1e6}
     payload["input_hash"] = input_hash
-    payload["schema_version"] = 1
+    payload["schema_version"] = SCHEMA_VERSION
     (path,) = write_artifacts(args.out, {"calibration.json": {input_hash: payload}},
                               merge=True)
     print(f"wrote {path} entry {input_hash[:12]}")
@@ -156,9 +154,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _prepare(args)
-    if not cfg["include_background"]:
-        raise ConfigError("infer always models the background detuning and "
-                          "dephasing; include_background must be true")
     model = model_from_config(cfg)
     protocol = protocol_from_config(cfg)
     qd = cfg["quadrature"]["density_order"]
@@ -185,7 +180,8 @@ def cmd_infer(args) -> int:
         payload = {"kind": "temperature", "estimate_nK": post.estimate * 1e9,
                    "interval_nK": [v * 1e9 for v in post.interval]}
 
-    payload.update({"schema_version": 1, "config_hash": config_hash(cfg),
+    payload.update({"schema_version": SCHEMA_VERSION,
+                    "config_hash": config_hash(cfg),
                     "posterior": post.to_dict(), "flags": post.flags})
     (path,) = write_artifacts(args.out, {"inference.json": payload})
     print(f"wrote {path}")

@@ -28,6 +28,7 @@ GN_REL_STEP = 1e-7  # relative step below which the refinement stops
 SLOPE_REL_STEP = 1e-4  # relative forward-difference step of the slope
 DENSITY_BRACKET = (0.05e19, 5.0e19)  # m^-3, searched by infer_density
 TEMPERATURE_BRACKET = (100e-9, 1500e-9)  # K, searched by infer_temperature
+T_CS = 1.7e-6  # K, impurity temperature in the collision counts
 
 
 class InferenceError(RuntimeError):
@@ -204,15 +205,16 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
 
 
 def collision_counts(bath: BathState, model, T2: float,
-                     T_Cs: float = 1.7e-6, B: float | None = None) -> tuple:
+                     B: float | None = None) -> tuple:
     """Elastic collision numbers (N_g, N_e) accumulated over one T2.
 
     N_i = <n> sigma_i v_rel T2 with sigma_i = 4 pi a_i^2, using the
     thermal-mean ground-state scattering length and the constant
     excited-state one; <n> is the impurity-sampled mean density and the
-    relative speed uses the reduced-mass-weighted temperature of bath
-    and impurity.  The field B defaults to the model's resonance position
-    B0; a model without one (TabulatedModel) needs B given explicitly.
+    relative speed uses the reduced-mass-weighted temperature of the bath
+    and of the impurity at T_CS.  The field B defaults to the model's
+    resonance position B0; a model without one (TabulatedModel) needs B
+    given explicitly.
     """
     if T2 <= 0.0:
         raise ValueError("T2 must be positive")
@@ -223,7 +225,7 @@ def collision_counts(bath: BathState, model, T2: float,
         B = model.B0
     a_g_bar = mean_a(B, bath.T, model, order=1024)
     n_mean = bath.n0 / 2.0**1.5
-    T_eff = effective_collision_temperature(bath.T, T_Cs)
+    T_eff = effective_collision_temperature(bath.T, T_CS)
     v_rel = mean_relative_speed(T_eff)
     N_g = n_mean * 4.0 * math.pi * a_g_bar**2 * v_rel * T2
     N_e = n_mean * 4.0 * math.pi * model.a_e**2 * v_rel * T2

@@ -34,8 +34,10 @@ class RamseyProtocol:
     B: magnetic field at the atoms, T.
     delta_bg: bath-independent detuning (light shift + quadratic Zeeman), rad/s.
     T2_bg: dephasing time without bath, s.
-    Omega0: Rabi frequency of the pi/2 pulses, rad/s (metadata only; pulses
-    are treated as ideal instantaneous rotations).
+
+    The pi/2 pulses are ideal instantaneous rotations.  A run without
+    background is delta_bg = 0 with T2_bg = 1e30 s, whose envelope
+    exp(-t^2/T2_bg^2) rounds to exactly 1.
     """
 
     t: np.ndarray
@@ -43,12 +45,11 @@ class RamseyProtocol:
     B: float = 198.5e-7
     delta_bg: float = -2.0 * math.pi * 135.0
     T2_bg: float = 27.2e-3
-    Omega0: float = 2.0 * math.pi * 15.4e3
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         phi = np.asarray(self.phi, dtype=float)
-        scalars = (self.B, self.delta_bg, self.T2_bg, self.Omega0)
+        scalars = (self.B, self.delta_bg, self.T2_bg)
         if not all(np.all(np.isfinite(x)) for x in (t, phi, scalars)):
             raise ValueError("protocol parameters must be finite")
         if t.size and (np.any(t < 0.0) or np.any(np.diff(t) <= 0.0)):
@@ -59,13 +60,13 @@ class RamseyProtocol:
         object.__setattr__(self, "phi", phi)
 
     @classmethod
-    def default_grid(cls, t_max_ms: float = 12.0, n_t: int = 30,
-                     phi_step_deg: float = 30.0, **kw) -> "RamseyProtocol":
+    def default_grid(cls, t_max_ms: float = 12.0,
+                     n_t: int = 30) -> "RamseyProtocol":
         """Grid mirroring the measurement: t in [0.1, t_max] ms, phases
-        every `phi_step_deg` degrees over [0, 360)."""
+        every 30 degrees over [0, 360)."""
         t = np.geomspace(0.1e-3, t_max_ms * 1e-3, n_t)
-        phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-        return cls(t=t, phi=phi, **kw)
+        phi = np.deg2rad(np.arange(0.0, 360.0, 30.0))
+        return cls(t=t, phi=phi)
 
 
 @dataclass
@@ -159,7 +160,6 @@ def _coherence_trace(ts, s, wn, x, wE):
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
                       density_order: int = DENSITY_ORDER,
                       energy_order: int = ENERGY_ORDER,
-                      include_background: bool = False,
                       nodes=None, check_convergence: bool = False):
     """Ground-state population of the microscopic dephasing model.
 
@@ -167,8 +167,8 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
     the collision-energy distribution.  t and phi broadcast against each
     other (t[:, None] with phi[None, :] gives a (t, phi) grid); the node
     average is taken once per element of t.  Two scalars return a float.
-    With include_background=True the oscillatory part is additionally
-    damped by exp(-t^2/T2_bg^2) and the phase shifted by delta_bg * t.
+    The protocol's background damps the oscillatory part by
+    exp(-t^2/T2_bg^2) and shifts its phase by delta_bg * t.
 
     `nodes` may supply a factored rule from detuning_nodes, or any
     (delta, weights) pair of equal shape, e.g. a degenerate single-node
@@ -197,11 +197,8 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
         if np.max(np.hypot(C2 - C, S2 - S)) > 1e-4:
             raise QuadratureError("Ramsey quadrature not converged")
         C, S = C2, S2
-    phase = np.asarray(phi, dtype=float)
-    env = 1.0
-    if include_background:
-        phase = phase + protocol.delta_bg * ts
-        env = np.exp(-((ts / protocol.T2_bg) ** 2))
+    phase = np.asarray(phi, dtype=float) + protocol.delta_bg * ts
+    env = np.exp(-((ts / protocol.T2_bg) ** 2))
     out = 0.5 + 0.5 * env * (C * np.cos(phase) - S * np.sin(phase))
     if np.ndim(t) == 0 and np.ndim(phi) == 0:
         return float(out.reshape(-1)[0])
@@ -211,14 +208,12 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
 def population_grid(protocol: RamseyProtocol, bath: BathState, model,
                     density_order: int = DENSITY_ORDER,
                     energy_order: int = ENERGY_ORDER,
-                    include_background: bool = True,
                     check_convergence: bool = False) -> np.ndarray:
     """Noiseless population over the protocol's full (t, phi) grid."""
     return ramsey_population(protocol.t[:, None], protocol.phi[None, :],
                              bath, model, protocol,
                              density_order=density_order,
                              energy_order=energy_order,
-                             include_background=include_background,
                              check_convergence=check_convergence)
 
 
@@ -235,8 +230,7 @@ def noise_trials(noise: dict) -> int:
 def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
                       noise: dict | None = None, seed: int = 0,
                       density_order: int = DENSITY_ORDER,
-                      energy_order: int = ENERGY_ORDER,
-                      include_background: bool = True) -> FringeSeries:
+                      energy_order: int = ENERGY_ORDER) -> FringeSeries:
     """Synthesize a FringeSeries, optionally with binomial counting noise.
 
     noise = {"atoms_per_shot": int, "repetitions": int} replaces each
@@ -246,8 +240,7 @@ def synthesize_fringe(protocol: RamseyProtocol, bath: BathState, model,
     """
     trials = None if noise is None else noise_trials(noise)
     p = population_grid(protocol, bath, model, density_order=density_order,
-                        energy_order=energy_order,
-                        include_background=include_background)
+                        energy_order=energy_order)
     p_err = None
     if trials is not None:
         draws = np.empty_like(p)

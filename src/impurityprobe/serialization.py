@@ -33,7 +33,6 @@ class ConfigError(ValueError):
 
 DEFAULT_CONFIG = {
     "schema_version": SCHEMA_VERSION,
-    "scenario": "default",
     "bath": {
         "peak_density_per_cm3": 1.0e13,
         "temperature_nK": 850.0,
@@ -58,11 +57,9 @@ DEFAULT_CONFIG = {
         "bfield_mG": 198.5,
         "delta_bg_Hz": -135.0,
         "T2_bg_ms": 27.2,
-        "rabi_freq_kHz": 15.4,
     },
     "quadrature": {"density_order": DENSITY_ORDER, "energy_order": ENERGY_ORDER},
     "noise": None,
-    "include_background": True,
     "seed": 0,
 }
 
@@ -135,6 +132,8 @@ def validate_config(cfg: dict) -> None:
             noise_trials(value)
         elif key != "sweep":
             _check(key, value, DEFAULT_CONFIG[key])
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     b = cfg["bath"]
     if b["peak_density_per_cm3"] <= 0:
         raise ConfigError("bath.peak_density_per_cm3 must be positive")
@@ -201,8 +200,7 @@ def protocol_from_config(cfg: dict) -> RamseyProtocol:
     phi = np.deg2rad(np.arange(0.0, 360.0, p["phi_step_deg"]))
     return RamseyProtocol(t=t, phi=phi, B=p["bfield_mG"] * 1e-7,
                           delta_bg=TWO_PI * p["delta_bg_Hz"],
-                          T2_bg=p["T2_bg_ms"] * 1e-3,
-                          Omega0=TWO_PI * p["rabi_freq_kHz"] * 1e3)
+                          T2_bg=p["T2_bg_ms"] * 1e-3)
 
 
 # --- CSV readers ---

@@ -111,18 +111,15 @@ def zeeman_coefficient_hz_per_G2() -> float:
     return quadratic_zeeman(1e-4) / (2.0 * math.pi)
 
 
-def mean_relative_speed(T_eff: float, mu: float = MU_RBCS) -> float:
-    """Mean thermal relative speed sqrt(8 kB T_eff / (pi mu)), m/s."""
-    return math.sqrt(8.0 * CONST.k_B * T_eff / (math.pi * mu))
+def mean_relative_speed(T_eff: float) -> float:
+    """Mean thermal Rb-Cs relative speed sqrt(8 kB T_eff / (pi mu)), m/s."""
+    return math.sqrt(8.0 * CONST.k_B * T_eff / (math.pi * MU_RBCS))
 
 
-def effective_collision_temperature(T_bath: float, T_imp: float,
-                                    m_bath: float = CONST.m_Rb,
-                                    m_imp: float = CONST.m_Cs) -> float:
-    """Temperature governing the relative-velocity distribution.
+def effective_collision_temperature(T_bath: float, T_imp: float) -> float:
+    """Temperature governing the Rb-Cs relative-velocity distribution.
 
     For two independent thermal species the relative velocity is thermal
-    at T_eff = mu (T_bath/m_bath + T_imp/m_imp).
+    at T_eff = mu (T_bath/m_Rb + T_imp/m_Cs).
     """
-    mu = reduced_mass(m_bath, m_imp)
-    return mu * (T_bath / m_bath + T_imp / m_imp)
+    return MU_RBCS * (T_bath / CONST.m_Rb + T_imp / CONST.m_Cs)

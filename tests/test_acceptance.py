@@ -77,9 +77,11 @@ def test_01_zeeman_coefficient():
 def test_02_degenerate_reduction():
     with Budget("criterion 02 degenerate-quadrature reduction", 1.0):
         bath = make_bath(1.0e19, 850e-9)
+        # a protocol without background: delta_bg = 0, T2_bg -> inf
         proto = RamseyProtocol(t=np.geomspace(0.1e-3, 8e-3, 5),
                                phi=np.linspace(0.0, TWO_PI, 4,
-                                               endpoint=False))
+                                               endpoint=False),
+                               delta_bg=0.0, T2_bg=1e30)
         delta = interaction_detuning(
             bath.n0, MODEL.a_e - a_ground(proto.B, K_B * 400e-9, MODEL))
         nodes = (np.array([[delta]]), np.array([[1.0]]))
@@ -102,7 +104,8 @@ def test_03_monte_carlo_equivalence():
         for n0, T, seed in cases:
             bath = make_bath(n0, T)
             proto = RamseyProtocol(t=np.geomspace(0.1e-3, 6e-3, 4),
-                                   phi=np.array([0.0]))
+                                   phi=np.array([0.0]), delta_bg=0.0,
+                                   T2_bg=1e30)
             rng = np.random.default_rng(seed)
             pos = rng.normal(size=(n_samples, 3)) * bath.sigmas()
             n = density_at(pos, bath)
@@ -112,8 +115,7 @@ def test_03_monte_carlo_equivalence():
             for t, phi in points:
                 vals = np.cos(0.5 * (d * t + phi)) ** 2
                 sem = vals.std(ddof=1) / math.sqrt(n_samples)
-                p = ramsey_population(t, phi, bath, MODEL, proto,
-                                      include_background=False)
+                p = ramsey_population(t, phi, bath, MODEL, proto)
                 assert abs(p - vals.mean()) < 3.0 * sem
 
 

@@ -267,10 +267,9 @@ class TestPipeline:
                      omega_y=TWO_PI * 100, omega_z=TWO_PI * 100)
     MODEL = ResonanceModel()
 
-    def run(self, bath=None, include_background=True):
+    def run(self, bath=None):
         proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=20)
-        series = synthesize_fringe(proto, bath or self.BATH, self.MODEL,
-                                   include_background=include_background)
+        series = synthesize_fringe(proto, bath or self.BATH, self.MODEL)
         return analyze_fringes(series, delta_bg=proto.delta_bg,
                                phase_convention="cos2")
 

@@ -24,18 +24,6 @@ class TestBathState:
         assert b.N == pytest.approx(b.n0 * (TWO_PI) ** 1.5 * sx * sy * sz,
                                     rel=1e-12)
 
-    def test_non_finite_atom_number_rejected(self):
-        b = make_bath()
-        with pytest.raises(ValueError):
-            BathState(n0=b.n0, T=b.T, omega_x=b.omega_x, omega_y=b.omega_y,
-                      omega_z=b.omega_z, N=math.nan)
-
-    def test_inconsistent_atom_number_rejected(self):
-        b = make_bath()
-        with pytest.raises(ValueError):
-            BathState(n0=b.n0, T=b.T, omega_x=b.omega_x, omega_y=b.omega_y,
-                      omega_z=b.omega_z, N=b.N * 1.01)
-
     @pytest.mark.parametrize("kw", [{"n0": -1.0}, {"T": 0.0},
                                     {"freqs": (0.0, 10.0, 10.0)},
                                     {"n0": math.nan}, {"T": math.inf},

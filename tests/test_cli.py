@@ -93,11 +93,16 @@ class TestConfig:
         ({"protocol": {"phi_step_deg": 200.0}}, "protocol.phi_step_deg"),
         ({"noise": {"atoms": 1000, "repetitions": 1}}, "noise"),
         ({"noise": {"atoms_per_shot": 10.9, "repetitions": 1}}, "noise"),
+        ({"scenario": "default"}, "scenario"),
+        ({"protocol": {"rabi_freq_kHz": 15.4}}, "protocol.rabi_freq_kHz"),
+        ({"include_background": True}, "include_background"),
+        ({"schema_version": 2}, "schema_version"),
     ], ids=["unknown-key", "unknown-section", "string", "bool", "null",
             "fractional-n_t", "float-order", "fractional-seed", "trap-length",
             "trap-string", "string-bool", "spacing", "table-type",
             "phi-step-zero", "phi-step-wide",
-            "noise-key", "noise-fraction"])
+            "noise-key", "noise-fraction", "scenario", "rabi-freq",
+            "background-true", "schema-version"])
     def test_bad_key_or_type_is_input_error(self, tmp_path, capsys, extra,
                                              key):
         cfg = write_config(tmp_path, extra)
@@ -484,7 +489,8 @@ class TestInfer:
                      "--out", str(tmp_path), "--t2-ms", "1.0"]) == 4
 
     def test_without_background_is_input_error(self, tmp_path, capsys):
-        # the forward model behind every inversion includes the background
+        # there is no such key: the protocol's delta_bg_Hz and T2_bg_ms
+        # alone describe the background, so the switch is an unknown key
         cfg = write_config(tmp_path, {"include_background": False})
         out = tmp_path / "run"
         assert main(["infer", "density", "--config", cfg, "--out", str(out),

@@ -60,9 +60,10 @@ class TestRamseyPopulation:
     def test_degenerate_reduction_to_closed_form(self):
         # one density node and one energy node: a pure fringe that must
         # match the phenomenological model (T2 -> inf) under the
-        # documented phase mapping phi_eq2 = -(phi + pi)
+        # documented phase mapping phi_eq2 = -(phi + pi), on a protocol
+        # without background
         bath = make_bath()
-        proto = make_protocol()
+        proto = make_protocol(delta_bg=0.0, T2_bg=1e30)
         E0 = CONST.k_B * 400e-9
         delta = interaction_detuning(bath.n0, delta_a(proto.B, E0, MODEL))
         nodes = (np.array([[delta]]), np.array([[1.0]]))
@@ -73,6 +74,14 @@ class TestRamseyPopulation:
                 assert p == pytest.approx(ref, abs=1e-12)
                 direct = math.cos(0.5 * (delta * t + phi)) ** 2
                 assert p == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_grid_is_population_on_protocol_grid(self):
+        # both apply the protocol's background, so they agree to the bit
+        bath, proto = make_bath(), RamseyProtocol.default_grid()
+        grid = population_grid(proto, bath, MODEL)
+        direct = ramsey_population(proto.t[:, None], proto.phi[None, :],
+                                   bath, MODEL, proto)
+        assert grid.tobytes() == direct.tobytes()
 
     def test_periodic_in_phase(self):
         bath, proto = make_bath(), make_protocol()
@@ -96,7 +105,8 @@ class TestRamseyPopulation:
 
     def test_against_full_monte_carlo(self):
         # positions x energies sampled directly from the microscopic model
-        bath, proto = make_bath(1.5e19, 600e-9), make_protocol()
+        bath = make_bath(1.5e19, 600e-9)
+        proto = make_protocol(delta_bg=0.0, T2_bg=1e30)
         rng = np.random.default_rng(42)
         n_samples = 1_000_000
         pos = rng.normal(size=(n_samples, 3)) * bath.sigmas()
@@ -108,8 +118,7 @@ class TestRamseyPopulation:
             vals = np.cos(0.5 * (d * t + phi)) ** 2
             sem = vals.std(ddof=1) / math.sqrt(n_samples)
             p = ramsey_population(t, phi, bath, MODEL, proto,
-                                  energy_order=2048,
-                                  include_background=False)
+                                  energy_order=2048)
             assert abs(p - vals.mean()) < 3.0 * sem
 
 
@@ -448,7 +457,7 @@ class TestProtocol:
     @pytest.mark.parametrize("kw", [{"t": [1e-3, math.nan]},
                                     {"phi": [0.0, math.inf]},
                                     {"B": math.nan}, {"delta_bg": math.inf},
-                                    {"T2_bg": math.nan}, {"Omega0": -math.inf}])
+                                    {"T2_bg": math.nan}])
     def test_non_finite_parameters_rejected(self, kw):
         with pytest.raises(ValueError):
             make_protocol(**kw)
