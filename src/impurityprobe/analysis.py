@@ -1,10 +1,12 @@
 """Fringe extraction pipeline: normalization, per-time fringe fits,
 visibility decay (T2), and interaction-phase slope (delta).
 
-Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, solved in closed
-form as a linear least-squares problem (a bounded nonlinear fit runs only
-where the free solution leaves the physical range); the visibility is
-V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B, a nonlinear fit.  The
+Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
+(times, phases) grid in one closed-form linear least-squares solve (a
+bounded nonlinear fit runs only for a row whose free solution leaves the
+physical range, and reports a parameter left on a bound as pinned); the
+visibility is V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B, a
+nonlinear fit with the model's analytic Jacobian.  The
 interaction phase is the unwrapped fringe phase minus the background
 delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
 dephasing time.  Every fitted report is built by `fitting.fit_report`.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import (FitError, FitReport, fit_least_squares, fit_report,
-                      linear_fit)
+                      linear_fit, standard_errors)
 from .ramsey import FringeSeries
 
 TWO_PI = 2.0 * math.pi
@@ -36,55 +38,73 @@ def _fringe_model(phi, A, C, phi0):
     return A * np.sin(0.5 * (phi0 - phi)) ** 2 + C
 
 
+def _fringe_jacobian(phi, A, phi0):
+    """d model / d(A, C, phi0), (times, phases, 3) for per-time A and phi0."""
+    s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
+    return np.stack([s2, np.ones_like(s2),
+                     0.5 * A[:, None] * np.sin(phi0[:, None] - phi)], axis=-1)
+
+
 BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
 
 
-def fit_fringe(phi, p, p_err=None) -> FitReport:
-    """Fit one fixed-time fringe with A sin^2[(phi0 - phi)/2] + C.
+def fit_fringe(phi, p, p_err=None):
+    """Fit fixed-time fringes with A sin^2[(phi0 - phi)/2] + C.
 
-    The model is linear in (A/2 + C, A cos phi0, A sin phi0), so this is a
-    weighted linear least-squares solve, with errors from the analytic
-    Jacobian in (A, C, phi0).  Only when that solution leaves A <= 2,
-    0 <= C <= 2 does a bounded nonlinear fit run, started from the
-    1-cycle Fourier component, and the report then carries BOUNDED_FIT.
-    Constant data returns a zero-amplitude report rather than an error;
-    phi0 is reported in [0, 2 pi).
+    p is one fringe (one report) or a (times, phases) grid on the shared
+    phi (one report per row); p_err has the shape of p.  The model is
+    linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
+    `lstsq` with a right-hand side per row (weighted: one 3x3 normal
+    system per row), with errors from the analytic Jacobian in
+    (A, C, phi0), one stacked SVD.  Only a row whose solution leaves
+    A <= 2, 0 <= C <= 2 gets a bounded nonlinear fit, started from the
+    1-cycle Fourier component, and carries BOUNDED_FIT.  A constant row
+    returns a zero-amplitude report; phi0 is reported in [0, 2 pi).
     """
     phi = np.asarray(phi, dtype=float)
     p = np.asarray(p, dtype=float)
-    if len(phi) < 4:
-        raise ValueError("need at least 4 phase points")
+    if len(phi) < 4 or len(np.unique(phi)) < 3:
+        raise ValueError("need at least 4 phase points, 3 of them distinct")
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(p))):
         raise ValueError("phases and populations must be finite")
     if np.ptp(phi) <= math.pi:
         raise ValueError("phase points must span more than pi")
-    w = np.ones_like(p)
-    if p_err is not None:
-        p_err = np.asarray(p_err, dtype=float)
-        if not np.all(np.isfinite(p_err) & (p_err > 0.0)):
-            raise ValueError("p_err must be finite and positive")
-        w = 1.0 / p_err
-
-    if np.ptp(p) == 0.0:
-        return FitReport(params={"A": 0.0, "C": float(p[0]), "phi0": 0.0},
-                         errors={"A": 0.0, "C": 0.0, "phi0": float("nan")},
-                         residual_norm=0.0, n_points=len(p), converged=True,
-                         warnings=["constant fringe: amplitude pinned to zero"])
+    P = np.atleast_2d(p)
+    E = (None if p_err is None else
+         np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape))
+    if E is not None and not np.all(np.isfinite(E) & (E > 0.0)):
+        raise ValueError("p_err must be finite and positive")
+    W = np.ones_like(P) if E is None else 1.0 / E
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
-    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)]) * w[:, None]
-    (c0, a, b), *_ = np.linalg.lstsq(X, p * w, rcond=None)
-    A = 2.0 * math.hypot(a, b)
-    C = float(c0) - 0.5 * A
-    if A <= 2.0 and 0.0 <= C <= 2.0:
-        phi0 = math.atan2(-b, -a) % TWO_PI
-        s2 = np.sin(0.5 * (phi0 - phi)) ** 2
-        jac = np.column_stack([s2, np.ones_like(phi),
-                               0.5 * A * np.sin(phi0 - phi)]) * w[:, None]
-        return fit_report(("A", "C", "phi0"), (A, C, phi0), jac,
-                          (A * s2 + C - p) * w, p_err is not None)
+    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    if E is None:
+        coef = np.linalg.lstsq(X, P.T, rcond=None)[0].T
+    else:
+        Xw = W[:, :, None] * X
+        coef = np.linalg.solve(np.einsum("tki,tkj->tij", Xw, Xw),
+                               np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
+    A = 2.0 * np.hypot(coef[:, 1], coef[:, 2])
+    C = coef[:, 0] - 0.5 * A
+    phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
+    jac = _fringe_jacobian(phi, A, phi0)
+    reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]),
+                         jac * W[:, :, None],
+                         (A[:, None] * jac[..., 0] + C[:, None] - P) * W, E is not None)
+    for k, row in enumerate(P):
+        if np.ptp(row) == 0.0:
+            reports[k] = FitReport(
+                params={"A": 0.0, "C": float(row[0]), "phi0": 0.0},
+                errors={"A": 0.0, "C": 0.0, "phi0": float("nan")},
+                residual_norm=0.0, n_points=len(row), converged=True,
+                warnings=["constant fringe: amplitude pinned to zero"])
+        elif not (A[k] <= 2.0 and 0.0 <= C[k] <= 2.0):
+            reports[k] = _bounded_fringe(phi, row, None if E is None else E[k])
+    return reports if p.ndim > 1 else reports[0]
 
+
+def _bounded_fringe(phi, p, p_err) -> FitReport:
     # the 1-cycle Fourier coefficient of the data is -(A/2) e^{-i phi0}
     c1 = 2.0 * np.mean(p * np.exp(-1j * phi))
     A0 = min(max(2.0 * abs(c1), 1e-6), 2.0)
@@ -108,9 +128,9 @@ def visibility(A: float, C: float) -> float:
     return A / (A + 2.0 * C)
 
 
-def visibility_error(A, C, A_err, C_err) -> float:
+def visibility_error(A, C, A_err, C_err):
     d = (A + 2.0 * C) ** 2
-    return math.hypot(2.0 * C * A_err, 2.0 * A * C_err) / d
+    return np.hypot(2.0 * C * A_err, 2.0 * A * C_err) / d
 
 
 @dataclass
@@ -124,8 +144,14 @@ def _decay_model(t, V0, T2, B):
     return V0 * np.exp(-((t / T2) ** 2)) + B
 
 
+def _decay_jacobian(t, V0, T2, B):
+    e = np.exp(-((t / T2) ** 2))
+    return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
+
+
 def fit_visibility_decay(t, V, V_err=None) -> FitReport:
-    """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
+    """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B, with the
+    model's analytic Jacobian.
 
     Constant visibility yields a 'no decay detected' report with T2 set
     to infinity; a monotonically increasing series is rejected as
@@ -151,10 +177,10 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     thresh = B0 + V00 / math.e
     below = np.nonzero(V <= thresh)[0]
     T20 = float(t[below[0]]) if len(below) and t[below[0]] > 0 else float(np.median(t))
-    rep = fit_least_squares(_decay_model, t, V, p0=[V00, T20, B0],
-                            names=["V0", "T2", "B"], sigma=V_err,
-                            bounds=([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]))
-    return rep
+    return fit_least_squares(_decay_model, t, V, p0=[V00, T20, B0],
+                             names=["V0", "T2", "B"], sigma=V_err,
+                             bounds=([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]),
+                             jac=_decay_jacobian)
 
 
 def extract_phase_series(t, phi0, delta_bg: float):
@@ -238,27 +264,26 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     if phase_convention not in ("sin2", "cos2"):
         raise ValueError("phase_convention must be 'sin2' or 'cos2'")
     warnings = []
-    fits = []
-    for k in range(len(series.t)):
-        err = None if series.p_err is None else series.p_err[k]
-        fits.append(fit_fringe(series.phi, series.p[k], p_err=err))
+    fits = fit_fringe(series.phi, series.p, p_err=series.p_err)
     bounded = [t for t, f in zip(series.t, fits) if BOUNDED_FIT in f.warnings]
     if bounded:
         warnings.append("bounded fringe fit at t_ms = "
                         + ", ".join(f"{t * 1e3:.6g}" for t in bounded))
 
-    V = np.array([visibility(f.params["A"], f.params["C"]) for f in fits])
-    V_err = None
+    A, C, phi0 = np.array([[f.params[k] for k in ("A", "C", "phi0")]
+                           for f in fits]).T
+    V = np.array([visibility(a, c) for a, c in zip(A, C)])
+    V_err = phi0_err = None
     if series.p_err is not None:
-        V_err = np.array([visibility_error(f.params["A"], f.params["C"],
-                                           f.errors["A"], f.errors["C"])
-                          for f in fits])
-        V_err = np.clip(V_err, 1e-6, None)
+        # V and phi0 take every fringe's unconstrained errors: a report
+        # gives a pinned A or C error 0, but the data scatter about it
+        jac = _fringe_jacobian(series.phi, A, phi0) * (1.0 / series.p_err)[..., None]
+        A_err, C_err, phi0_err = standard_errors(jac, 1.0).T
+        V_err = np.clip(visibility_error(A, C, A_err, C_err), 1e-6, None)
     vis = VisibilitySeries(t=series.t, V=V, V_err=V_err)
     decay = fit_visibility_decay(series.t, V, V_err=V_err)
     warnings += decay.warnings
 
-    phi0 = np.array([f.params["phi0"] for f in fits])
     if phase_convention == "cos2":
         phi0 = (-(phi0 + math.pi)) % TWO_PI
     Phi, phase_warnings = extract_phase_series(series.t, phi0, delta_bg)
@@ -268,9 +293,7 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     T2 = decay.params["T2"]
     try:
         window = T2 if math.isfinite(T2) else float(series.t[-1])
-        phi0_err = np.array([f.errors["phi0"] for f in fits])
-        use_err = (series.p_err is not None
-                   and np.all(np.isfinite(phi0_err)) and np.all(phi0_err > 0))
+        use_err = phi0_err is not None and np.all(phi0_err > 0)
         slope = fit_phase_slope(series.t, Phi, window,
                                 Phi_err=phi0_err if use_err else None)
     except FitError as exc:

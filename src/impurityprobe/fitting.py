@@ -2,11 +2,12 @@
 
 Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
-uncertainties from the local quadratic model (`standard_errors`).  Models
-linear in every parameter go through `linear_fit`, an exact weighted
-`lstsq`; nonlinear ones through `fit_least_squares`, a bounded damped
-least-squares solver (scipy's trust-region reflective backend with
-numerically estimated derivatives).
+uncertainties from the local quadratic model (`standard_errors`; a stack
+of same-shaped fits takes one call).  Models linear in every parameter go
+through `linear_fit`, an exact weighted `lstsq`; nonlinear ones through
+`fit_least_squares`, scipy's bounded trust-region reflective solver with
+the model's analytic Jacobian or, without one, finite differences.  A
+parameter left on a bound is reported pinned, with error 0.
 """
 
 from __future__ import annotations
@@ -51,31 +52,37 @@ class FitReport:
                 "converged": self.converged, "warnings": list(self.warnings)}
 
 
-def standard_errors(jac, resid_var: float) -> np.ndarray:
-    """1-sigma parameter errors sqrt(diag(resid_var * (J^T J)^+)).
+def standard_errors(jac, resid_var) -> np.ndarray:
+    """1-sigma parameter errors sqrt(resid_var * diag((J^T J)^+)).
 
-    jac is the (weighted) residual Jacobian at the solution.  The
-    pseudo-inverse drops singular values below eps * max(shape) * s_max,
-    so a direction the data does not constrain gets error 0.
+    jac is the (weighted) residual Jacobian at the solution, or a stack
+    (..., m, n) with one resid_var each; the diagonal is sum_k V_ik^2/s_k^2
+    of J = U S V^T.  The pseudo-inverse drops singular values below
+    eps * max(m, n) * s_max, so an unconstrained direction gets error 0.
     """
     _, s, VT = np.linalg.svd(jac, full_matrices=False)
-    tol = np.finfo(float).eps * max(jac.shape) * (s[0] if len(s) else 1.0)
+    tol = np.finfo(float).eps * max(np.shape(jac)[-2:]) * s[..., :1]
     s_inv2 = np.where(s > tol, 1.0 / np.maximum(s, tol) ** 2, 0.0)
-    cov = (VT.T * s_inv2) @ VT * resid_var
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    var = np.einsum("...ki,...k->...i", VT * VT, s_inv2)
+    return np.sqrt(var * np.asarray(resid_var)[..., None])
 
 
-def fit_report(names, values, jac, resid, weighted: bool) -> FitReport:
+def fit_report(names, values, jac, resid, weighted: bool):
     """FitReport of the least-squares solution `values`, given the residual
     Jacobian and residuals there.  The residual variance is 1 if they are
-    weighted by 1/sigma, else r.r / dof."""
-    dof = max(len(resid) - len(values), 1)
-    resid_var = 1.0 if weighted else float(resid @ resid) / dof
+    weighted by 1/sigma, else r.r / dof.  Stacked values (k, n), Jacobians
+    (k, m, n) and residuals (k, m) give a list of k reports."""
+    values, resid = np.asarray(values, dtype=float), np.asarray(resid, dtype=float)
+    dof = max(resid.shape[-1] - values.shape[-1], 1)
+    resid_var = 1.0 if weighted else np.einsum("...i,...i", resid, resid) / dof
     errs = standard_errors(jac, resid_var)
-    return FitReport(params=dict(zip(names, map(float, values))),
-                     errors=dict(zip(names, map(float, errs))),
-                     residual_norm=float(np.linalg.norm(resid)),
-                     n_points=len(resid), converged=True)
+    reports = [FitReport(params=dict(zip(names, map(float, v))),
+                         errors=dict(zip(names, map(float, e))),
+                         residual_norm=float(np.linalg.norm(r)),
+                         n_points=len(r), converged=True)
+               for v, e, r in zip(np.atleast_2d(values), np.atleast_2d(errs),
+                                  np.atleast_2d(resid))]
+    return reports if values.ndim > 1 else reports[0]
 
 
 def linear_fit(X, y, names, sigma=None) -> FitReport:
@@ -97,24 +104,28 @@ def linear_fit(X, y, names, sigma=None) -> FitReport:
 
 
 def fit_least_squares(model, x, y, p0, names, sigma=None,
-                      bounds=None) -> FitReport:
+                      bounds=None, jac=None) -> FitReport:
     """Fit y = model(x, *p) by damped least squares.
 
     sigma, when given, weights residuals as (y - model)/sigma.  bounds is
-    a (lower, upper) pair of sequences.  Raises FitError on
-    non-convergence.
+    a (lower, upper) pair of sequences; jac(x, *p), when given, is the
+    model's (len(x), len(p)) derivative.  A parameter left on a bound is
+    pinned: error 0 (the others get the free-parameter covariance) and a
+    warning naming it.  Raises FitError on non-convergence.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-
-    def resid(p):
-        r = model(x, *p) - y
-        return r if w is None else r * w
-
+    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
     lb, ub = (-np.inf, np.inf) if bounds is None else bounds
-    sol = least_squares(resid, np.asarray(p0, dtype=float), bounds=(lb, ub),
+    sol = least_squares(lambda p: (model(x, *p) - y) * w,
+                        np.asarray(p0, dtype=float), bounds=(lb, ub),
+                        jac="2-point" if jac is None else
+                        lambda p: np.asarray(jac(x, *p), dtype=float) * w[:, None],
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not sol.success:
         raise FitError(f"least-squares fit did not converge: {sol.message}")
-    return fit_report(names, sol.x, sol.jac, sol.fun, sigma is not None)
+    pinned = sol.active_mask != 0
+    rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun,
+                     sigma is not None)
+    rep.warnings += [f"{name} pinned at a bound" for name, on in zip(names, pinned) if on]
+    return rep

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from impurityprobe.analysis import (BOUNDED_FIT, _fringe_model,
+from impurityprobe import fitting
+from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian,
+                                    _decay_model, _fringe_model,
                                     analyze_fringes, extract_phase_series,
                                     fit_fringe, fit_phase_slope,
                                     fit_visibility_decay, normalize_counts,
@@ -80,6 +82,10 @@ class TestFitFringe:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_fringe(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.5, 0.9]))
+        # two distinct phases leave the three-parameter fringe undetermined
+        with pytest.raises(ValueError, match="distinct"):
+            fit_fringe(np.array([0.0, 0.0, 0.0, 4.0, 4.0, 4.0]),
+                       np.array([0.1, 0.12, 0.11, 0.8, 0.82, 0.79]))
 
     def test_narrow_phase_span(self):
         phi = np.linspace(0.0, 2.0, 8)
@@ -108,6 +114,62 @@ class TestFitFringe:
         assert 0.0 <= rep.params["C"] <= 1e-12
         assert rep.params["A"] > 0.0
         assert BOUNDED_FIT in rep.warnings
+
+    def test_pinned_offset_reports_zero_error(self):
+        # at the bound the bounded fit pins C: it reports error 0 and a
+        # warning, and A and phi0 get the errors of the free parameters
+        p = fringe_values(self.PHI, 0.8, -0.05, 1.0)
+        rep = fit_fringe(self.PHI, p)
+        assert rep.errors["C"] == 0.0
+        assert "C pinned at a bound" in rep.warnings
+        A, phi0 = rep.params["A"], rep.params["phi0"]
+        jac = np.column_stack([np.sin(0.5 * (phi0 - self.PHI)) ** 2,
+                               0.5 * A * np.sin(phi0 - self.PHI)])
+        r = _fringe_model(self.PHI, A, rep.params["C"], phi0) - p
+        cov = np.linalg.inv(jac.T @ jac) * (r @ r) / (len(p) - 3)
+        assert [rep.errors["A"], rep.errors["phi0"]] == \
+            pytest.approx(np.sqrt(np.diag(cov)), rel=1e-6)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_grid_fit_matches_row_fits(self, weighted):
+        # one 2-D call returns the reports of one 1-D call per row, with a
+        # bounded row (C < 0) and a constant row among them
+        rng = np.random.default_rng(3)
+        p = np.array([fringe_values(self.PHI, A, 0.5 - 0.5 * A, 0.3 + A)
+                      for A in np.linspace(0.95, 0.2, 8)])
+        p += 0.01 * rng.standard_normal(p.shape)
+        p[2] = fringe_values(self.PHI, 0.8, -0.05, 1.0)
+        p[5] = 0.4
+        err = rng.uniform(0.01, 0.05, p.shape) if weighted else None
+        grid = fit_fringe(self.PHI, p, p_err=err)
+        assert len(grid) == len(p)
+        assert BOUNDED_FIT in grid[2].warnings and grid[5].params["A"] == 0.0
+        for k, got in enumerate(grid):
+            row = fit_fringe(self.PHI, p[k], p_err=None if err is None else err[k])
+            assert got.warnings == row.warnings
+            assert got.n_points == row.n_points
+            assert got.residual_norm == pytest.approx(row.residual_norm, rel=1e-10, abs=1e-15)
+            for name in ("A", "C", "phi0"):
+                assert got.params[name] == pytest.approx(row.params[name], rel=1e-12, abs=1e-15)
+                assert got.errors[name] == pytest.approx(row.errors[name], rel=1e-10, abs=1e-15,
+                                                         nan_ok=True)
+
+    def test_grid_input_validated_like_rows(self):
+        p = np.tile(fringe_values(self.PHI, 0.8, 0.1, 1.0), (3, 1))
+        bad = p.copy()
+        bad[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_fringe(self.PHI, bad)
+        err = np.full_like(p, 0.02)
+        err[2, 4] = 0.0
+        with pytest.raises(ValueError, match="p_err"):
+            fit_fringe(self.PHI, p, p_err=err)
+        with pytest.raises(ValueError):
+            fit_fringe(self.PHI, p, p_err=np.full((3, 5), 0.02))
+        with pytest.raises(ValueError):
+            fit_fringe(self.PHI[:-1], p)
+        with pytest.raises(ValueError, match="span"):
+            fit_fringe(np.linspace(0.0, 2.0, 13), p)
 
     @settings(max_examples=60, deadline=None)
     @given(A=st.floats(0.1, 1.5), C=st.floats(0.05, 0.4),
@@ -178,6 +240,46 @@ class TestVisibilityDecay:
         assert rep.params["V0"] == pytest.approx(0.9, rel=1e-6)
         assert rep.params["T2"] == pytest.approx(4e-3, rel=1e-6)
         assert rep.params["B"] == pytest.approx(0.05, abs=1e-6)
+
+    def test_exact_gaussian_recovers_t2(self):
+        V = 0.9 * np.exp(-((self.T / 4e-3) ** 2)) + 0.05
+        assert fit_visibility_decay(self.T, V).params["T2"] == \
+            pytest.approx(4e-3, rel=1e-9)
+
+    @staticmethod
+    def visibility_series():
+        # 9 baths on the criterion-04 protocol: each noiseless visibility
+        # series, and the same series with 1 % noise added
+        proto = RamseyProtocol.default_grid(t_max_ms=4.0, n_t=24)
+        rng = np.random.default_rng(7)
+        for n0 in (0.5e19, 1e19, 2e19):
+            for T in (300e-9, 700e-9, 1200e-9):
+                bath = BathState(n0=n0, T=T, omega_x=TWO_PI * 100,
+                                 omega_y=TWO_PI * 100, omega_z=TWO_PI * 100)
+                V = analyze_fringes(synthesize_fringe(proto, bath, ResonanceModel()),
+                                    delta_bg=proto.delta_bg, phase_convention="cos2").visibility.V
+                yield proto.t, V
+                yield proto.t, V + 0.01 * rng.standard_normal(len(V))
+
+    def test_stationary_and_no_worse_than_finite_differences(self, monkeypatch):
+        # the analytic Jacobian lets the fit reach the stationary point that
+        # the finite-difference fit stops short of (its gradient here is
+        # 4e-6 to 2e-5 on this scale; the analytic fit's is at most 2e-8,
+        # where ftol = 1e-14 stops the solver on a sum of squares that is
+        # flat to round-off)
+        fits = [(t, V, fit_visibility_decay(t, V)) for t, V in self.visibility_series()]
+        solve = fitting.least_squares
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda *a, jac=None, **k: solve(*a, **k))
+        for t, V, rep in fits:
+            V0, T2, B = (rep.params[k] for k in ("V0", "T2", "B"))
+            assert 0.0 < V0 < 2.0 and 0.0 < B < 1.0  # an interior solution
+            r = _decay_model(t, V0, T2, B) - V
+            J = _decay_jacobian(t, V0, T2, B)
+            assert np.linalg.norm(J.T @ r) <= \
+                1e-7 * np.linalg.norm(J) * np.linalg.norm(r)
+            ref = fit_visibility_decay(t, V)
+            assert rep.residual_norm <= ref.residual_norm
 
     def test_no_decay_flagged(self):
         rep = fit_visibility_decay(self.T, np.full_like(self.T, 0.8))
@@ -366,6 +468,27 @@ class TestPipeline:
         assert [BOUNDED_FIT in f.warnings for f in res.fringe_fits] == \
             [False, False, True, False, False]
         assert "bounded fringe fit at t_ms = 3" in res.warnings
+
+    def test_pinned_fringe_keeps_its_visibility_error(self):
+        # the bounded fit pins C at 3 ms, so its report gives C error 0;
+        # V's error there still comes from the unconstrained covariance
+        t = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        V = np.exp(-((t / 4e-3) ** 2))
+        p = np.array([fringe_values(phi, v, 0.5 - 0.5 * v, 1.0) for v in V])
+        p[2] = fringe_values(phi, 0.5, -0.02, 1.0)
+        p += 0.01 * np.random.default_rng(4).standard_normal(p.shape)
+        err = np.full_like(p, 0.01)
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        fit = res.fringe_fits[2]
+        assert fit.errors["C"] == 0.0
+        A, C, phi0 = (fit.params[k] for k in ("A", "C", "phi0"))
+        jac = np.column_stack([np.sin(0.5 * (phi0 - phi)) ** 2, np.ones_like(phi),
+                               0.5 * A * np.sin(phi0 - phi)]) / 0.01
+        A_err, C_err, _ = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+        assert res.visibility.V_err[2] == \
+            pytest.approx(visibility_error(A, C, A_err, C_err), rel=1e-9)
+        assert res.visibility.V_err[2] > 1e-3
 
     def test_bad_convention_rejected(self):
         proto = RamseyProtocol.default_grid(t_max_ms=2.0, n_t=8)

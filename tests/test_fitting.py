@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from impurityprobe.fitting import fit_report, linear_fit
+from impurityprobe.fitting import (fit_least_squares, fit_report, linear_fit,
+                                   standard_errors)
 
 NAMES = ["slope", "intercept"]
 
@@ -70,3 +71,71 @@ class TestFitReport:
         rep = fit_report(["a", "b"], [0.0, 0.0], jac, resid, False)
         assert rep.errors["a"] == pytest.approx(np.sqrt(8.0 / 3.0), rel=1e-15)
         assert rep.n_points == 5
+
+
+class TestStandardErrors:
+    def test_stack_matches_each_jacobian(self):
+        rng = np.random.default_rng(11)
+        jac = rng.normal(size=(5, 20, 3))
+        var = rng.uniform(0.5, 2.0, 5)
+        stacked = standard_errors(jac, var)
+        for J, v, got in zip(jac, var, stacked):
+            assert got == pytest.approx(standard_errors(J, v), rel=1e-13)
+            assert got == pytest.approx(np.sqrt(np.diag(np.linalg.inv(J.T @ J)) * v),
+                                        rel=1e-10)
+
+    def test_unconstrained_direction_gets_zero(self):
+        jac = np.column_stack([np.ones(6), np.zeros(6)])
+        assert standard_errors(jac, 1.0).tolist() == \
+            pytest.approx([1.0 / np.sqrt(6.0), 0.0], abs=1e-15)
+
+    def test_stacked_reports(self):
+        jac = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        resid = np.zeros((2, 3))
+        reps = fit_report(["a", "b", "c"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                          jac, resid, True)
+        assert [r.params["a"] for r in reps] == [1.0, 4.0]
+        assert [r.errors["b"] for r in reps] == [1.0, 0.5]
+
+
+def decay(x, a, k):
+    return a * np.exp(-k * x)
+
+
+def decay_jac(x, a, k):
+    e = np.exp(-k * x)
+    return np.column_stack([e, -a * x * e])
+
+
+class TestFitLeastSquares:
+    X = np.linspace(0.0, 3.0, 15)
+
+    def data(self):
+        rng = np.random.default_rng(2)
+        sigma = rng.uniform(0.01, 0.03, len(self.X))
+        return decay(self.X, 1.3, 0.8) + sigma * rng.normal(size=len(self.X)), sigma
+
+    def test_analytic_jacobian_weighted_by_sigma(self):
+        y, sigma = self.data()
+        fd = fit_least_squares(decay, self.X, y, [1.0, 1.0], ["a", "k"], sigma=sigma)
+        an = fit_least_squares(decay, self.X, y, [1.0, 1.0], ["a", "k"], sigma=sigma,
+                               jac=decay_jac)
+        assert an.residual_norm <= fd.residual_norm
+        for name in ("a", "k"):
+            assert an.params[name] == pytest.approx(fd.params[name], rel=1e-6)
+        a, k = an.params["a"], an.params["k"]
+        Jw = decay_jac(self.X, a, k) / sigma[:, None]
+        assert [an.errors["a"], an.errors["k"]] == \
+            pytest.approx(np.sqrt(np.diag(np.linalg.inv(Jw.T @ Jw))), rel=1e-10)
+
+    def test_pinned_parameter_reports_zero_error(self):
+        # the data decay at k = 0.8 but k <= 0.5: k ends on its bound, so its
+        # error is 0 and a's error is that of a fit with k fixed
+        y, sigma = self.data()
+        rep = fit_least_squares(decay, self.X, y, [1.0, 0.2], ["a", "k"], sigma=sigma,
+                                bounds=([0.0, 0.0], [np.inf, 0.5]), jac=decay_jac)
+        assert rep.params["k"] == pytest.approx(0.5, abs=1e-12)
+        assert rep.errors["k"] == 0.0
+        assert rep.warnings == ["k pinned at a bound"]
+        e = np.exp(-0.5 * self.X) / sigma
+        assert rep.errors["a"] == pytest.approx(1.0 / np.linalg.norm(e), rel=1e-10)
