@@ -5,8 +5,10 @@ Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
 (times, phases) grid in one closed-form linear least-squares solve (a
 bounded nonlinear fit runs only for a row whose free solution leaves the
 physical range, and reports a parameter left on a bound as pinned); the
-visibility is V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B, a
-nonlinear fit with the model's analytic Jacobian.  The
+visibility is V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B.  That
+fit is linear in (V0, B) at a fixed T2, so it starts at its
+variable-projection minimum, a 1-D search in log T2, and
+scipy's bounded TRF with the model's analytic Jacobian polishes it.  The
 interaction phase is the unwrapped fringe phase minus the background
 delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
 dephasing time.  Every fitted report is built by `fitting.fit_report`.
@@ -149,20 +151,102 @@ def _decay_jacobian(t, V0, T2, B):
     return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
 
 
-def fit_visibility_decay(t, V, V_err=None) -> FitReport:
-    """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B, with the
-    model's analytic Jacobian.
+_DECAY_BOUNDS = ([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0])  # V0, T2, B
+VP_STEPS = 50  # steps of the projected start at most
+VP_REL_STEP = 1e-10  # step in log T2 below which the projected start stops
 
-    Constant visibility yields a 'no decay detected' report with T2 set
-    to infinity; a monotonically increasing series is rejected as
+
+def _crossing_guess(t, V):
+    """(V0, T2, B) from the data: B its minimum, V0 the first point above
+    it, T2 the first time V falls to B + V0/e."""
+    B0 = max(float(np.min(V)), 0.0)
+    V00 = max(float(V[0]) - B0, 1e-6)
+    below = np.nonzero(V <= B0 + V00 / math.e)[0]
+    T20 = float(t[below[0]]) if len(below) and t[below[0]] > 0 else float(np.median(t))
+    return np.array([V00, T20, B0])
+
+
+def _projected_start(t, V, w, guess):
+    """Variable projection (Golub & Pereyra): the decay is linear in
+    (V0, B) for a fixed T2, so those come from the 2x2 weighted normal
+    equations and only log T2 is searched, from guess's T2, by steps
+    -g/h with step halving.  g = J_K . r is the exact gradient, from
+    Kaufman's projected Jacobian J_K; h is Gauss-Newton's J_K . J_K at
+    the first step and the secant of g after it.
+
+    A trial T2 counts as failed where the 2x2 system is singular (its
+    (V0, B) is then not finite) or its (V0, B) is not in [0, 2] x [0, 1],
+    so the search stops at that box; a step that is not finite ends it
+    where it is.  Returns the point reached, or guess, clipped into the
+    fit's bounds, if guess's T2 fails.  No step raises a warning.
+    """
+    def project(T2):
+        e = np.exp(-((t / T2) ** 2))
+        a, y = w * e, w * V
+        aa, aw, ww = a @ a, a @ w, w @ w
+        inv = np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw)
+        V0, B = inv @ [a @ y, w @ y]
+        if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
+            return None
+        r = a * V0 + w * B - y
+        # d r / d log T2, minus its projection on the columns (a, w)
+        j = 2.0 * V0 * a * (t / T2) ** 2
+        c = inv @ [a @ j, w @ j]
+        jk = j - c[0] * a - c[1] * w
+        return np.array([V0, T2, B]), r @ r, jk @ r, jk @ jk
+
+    with np.errstate(all="ignore"):  # every value is checked
+        best = project(guess[1])
+        if best is None:
+            return np.clip(guess, *_DECAY_BOUNDS)
+        last = None  # log T2 and gradient of the previous point
+        for _ in range(VP_STEPS):
+            p, ss, g, h = best
+            u = math.log(p[1])
+            if last is not None:
+                # the residual is large, so Gauss-Newton's h, which drops
+                # r . d2r, converges only linearly; the secant of the
+                # exact gradient g restores the curvature
+                secant = (g - last[1]) / (u - last[0])
+                h = secant if secant > 0.0 else h
+            step = -g / h if h > 0.0 else math.nan
+            if not math.isfinite(step):
+                break
+            step = min(max(step, -1.0), 1.0)  # at most a factor e in T2
+            while abs(step) >= VP_REL_STEP:
+                trial = project(p[1] * math.exp(step))
+                if trial is not None and trial[1] <= ss:
+                    break
+                step *= 0.5
+            else:
+                break
+            last, best = (u, g), trial
+    return np.clip(best[0], *_DECAY_BOUNDS)
+
+
+def fit_visibility_decay(t, V, V_err=None) -> FitReport:
+    """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
+
+    The start is the variable-projection minimum (`_projected_start`,
+    from the first crossing of B + V0/e), and scipy's bounded TRF with the
+    model's analytic Jacobian polishes it inside 0 <= V0 <= 2,
+    0 <= B <= 1 and gives the errors and any pinned parameter.  Constant
+    visibility yields a 'no decay detected' report with T2 set to
+    infinity; a monotonically increasing series is rejected as
     unphysical.
     """
     t = np.asarray(t, dtype=float)
     V = np.asarray(V, dtype=float)
     if len(t) < 4:
         raise ValueError("need at least 4 time points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(V))):
+        raise ValueError("times and visibilities must be finite")
     if np.any(t < 0.0):
         raise ValueError("times must be nonnegative")
+    if V_err is not None:
+        V_err = np.asarray(V_err, dtype=float)
+        if not np.all(np.isfinite(V_err) & (V_err > 0.0)):
+            raise ValueError("V_err must be finite and positive")
     if np.ptp(V) < 1e-12:
         return FitReport(params={"V0": 0.0, "T2": float("inf"), "B": float(V[0])},
                          errors={"V0": 0.0, "T2": float("nan"), "B": 0.0},
@@ -171,16 +255,10 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     if np.all(np.diff(V) >= 0.0):
         raise FitError("visibility increases monotonically: unphysical decay")
 
-    B0 = max(float(np.min(V)), 0.0)
-    V00 = max(float(V[0]) - B0, 1e-6)
-    # first crossing of B + V0/e sets the T2 scale
-    thresh = B0 + V00 / math.e
-    below = np.nonzero(V <= thresh)[0]
-    T20 = float(t[below[0]]) if len(below) and t[below[0]] > 0 else float(np.median(t))
-    return fit_least_squares(_decay_model, t, V, p0=[V00, T20, B0],
-                             names=["V0", "T2", "B"], sigma=V_err,
-                             bounds=([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]),
-                             jac=_decay_jacobian)
+    w = np.ones_like(V) if V_err is None else 1.0 / V_err
+    p0 = _projected_start(t, V, w, _crossing_guess(t, V))
+    return fit_least_squares(_decay_model, t, V, p0=p0, names=["V0", "T2", "B"],
+                             sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
 
 
 def extract_phase_series(t, phi0, delta_bg: float):

@@ -90,7 +90,10 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     Gauss-Newton steps with step halving refine it inside a bracket that
     every trial point shrinks, and the interval is x +- sqrt(rise/JtJ):
     the f_min + 1 crossing of the locally quadratic chi^2 when an observed
-    key has an error, else scaled by the residual misfit.
+    key has an error, else scaled by the residual misfit.  Where JtJ is so
+    small that this half-width exceeds the searched bracket (a residual
+    stationary at a nonzero value), the interval is the bracket and the
+    posterior is flagged unbounded.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -153,9 +156,15 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     jtj = float(J @ J)
     # every error key is observed: the chi^2 rule needs one with an error
     rise = 1.0 if errors else max(misfits[x], 1e-16)
-    half = math.sqrt(rise / jtj) if jtj > 0.0 else 0.0
-    return Posterior1D(estimate=x, interval=(x - half, x + half),
-                       curve=sorted(misfits.items())), forward
+    half = math.sqrt(rise / jtj) if jtj > 0.0 else math.inf
+    post = Posterior1D(estimate=x, interval=(x - half, x + half),
+                       curve=sorted(misfits.items()))
+    if half > bracket[1] - bracket[0]:
+        post.interval = tuple(bracket)
+        post.flags.append("interval unbounded: the residuals are stationary "
+                          "at the estimate, so the interval is the searched "
+                          "bracket")
+    return post, forward
 
 
 def infer_density(observed: dict, T_known: float, model,

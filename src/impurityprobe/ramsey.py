@@ -133,26 +133,36 @@ def _coherence_trace(ts, s, wn, x, wE):
     q: row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i) / k!, and
     g(m + d) = sum_k c_mk (i d)^k for |d| <= 1/2; g(-q) = conj g(q)
     covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).  Only the
-    rows the queries use are built.  Every sum is an einsum loop, not
-    BLAS, so the bits depend neither on the BLAS thread count nor on the
-    other times in the call.
+    rows the queries use are built, found by an occupancy mask over the
+    integers (by a sort where they are too sparse for a mask), and the
+    table is stored term-major, so each Horner term is one contiguous
+    gather.  Every sum is an einsum loop,
+    not BLAS, so the bits depend neither on the BLAS thread count nor on
+    the other times in the call.
     """
     q = np.abs(np.multiply.outer(ts, x))
     m = np.rint(q)
     d = q - m
-    rows, row_of = np.unique(m, return_inverse=True)
-    row_of = row_of.reshape(q.shape)
+    if m.max(initial=0.0) >= 8 * m.size + 4096:  # sparse rows: sort them
+        rows, row_of = np.unique(m, return_inverse=True)
+        row_of = row_of.reshape(m.shape)
+    else:
+        m = m.astype(np.intp)
+        used = np.zeros(int(m.max(initial=0)) + 1, dtype=bool)
+        used[m] = True
+        rows = np.flatnonzero(used)
+        row_of = (np.cumsum(used) - 1)[m]
     moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
                * wn[None, :] * _INV_FACTORIALS[:, None])
-    re, im = np.empty((2, rows.size, _TAYLOR_TERMS))
+    re, im = np.empty((2, _TAYLOR_TERMS, rows.size))
     for b in range(0, rows.size, _ROW_BLOCK):
         phase = np.multiply.outer(rows[b:b + _ROW_BLOCK], s)
-        re[b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments)
-        im[b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments)
+        re[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
+        im[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
     # Horner in i d: (gr + i gi) i d + c = (c_r - gi d) + i (c_i + gr d)
-    gr, gi = re[row_of, -1], im[row_of, -1]
+    gr, gi = re[-1][row_of], im[-1][row_of]
     for k in range(_TAYLOR_TERMS - 2, -1, -1):
-        gr, gi = re[row_of, k] - gi * d, im[row_of, k] + gr * d
+        gr, gi = re[k][row_of] - gi * d, im[k][row_of] + gr * d
     return (np.einsum("...j,j->...", gr, wE),
             np.einsum("...j,j->...", gi, np.where(x < 0.0, -wE, wE)))
 
@@ -179,8 +189,8 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
     any time, else the refined values are used.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0.0):
-        raise ValueError("time must be nonnegative")
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("time must be finite and nonnegative")
     refine = check_convergence and nodes is None
     if nodes is None:
         nodes = detuning_nodes(bath, model, protocol.B,

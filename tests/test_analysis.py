@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from impurityprobe import fitting
+from impurityprobe import analysis, fitting
 from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian,
                                     _decay_model, _fringe_model,
                                     analyze_fringes, extract_phase_series,
@@ -262,24 +263,121 @@ class TestVisibilityDecay:
                 yield proto.t, V + 0.01 * rng.standard_normal(len(V))
 
     def test_stationary_and_no_worse_than_finite_differences(self, monkeypatch):
-        # the analytic Jacobian lets the fit reach the stationary point that
-        # the finite-difference fit stops short of (its gradient here is
-        # 4e-6 to 2e-5 on this scale; the analytic fit's is at most 2e-8,
-        # where ftol = 1e-14 stops the solver on a sum of squares that is
-        # flat to round-off)
+        # started at the variable-projection minimum, the fit is stationary
+        # to round-off (at most 2.7e-9 on this scale); the reference is the
+        # finite-difference TRF fit from the first-crossing guess, which
+        # stops short of it (its gradient is 4e-6 to 2e-5 here)
         fits = [(t, V, fit_visibility_decay(t, V)) for t, V in self.visibility_series()]
         solve = fitting.least_squares
         monkeypatch.setattr(fitting, "least_squares",
                             lambda *a, jac=None, **k: solve(*a, **k))
+        monkeypatch.setattr(analysis, "_projected_start",
+                            lambda t, V, w, guess: guess)
         for t, V, rep in fits:
             V0, T2, B = (rep.params[k] for k in ("V0", "T2", "B"))
             assert 0.0 < V0 < 2.0 and 0.0 < B < 1.0  # an interior solution
             r = _decay_model(t, V0, T2, B) - V
             J = _decay_jacobian(t, V0, T2, B)
             assert np.linalg.norm(J.T @ r) <= \
-                1e-7 * np.linalg.norm(J) * np.linalg.norm(r)
+                1e-8 * np.linalg.norm(J) * np.linalg.norm(r)
             ref = fit_visibility_decay(t, V)
             assert rep.residual_norm <= ref.residual_norm
+
+    def test_projected_start_cuts_solver_evaluations(self, monkeypatch):
+        # TRF polishes the projected start: the first-crossing start took
+        # a median of 17 evaluations on these series
+        series = list(self.visibility_series())
+        nfev = []
+        solve = fitting.least_squares
+
+        def counted(*a, **k):
+            sol = solve(*a, **k)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        for t, V in series:
+            fit_visibility_decay(t, V)
+        assert len(nfev) == 18 and np.median(nfev) <= 8
+
+    def test_start_converges_in_few_steps(self, monkeypatch):
+        # the secant curvature makes the search superlinear: 8 steps reach
+        # the 50-step point, where Gauss-Newton alone, linear at about 1/3
+        # per step on these large residuals, is still 1e-4 away
+        series = list(self.visibility_series())
+        full = [self.start(t, V, analysis._crossing_guess(t, V)) for t, V in series]
+        monkeypatch.setattr(analysis, "VP_STEPS", 8)
+        for (t, V), ref in zip(series, full):
+            np.testing.assert_allclose(
+                self.start(t, V, analysis._crossing_guess(t, V)), ref, rtol=1e-9)
+
+    @staticmethod
+    def start(t, V, guess, V_err=None):
+        w = np.ones_like(V) if V_err is None else 1.0 / V_err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return analysis._projected_start(t, V, w, np.asarray(guess, dtype=float))
+
+    def test_start_falls_back_on_a_singular_system(self):
+        # at T2 = 1e30 s the decay column is all ones, the offset's twin
+        V = 0.9 * np.exp(-((self.T / 4e-3) ** 2)) + 0.05
+        guess = [0.85, 1e30, 0.05]
+        assert self.start(self.T, V, guess).tolist() == guess
+
+    def test_start_stops_at_a_non_finite_step(self):
+        # at T2 = 1e-200 s, (t/T2)^2 overflows for t > 0: the Jacobian is
+        # not finite, so the search ends at the guess's projection
+        t = np.concatenate([[0.0], self.T])
+        V = 0.9 * np.exp(-((t / 4e-3) ** 2)) + 0.05
+        V0, T2, B = self.start(t, V, [0.85, 1e-200, 0.05])
+        assert T2 == 1e-12  # the fit's lower bound
+        assert V0 == pytest.approx(V[0] - np.mean(V[1:]), rel=1e-12)
+        assert B == pytest.approx(np.mean(V[1:]), rel=1e-12)
+
+    @pytest.mark.parametrize("V0, B, face", [(0.9, -0.05, "B"), (2.5, 0.1, "V0"),
+                                             (0.3, 1.05, "B")])
+    def test_start_stays_in_the_box(self, V0, B, face):
+        # the free minimum is the truth, outside [0, 2] x [0, 1]: the start
+        # falls back to the clipped crossing guess, and TRF pins the face
+        V = V0 * np.exp(-((self.T / 4e-3) ** 2)) + B
+        guess = analysis._crossing_guess(self.T, V)
+        start = self.start(self.T, V, guess)
+        assert start.tolist() == np.clip(guess, *analysis._DECAY_BOUNDS).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fit_visibility_decay(self.T, V)
+        assert f"{face} pinned at a bound" in rep.warnings
+
+    def test_start_is_the_weighted_minimum(self, monkeypatch):
+        # the fit hands TRF the minimum of the sum weighted by 1/V_err
+        rng = np.random.default_rng(3)
+        V_err = rng.uniform(0.005, 0.05, len(self.T))
+        V = (0.8 * np.exp(-((self.T / 5e-3) ** 2)) + 0.1
+             + V_err * rng.standard_normal(len(self.T)))
+        starts = []
+        solve = fitting.least_squares
+
+        def record(fun, x0, **k):
+            starts.append(x0)
+            return solve(fun, x0, **k)
+
+        monkeypatch.setattr(fitting, "least_squares", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fit_visibility_decay(self.T, V, V_err=V_err)
+        fitted = [rep.params[k] for k in ("V0", "T2", "B")]
+        np.testing.assert_allclose(starts[0], fitted, rtol=1e-8)
+        unweighted = self.start(self.T, V, analysis._crossing_guess(self.T, V))
+        assert abs(unweighted[1] / fitted[1] - 1.0) > 1e-3
+
+    @pytest.mark.parametrize("kw", [{"V": [0.9, 0.5, math.nan, 0.1]},
+                                    {"t": [0.0, 1e-3, math.inf, 3e-3]},
+                                    {"V_err": [0.01, 0.0, 0.01, 0.01]},
+                                    {"V_err": [0.01, math.nan, 0.01, 0.01]}])
+    def test_bad_input_rejected(self, kw):
+        args = {"t": [0.0, 1e-3, 2e-3, 3e-3], "V": [0.9, 0.5, 0.2, 0.1], **kw}
+        with pytest.raises(ValueError):
+            fit_visibility_decay(**args)
 
     def test_no_decay_flagged(self):
         rep = fit_visibility_decay(self.T, np.full_like(self.T, 0.8))

@@ -78,6 +78,20 @@ class TestInferDensity:
         assert lo < n_true < hi
         assert lo < post.estimate < hi
 
+    def test_unbounded_interval_is_the_bracket(self):
+        # delta(n0) has a local extremum just below a jump (ROADMAP defect
+        # 5) that 1.03 x the 1.5e19 m^-3 / 500 nK delta does not reach: the
+        # residual is stationary at a nonzero value, JtJ -> 0, and the
+        # Jacobian interval was (-8.4e21, 8.4e21) m^-3
+        proto = make_protocol()
+        delta = 1.03 * forward_observables(1.5e19, 500e-9, MODEL, proto)["delta"]
+        post = infer_density({"delta": delta}, 500e-9, MODEL, proto,
+                             errors={"delta": 0.02 * abs(delta)})
+        assert post.interval == inference.DENSITY_BRACKET
+        assert any(f.startswith("interval unbounded") for f in post.flags)
+        lo, hi = inference.DENSITY_BRACKET
+        assert lo < post.estimate < hi
+
     def test_insensitive_objective_flagged(self):
         # with a_g = a_e the detuning vanishes at every density and the
         # misfit carries no information

@@ -254,6 +254,66 @@ class TestCoherenceTable:
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
+def sorted_rows_trace(ts, s, wn, x, wE):
+    """The table trace with its rows found by np.unique and stored
+    row-major, as it was before the occupancy mask: the reference for
+    the bits of _coherence_trace."""
+    q = np.abs(np.multiply.outer(ts, x))
+    m = np.rint(q)
+    d = q - m
+    rows, row_of = np.unique(m, return_inverse=True)
+    row_of = row_of.reshape(q.shape)
+    terms = ramsey._TAYLOR_TERMS
+    moments = (s[None, :] ** np.arange(terms)[:, None]
+               * wn[None, :] * ramsey._INV_FACTORIALS[:, None])
+    re, im = np.empty((2, rows.size, terms))
+    block = ramsey._ROW_BLOCK
+    for b in range(0, rows.size, block):
+        phase = np.multiply.outer(rows[b:b + block], s)
+        re[b:b + block] = np.einsum("ri,ki->rk", np.cos(phase), moments)
+        im[b:b + block] = np.einsum("ri,ki->rk", np.sin(phase), moments)
+    gr, gi = re[row_of, -1], im[row_of, -1]
+    for k in range(terms - 2, -1, -1):
+        gr, gi = re[row_of, k] - gi * d, im[row_of, k] + gr * d
+    return (np.einsum("...j,j->...", gr, wE),
+            np.einsum("...j,j->...", gi, np.where(x < 0.0, -wE, wE)))
+
+
+def pair_rule(delta, w):
+    """A (delta, weights) pair as ramsey_population reads it."""
+    return np.ones(1), np.ones(1), np.asarray(delta, float), np.asarray(w, float)
+
+
+@pytest.mark.parametrize("ts, rule", [
+    (np.geomspace(0.1e-3, 12e-3, 30),
+     pair_rule([-2.9e4, -1.2e3, 0.0, 4.4e3], [0.1, 0.2, 0.3, 0.4])),
+    (np.array([0.0]), pair_rule([-2.9e4, 1.0e3], [0.5, 0.5])),
+    (np.array([]), pair_rule([-2.9e4, 1.0e3], [0.5, 0.5])),
+    (np.array([[0.0], [5e-3], [12e-3]]), pair_rule([-2.9e4, 1.0e3], [0.5, 0.5])),
+    # rows too sparse for a mask over every integer: the sort path
+    (np.geomspace(1e-4, 1.0, 20), pair_rule([-5e8, 3.0], [0.5, 0.5])),
+])
+def test_trace_bits_match_sorted_rows(ts, rule):
+    C, S = ramsey._coherence_trace(ts, *rule)
+    refC, refS = sorted_rows_trace(ts, *rule)
+    assert C.shape == np.shape(ts)
+    assert np.array_equal(C, refC) and np.array_equal(S, refS)
+
+
+def test_trace_bits_match_sorted_rows_at_3e13_and_12_ms():
+    proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=30)
+    rule = detuning_nodes(make_bath(3e19, 700e-9), MODEL, proto.B)
+    C, S = ramsey._coherence_trace(proto.t, *rule)
+    refC, refS = sorted_rows_trace(proto.t, *rule)
+    assert np.array_equal(C, refC) and np.array_equal(S, refS)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
+def test_population_rejects_bad_times(t):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ramsey_population([1e-3, t], 0.0, make_bath(), MODEL, make_protocol())
+
+
 # prints the sha256 of a noiseless default-rule forward CSV
 _FORWARD_CSV_DIGEST = """
 import hashlib, math
