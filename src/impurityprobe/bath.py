@@ -20,6 +20,9 @@ import numpy as np
 from .constants import CONST
 from .thermal import MU_RBCS, _GAMMA_3_2, panel_nodes
 
+# the forward model reads only n0 and T: the density measure is shape-free
+_TRAP_OMEGA = 2.0 * math.pi * 100.0  # rad/s, the isotropic default trap
+
 
 @dataclass(frozen=True)
 class BathState:
@@ -28,9 +31,9 @@ class BathState:
 
     n0: float                 # peak density, m^-3
     T: float                  # K
-    omega_x: float            # rad/s
-    omega_y: float
-    omega_z: float
+    omega_x: float = _TRAP_OMEGA  # rad/s
+    omega_y: float = _TRAP_OMEGA
+    omega_z: float = _TRAP_OMEGA
 
     def __post_init__(self):
         given = (self.n0, self.T, self.omega_x, self.omega_y, self.omega_z)

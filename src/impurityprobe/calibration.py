@@ -111,6 +111,10 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     N = np.asarray(N, dtype=float)
     if len(t) < 6:
         raise ValueError("need at least 6 trace points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(N))):
+        raise ValueError("times and atom numbers must be finite")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("times must be strictly increasing")
     span = float(N.max() - N.min())
     if span == 0.0:
         raise FitError("trace carries no oscillation")
@@ -123,8 +127,6 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     spec = np.abs(np.fft.rfft(yu))
     freqs = np.fft.rfftfreq(len(tu), tu[1] - tu[0])
     delta0 = TWO_PI * float(freqs[1 + np.argmax(spec[1:])])
-    if delta0 == 0.0:
-        delta0 = TWO_PI / (t[-1] - t[0])
     T20 = 0.5 * (t[-1] - t[0])
     return fit_least_squares(
         no_bath_trace, t, N, p0=[A0, C0, delta0, T20],

@@ -34,6 +34,8 @@ EXIT_INFERENCE = 4
 def _prepare(args):
     cfg = load_config(args.config) if args.config else merge_config({})
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         cfg["seed"] = args.seed
     return cfg
 
@@ -240,6 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite")
         return args.func(args)
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -58,10 +58,8 @@ def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
                         energy_order: int = ENERGY_ORDER) -> dict:
     """Synthesize a noiseless signal, background included, and analyze it;
     returns {delta, T2}."""
-    omega = 2.0 * math.pi * 100.0  # isotropic reference trap; measure is shape-free
-    bath = BathState(n0=n0, T=T, omega_x=omega, omega_y=omega, omega_z=omega)
-    series = synthesize_fringe(protocol, bath, model, noise=None,
-                               density_order=density_order,
+    series = synthesize_fringe(protocol, BathState(n0=n0, T=T), model,
+                               noise=None, density_order=density_order,
                                energy_order=energy_order)
     res = analyze_fringes(series, delta_bg=protocol.delta_bg,
                           phase_convention="cos2")
@@ -99,6 +97,8 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     unobserved = set(errors) - set(observed)
     if unobserved:
         raise ValueError(f"errors given for unobserved {sorted(unobserved)}")
+    if observed.get("T2", 1.0) <= 0.0:
+        raise ValueError("observed T2 must be positive")
     for key, obs in observed.items():
         err = errors.get(key)
         if not math.isfinite(obs):
@@ -198,8 +198,6 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
     density); the posterior is flagged when the coarse forward curve,
     served by the memo, crosses the observed T2 more than once.
     """
-    if T2_observed <= 0.0:
-        raise ValueError("observed T2 must be positive")
     post, forward = _invert(lambda T: forward_observables(
         n0_known, T, model, protocol, density_order=density_order,
         energy_order=energy_order), {"T2": T2_observed},

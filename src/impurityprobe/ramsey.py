@@ -18,7 +18,7 @@ import numpy as np
 
 from .bath import BathState, density_weight_measure, interaction_detuning
 from .scattering import delta_a
-from .thermal import mb_quadrature, QuadratureError
+from .thermal import mb_quadrature
 
 # default node budgets of the density and energy panel rules
 DENSITY_ORDER = 384
@@ -169,8 +169,7 @@ def _coherence_trace(ts, s, wn, x, wE):
 
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
                       density_order: int = DENSITY_ORDER,
-                      energy_order: int = ENERGY_ORDER,
-                      nodes=None, check_convergence: bool = False):
+                      energy_order: int = ENERGY_ORDER, nodes=None):
     """Ground-state population of the microscopic dephasing model.
 
     Averages cos^2(delta_Rb t / 2 + phi / 2) over the density measure and
@@ -183,15 +182,11 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
     `nodes` may supply a factored rule from detuning_nodes, or any
     (delta, weights) pair of equal shape, e.g. a degenerate single-node
     measure, which is read as one density fraction s = 1.  Otherwise the
-    nodes come from detuning_nodes, and check_convergence=True repeats
-    the average at twice the density and twice the energy order:
-    QuadratureError is raised if <cos>, <sin> move by more than 1e-4 at
-    any time, else the refined values are used.
+    nodes come from detuning_nodes; quadrature_error estimates their error.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("time must be finite and nonnegative")
-    refine = check_convergence and nodes is None
     if nodes is None:
         nodes = detuning_nodes(bath, model, protocol.B,
                                density_order=density_order,
@@ -200,13 +195,6 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
         delta, w = (np.asarray(a, dtype=float).ravel() for a in nodes)
         nodes = (np.ones(1), np.ones(1), delta, w)
     C, S = _coherence_trace(ts, *nodes)
-    if refine:
-        C2, S2 = _coherence_trace(ts, *detuning_nodes(
-            bath, model, protocol.B, density_order=2 * density_order,
-            energy_order=2 * energy_order))
-        if np.max(np.hypot(C2 - C, S2 - S)) > 1e-4:
-            raise QuadratureError("Ramsey quadrature not converged")
-        C, S = C2, S2
     phase = np.asarray(phi, dtype=float) + protocol.delta_bg * ts
     env = np.exp(-((ts / protocol.T2_bg) ** 2))
     out = 0.5 + 0.5 * env * (C * np.cos(phase) - S * np.sin(phase))
@@ -217,14 +205,25 @@ def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,
 
 def population_grid(protocol: RamseyProtocol, bath: BathState, model,
                     density_order: int = DENSITY_ORDER,
-                    energy_order: int = ENERGY_ORDER,
-                    check_convergence: bool = False) -> np.ndarray:
+                    energy_order: int = ENERGY_ORDER) -> np.ndarray:
     """Noiseless population over the protocol's full (t, phi) grid."""
     return ramsey_population(protocol.t[:, None], protocol.phi[None, :],
                              bath, model, protocol,
                              density_order=density_order,
-                             energy_order=energy_order,
-                             check_convergence=check_convergence)
+                             energy_order=energy_order)
+
+
+def quadrature_error(protocol: RamseyProtocol, bath: BathState, model,
+                     density_order: int = DENSITY_ORDER,
+                     energy_order: int = ENERGY_ORDER) -> float:
+    """Largest change of (<cos>, <sin>), as hypot(dC, dS), over the
+    protocol's times when both node budgets are doubled; a population moves
+    by at most half of it.  It costs about three population grids, so no
+    forward or inversion path calls it."""
+    (C, S), (C2, S2) = (_coherence_trace(protocol.t, *detuning_nodes(
+        bath, model, protocol.B, density_order=k * density_order,
+        energy_order=k * energy_order)) for k in (1, 2))
+    return float(np.max(np.hypot(C2 - C, S2 - S), initial=0.0))
 
 
 def noise_trials(noise: dict) -> int:

@@ -36,7 +36,6 @@ DEFAULT_CONFIG = {
     "bath": {
         "peak_density_per_cm3": 1.0e13,
         "temperature_nK": 850.0,
-        "trap_freq_Hz": [100.0, 100.0, 100.0],
     },
     "model": {
         "a_bg_a0": 650.0,
@@ -92,11 +91,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _number(v) -> bool:
-    # json accepts NaN and Infinity, and NaN passes every "<= 0" check below
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def _check(name: str, value, default) -> None:
     """Refuse a config value of another type than its default's: an int
     passes for a float, and a None default is an optional string."""
@@ -108,11 +102,9 @@ def _check(name: str, value, default) -> None:
                 raise ConfigError(f"unknown config key {name}.{key}")
             _check(f"{name}.{key}", v, default[key])
         return
-    if isinstance(default, list):
-        ok = (isinstance(value, list) and len(value) == len(default)
-              and all(map(_number, value)))
-    elif isinstance(default, float):
-        ok = _number(value)
+    if isinstance(default, float):
+        # json accepts NaN and Infinity, and NaN passes every "<= 0" check below
+        ok = type(value) in (int, float) and math.isfinite(value)
     else:
         ok = type(value) is type(default) or (default is None
                                               and type(value) is str)
@@ -134,6 +126,8 @@ def validate_config(cfg: dict) -> None:
             _check(key, value, DEFAULT_CONFIG[key])
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be nonnegative")
     b = cfg["bath"]
     if b["peak_density_per_cm3"] <= 0:
         raise ConfigError("bath.peak_density_per_cm3 must be positive")
@@ -172,10 +166,8 @@ def hash_bytes(data: bytes) -> str:
 
 def bath_from_config(cfg: dict) -> BathState:
     b = cfg["bath"]
-    wx, wy, wz = (TWO_PI * f for f in b["trap_freq_Hz"])
     return BathState(n0=b["peak_density_per_cm3"] * 1e6,
-                     T=b["temperature_nK"] * 1e-9,
-                     omega_x=wx, omega_y=wy, omega_z=wz)
+                     T=b["temperature_nK"] * 1e-9)
 
 
 def model_from_config(cfg: dict):

@@ -218,3 +218,20 @@ class TestNoBathTrace:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_no_bath_trace(np.linspace(0, 1e-3, 4), np.zeros(4))
+
+    @pytest.mark.parametrize("case", ["reversed", "repeated", "nan-time",
+                                      "nan-count", "inf-count"])
+    def test_bad_trace_rejected(self, case):
+        # each used to fail inside scipy, on a start outside the bounds
+        t = np.linspace(0.2e-3, 40e-3, 80)
+        N = no_bath_trace(t, 6.0, 2.0, TWO_PI * 135.0, 27.2e-3)
+        if case == "reversed":
+            t, N = t[::-1], N[::-1]
+        elif case == "repeated":
+            t[5] = t[4]
+        elif case == "nan-time":
+            t[5] = np.nan
+        else:
+            N[5] = np.nan if case == "nan-count" else np.inf
+        with pytest.raises(ValueError, match="times"):
+            fit_no_bath_trace(t, N)

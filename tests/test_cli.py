@@ -69,8 +69,7 @@ class TestConfig:
             load_config(str(path))
 
     def test_integers_accepted_for_numbers(self):
-        validate_config(merge_config({"bath": {"temperature_nK": 850,
-                                               "trap_freq_Hz": [90, 100, 110]},
+        validate_config(merge_config({"bath": {"temperature_nK": 850},
                                       "noise": {"atoms_per_shot": 10,
                                                 "repetitions": 3}}))
 
@@ -84,6 +83,8 @@ class TestConfig:
         ({"protocol": {"n_t": 10.5}}, "protocol.n_t"),
         ({"quadrature": {"density_order": 96.0}}, "quadrature.density_order"),
         ({"seed": 1.5}, "seed"),
+        # there is no trap key (the forward model reads only n0 and T), so
+        # both trap cases are refused as unknown keys
         ({"bath": {"trap_freq_Hz": [100.0, 100.0]}}, "bath.trap_freq_Hz"),
         ({"bath": {"trap_freq_Hz": [100.0, "100", 100.0]}}, "bath.trap_freq_Hz"),
         ({"include_background": "false"}, "include_background"),
@@ -235,6 +236,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("section,key,value", [
         ("bath", "temperature_nK", float("nan")),
+        # refused as an unknown key: a config has no trap
         ("bath", "trap_freq_Hz", [100.0, float("inf"), 100.0]),
         ("model", "a_bg_a0", float("-inf")),
         ("protocol", "t_max_ms", float("nan")),
@@ -505,7 +507,8 @@ class TestInfer:
 
     @pytest.mark.parametrize("kind,flag,value", [
         ("density", "--delta-hz", "nan"), ("density", "--t2-ms", "inf"),
-        ("density", "--delta-hz", "0"), ("temperature", "--t2-ms", "nan")])
+        ("density", "--delta-hz", "0"), ("temperature", "--t2-ms", "nan"),
+        ("density", "--t2-ms", "-0.6"), ("density", "--t2-ms", "0")])
     def test_bad_observable_is_input_error(self, tmp_path, kind, flag, value):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -520,4 +523,45 @@ class TestInfer:
                      "--delta-hz", "nan"]) == 2
         assert main(["infer", "density", "--config", cfg,
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestNumberArguments:
+    """Numbers given on the command line are checked before any work, and
+    the message names the flag or key: float() parses "nan" and "inf", and
+    numpy refuses a negative seed only when it draws noise."""
+
+    NOISY = {"noise": {"atoms_per_shot": 10, "repetitions": 3}}
+
+    @pytest.mark.parametrize("argv, name", [
+        (["analyze", "{fringes}", "--delta-bg-hz", "nan"], "--delta-bg-hz"),
+        (["calibrate", "bfield", "{spectrum}", "--rabi-hz", "nan"], "--rabi-hz"),
+        (["calibrate", "bfield", "{spectrum}", "--mw-hz", "inf"], "--mw-hz"),
+        (["infer", "density", "--config", "{config}", "--delta-hz", "inf"],
+         "--delta-hz"),
+        (["infer", "temperature", "--config", "{config}", "--t2-ms", "nan"],
+         "--t2-ms"),
+        (["simulate", "--config", "{config}", "--seed", "-5"], "--seed"),
+        (["simulate", "--config", "{seed_config}"], "seed must be"),
+    ], ids=["delta-bg-hz", "rabi-hz", "mw-hz", "delta-hz", "t2-ms", "seed",
+            "config-seed"])
+    def test_bad_number_is_input_error(self, tmp_path, capsys, argv, name):
+        t = np.linspace(0.5e-3, 3e-3, 6)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = 0.5 - 0.4 * np.cos(phi[None, :] - 1.0 - 900.0 * t[:, None])
+        fringes = tmp_path / "fringes.csv"
+        fringes.write_text(fringe_to_csv(FringeSeries(t=t, phi=phi, p=p)))
+        spectrum = tmp_path / "bfield.csv"
+        spectrum.write_text("f_Hz,p\n" + "".join(
+            f"{f},{np.exp(-(f / 500.0) ** 2)}\n"
+            for f in np.linspace(-2500.0, 2500.0, 41)))
+        files = {"fringes": fringes, "spectrum": spectrum,
+                 "config": write_config(tmp_path, self.NOISY),
+                 "seed_config": write_config(tmp_path, {**self.NOISY,
+                                                        "seed": -5},
+                                             name="seed.json")}
+        out = tmp_path / "run"
+        args = [a.format(**files) for a in argv] + ["--out", str(out)]
+        assert main(args) == 2
+        assert name in capsys.readouterr().err
         assert not out.exists()

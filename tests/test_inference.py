@@ -244,6 +244,13 @@ class TestInvert:
         with pytest.raises(ValueError):
             invert(0.0)
 
+    @pytest.mark.parametrize("T2", [-0.6e-3, 0.0])
+    def test_nonpositive_t2_rejected(self, no_forward, T2):
+        with pytest.raises(ValueError, match="T2 must be positive"):
+            infer_density({"T2": T2}, 850e-9, MODEL, make_protocol())
+        with pytest.raises(ValueError, match="T2 must be positive"):
+            infer_temperature(T2, 1.5e19, MODEL, make_protocol())
+
     def test_error_of_unobserved_key_rejected(self, no_forward):
         with pytest.raises(ValueError, match="unobserved"):
             infer_density({"T2": 1e-3}, 850e-9, MODEL, make_protocol(),
