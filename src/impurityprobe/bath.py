@@ -72,12 +72,14 @@ def density_at(r, bath: BathState):
     return float(out) if out.ndim == 0 else out
 
 
-def density_weight_measure(bath: BathState, order: int = 48):
-    """Quadrature (densities, weights) for the impurity-sampled density.
+def density_weight_measure(order: int = 48):
+    """Quadrature (density fractions, weights) for the impurity-sampled
+    density.
 
     Positions drawn with probability n(r)/N see the local density
-    n = n0 e^{-u} with u ~ Gamma(3/2, 1).  Substituting u = s^2 turns the
-    measure into the smooth weight 2 s^2 e^{-s^2}, integrated with
+    n = n0 e^{-u} with u ~ Gamma(3/2, 1); the rule returns the fractions
+    n / n0 = e^{-u}, the same for every bath.  Substituting u = s^2 turns
+    the measure into the smooth weight 2 s^2 e^{-s^2}, integrated with
     composite 8-point Gauss-Legendre panels on s in [0, sqrt(30)]; the
     panels track the rapidly oscillating integrands of long evolution
     times.  `order` is the total node budget.  Weights are positive and
@@ -89,7 +91,7 @@ def density_weight_measure(bath: BathState, order: int = 48):
     s, w = panel_nodes(math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels)
     w = w * 2.0 * s**2 * np.exp(-(s**2)) / _GAMMA_3_2
     w = w / w.sum()  # absorb the ~1e-13 tail truncation
-    return bath.n0 * np.exp(-(s**2)), w
+    return np.exp(-(s**2)), w
 
 
 def interaction_detuning(n, d_a):

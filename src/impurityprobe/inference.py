@@ -46,11 +46,13 @@ class Posterior1D:
     estimate: float
     interval: tuple
     curve: list                      # (parameter, misfit) at every forward call
+    iterations: int = 0              # Gauss-Newton steps taken
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"estimate": self.estimate, "interval": list(self.interval),
-                "curve": [[a, b] for a, b in self.curve], "flags": list(self.flags)}
+                "curve": [[a, b] for a, b in self.curve],
+                "iterations": self.iterations, "flags": list(self.flags)}
 
 
 def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
@@ -135,6 +137,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
         return (residuals(x + h) - r) / h
 
     J = slope(x, r)
+    steps = 0
     for _ in range(GN_STEPS):
         jtj = float(J @ J)
         if jtj == 0.0:
@@ -151,14 +154,14 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
         else:
             break
         lo, hi = (x, hi) if t > x else (lo, x)
-        x, r = t, r_t
+        x, r, steps = t, r_t, steps + 1
         J = slope(x, r)
     jtj = float(J @ J)
     # every error key is observed: the chi^2 rule needs one with an error
     rise = 1.0 if errors else max(misfits[x], 1e-16)
     half = math.sqrt(rise / jtj) if jtj > 0.0 else math.inf
     post = Posterior1D(estimate=x, interval=(x - half, x + half),
-                       curve=sorted(misfits.items()))
+                       curve=sorted(misfits.items()), iterations=steps)
     if half > bracket[1] - bracket[0]:
         post.interval = tuple(bracket)
         post.flags.append("interval unbounded: the residuals are stationary "

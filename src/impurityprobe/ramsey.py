@@ -11,6 +11,7 @@ the density average, and the full phase fringe follows analytically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,16 +106,16 @@ def detuning_nodes(bath: BathState, model, B: float,
     """Factored detuning rule delta_ij = x_j s_i with weights wn_i wE_j.
 
     Returns (s, wn, x, wE): the density fractions s = n / n0 in (0, 1]
-    with their weights, and the peak-density detunings
-    x = delta_Rb(n0, B, E_j) with the energy weights; each weight vector
-    sums to 1.  Both factors use composite panel rules: the integrand
-    oscillates at long evolution times, which global Gauss rules cannot
-    track.
+    with their weights, the same bytes for every bath, and the
+    peak-density detunings x = delta_Rb(n0, B, E_j) with the energy
+    weights; each weight vector sums to 1.  Both factors use composite
+    panel rules: the integrand oscillates at long evolution times, which
+    global Gauss rules cannot track.
     """
-    n, wn = density_weight_measure(bath, order=density_order)
+    s, wn = density_weight_measure(order=density_order)
     E, wE = mb_quadrature(bath.T, order=energy_order)
     x = interaction_detuning(bath.n0, delta_a(B, E, model))
-    return n / bath.n0, wn, x, wE
+    return s, wn, x, wE
 
 
 # Taylor terms per table row: with s <= 1 and |d| <= 1/2 the first term
@@ -125,6 +126,12 @@ _INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_TERMS)])
 _ROW_BLOCK = 64
 
 
+@functools.lru_cache(maxsize=4)
+def _rule_table(rule_bytes):
+    """[rows 0..M of one density rule's table], kept per (s, wn) bytes."""
+    return [np.empty((2, _TAYLOR_TERMS, 0))]
+
+
 def _coherence_trace(ts, s, wn, x, wE):
     """<cos(delta t)>, <sin(delta t)> over the rule delta_ij = x_j s_i.
 
@@ -132,33 +139,37 @@ def _coherence_trace(ts, s, wn, x, wE):
     g(q) = sum_i wn_i exp(i q s_i) is read from a Taylor table on integer
     q: row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i) / k!, and
     g(m + d) = sum_k c_mk (i d)^k for |d| <= 1/2; g(-q) = conj g(q)
-    covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).  Only the
-    rows the queries use are built, found by an occupancy mask over the
-    integers (by a sort where they are too sparse for a mask), and the
-    table is stored term-major, so each Horner term is one contiguous
-    gather.  Every sum is an einsum loop,
-    not BLAS, so the bits depend neither on the BLAS thread count nor on
-    the other times in the call.
+    covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).  Row m
+    depends on the density rule alone, so the tables of the last four
+    rules are kept, each extended from its end to the highest row a call
+    needs (rows too sparse for that are sorted and built for the call
+    alone).  The table is term-major, so each Horner term is one
+    contiguous gather.  Every sum is an einsum loop, not BLAS, so a row's
+    bits depend neither on the BLAS thread count nor on the block it was
+    built in: the trace does not depend on what was called before.
     """
     q = np.abs(np.multiply.outer(ts, x))
     m = np.rint(q)
     d = q - m
     if m.max(initial=0.0) >= 8 * m.size + 4096:  # sparse rows: sort them
-        rows, row_of = np.unique(m, return_inverse=True)
+        new, row_of = np.unique(m, return_inverse=True)
+        table, built = [None], np.empty((2, _TAYLOR_TERMS, 0))
         row_of = row_of.reshape(m.shape)
     else:
-        m = m.astype(np.intp)
-        used = np.zeros(int(m.max(initial=0)) + 1, dtype=bool)
-        used[m] = True
-        rows = np.flatnonzero(used)
-        row_of = (np.cumsum(used) - 1)[m]
-    moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
-               * wn[None, :] * _INV_FACTORIALS[:, None])
-    re, im = np.empty((2, _TAYLOR_TERMS, rows.size))
-    for b in range(0, rows.size, _ROW_BLOCK):
-        phase = np.multiply.outer(rows[b:b + _ROW_BLOCK], s)
-        re[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
-        im[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
+        row_of = m.astype(np.intp)
+        table = _rule_table((s.tobytes(), wn.tobytes()))
+        built = table[0]
+        new = np.arange(built.shape[-1], row_of.max(initial=0) + 1)
+    if new.size:
+        moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
+                   * wn[None, :] * _INV_FACTORIALS[:, None])
+        add = np.empty((2, _TAYLOR_TERMS, new.size))
+        for b in range(0, new.size, _ROW_BLOCK):
+            phase = np.multiply.outer(new[b:b + _ROW_BLOCK], s)
+            add[0, :, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
+            add[1, :, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
+        built = table[0] = np.concatenate((built, add), axis=-1)
+    re, im = built
     # Horner in i d: (gr + i gi) i d + c = (c_r - gi d) + i (c_i + gr d)
     gr, gi = re[-1][row_of], im[-1][row_of]
     for k in range(_TAYLOR_TERMS - 2, -1, -1):

@@ -218,7 +218,8 @@ def test_09_distribution_sanity():
         n_samples = 1_000_000
         pos = rng.normal(size=(n_samples, 3)) * bath.sigmas()
         n_mc = density_at(pos, bath)
-        n_nodes, wq = density_weight_measure(bath, order=48)
+        s, wq = density_weight_measure(order=48)
+        n_nodes = bath.n0 * s
         for k in (1, 2):
             sem = (n_mc**k).std(ddof=1) / math.sqrt(n_samples)
             assert abs(np.dot(wq, n_nodes**k) - (n_mc**k).mean()) < 3 * sem

@@ -72,7 +72,8 @@ class TestDensityWeightMeasure:
     @pytest.mark.parametrize("order", [48, 384, 768])
     def test_weights_normalized(self, order):
         b = make_bath()
-        n, w = density_weight_measure(b, order=order)
+        s, w = density_weight_measure(order=order)
+        n = b.n0 * s
         assert np.all(np.isfinite(n)) and np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w > 0)
@@ -82,8 +83,8 @@ class TestDensityWeightMeasure:
     def test_mean_density_analytic(self, order):
         # impurity-sampled mean density is n0 / 2^(3/2)
         b = make_bath()
-        n, w = density_weight_measure(b, order=order)
-        assert np.dot(w, n) == pytest.approx(b.n0 / 2**1.5, rel=1e-10)
+        s, w = density_weight_measure(order=order)
+        assert np.dot(w, b.n0 * s) == pytest.approx(b.n0 / 2**1.5, rel=1e-10)
 
     def test_moments_against_3d_monte_carlo(self):
         b = make_bath()
@@ -92,7 +93,8 @@ class TestDensityWeightMeasure:
         # positions drawn from the normalized density (Gaussian per axis)
         pos = rng.normal(size=(n_samples, 3)) * b.sigmas()
         n_mc = density_at(pos, b)
-        n_nodes, w = density_weight_measure(b, order=48)
+        s, w = density_weight_measure(order=48)
+        n_nodes = b.n0 * s
         for k in (1, 2):
             mc = (n_mc**k).mean()
             sem = (n_mc**k).std(ddof=1) / math.sqrt(n_samples)
@@ -100,7 +102,7 @@ class TestDensityWeightMeasure:
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):
-            density_weight_measure(make_bath(), order=1)
+            density_weight_measure(order=1)
 
 
 class TestInteractionDetuning:

@@ -535,6 +535,8 @@ class TestNumberArguments:
 
     @pytest.mark.parametrize("argv, name", [
         (["analyze", "{fringes}", "--delta-bg-hz", "nan"], "--delta-bg-hz"),
+        # finite in Hz, but 2 pi times it overflows
+        (["analyze", "{fringes}", "--delta-bg-hz", "1e308"], "--delta-bg-hz"),
         (["calibrate", "bfield", "{spectrum}", "--rabi-hz", "nan"], "--rabi-hz"),
         (["calibrate", "bfield", "{spectrum}", "--mw-hz", "inf"], "--mw-hz"),
         (["infer", "density", "--config", "{config}", "--delta-hz", "inf"],
@@ -543,7 +545,7 @@ class TestNumberArguments:
          "--t2-ms"),
         (["simulate", "--config", "{config}", "--seed", "-5"], "--seed"),
         (["simulate", "--config", "{seed_config}"], "seed must be"),
-    ], ids=["delta-bg-hz", "rabi-hz", "mw-hz", "delta-hz", "t2-ms", "seed",
+    ], ids=["delta-bg-hz", "delta-bg-hz-overflow", "rabi-hz", "mw-hz", "delta-hz", "t2-ms", "seed",
             "config-seed"])
     def test_bad_number_is_input_error(self, tmp_path, capsys, argv, name):
         t = np.linspace(0.5e-3, 3e-3, 6)

@@ -195,6 +195,13 @@ class TestInvert:
         else:
             post = infer_temperature(obs["T2"], 1.5e19, MODEL, proto, **kw)
         assert len(calls) == len(post.curve) <= 26
+        # the coarse minimum and each accepted step get a slope call at
+        # x + SLOPE_REL_STEP x, so the steps are those calls less one
+        xs = [args[0] if target == "density" else args[1] for args in calls]
+        slopes = sum(x in {y + inference.SLOPE_REL_STEP * y for y in xs[:i]}
+                     for i, x in enumerate(xs))
+        assert post.iterations == slopes - 1 >= 1
+        assert post.to_dict()["iterations"] == post.iterations
 
     @pytest.mark.parametrize("target", ["density", "temperature"])
     @pytest.mark.parametrize("n0, T", [(1.2e19, 850e-9), (2e19, 950e-9),

@@ -227,8 +227,8 @@ class TestCoherenceTable:
 
     @pytest.mark.parametrize("nt", [1, 2, 3, 24, 30])
     def test_bytes_independent_of_time_grouping(self, nt):
-        # the table holds only the rows a call needs, so a time's value
-        # must not depend on which other times share the call
+        # the table grows to the highest row any call needed, so a time's
+        # value must not depend on which other times share the call
         bath, proto = make_bath(), make_protocol()
         nodes = detuning_nodes(bath, MODEL, proto.B)
         t = np.geomspace(0.1e-3, 12e-3, nt)
@@ -256,9 +256,8 @@ class TestCoherenceTable:
 
 
 def sorted_rows_trace(ts, s, wn, x, wE):
-    """The table trace with its rows found by np.unique and stored
-    row-major, as it was before the occupancy mask: the reference for
-    the bits of _coherence_trace."""
+    """The table trace with only the call's rows, found by np.unique and
+    stored row-major: the reference for the bits of _coherence_trace."""
     q = np.abs(np.multiply.outer(ts, x))
     m = np.rint(q)
     d = q - m
@@ -388,6 +387,108 @@ def _trace_in_child(conn, ts, *nodes):
     conn.close()
 
 
+def _trace_from_fork(ts, nodes):
+    """The trace's (C, S) bytes as a forked child computes them."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_trace_in_child, args=(send, ts, *nodes))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60)
+        got = recv.recv()
+    finally:
+        child.join(60)
+    assert not child.is_alive() and child.exitcode == 0
+    return got
+
+
+# (n0, T, t_max_ms) of the traces compared across table histories
+_HISTORY_CASES = [(1.0e19, 850e-9, 4.0), (3.0e19, 700e-9, 12.0),
+                  (0.5e19, 400e-9, 12.0), (5.0e19, 1200e-9, 12.0)]
+
+
+def _history_traces(cold):
+    """(C, S) bytes of each history case on the default and the 96-node
+    rule, each from an empty table if `cold`."""
+    out = []
+    for n0, T, t_max in _HISTORY_CASES:
+        proto = RamseyProtocol.default_grid(t_max_ms=t_max, n_t=24)
+        for order in (ramsey.DENSITY_ORDER, 96):
+            nodes = detuning_nodes(make_bath(n0, T), MODEL, proto.B,
+                                   density_order=order, energy_order=order)
+            if cold:
+                ramsey._rule_table.cache_clear()
+            C, S = ramsey._coherence_trace(proto.t, *nodes)
+            out.append(C.tobytes() + S.tobytes())
+    return out
+
+
+def _warm_density_scan(n0s):
+    proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24)
+    for n0 in n0s:
+        for order in (ramsey.DENSITY_ORDER, 96):
+            population_grid(proto, make_bath(n0), MODEL, density_order=order,
+                            energy_order=order)
+
+
+def _warm_other_times():
+    bath = make_bath(2e19, 500e-9)
+    for t in (np.array([0.0]), np.geomspace(0.1e-3, 1e-3, 5),
+              np.geomspace(1e-3, 30e-3, 7)[:, None], np.array([7.3e-3])):
+        for order in (ramsey.DENSITY_ORDER, 96):
+            ramsey._coherence_trace(t, *detuning_nodes(
+                bath, MODEL, 198.5e-7, density_order=order,
+                energy_order=order))
+
+
+# call sequences that leave the tables built in other blocks and offsets
+_WARM_UPS = {
+    "ascending n0": lambda: _warm_density_scan(np.linspace(0.05e19, 5e19, 12)),
+    "descending n0": lambda: _warm_density_scan(np.linspace(5e19, 0.05e19, 12)),
+    "other times": _warm_other_times,
+    "doubled rule": lambda: quadrature_error(
+        RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24),
+        make_bath(2e19, 850e-9), MODEL),
+}
+
+
+class TestRuleTable:
+    """The trace keeps one Taylor table per density rule and extends it as
+    calls need higher rows, so its bits must not depend on the calls made
+    before it, and the kept tables must stay bounded."""
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        return _history_traces(cold=True)
+
+    @pytest.mark.parametrize("warm_up", list(_WARM_UPS))
+    def test_bytes_independent_of_history(self, cold, warm_up):
+        ramsey._rule_table.cache_clear()
+        _WARM_UPS[warm_up]()
+        assert _history_traces(cold=False) == cold
+
+    def test_density_rule_bytes_independent_of_bath(self):
+        # one rule for every bath, so every bath shares its table
+        s, wn, _, _ = detuning_nodes(make_bath(0.7e19, 400e-9), MODEL, 198.5e-7)
+        s2, wn2, _, _ = detuning_nodes(make_bath(3.1e19, 1200e-9), MODEL, 2e-5)
+        assert s.tobytes() == s2.tobytes() and wn.tobytes() == wn2.tobytes()
+
+    def test_tables_bounded(self):
+        # four rules at most, each as long as the longest call needed
+        ramsey._rule_table.cache_clear()
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24)
+        for order in (48, 96, 192, 384, 768):
+            nodes = detuning_nodes(make_bath(3e19, 700e-9), MODEL, proto.B,
+                                   density_order=order)
+            for t in (proto.t[:5], proto.t, proto.t[:10]):
+                ramsey._coherence_trace(t, *nodes)
+        assert ramsey._rule_table.cache_info().currsize == 4
+        top = int(np.rint(np.max(np.abs(np.multiply.outer(proto.t, nodes[2])))))
+        table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))[0]
+        assert table.shape == (2, ramsey._TAYLOR_TERMS, top + 1)
+
+
 class TestCoherenceSplit:
     """Nothing in the forward model may split its sums by the number of
     cores: the bits must be the same on one core as on several, and a
@@ -430,18 +531,25 @@ class TestCoherenceSplit:
         ts = np.geomspace(0.1e-3, 12e-3, 7)
         C, S = ramsey._coherence_trace(ts, *nodes)
         assert threading.active_count() == before
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_trace_in_child, args=(send, ts, *nodes))
-        child.start()
-        send.close()
-        try:
-            assert recv.poll(60)
-            got = recv.recv()
-        finally:
-            child.join(60)
-        assert not child.is_alive() and child.exitcode == 0
+        got = _trace_from_fork(ts, nodes)
         assert got == (C.tobytes(), S.tobytes())
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_fork_child_with_warm_table(self):
+        # the child inherits tables that other calls built; it must compute
+        # what a cold table gives, whether they hold its rows already or
+        # it has to extend them
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24)
+        nodes = detuning_nodes(make_bath(3e19, 700e-9), MODEL, proto.B)
+        ramsey._rule_table.cache_clear()
+        C, S = ramsey._coherence_trace(proto.t, *nodes)
+        ramsey._rule_table.cache_clear()
+        _WARM_UPS["ascending n0"]()
+        assert _trace_from_fork(proto.t, nodes) == (C.tobytes(), S.tobytes())
+        ramsey._rule_table.cache_clear()
+        _warm_density_scan([0.5e19, 1e19])
+        assert _trace_from_fork(proto.t, nodes) == (C.tobytes(), S.tobytes())
 
 
 class TestSynthesize:
