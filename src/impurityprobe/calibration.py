@@ -1,14 +1,19 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
 slope and quadratic Zeeman fit (both linear, solved exactly), and
-release-curve thermometry.
+release-curve thermometry in closed form.  The B-field and release fits
+take `fitting.fit_scalar`'s Gauss-Newton steps, so `calibrate` loads no
+scipy; only the four-parameter bath-free trace fit uses scipy's TRF.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import CONST, TWO_PI
-from .fitting import FitError, FitReport, fit_least_squares, linear_fit
+from .fitting import (FitError, FitReport, fit_least_squares, fit_scalar,
+                      linear_fit)
 from .ramsey import no_bath_trace
 
 # linear Zeeman conversion for the Rb calibration transition
@@ -51,12 +56,13 @@ def fit_bfield(omega_coil, p, Omega0: float, omega_MW: float,
     if k == 0 or k == len(p) - 1:
         raise ValueError("transfer peak not bracketed by the scan")
 
-    def model(w, omega_bg):
-        return rabi_lineshape(w, Omega0, omega_bg, omega_MW)
-
-    bg0 = omega_MW - omega_coil[k]
-    rep = fit_least_squares(model, omega_coil, p, p0=[bg0],
-                            names=["omega_bg"], sigma=p_err)
+    def slope(w, bg):  # d rabi_lineshape / d bg = dp/dW * D/W; a = pi/(2 Omega0)
+        D = w + bg - omega_MW
+        W, a = np.sqrt(Omega0**2 + D * D), 0.5 * math.pi / Omega0
+        return Omega0**2 * D / W**3 * (a * np.sin(2 * a * W) - 2 * np.sin(a * W)**2 / W)
+    rep = fit_scalar(lambda w, bg: rabi_lineshape(w, Omega0, bg, omega_MW), slope,
+                     omega_coil, p, omega_MW - omega_coil[k], "omega_bg",
+                     sigma=p_err)
     omega_coil_res = omega_MW - rep.params["omega_bg"]
     B_coil = omega_coil_res / TWO_PI / ZEEMAN_HZ_PER_G * 1e-4  # G -> T
     return rep, B_coil
@@ -138,15 +144,20 @@ def release_curve(E0, T: float):
     """Fraction of trapped atoms remaining at final trap depth E0.
 
     Cumulative 3D Maxwell-Boltzmann energy distribution, the regularized
-    lower incomplete gamma function gammainc(3/2, E0 / kB T).
+    lower incomplete gamma function P(3/2, x) at x = E0 / kB T: for x >= 1
+    erf(sqrt x) - 2 sqrt(x/pi) e^-x, and below that, where the difference
+    cancels, the series e^-x sum_n x^(n+3/2) / Gamma(n+5/2) to n = 19.
     """
     if T <= 0.0:
         raise ValueError("temperature must be positive")
     E0 = np.asarray(E0, dtype=float)
     if np.any(E0 < 0.0):
         raise ValueError("trap depth must be nonnegative")
-    from scipy.special import gammainc
-    out = gammainc(1.5, E0 / (CONST.k_B * T))
+    x = E0 / (CONST.k_B * T)
+    s, b, n = np.minimum(x, 1.0), np.maximum(x, 1.0), np.arange(20) + 1.5
+    series = np.exp(-s) * (s[..., None] ** n / np.cumprod(n)).sum(-1) / math.gamma(1.5)
+    closed = np.vectorize(math.erf)(np.sqrt(b)) - 2.0 * np.sqrt(b / math.pi) * np.exp(-b)
+    out = np.where(x < 1.0, series, closed)
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,9 +176,13 @@ def fit_release_curve(E0, fraction, fraction_err=None) -> FitReport:
                          residual_norm=0.0, n_points=len(E0), converged=False,
                          warnings=["release curve saturated: temperature unbounded"])
 
-    # depth at half retention sets the scale: gammainc(1.5, x)=0.5 at x~1.16
+    # depth at half retention sets the scale: P(3/2, x) = 0.5 at x ~ 1.16
     order = np.argsort(fraction)
     E_half = float(np.interp(0.5, fraction[order], E0[order]))
     T0 = max(E_half / (1.16 * CONST.k_B), 1e-9)
-    return fit_least_squares(release_curve, E0, fraction, p0=[T0], names=["T"],
-                             sigma=fraction_err, bounds=([1e-12], [np.inf]))
+
+    def slope(E, T):  # d release_curve / dT
+        x = E / (CONST.k_B * T)
+        return -2.0 / math.sqrt(math.pi) * x**1.5 * np.exp(-x) / T
+    return fit_scalar(release_curve, slope, E0, fraction, T0, "T",
+                      sigma=fraction_err, log=True)

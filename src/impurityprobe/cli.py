@@ -70,8 +70,9 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     series = fringe_from_csv(args.fringes)
     delta_bg = TWO_PI * args.delta_bg_hz
-    if not math.isfinite(delta_bg):
-        raise ConfigError(f"--delta-bg-hz {args.delta_bg_hz:g} overflows in rad/s")
+    if not abs(delta_bg) * series.t.max(initial=0.0) <= 1e12:  # inf, NaN too
+        raise ConfigError(f"--delta-bg-hz {args.delta_bg_hz:g} turns the phase by "
+                          "more than 1e12 rad, where it keeps no phase information")
     result = analyze_fringes(series, delta_bg=delta_bg,
                              phase_convention=args.phase_convention)
     out = {"schema_version": SCHEMA_VERSION, "input_hash": series.source_hash,

@@ -4,17 +4,23 @@ Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
 uncertainties from the local quadratic model (`standard_errors`; a stack
 of same-shaped fits takes one call).  Models linear in every parameter go
-through `linear_fit`, an exact weighted `lstsq`; nonlinear ones through
-`fit_least_squares`, scipy's bounded trust-region reflective solver with
-the model's analytic Jacobian or, without one, finite differences.  A
-parameter left on a bound is reported pinned, with error 0.
+through `linear_fit`, an exact `lstsq`, one-parameter ones through
+`fit_scalar`'s Gauss-Newton steps, and the rest (bath-free trace, decay
+polish, bounded fringe fallback) through scipy's bounded trust-region
+reflective solver in `fit_least_squares`, the only one that loads scipy,
+with the model's analytic Jacobian or, without one, finite differences.
+A parameter left on a bound is reported pinned, with error 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
+SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 
 
 def least_squares(*args, **kwargs):
@@ -101,6 +107,39 @@ def linear_fit(X, y, names, sigma=None) -> FitReport:
     yw = y * w
     coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
     return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
+
+
+def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
+    """Fit y = model(x, p) for one parameter p, given jac(x, p) = dmodel/dp,
+    by Gauss-Newton steps -(j.r)/(j.j) on the weighted residual r (in log p
+    with log, at most 1 each), halved while r.r rises by more than twice
+    its rounding 2 eps |r|.|y/sigma|, up to a step of SCALAR_REL_STEP
+    (relative).  Raises ValueError if r is not finite at p0, FitError at a
+    step that is not finite or after SCALAR_STEPS steps."""
+    y = np.asarray(y, dtype=float)
+    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    p, r = float(p0), (model(x, p0) - y) * w
+    if not math.isfinite(r @ r):
+        raise ValueError(f"residuals are not finite at the start {name} = {p:g}")
+    for _ in range(SCALAR_STEPS):
+        j = jac(x, p) * w * (p if log else 1.0)
+        step = -float(j @ r) / float(j @ j) if j @ j != 0.0 else 0.0
+        step = min(max(step, -1.0), 1.0) if log else step
+        if not math.isfinite(step):
+            break
+        tol = SCALAR_REL_STEP * (1.0 if log else abs(p))
+        ceiling = r @ r + 4.0 * np.finfo(float).eps * (np.abs(r) @ np.abs(y * w))
+        while True:
+            p_t = p * math.exp(step) if log else p + step
+            r_t = (model(x, p_t) - y) * w
+            if r_t @ r_t <= ceiling or abs(step) <= tol:
+                break
+            step *= 0.5
+        p, r = p_t, r_t
+        if abs(step) <= tol:
+            return fit_report([name], [p], (jac(x, p) * w)[:, None], r,
+                              sigma is not None)
+    raise FitError(f"{name} fit did not converge in {SCALAR_STEPS} steps")
 
 
 def fit_least_squares(model, x, y, p0, names, sigma=None,

@@ -93,7 +93,8 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     key has an error, else scaled by the residual misfit.  Where JtJ is so
     small that this half-width exceeds the searched bracket (a residual
     stationary at a nonzero value), the interval is the bracket and the
-    posterior is flagged unbounded.
+    posterior is flagged unbounded.  A single observable whose residual has
+    one sign at every point the forward model ran at is flagged unreached.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -111,10 +112,12 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
             raise ValueError(f"observed {key} is 0: its misfit needs an error")
     forward = functools.cache(forward)
     misfits = {}  # x -> misfit at every point the forward model ran at
+    signs = set()  # residual signs there
 
     def residuals(x):
         r = _residuals(observed, forward(x), errors)
         misfits[x] = float(r @ r)
+        signs.add(tuple(np.sign(r)))
         return r
 
     xs = np.linspace(bracket[0], bracket[1], BRACKET_SAMPLES).tolist()
@@ -167,6 +170,9 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
         post.flags.append("interval unbounded: the residuals are stationary "
                           "at the estimate, so the interval is the searched "
                           "bracket")
+    if len(observed) == 1 and len(signs) == 1:
+        post.flags.append(f"observed {next(iter(observed))} is not reached in "
+                          "the bracket: every forward value lies on one side")
     return post, forward
 
 

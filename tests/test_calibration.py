@@ -10,7 +10,7 @@ from impurityprobe.calibration import (LIGHT_SHIFT_THEORY, ZEEMAN_HZ_PER_G,
                                        fit_zeeman, rabi_lineshape,
                                        release_curve)
 from impurityprobe.constants import CONST
-from impurityprobe.fitting import FitError
+from impurityprobe.fitting import FitError, fit_least_squares
 from impurityprobe.ramsey import no_bath_trace
 from impurityprobe.thermal import mb_pdf, zeeman_coefficient_hz_per_G2
 
@@ -173,6 +173,92 @@ class TestReleaseCurve:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             release_curve(-1e-30, 1.7e-6)
+
+
+class TestReleaseClosedForm:
+    """release_curve is P(3/2, x), x = E0 / kB T: erf(sqrt x) - 2 sqrt(x/pi)
+    e^-x from x = 1 on, its power series below (switch at x = 1)."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-12, 1e-8, 1e-2, 0.3, 0.999,
+                                   np.nextafter(1.0, 0.0), 1.0, 1.001, 1.2,
+                                   3.0, 10.0, 40.0])
+    def test_matches_scipy_gammainc(self, x):
+        from scipy.special import gammainc
+        E0 = x * K_B * 1.7e-6
+        ref = gammainc(1.5, E0 / (K_B * 1.7e-6))
+        assert abs(release_curve(E0, 1.7e-6) - ref) <= 2e-15
+
+    def test_matches_arbitrary_precision(self):
+        # scipy's gammainc is itself 4.8e-15 off at x = 1.529
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-8, 60.0, 400),
+                            np.linspace(0.95, 1.6, 131)])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.gammainc(1.5, 0, v, regularized=True))
+                            for v in x])
+        got = release_curve(x * K_B * 1.7e-6, 1.7e-6)
+        assert np.max(np.abs(got - ref)) <= 5e-16
+        assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
+def _sum_of_squares_slack(r, yw):
+    """Rounding of r.r: each r_i = (model_i - y_i)/sigma_i carries about
+    eps |y_i/sigma_i|, so r.r moves by up to 2 eps |r|.|y/sigma|; doubled."""
+    return 4.0 * np.finfo(float).eps * float(np.abs(r) @ np.abs(yw))
+
+
+class TestScalarFitsStationary:
+    """The release and B-field fits land on the least-squares minimum: the
+    gradient J.r is at round-off, and the sum of squares is no larger than
+    that of scipy's TRF from the same start, up to the rounding of r.r
+    (the B-field sum of squares, about 40, jumps by up to 5e-13 when
+    omega_bg moves by a few 1e-15, relative).  TRF stopped up to 1e-4
+    (relative) short of the minimum on the release curve."""
+
+    @staticmethod
+    def check(r, J, r_trf, yw):
+        assert abs(J @ r) <= 1e-10 * np.linalg.norm(J) * np.linalg.norm(r)
+        assert r @ r <= r_trf @ r_trf + _sum_of_squares_slack(r_trf, yw)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_release(self, seed):
+        rng = np.random.default_rng(seed)
+        T = 1.7e-6 * (1.0 + 0.05 * rng.normal())
+        E0 = np.linspace(0.1, 6.0, 20) * K_B * T
+        sigma = np.full(20, 0.01)
+        f = release_curve(E0, T) + sigma * rng.normal(size=20)
+        rep = fit_release_curve(E0, f, fraction_err=sigma)
+        order = np.argsort(f)  # fit_release_curve's start, then its old fit
+        T0 = max(float(np.interp(0.5, f[order], E0[order])) / (1.16 * K_B), 1e-9)
+        trf = fit_least_squares(release_curve, E0, f, p0=[T0], names=["T"],
+                                sigma=sigma, bounds=([1e-12], [np.inf]))
+        T_fit = rep.params["T"]
+        x = E0 / (K_B * T_fit)
+        J = -2.0 / math.sqrt(math.pi) * np.sqrt(x) * np.exp(-x) * x / T_fit / sigma
+        self.check((release_curve(E0, T_fit) - f) / sigma, J,
+                   (release_curve(E0, trf.params["T"]) - f) / sigma, f / sigma)
+        assert rep.errors["T"] == pytest.approx(1.0 / np.linalg.norm(J), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bfield(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        omega_MW = TWO_PI * 140e3
+        bg = TWO_PI * 0.7e6 * 0.1985 * (1.0 + 0.01 * rng.normal())
+        w = omega_MW - bg + np.linspace(-2.5, 2.5, 41) * OMEGA0
+        sigma = np.full(41, 0.01)
+        p = rabi_lineshape(w, OMEGA0, bg, omega_MW) + sigma * rng.normal(size=41)
+        rep, _ = fit_bfield(w, p, OMEGA0, omega_MW, p_err=sigma)
+        trf = fit_least_squares(
+            lambda x, b: rabi_lineshape(x, OMEGA0, b, omega_MW), w, p,
+            p0=[omega_MW - w[np.argmax(p)]], names=["omega_bg"], sigma=sigma)
+        b = rep.params["omega_bg"]
+        # complex step: the derivative to round-off, independent of the fit's
+        J = np.imag(rabi_lineshape(w, OMEGA0, b + 1e-20j, omega_MW)) / 1e-20 / sigma
+        self.check((rabi_lineshape(w, OMEGA0, b, omega_MW) - p) / sigma, J,
+                   (rabi_lineshape(w, OMEGA0, trf.params["omega_bg"], omega_MW) - p)
+                   / sigma, p / sigma)
+        assert rep.errors["omega_bg"] == pytest.approx(1.0 / np.linalg.norm(J),
+                                                       rel=1e-9)
 
 
 class TestFitReleaseCurve:

@@ -182,8 +182,8 @@ class TestStartup:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_scipy_special_unloaded(self):
-        # the forward model's rules are module constants; only the
-        # release-curve calibration needs scipy.special
+        # the forward model's rules are module constants, and the release
+        # curve is evaluated in closed form: no verb needs scipy.special
         src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
         code = "import sys, impurityprobe.cli; print('scipy.special' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -206,6 +206,30 @@ class TestStartup:
                              text=True, check=True, timeout=120,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split()[-2:] == ["0", "False"]
+
+    @pytest.mark.parametrize("kind", ["release", "bfield"])
+    def test_nonlinear_calibration_leaves_scipy_unloaded(self, tmp_path, kind):
+        # one-parameter fits: Gauss-Newton steps on a closed-form model
+        from impurityprobe.calibration import rabi_lineshape, release_curve
+        from impurityprobe.constants import CONST
+        src = os.path.dirname(os.path.dirname(impurityprobe.__file__))
+        if kind == "release":
+            x = np.linspace(0.2, 10.0, 20)  # depth, kB uK
+            y = release_curve(x * CONST.k_B * 1e-6, 1.7e-6)
+        else:
+            mw = 0.7e6 * 0.1985  # the CLI's default --mw-hz and --rabi-hz
+            x = mw + np.linspace(-2.5, 2.5, 41) * 1e3
+            y = rabi_lineshape(TWO_PI * x, TWO_PI * 1e3, 0.0, TWO_PI * mw)
+        path = tmp_path / "cal.csv"
+        path.write_text("x,y\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y)))
+        argv = ["calibrate", kind, str(path), "--out", str(tmp_path / "cal")]
+        code = ("import sys; from impurityprobe.cli import main; "
+                f"rc = main({argv!r}); print(rc, 'scipy.optimize' in sys.modules, "
+                "'scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 class TestSimulate:
@@ -537,6 +561,9 @@ class TestNumberArguments:
         (["analyze", "{fringes}", "--delta-bg-hz", "nan"], "--delta-bg-hz"),
         # finite in Hz, but 2 pi times it overflows
         (["analyze", "{fringes}", "--delta-bg-hz", "1e308"], "--delta-bg-hz"),
+        # finite in rad/s, but the background phase (2e305 rad at 3 ms)
+        # keeps no phase information
+        (["analyze", "{fringes}", "--delta-bg-hz", "1e307"], "--delta-bg-hz"),
         (["calibrate", "bfield", "{spectrum}", "--rabi-hz", "nan"], "--rabi-hz"),
         (["calibrate", "bfield", "{spectrum}", "--mw-hz", "inf"], "--mw-hz"),
         (["infer", "density", "--config", "{config}", "--delta-hz", "inf"],
@@ -545,7 +572,7 @@ class TestNumberArguments:
          "--t2-ms"),
         (["simulate", "--config", "{config}", "--seed", "-5"], "--seed"),
         (["simulate", "--config", "{seed_config}"], "seed must be"),
-    ], ids=["delta-bg-hz", "delta-bg-hz-overflow", "rabi-hz", "mw-hz", "delta-hz", "t2-ms", "seed",
+    ], ids=["delta-bg-hz", "delta-bg-hz-overflow", "delta-bg-hz-phase", "rabi-hz", "mw-hz", "delta-hz", "t2-ms", "seed",
             "config-seed"])
     def test_bad_number_is_input_error(self, tmp_path, capsys, argv, name):
         t = np.linspace(0.5e-3, 3e-3, 6)

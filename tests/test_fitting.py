@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from impurityprobe.fitting import (fit_least_squares, fit_report, linear_fit,
-                                   standard_errors)
+from impurityprobe import fitting
+from impurityprobe.fitting import (FitError, fit_least_squares, fit_report,
+                                   fit_scalar, linear_fit, standard_errors)
 
 NAMES = ["slope", "intercept"]
 
@@ -139,3 +140,74 @@ class TestFitLeastSquares:
         assert rep.warnings == ["k pinned at a bound"]
         e = np.exp(-0.5 * self.X) / sigma
         assert rep.errors["a"] == pytest.approx(1.0 / np.linalg.norm(e), rel=1e-10)
+
+
+class TestFitScalar:
+    """Gauss-Newton on one parameter: a = 1.3 fixed, only the rate k is fitted."""
+
+    X = np.linspace(0.0, 3.0, 15)
+
+    @staticmethod
+    def model(x, k):
+        return decay(x, 1.3, k)
+
+    @staticmethod
+    def slope(x, k):
+        return decay_jac(x, 1.3, k)[:, 1]
+
+    def data(self):
+        rng = np.random.default_rng(3)
+        sigma = rng.uniform(0.01, 0.03, len(self.X))
+        return self.model(self.X, 0.8) + sigma * rng.normal(size=len(self.X)), sigma
+
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_stationary_with_the_normal_equations_error(self, log):
+        y, sigma = self.data()
+        rep = fit_scalar(self.model, self.slope, self.X, y, 0.3, "k", sigma=sigma,
+                         log=log)
+        k = rep.params["k"]
+        j = self.slope(self.X, k) / sigma
+        r = (self.model(self.X, k) - y) / sigma
+        assert abs(j @ r) <= 1e-12 * np.linalg.norm(j) * np.linalg.norm(r)
+        assert rep.errors["k"] == pytest.approx(1.0 / np.linalg.norm(j), rel=1e-12)
+        assert rep.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+        trf = fit_least_squares(self.model, self.X, y, [0.3], ["k"], sigma=sigma,
+                                jac=lambda x, k: self.slope(x, k)[:, None])
+        assert k == pytest.approx(trf.params["k"], rel=1e-9)
+
+    def test_exact_data_recovered(self):
+        y = self.model(self.X, 0.8)
+        rep = fit_scalar(self.model, self.slope, self.X, y, 2.0, "k", log=True)
+        assert rep.params["k"] == pytest.approx(0.8, rel=1e-14)
+        assert rep.converged and not rep.warnings
+
+    def test_log_steps_keep_the_parameter_positive(self):
+        # the first linear Gauss-Newton step from k = 5 lands below 0
+        y = self.model(self.X, 0.05)
+        seen = []
+
+        def model(x, k):
+            seen.append(k)
+            return self.model(x, k)
+
+        rep = fit_scalar(model, self.slope, self.X, y, 5.0, "k", log=True)
+        assert min(seen) > 0.0
+        assert rep.params["k"] == pytest.approx(0.05, rel=1e-12)
+
+    def test_nonfinite_start_rejected(self):
+        y = self.model(self.X, 0.8)
+        y[4] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            fit_scalar(self.model, self.slope, self.X, y, 1.0, "k")
+
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(fitting, "SCALAR_STEPS", 2)
+        y, sigma = self.data()
+        with pytest.raises(FitError, match="did not converge"):
+            fit_scalar(self.model, self.slope, self.X, y, 5.0, "k", sigma=sigma)
+
+    def test_nonfinite_step_raises(self):
+        y = self.model(self.X, 0.8)
+        with pytest.raises(FitError):
+            fit_scalar(self.model, lambda x, k: np.full_like(x, np.nan), self.X, y,
+                       1.0, "k")

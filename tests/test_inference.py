@@ -134,6 +134,20 @@ class TestInferTemperature:
         post = infer_temperature(0.32e-3, 1.8e19, MODEL, make_protocol())
         assert any("more than one temperature" in f for f in post.flags)
 
+    def test_unreached_t2_flagged(self):
+        # T2(T) stays above 0.3 ms over the bracket at 1.5e19 m^-3, so an
+        # observed 1 ns lies below every forward value; the misfit still has
+        # an interior minimum (where T2 is smallest), which used to be
+        # reported with only the interval flagged
+        kw = {"density_order": 96, "energy_order": 96}
+        proto = make_protocol()
+        far = infer_temperature(1e-9, 1.5e19, MODEL, proto, **kw)
+        assert any(f.startswith("observed T2 is not reached") for f in far.flags)
+        T2 = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)["T2"]
+        near = infer_temperature(T2, 1.5e19, MODEL, proto, **kw)
+        assert near.estimate == pytest.approx(700e-9, rel=1e-6)
+        assert not any("not reached" in f for f in near.flags)
+
 
 def invert_density(value, error=None):
     return infer_density({"delta": value}, 850e-9, MODEL, make_protocol(),
