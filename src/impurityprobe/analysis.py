@@ -7,7 +7,7 @@ bounded nonlinear fit runs only for a row whose free solution leaves the
 physical range, and reports a parameter left on a bound as pinned); the
 visibility is V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B.  That
 fit is linear in (V0, B) at a fixed T2, so it starts at its
-variable-projection minimum, a 1-D search in log T2, and
+variable-projection minimum, `fitting.gauss_newton_1d` in log T2, and
 scipy's bounded TRF with the model's analytic Jacobian polishes it.  The
 interaction phase is the unwrapped fringe phase minus the background
 delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import (FitError, FitReport, fit_least_squares, fit_report,
-                      linear_fit, standard_errors)
+                      gauss_newton_1d, linear_fit, standard_errors, weights)
 from .ramsey import FringeSeries
 
 TWO_PI = 2.0 * math.pi
@@ -74,9 +74,7 @@ def fit_fringe(phi, p, p_err=None):
     P = np.atleast_2d(p)
     E = (None if p_err is None else
          np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape))
-    if E is not None and not np.all(np.isfinite(E) & (E > 0.0)):
-        raise ValueError("p_err must be finite and positive")
-    W = np.ones_like(P) if E is None else 1.0 / E
+    W = weights(P, E, "p_err")
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
@@ -169,16 +167,14 @@ def _crossing_guess(t, V):
 def _projected_start(t, V, w, guess):
     """Variable projection (Golub & Pereyra): the decay is linear in
     (V0, B) for a fixed T2, so those come from the 2x2 weighted normal
-    equations and only log T2 is searched, from guess's T2, by steps
-    -g/h with step halving.  g = J_K . r is the exact gradient, from
-    Kaufman's projected Jacobian J_K; h is Gauss-Newton's J_K . J_K at
-    the first step and the secant of g after it.
+    equations and `fitting.gauss_newton_1d` searches log T2 from guess's.
+    g = J_K . r is the exact gradient, from Kaufman's projected Jacobian
+    J_K; h is J_K . J_K at the first step and the secant of g after it.
 
-    A trial T2 counts as failed where the 2x2 system is singular (its
-    (V0, B) is then not finite) or its (V0, B) is not in [0, 2] x [0, 1],
-    so the search stops at that box; a step that is not finite ends it
-    where it is.  Returns the point reached, or guess, clipped into the
-    fit's bounds, if guess's T2 fails.  No step raises a warning.
+    A trial T2 fails where the 2x2 system is singular (its (V0, B) is then
+    not finite) or its (V0, B) is not in [0, 2] x [0, 1], so the search
+    stops at that box.  Returns the point reached, or guess, clipped into
+    the fit's bounds, if guess's T2 fails.  No step raises a warning.
     """
     def project(T2):
         e = np.exp(-((t / T2) ** 2))
@@ -188,40 +184,31 @@ def _projected_start(t, V, w, guess):
         V0, B = inv @ [a @ y, w @ y]
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
-        r = a * V0 + w * B - y
         # d r / d log T2, minus its projection on the columns (a, w)
         j = 2.0 * V0 * a * (t / T2) ** 2
         c = inv @ [a @ j, w @ j]
-        jk = j - c[0] * a - c[1] * w
-        return np.array([V0, T2, B]), r @ r, jk @ r, jk @ jk
+        return a * V0 + w * B - y, (V0, B, j - c[0] * a - c[1] * w)
+
+    last = []  # log T2 and gradient at the previous accepted point
+
+    def slope(T2, r, state):
+        g, h, u = state[2] @ r, state[2] @ state[2], math.log(T2)
+        if last:
+            # the residual is large, so Gauss-Newton's h (no r . d2r) converges
+            # only linearly; the secant of the exact g restores the curvature
+            secant = (g - last[1]) / (u - last[0])
+            h = secant if secant > 0.0 else h
+        last[:] = u, g
+        return g, h
 
     with np.errstate(all="ignore"):  # every value is checked
-        best = project(guess[1])
-        if best is None:
+        start = project(guess[1])
+        if start is None:
             return np.clip(guess, *_DECAY_BOUNDS)
-        last = None  # log T2 and gradient of the previous point
-        for _ in range(VP_STEPS):
-            p, ss, g, h = best
-            u = math.log(p[1])
-            if last is not None:
-                # the residual is large, so Gauss-Newton's h, which drops
-                # r . d2r, converges only linearly; the secant of the
-                # exact gradient g restores the curvature
-                secant = (g - last[1]) / (u - last[0])
-                h = secant if secant > 0.0 else h
-            step = -g / h if h > 0.0 else math.nan
-            if not math.isfinite(step):
-                break
-            step = min(max(step, -1.0), 1.0)  # at most a factor e in T2
-            while abs(step) >= VP_REL_STEP:
-                trial = project(p[1] * math.exp(step))
-                if trial is not None and trial[1] <= ss:
-                    break
-                step *= 0.5
-            else:
-                break
-            last, best = (u, g), trial
-    return np.clip(best[0], *_DECAY_BOUNDS)
+        T2, _, (V0, B, _), _, _ = gauss_newton_1d(
+            project, slope, guess[1], start, w * V, log=True,
+            rel_step=VP_REL_STEP, steps=VP_STEPS)
+    return np.clip([V0, T2, B], *_DECAY_BOUNDS)
 
 
 def fit_visibility_decay(t, V, V_err=None) -> FitReport:
@@ -243,10 +230,7 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
         raise ValueError("times and visibilities must be finite")
     if np.any(t < 0.0):
         raise ValueError("times must be nonnegative")
-    if V_err is not None:
-        V_err = np.asarray(V_err, dtype=float)
-        if not np.all(np.isfinite(V_err) & (V_err > 0.0)):
-            raise ValueError("V_err must be finite and positive")
+    w = weights(V, V_err, "V_err")
     if np.ptp(V) < 1e-12:
         return FitReport(params={"V0": 0.0, "T2": float("inf"), "B": float(V[0])},
                          errors={"V0": 0.0, "T2": float("nan"), "B": 0.0},
@@ -255,9 +239,8 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     if np.all(np.diff(V) >= 0.0):
         raise FitError("visibility increases monotonically: unphysical decay")
 
-    w = np.ones_like(V) if V_err is None else 1.0 / V_err
-    p0 = _projected_start(t, V, w, _crossing_guess(t, V))
-    return fit_least_squares(_decay_model, t, V, p0=p0, names=["V0", "T2", "B"],
+    return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"],
+                             p0=_projected_start(t, V, w, _crossing_guess(t, V)),
                              sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
 
 

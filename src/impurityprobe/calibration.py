@@ -1,8 +1,8 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
 slope and quadratic Zeeman fit (both linear, solved exactly), and
 release-curve thermometry in closed form.  The B-field and release fits
-take `fitting.fit_scalar`'s Gauss-Newton steps, so `calibrate` loads no
-scipy; only the four-parameter bath-free trace fit uses scipy's TRF.
+are `fitting.gauss_newton_1d` searches, so `calibrate` loads no scipy;
+only the four-parameter bath-free trace fit uses scipy's TRF.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ def rabi_lineshape(omega_coil, Omega0: float, omega_bg: float, omega_MW: float):
     p = Omega0^2/W^2 * sin^2(W * (pi/Omega0) / 2), written below as
     sin^2(0.5 * 2 pi W / (2 Omega0)).
     """
-    if Omega0 <= 0.0:
-        raise ValueError("Rabi frequency must be positive")
+    if not (math.isfinite(Omega0) and Omega0 > 0.0):
+        raise ValueError("Rabi frequency must be finite and positive")
     D = np.asarray(omega_coil, dtype=float) + omega_bg - omega_MW
+    if not np.all(np.isfinite(D)):  # np.isfinite: omega_bg may be a complex step
+        raise ValueError("coil, background and microwave frequencies must be finite")
     W = np.sqrt(Omega0**2 + D * D)
     pre = Omega0**2 / (W * W)
     out = pre * np.sin(0.5 * TWO_PI * W / (2.0 * Omega0)) ** 2
@@ -124,8 +126,6 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     span = float(N.max() - N.min())
     if span == 0.0:
         raise FitError("trace carries no oscillation")
-    A0 = span
-    C0 = float(N.min())
     # dominant nonzero frequency of the mean-subtracted trace on a
     # uniform resampling of the time axis
     tu = np.linspace(t[0], t[-1], 4 * len(t))
@@ -135,7 +135,7 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     delta0 = TWO_PI * float(freqs[1 + np.argmax(spec[1:])])
     T20 = 0.5 * (t[-1] - t[0])
     return fit_least_squares(
-        no_bath_trace, t, N, p0=[A0, C0, delta0, T20],
+        no_bath_trace, t, N, p0=[span, float(N.min()), delta0, T20],
         names=["A", "C", "delta", "T2"], sigma=N_err,
         bounds=([0.0, -np.inf, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]))
 
@@ -148,11 +148,11 @@ def release_curve(E0, T: float):
     erf(sqrt x) - 2 sqrt(x/pi) e^-x, and below that, where the difference
     cancels, the series e^-x sum_n x^(n+3/2) / Gamma(n+5/2) to n = 19.
     """
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError("temperature must be finite and positive")
     E0 = np.asarray(E0, dtype=float)
-    if np.any(E0 < 0.0):
-        raise ValueError("trap depth must be nonnegative")
+    if not np.all(np.isfinite(E0) & (E0 >= 0.0)):
+        raise ValueError("trap depth must be finite and nonnegative")
     x = E0 / (CONST.k_B * T)
     s, b, n = np.minimum(x, 1.0), np.maximum(x, 1.0), np.arange(20) + 1.5
     series = np.exp(-s) * (s[..., None] ** n / np.cumprod(n)).sum(-1) / math.gamma(1.5)

@@ -3,13 +3,13 @@
 Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
 uncertainties from the local quadratic model (`standard_errors`; a stack
-of same-shaped fits takes one call).  Models linear in every parameter go
-through `linear_fit`, an exact `lstsq`, one-parameter ones through
-`fit_scalar`'s Gauss-Newton steps, and the rest (bath-free trace, decay
-polish, bounded fringe fallback) through scipy's bounded trust-region
-reflective solver in `fit_least_squares`, the only one that loads scipy,
-with the model's analytic Jacobian or, without one, finite differences.
-A parameter left on a bound is reported pinned, with error 0.
+of same-shaped fits takes one call); `weights` checks sigma.  Linear
+models go through `linear_fit`, an exact `lstsq`, one-parameter searches
+through `gauss_newton_1d`, and the rest (bath-free trace, decay polish,
+bounded fringe fallback) through scipy's bounded trust-region reflective
+solver in `fit_least_squares`, the only one that loads scipy, with the
+model's analytic Jacobian or, without one, finite differences.  A
+parameter left on a bound is reported pinned, with error 0.
 """
 
 from __future__ import annotations
@@ -91,6 +91,16 @@ def fit_report(names, values, jac, resid, weighted: bool):
     return reports if values.ndim > 1 else reports[0]
 
 
+def weights(y, sigma, name="sigma") -> np.ndarray:
+    """Row weights 1/sigma, or ones like y; refuses a sigma not finite and > 0."""
+    if sigma is None:
+        return np.ones_like(y)
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise ValueError(f"{name} must be finite and positive")
+    return 1.0 / sigma
+
+
 def linear_fit(X, y, names, sigma=None) -> FitReport:
     """Exact least-squares fit of y = X @ p, one X column per name in
     `names`; sigma, when given, weights the rows by 1/sigma."""
@@ -98,48 +108,74 @@ def linear_fit(X, y, names, sigma=None) -> FitReport:
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("design matrix and data must be finite")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
-            raise ValueError("sigma must be finite and positive")
-    w = np.ones_like(y) if sigma is None else 1.0 / sigma
-    Xw = X * w[:, None]
-    yw = y * w
+    w = weights(y, sigma)
+    Xw, yw = X * w[:, None], y * w
     coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
     return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
 
 
+def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
+                    bracket=(-math.inf, math.inf)):
+    """Minimise r.r over one parameter p by steps -g/h (in log p with log).
+
+    residual(p) is (r, state), r weighted, or None where p fails; at_p is
+    that pair at the start p, y the weighted data.  slope(p, r, state),
+    asked at accepted points only, gives g = j.r and h (j.j for Gauss-Newton),
+    j = dr/dp or dr/dlog p.  A step (at most 1 in log p) is clipped to the
+    bracket and halved while r.r rises by more than its rounding
+    2 * 2 eps |r|.|y|; failed or rising trials, and the points steps leave,
+    bound the bracket.  Returns (p, r, state, converged, steps taken): not
+    converged after a non-finite step or `steps` steps, converged at h = 0
+    or a step of at most rel_step (relative, or in log p).
+    """
+    (lo, hi), (r, state) = bracket, at_p
+    for taken in range(steps):
+        g, h = slope(p, r, state)
+        step = -float(g) / float(h) if h != 0.0 else 0.0
+        if not math.isfinite(step):
+            return p, r, state, False, taken
+        step = min(max(step, -1.0), 1.0) if log else step
+        tol = rel_step * (1.0 if log else abs(p))
+        ceiling = r @ r + 4.0 * np.finfo(float).eps * (np.abs(r) @ np.abs(y))
+        while True:
+            t = p * math.exp(step) if log else p + step
+            if not lo <= t <= hi:
+                t = min(max(t, lo), hi)
+                step = math.log(t / p) if log else t - p
+            if abs(step) <= tol:
+                return p, r, state, True, taken
+            trial = residual(t)
+            if trial is not None and trial[0] @ trial[0] <= ceiling:
+                break
+            lo, hi = (lo, t) if t > p else (t, hi)
+            step *= 0.5
+        lo, hi = (p, hi) if t > p else (lo, p)
+        p, (r, state) = t, trial
+    return p, r, state, False, steps
+
+
 def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     """Fit y = model(x, p) for one parameter p, given jac(x, p) = dmodel/dp,
-    by Gauss-Newton steps -(j.r)/(j.j) on the weighted residual r (in log p
-    with log, at most 1 each), halved while r.r rises by more than twice
-    its rounding 2 eps |r|.|y/sigma|, up to a step of SCALAR_REL_STEP
-    (relative).  Raises ValueError if r is not finite at p0, FitError at a
-    step that is not finite or after SCALAR_STEPS steps."""
+    by `gauss_newton_1d` (in log p with log).  Raises ValueError if the
+    residual is not finite at p0, FitError if the search does not converge."""
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-    p, r = float(p0), (model(x, p0) - y) * w
-    if not math.isfinite(r @ r):
-        raise ValueError(f"residuals are not finite at the start {name} = {p:g}")
-    for _ in range(SCALAR_STEPS):
+    w = weights(y, sigma)
+
+    def residual(p):
+        return (model(x, p) - y) * w, None
+
+    def slope(p, r, _):
         j = jac(x, p) * w * (p if log else 1.0)
-        step = -float(j @ r) / float(j @ j) if j @ j != 0.0 else 0.0
-        step = min(max(step, -1.0), 1.0) if log else step
-        if not math.isfinite(step):
-            break
-        tol = SCALAR_REL_STEP * (1.0 if log else abs(p))
-        ceiling = r @ r + 4.0 * np.finfo(float).eps * (np.abs(r) @ np.abs(y * w))
-        while True:
-            p_t = p * math.exp(step) if log else p + step
-            r_t = (model(x, p_t) - y) * w
-            if r_t @ r_t <= ceiling or abs(step) <= tol:
-                break
-            step *= 0.5
-        p, r = p_t, r_t
-        if abs(step) <= tol:
-            return fit_report([name], [p], (jac(x, p) * w)[:, None], r,
-                              sigma is not None)
-    raise FitError(f"{name} fit did not converge in {SCALAR_STEPS} steps")
+        return j @ r, j @ j
+    at_p = residual(float(p0))
+    if not math.isfinite(at_p[0] @ at_p[0]):
+        raise ValueError(f"residuals are not finite at the start {name} = {p0:g}")
+    p, r, _, converged, _ = gauss_newton_1d(
+        residual, slope, float(p0), at_p, y * w, log=log,
+        rel_step=SCALAR_REL_STEP, steps=SCALAR_STEPS)
+    if not converged:
+        raise FitError(f"{name} fit did not converge")
+    return fit_report([name], [p], (jac(x, p) * w)[:, None], r, sigma is not None)
 
 
 def fit_least_squares(model, x, y, p0, names, sigma=None,
@@ -154,10 +190,9 @@ def fit_least_squares(model, x, y, p0, names, sigma=None,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-    lb, ub = (-np.inf, np.inf) if bounds is None else bounds
-    sol = least_squares(lambda p: (model(x, *p) - y) * w,
-                        np.asarray(p0, dtype=float), bounds=(lb, ub),
+    w = weights(y, sigma)
+    sol = least_squares(lambda p: (model(x, *p) - y) * w, np.asarray(p0, dtype=float),
+                        bounds=(-np.inf, np.inf) if bounds is None else bounds,
                         jac="2-point" if jac is None else
                         lambda p: np.asarray(jac(x, *p), dtype=float) * w[:, None],
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import analyze_fringes
 from .bath import BathState
+from .fitting import gauss_newton_1d
 from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
                      synthesize_fringe)
 from .scattering import mean_a
@@ -87,14 +88,14 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     bracket; returns the Posterior1D and forward memoized per x.
 
     A coarse scan brackets the minimum (and guards against a second one),
-    Gauss-Newton steps with step halving refine it inside a bracket that
-    every trial point shrinks, and the interval is x +- sqrt(rise/JtJ):
-    the f_min + 1 crossing of the locally quadratic chi^2 when an observed
-    key has an error, else scaled by the residual misfit.  Where JtJ is so
-    small that this half-width exceeds the searched bracket (a residual
-    stationary at a nonzero value), the interval is the bracket and the
-    posterior is flagged unbounded.  A single observable whose residual has
-    one sign at every point the forward model ran at is flagged unreached.
+    `fitting.gauss_newton_1d` refines it between the scan's neighbours of
+    it, and the interval is x +- sqrt(rise/JtJ): the f_min + 1 crossing of
+    the locally quadratic chi^2 when an observed key has an error, else
+    scaled by the residual misfit.  Where JtJ is so small that this
+    half-width exceeds the searched bracket (a residual stationary at a
+    nonzero value), the interval is the bracket and the posterior is
+    flagged unbounded.  A single observable whose residual has one sign at
+    every point the forward model ran at is flagged unreached.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -130,36 +131,19 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
     if k == 0 or k == BRACKET_SAMPLES - 1:
         raise InferenceError("objective minimum not inside the bracket",
                              flag="bracket")
-    lo, hi = xs[k - 1], xs[k + 1]
-    x, r = xs[k], rs[k]
 
-    def slope(x, r):
+    def slope(x, r, _):
         # forward difference: while delta is discontinuous in the bath
         # (ROADMAP defect 5) it sees only the continuous piece it lands on
         h = SLOPE_REL_STEP * x
-        return (residuals(x + h) - r) / h
+        J = (residuals(x + h) - r) / h
+        return J @ r, J @ J
 
-    J = slope(x, r)
-    steps = 0
-    for _ in range(GN_STEPS):
-        jtj = float(J @ J)
-        if jtj == 0.0:
-            break
-        t = min(max(x - float(J @ r) / jtj, lo), hi)
-        while abs(t - x) >= GN_REL_STEP * x:
-            r_t = residuals(t)
-            if misfits[t] <= misfits[x]:
-                break
-            # a point that raises the misfit bounds the minimum on its side,
-            # and so does the point a step leaves
-            lo, hi = (lo, t) if t > x else (t, hi)
-            t = 0.5 * (x + t)
-        else:
-            break
-        lo, hi = (x, hi) if t > x else (lo, x)
-        x, r, steps = t, r_t, steps + 1
-        J = slope(x, r)
-    jtj = float(J @ J)
+    y = np.array([obs / errors.get(key, abs(obs)) for key, obs in observed.items()])
+    x, r, _, _, steps = gauss_newton_1d(
+        lambda x: (residuals(x), None), slope, xs[k], (rs[k], None), y,
+        bracket=(xs[k - 1], xs[k + 1]), rel_step=GN_REL_STEP, steps=GN_STEPS)
+    jtj = float(slope(x, r, None)[1])  # memoized, unless the steps ran out
     # every error key is observed: the chi^2 rule needs one with an error
     rise = 1.0 if errors else max(misfits[x], 1e-16)
     half = math.sqrt(rise / jtj) if jtj > 0.0 else math.inf

@@ -43,6 +43,19 @@ class TestRabiLineshape:
         with pytest.raises(ValueError):
             rabi_lineshape(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["omega_coil", "Omega0", "omega_bg", "omega_MW"])
+    def test_nonfinite_input_rejected(self, arg, value):
+        # a NaN omega_bg used to return NaN; an infinite Omega0 warned
+        kw = {"omega_coil": np.zeros(3), "Omega0": OMEGA0, "omega_bg": 0.0,
+              "omega_MW": 0.0}
+        if arg == "omega_coil":
+            kw[arg][1] = value
+        else:
+            kw[arg] = value
+        with pytest.raises(ValueError, match="finite"):
+            rabi_lineshape(**kw)
+
 
 class TestFitBfield:
     def test_roundtrip(self):
@@ -173,6 +186,17 @@ class TestReleaseCurve:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             release_curve(-1e-30, 1.7e-6)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+    def test_bad_temperature_rejected(self, T):
+        # T = NaN used to return NaN, T = inf a retention of 0
+        with pytest.raises(ValueError, match="temperature"):
+            release_curve(1e-29, T)
+
+    @pytest.mark.parametrize("E0", [math.nan, math.inf])
+    def test_nonfinite_depth_rejected(self, E0):
+        with pytest.raises(ValueError, match="trap depth"):
+            release_curve(np.array([1e-29, E0]), 1.7e-6)
 
 
 class TestReleaseClosedForm:
@@ -321,3 +345,41 @@ class TestNoBathTrace:
             N[5] = np.nan if case == "nan-count" else np.inf
         with pytest.raises(ValueError, match="times"):
             fit_no_bath_trace(t, N)
+
+
+BAD_SIGMA = pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf],
+                                    ids=["zero", "negative", "nan", "inf"])
+
+
+class TestSigmaChecked:
+    """Every weighted calibration fit refuses an error that is not finite
+    and positive, with the ValueError of `fitting.weights`.  A zero release
+    error used to raise numpy's divide-by-zero warning, and a negative
+    release or trace error was taken as a weight."""
+
+    @BAD_SIGMA
+    def test_release(self, bad):
+        E0 = np.linspace(0.1, 6.0, 20) * K_B * 1.7e-6
+        err = np.full(20, 0.01)
+        err[3] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            fit_release_curve(E0, release_curve(E0, 1.7e-6), fraction_err=err)
+
+    @BAD_SIGMA
+    def test_bfield(self, bad):
+        omega_MW = TWO_PI * 140e3
+        w = omega_MW - TWO_PI * 1.4e5 + np.linspace(-2.5, 2.5, 41) * OMEGA0
+        err = np.full(41, 0.01)
+        err[7] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            fit_bfield(w, rabi_lineshape(w, OMEGA0, TWO_PI * 1.4e5, omega_MW),
+                       OMEGA0, omega_MW, p_err=err)
+
+    @BAD_SIGMA
+    def test_no_bath_trace(self, bad):
+        t = np.linspace(0.2e-3, 40e-3, 80)
+        err = np.full(80, 0.05)
+        err[11] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            fit_no_bath_trace(t, no_bath_trace(t, 6.0, 2.0, TWO_PI * 135.0, 27.2e-3),
+                              N_err=err)

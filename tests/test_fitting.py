@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from impurityprobe import fitting
 from impurityprobe.fitting import (FitError, fit_least_squares, fit_report,
-                                   fit_scalar, linear_fit, standard_errors)
+                                   fit_scalar, gauss_newton_1d, linear_fit,
+                                   standard_errors)
 
 NAMES = ["slope", "intercept"]
 
@@ -211,3 +214,75 @@ class TestFitScalar:
         with pytest.raises(FitError):
             fit_scalar(self.model, lambda x, k: np.full_like(x, np.nan), self.X, y,
                        1.0, "k")
+
+
+class TestGaussNewton1d:
+    """The one-parameter search behind fit_scalar, the decay fit's start and
+    the inversion's refinement, on r = p - 10 (minimum at p = 10)."""
+
+    @staticmethod
+    def search(p0, slope=None, fails=math.inf, **kw):
+        # Gauss-Newton on r = p - 10 from p0, where a trial above `fails`
+        # fails; returns the search's result and every trial p
+        seen = []
+        log = kw.get("log", False)
+
+        def residual(p):
+            seen.append(p)
+            return None if p > fails else (np.array([p - 10.0]), None)
+
+        def gauss_newton(p, r, _):
+            j = p if log else 1.0  # dr/dlog p or dr/dp
+            return j * r[0], j * j
+        kw = {"rel_step": 1e-12, "steps": 60, **kw}
+        out = gauss_newton_1d(residual, slope or gauss_newton, p0,
+                              (np.array([p0 - 10.0]), None), np.zeros(1), **kw)
+        return out, seen
+
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_no_residual_outside_the_bracket(self, log):
+        (p, r, _, converged, taken), seen = self.search(1.0, log=log,
+                                                        bracket=(0.5, 4.0))
+        assert seen and all(0.5 <= x <= 4.0 for x in seen)
+        assert p == 4.0 and r.tolist() == [-6.0] and converged
+        assert taken == len(seen)  # every trial was accepted
+
+    def test_failed_trial_shrinks_the_bracket(self):
+        # above 2.5 every trial fails: 10, 5.5 and 3.25 fail and halve the
+        # step, 2.125 is accepted, and the next full step, again to 10,
+        # stops at 3.25, the last failure; no later trial goes beyond it
+        (p, _, _, converged, _), seen = self.search(1.0, fails=2.5)
+        assert seen[:5] == [10.0, 5.5, 3.25, 2.125, 3.25]
+        failed = [x for x in seen if x > 2.5]
+        assert all(b <= a for a, b in zip(failed, failed[1:]))
+        assert converged and 2.5 - 1e-9 < p <= 2.5
+
+    def test_point_a_step_leaves_bounds_the_bracket(self):
+        # 9 -> 10 is accepted; the next slope points back 4 to 6, but the
+        # minimum cannot lie behind 9, which the step left: the trial stops
+        # at 9 and the halved ones close in on 10
+        slopes = iter([(-1.0, 1.0), (1.0, 0.25)])
+        (p, _, _, converged, taken), seen = self.search(
+            9.0, slope=lambda p, r, _: next(slopes))
+        assert seen[:3] == [10.0, 9.0, 9.5] and min(seen) == 9.0
+        assert (p, converged, taken) == (10.0, True, 1)
+
+    def test_log_step_is_at_most_a_factor_e(self):
+        # from 0.01 the log-space Gauss-Newton step is 999
+        (p, _, _, converged, _), seen = self.search(0.01, log=True)
+        assert seen[0] == pytest.approx(0.01 * math.e, rel=1e-15)
+        assert converged and p == pytest.approx(10.0, rel=1e-12)
+
+    def test_nonfinite_step_returns_the_last_accepted_point(self):
+        slopes = iter([(-1.0, 1.0), (math.nan, 1.0)])
+        (p, r, _, converged, taken), seen = self.search(
+            1.0, slope=lambda p, r, _: next(slopes))
+        assert (p, r.tolist(), converged, taken) == (2.0, [-8.0], False, 1)
+        assert seen == [2.0]
+
+    def test_step_budget_returns_not_converged(self):
+        # h four times too large: each step covers a quarter of the way
+        (p, _, _, converged, taken), seen = self.search(
+            2.0, slope=lambda p, r, _: (r[0], 4.0), steps=3)
+        assert not converged and taken == 3 and len(seen) == 3
+        assert p == pytest.approx(10.0 - 8.0 * 0.75**3, rel=1e-15)
