@@ -2,16 +2,17 @@
 visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
-(times, phases) grid in one closed-form linear least-squares solve (a
-bounded nonlinear fit runs only for a row whose free solution leaves the
+(times, phases) grid in one stacked solve of its weighted normal equations
+(a bounded nonlinear fit runs only for a row whose free solution leaves the
 physical range, and reports a parameter left on a bound as pinned); the
-visibility is V = A/(A + 2C) and decays as V0 exp(-t^2/T2^2) + B.  That
-fit is linear in (V0, B) at a fixed T2, so it starts at its
+visibility, V = A/(A + 2C) elementwise, decays as V0 exp(-t^2/T2^2) + B.
+That fit is linear in (V0, B) at a fixed T2, so it starts at its
 variable-projection minimum, `fitting.gauss_newton_1d` in log T2, and
 scipy's bounded TRF with the model's analytic Jacobian polishes it.  The
-interaction phase is the unwrapped fringe phase minus the background
+interaction phase is `np.unwrap` of the fringe phase minus the background
 delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
-dephasing time.  Every fitted report is built by `fitting.fit_report`.
+dephasing time, weighted if every fringe there has a phase error.  Every
+fitted report is built by `fitting.fit_report`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ def fit_fringe(phi, p, p_err=None):
     p is one fringe (one report) or a (times, phases) grid on the shared
     phi (one report per row); p_err has the shape of p.  The model is
     linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
-    `lstsq` with a right-hand side per row (weighted: one 3x3 normal
-    system per row), with errors from the analytic Jacobian in
-    (A, C, phi0), one stacked SVD.  Only a row whose solution leaves
-    A <= 2, 0 <= C <= 2 gets a bounded nonlinear fit, started from the
-    1-cycle Fourier component, and carries BOUNDED_FIT.  A constant row
-    returns a zero-amplitude report; phi0 is reported in [0, 2 pi).
+    stacked solve of the 3x3 weighted normal equations, one system per
+    row (weights 1/p_err, or 1 without p_err), with errors from the
+    analytic Jacobian in (A, C, phi0), one stacked SVD.  Two masks pick
+    the rows that need more: a constant row returns a zero-amplitude
+    report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets a
+    bounded nonlinear fit, started from the 1-cycle Fourier component, and
+    carries BOUNDED_FIT.  phi0 is reported in [0, 2 pi).
     """
     phi = np.asarray(phi, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -78,13 +80,10 @@ def fit_fringe(phi, p, p_err=None):
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
-    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    if E is None:
-        coef = np.linalg.lstsq(X, P.T, rcond=None)[0].T
-    else:
-        Xw = W[:, :, None] * X
-        coef = np.linalg.solve(np.einsum("tki,tkj->tij", Xw, Xw),
-                               np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
+    Xw = W[:, :, None] * np.column_stack([np.ones_like(phi), np.cos(phi),
+                                          np.sin(phi)])
+    coef = np.linalg.solve(np.einsum("tki,tkj->tij", Xw, Xw),
+                           np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
     A = 2.0 * np.hypot(coef[:, 1], coef[:, 2])
     C = coef[:, 0] - 0.5 * A
     phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
@@ -92,15 +91,16 @@ def fit_fringe(phi, p, p_err=None):
     reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]),
                          jac * W[:, :, None],
                          (A[:, None] * jac[..., 0] + C[:, None] - P) * W, E is not None)
-    for k, row in enumerate(P):
-        if np.ptp(row) == 0.0:
-            reports[k] = FitReport(
-                params={"A": 0.0, "C": float(row[0]), "phi0": 0.0},
-                errors={"A": 0.0, "C": 0.0, "phi0": float("nan")},
-                residual_norm=0.0, n_points=len(row), converged=True,
-                warnings=["constant fringe: amplitude pinned to zero"])
-        elif not (A[k] <= 2.0 and 0.0 <= C[k] <= 2.0):
-            reports[k] = _bounded_fringe(phi, row, None if E is None else E[k])
+    constant = np.ptp(P, axis=1) == 0.0
+    bounded = ~constant & ~((A <= 2.0) & (0.0 <= C) & (C <= 2.0))
+    for k in np.flatnonzero(constant):
+        reports[k] = FitReport(
+            params={"A": 0.0, "C": float(P[k, 0]), "phi0": 0.0},
+            errors={"A": 0.0, "C": 0.0, "phi0": float("nan")},
+            residual_norm=0.0, n_points=P.shape[1], converged=True,
+            warnings=["constant fringe: amplitude pinned to zero"])
+    for k in np.flatnonzero(bounded):
+        reports[k] = _bounded_fringe(phi, P[k], None if E is None else E[k])
     return reports if p.ndim > 1 else reports[0]
 
 
@@ -119,13 +119,15 @@ def _bounded_fringe(phi, p, p_err) -> FitReport:
     return rep
 
 
-def visibility(A: float, C: float) -> float:
-    """Fringe visibility V = A / (A + 2C)."""
-    if A < 0.0 or C < 0.0:
+def visibility(A, C):
+    """Fringe visibility V = A / (A + 2C), elementwise; a float for scalars."""
+    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+    if np.any(A < 0.0) or np.any(C < 0.0):
         raise ValueError("amplitude and offset must be nonnegative")
-    if A + 2.0 * C == 0.0:
+    if np.any(A + 2.0 * C == 0.0):
         raise ValueError("degenerate fringe: A + 2C = 0")
-    return A / (A + 2.0 * C)
+    V = A / (A + 2.0 * C)
+    return float(V) if V.ndim == 0 else V
 
 
 def visibility_error(A, C, A_err, C_err):
@@ -247,20 +249,16 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
 def extract_phase_series(t, phi0, delta_bg: float):
     """Interaction phase Phi(t) = unwrap(phi0(t)) - delta_bg * t.
 
-    Unwrapping follows the nearest branch between consecutive times; a
-    step whose wrapped magnitude exceeds pi/2 is branch-ambiguous and
-    appends a warning.
+    Unwrapping (`np.unwrap`) follows the nearest branch between
+    consecutive times; a step whose wrapped magnitude exceeds pi/2 is
+    branch-ambiguous and appends a warning.
     """
     t = np.asarray(t, dtype=float)
-    phi0 = np.asarray(phi0, dtype=float)
-    warnings = []
-    unwrapped = np.array(phi0, dtype=float)
-    for k in range(1, len(phi0)):
-        step = (phi0[k] - unwrapped[k - 1] + math.pi) % TWO_PI - math.pi
-        if abs(step) > 0.5 * math.pi:
-            warnings.append(
-                f"branch-ambiguous phase step of {step:.3f} rad at t={t[k]:.4g} s")
-        unwrapped[k] = unwrapped[k - 1] + step
+    unwrapped = np.unwrap(np.asarray(phi0, dtype=float))
+    steps = np.diff(unwrapped)
+    warnings = [f"branch-ambiguous phase step of {steps[k]:.3f} rad at "
+                f"t={t[k + 1]:.4g} s"
+                for k in np.flatnonzero(np.abs(steps) > 0.5 * math.pi)]
     return unwrapped - delta_bg * t, warnings
 
 
@@ -333,7 +331,7 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
 
     A, C, phi0 = np.array([[f.params[k] for k in ("A", "C", "phi0")]
                            for f in fits]).T
-    V = np.array([visibility(a, c) for a, c in zip(A, C)])
+    V = visibility(A, C)
     V_err = phi0_err = None
     if series.p_err is not None:
         # V and phi0 take every fringe's unconstrained errors: a report
@@ -354,7 +352,7 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     T2 = decay.params["T2"]
     try:
         window = T2 if math.isfinite(T2) else float(series.t[-1])
-        use_err = phi0_err is not None and np.all(phi0_err > 0)
+        use_err = phi0_err is not None and np.all(phi0_err[series.t <= window] > 0)
         slope = fit_phase_slope(series.t, Phi, window,
                                 Phi_err=phi0_err if use_err else None)
     except FitError as exc:

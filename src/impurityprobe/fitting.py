@@ -124,11 +124,12 @@ def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
     j = dr/dp or dr/dlog p.  A step (at most 1 in log p) is clipped to the
     bracket and halved while r.r rises by more than its rounding
     2 * 2 eps |r|.|y|; failed or rising trials, and the points steps leave,
-    bound the bracket.  Returns (p, r, state, converged, steps taken): not
-    converged after a non-finite step or `steps` steps, converged at h = 0
-    or a step of at most rel_step (relative, or in log p).
+    bound the bracket.  Every evaluated point (the start too) is kept, so no
+    p is evaluated twice.  Returns (p, r, state, converged, steps taken):
+    not converged after a non-finite step or `steps` steps, converged at
+    h = 0 or a step of at most rel_step (relative, or in log p).
     """
-    (lo, hi), (r, state) = bracket, at_p
+    (lo, hi), (r, state), seen = bracket, at_p, {p: at_p}
     for taken in range(steps):
         g, h = slope(p, r, state)
         step = -float(g) / float(h) if h != 0.0 else 0.0
@@ -144,7 +145,7 @@ def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
                 step = math.log(t / p) if log else t - p
             if abs(step) <= tol:
                 return p, r, state, True, taken
-            trial = residual(t)
+            trial = seen[t] = seen[t] if t in seen else residual(t)
             if trial is not None and trial[0] @ trial[0] <= ceiling:
                 break
             lo, hi = (lo, t) if t > p else (t, hi)

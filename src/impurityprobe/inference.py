@@ -9,7 +9,6 @@ produced.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,19 +82,21 @@ def _residuals(observed: dict, forward: dict, errors: dict) -> np.ndarray:
     return np.array(r)
 
 
-def _invert(forward, observed: dict, errors: dict | None, bracket):
+def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
     """Minimise the misfit of forward(x), the observables at trial x, over
-    bracket; returns the Posterior1D and forward memoized per x.
+    bracket, the range of the parameter `name`; returns the Posterior1D.
 
-    A coarse scan brackets the minimum (and guards against a second one),
+    One memo keeps the scaled residuals at every x the forward model ran
+    at (the curve).  A coarse scan brackets the lowest of its minima,
     `fitting.gauss_newton_1d` refines it between the scan's neighbours of
     it, and the interval is x +- sqrt(rise/JtJ): the f_min + 1 crossing of
     the locally quadratic chi^2 when an observed key has an error, else
     scaled by the residual misfit.  Where JtJ is so small that this
     half-width exceeds the searched bracket (a residual stationary at a
     nonzero value), the interval is the bracket and the posterior is
-    flagged unbounded.  A single observable whose residual has one sign at
-    every point the forward model ran at is flagged unreached.
+    flagged unbounded.  A single observable is flagged unreached if its
+    residual has one sign at every memoized x, and reached more than once
+    if it changes sign more than once on the coarse scan.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -111,19 +112,16 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
             raise ValueError(f"error of {key} must be finite and positive")
         if obs == 0.0 and err is None:
             raise ValueError(f"observed {key} is 0: its misfit needs an error")
-    forward = functools.cache(forward)
-    misfits = {}  # x -> misfit at every point the forward model ran at
-    signs = set()  # residual signs there
+    memo = {}  # x -> scaled residuals at every point the forward model ran at
 
     def residuals(x):
-        r = _residuals(observed, forward(x), errors)
-        misfits[x] = float(r @ r)
-        signs.add(tuple(np.sign(r)))
-        return r
+        if x not in memo:
+            memo[x] = _residuals(observed, forward(x), errors)
+        return memo[x]
 
     xs = np.linspace(bracket[0], bracket[1], BRACKET_SAMPLES).tolist()
     rs = [residuals(x) for x in xs]
-    fs = np.array([misfits[x] for x in xs])
+    fs = np.array([r @ r for r in rs])
     if np.max(fs) - np.min(fs) < 1e-10 * (1.0 + abs(float(np.min(fs)))):
         raise InferenceError("objective is flat over the bracket",
                              flag="insensitive")
@@ -145,19 +143,26 @@ def _invert(forward, observed: dict, errors: dict | None, bracket):
         bracket=(xs[k - 1], xs[k + 1]), rel_step=GN_REL_STEP, steps=GN_STEPS)
     jtj = float(slope(x, r, None)[1])  # memoized, unless the steps ran out
     # every error key is observed: the chi^2 rule needs one with an error
-    rise = 1.0 if errors else max(misfits[x], 1e-16)
+    rise = 1.0 if errors else max(float(r @ r), 1e-16)
     half = math.sqrt(rise / jtj) if jtj > 0.0 else math.inf
     post = Posterior1D(estimate=x, interval=(x - half, x + half),
-                       curve=sorted(misfits.items()), iterations=steps)
+                       curve=sorted((x, float(r @ r)) for x, r in memo.items()),
+                       iterations=steps)
     if half > bracket[1] - bracket[0]:
         post.interval = tuple(bracket)
         post.flags.append("interval unbounded: the residuals are stationary "
                           "at the estimate, so the interval is the searched "
                           "bracket")
-    if len(observed) == 1 and len(signs) == 1:
-        post.flags.append(f"observed {next(iter(observed))} is not reached in "
-                          "the bracket: every forward value lies on one side")
-    return post, forward
+    if len(observed) == 1:
+        (key,) = observed
+        if len({np.sign(r[0]) for r in memo.values()}) == 1:
+            post.flags.append(f"observed {key} is not reached in the bracket: "
+                              "every forward value lies on one side")
+        side = np.sign(np.ravel(rs))  # on the coarse scan
+        if np.count_nonzero(np.diff(side[side != 0])) > 1:
+            post.flags.append(f"observed {key} is reached at more than one "
+                              f"{name} in the bracket")
+    return post
 
 
 def infer_density(observed: dict, T_known: float, model,
@@ -175,10 +180,9 @@ def infer_density(observed: dict, T_known: float, model,
         raise ValueError("need at least one observable")
     if T_known <= 0.0:
         raise ValueError("known temperature must be positive")
-    post, _ = _invert(lambda n0: forward_observables(
+    return _invert(lambda n0: forward_observables(
         n0, T_known, model, protocol, density_order=density_order,
-        energy_order=energy_order), observed, errors, DENSITY_BRACKET)
-    return post
+        energy_order=energy_order), observed, errors, DENSITY_BRACKET, "density")
 
 
 def infer_temperature(T2_observed: float, n0_known: float, model,
@@ -188,20 +192,14 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
     """Estimate the bath temperature (K) from the observed T2 (s).
 
     T2(T) need not be monotone (it has a minimum near 230 nK at high
-    density); the posterior is flagged when the coarse forward curve,
-    served by the memo, crosses the observed T2 more than once.
+    density); the posterior is flagged when the coarse forward curve
+    crosses the observed T2 more than once.
     """
-    post, forward = _invert(lambda T: forward_observables(
+    return _invert(lambda T: forward_observables(
         n0_known, T, model, protocol, density_order=density_order,
         energy_order=energy_order), {"T2": T2_observed},
-        None if T2_error is None else {"T2": T2_error}, TEMPERATURE_BRACKET)
-    coarse = np.linspace(*TEMPERATURE_BRACKET, BRACKET_SAMPLES)
-    side = np.sign([forward(T)["T2"] - T2_observed for T in coarse])
-    side = side[side != 0]
-    if np.count_nonzero(side[1:] != side[:-1]) > 1:
-        post.flags.append("observed T2 is reached at more than one "
-                          "temperature in the bracket")
-    return post
+        None if T2_error is None else {"T2": T2_error}, TEMPERATURE_BRACKET,
+        "temperature")
 
 
 def collision_counts(bath: BathState, model, T2: float,

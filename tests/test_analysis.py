@@ -588,6 +588,21 @@ class TestPipeline:
             pytest.approx(visibility_error(A, C, A_err, C_err), rel=1e-9)
         assert res.visibility.V_err[2] > 1e-3
 
+    def test_constant_late_fringe_keeps_the_slope_weighted(self):
+        # a constant fringe has phi0 error 0; at 8 ms it lies beyond T2
+        # (about 3 ms), outside the slope window, so the slope stays the
+        # same weighted fit
+        t = np.linspace(0.4e-3, 8e-3, 20)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_closed_form(tk, phi, TWO_PI * 200.0, 3e-3) for tk in t])
+        p += 0.01 * np.random.default_rng(7).standard_normal(p.shape)
+        err = np.full_like(p, 0.01)
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        p[-1] = 0.5
+        late = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        assert late.fringe_fits[-1].params["A"] == 0.0 and late.T2 < 4e-3
+        assert late.delta == res.delta
+
     def test_bad_convention_rejected(self):
         proto = RamseyProtocol.default_grid(t_max_ms=2.0, n_t=8)
         series = synthesize_fringe(proto, self.BATH, self.MODEL)

@@ -9,11 +9,14 @@ import pytest
 
 import impurityprobe
 from impurityprobe.cli import main
-from impurityprobe.ramsey import FringeSeries, no_bath_trace
+from impurityprobe.inference import forward_observables
+from impurityprobe.ramsey import FringeSeries, fringe_closed_form, no_bath_trace
 from impurityprobe.serialization import (ConfigError, DEFAULT_CONFIG,
                                          canonical_json, config_hash,
                                          fringe_from_csv, fringe_to_csv,
                                          load_config, merge_config,
+                                         model_from_config,
+                                         protocol_from_config,
                                          validate_config)
 
 TWO_PI = 2 * math.pi
@@ -328,6 +331,34 @@ class TestAnalyze:
         assert "row 6" in capsys.readouterr().err
         assert not (out / "analysis.json").exists()
 
+    @staticmethod
+    def write_fringes(tmp_path, p):
+        # fringes at t = 0.05, 0.3, ..., 1.3 ms on 12 phases
+        t = np.arange(0.05e-3, 1.4e-3, 0.25e-3)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        path = tmp_path / "fringes.csv"
+        path.write_text(fringe_to_csv(FringeSeries(t=t, phi=phi, p=p(t, phi))))
+        return str(path)
+
+    def test_no_slope_below_t2_writes_null_delta(self, tmp_path):
+        # T2 = 0.1 ms leaves one fringe inside the slope window
+        path = self.write_fringes(tmp_path, lambda t, phi: np.array(
+            [fringe_closed_form(tk, phi, TWO_PI * 200.0, 0.1e-3) for tk in t]))
+        assert main(["analyze", path, "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "analysis.json").read_text())
+        assert result["delta_Hz"] is None and result["analysis"]["slope_fit"] is None
+        assert result["T2_ms"] == pytest.approx(0.1, rel=1e-6)
+        assert any(w.startswith("phase slope not extracted")
+                   for w in result["analysis"]["warnings"])
+
+    def test_rising_visibility_is_numeric_error(self, tmp_path, capsys):
+        path = self.write_fringes(tmp_path, lambda t, phi: 0.5 - 0.5 * np.outer(
+            np.linspace(0.2, 0.9, len(t)), np.cos(phi - 1.0)))
+        out = tmp_path / "run"
+        assert main(["analyze", path, "--out", str(out)]) == 3
+        assert "visibility increases monotonically" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_density_trend(self, tmp_path):
@@ -506,6 +537,23 @@ class TestInfer:
                      "--t2-ms", str(ana["T2_ms"])]) == 0
         result = json.loads((out / "inference.json").read_text())
         assert result["estimate_per_cm3"] == pytest.approx(1.5e13, rel=0.05)
+
+    def test_temperature_roundtrip(self, tmp_path):
+        cfg = write_config(tmp_path)
+        loaded = load_config(cfg)
+        obs = forward_observables(1.5e19, 850e-9, model_from_config(loaded),
+                                  protocol_from_config(loaded),
+                                  density_order=128, energy_order=128)
+        blobs = []
+        for run in ("run1", "run2"):
+            out = tmp_path / run
+            assert main(["infer", "temperature", "--config", cfg, "--out", str(out),
+                         "--t2-ms", repr(obs["T2"] * 1e3)]) == 0
+            blobs.append((out / "inference.json").read_bytes())
+        result = json.loads(blobs[0])
+        assert result["kind"] == "temperature"
+        assert result["estimate_nK"] == pytest.approx(850.0, rel=0.02)
+        assert blobs[0] == blobs[1]
 
     def test_flat_objective_is_inference_error(self, tmp_path):
         # a_g == a_e: no density dependence anywhere in the signal

@@ -250,9 +250,11 @@ class TestGaussNewton1d:
     def test_failed_trial_shrinks_the_bracket(self):
         # above 2.5 every trial fails: 10, 5.5 and 3.25 fail and halve the
         # step, 2.125 is accepted, and the next full step, again to 10,
-        # stops at 3.25, the last failure; no later trial goes beyond it
+        # stops at 3.25, the last failure, which is known and not evaluated
+        # again; it halves to 2.6875, and no later trial goes beyond 3.25
         (p, _, _, converged, _), seen = self.search(1.0, fails=2.5)
-        assert seen[:5] == [10.0, 5.5, 3.25, 2.125, 3.25]
+        assert seen[:5] == [10.0, 5.5, 3.25, 2.125, 2.6875]
+        assert len(seen) == len(set(seen))
         failed = [x for x in seen if x > 2.5]
         assert all(b <= a for a, b in zip(failed, failed[1:]))
         assert converged and 2.5 - 1e-9 < p <= 2.5
@@ -260,11 +262,12 @@ class TestGaussNewton1d:
     def test_point_a_step_leaves_bounds_the_bracket(self):
         # 9 -> 10 is accepted; the next slope points back 4 to 6, but the
         # minimum cannot lie behind 9, which the step left: the trial stops
-        # at 9 and the halved ones close in on 10
+        # at 9, the known start, and the halved ones close in on 10
         slopes = iter([(-1.0, 1.0), (1.0, 0.25)])
         (p, _, _, converged, taken), seen = self.search(
             9.0, slope=lambda p, r, _: next(slopes))
-        assert seen[:3] == [10.0, 9.0, 9.5] and min(seen) == 9.0
+        assert seen[:2] == [10.0, 9.5] and min(seen) == 9.5
+        assert len(seen) == len(set(seen))
         assert (p, converged, taken) == (10.0, True, 1)
 
     def test_log_step_is_at_most_a_factor_e(self):

@@ -92,6 +92,17 @@ class TestInferDensity:
         lo, hi = inference.DENSITY_BRACKET
         assert lo < post.estimate < hi
 
+    def test_flags_delta_reached_at_more_than_one_density(self):
+        # at 400 nK the coarse delta/2pi runs -719, -835, -782, -914, -835,
+        # -755 Hz from 2.75e19 to 5e19 m^-3, so it crosses the -826 Hz of
+        # 3.3e19 m^-3 four times; the estimate is still the truth
+        proto = make_protocol()
+        delta = forward_observables(3.3e19, 400e-9, MODEL, proto)["delta"]
+        post = infer_density({"delta": delta}, 400e-9, MODEL, proto)
+        assert post.estimate == pytest.approx(3.3e19, rel=1e-6)
+        assert post.flags == ["observed delta is reached at more than one "
+                              "density in the bracket"]
+
     def test_insensitive_objective_flagged(self):
         # with a_g = a_e the detuning vanishes at every density and the
         # misfit carries no information
