@@ -3,8 +3,9 @@
 Every verb runs once, in a fresh interpreter, on small inputs that this
 script writes to a temporary directory (a 96 x 96 node config with 10
 times, and calibration spectra of the CLI's default settings).  The
-table lists the exit code and whether `scipy.optimize` and
-`scipy.special` were in `sys.modules` when the verb returned.
+table lists the exit code and whether `scipy`, `scipy.optimize` and
+`scipy.special` were in `sys.modules` when the verb returned.  The
+script exits 1 if any verb loads scipy or exits non-zero.
 
     PYTHONPATH=src python3 scripts/scipy_per_verb.py
 """
@@ -21,7 +22,7 @@ import numpy as np
 from impurityprobe.calibration import rabi_lineshape, release_curve
 from impurityprobe.constants import CONST
 
-MODULES = ("scipy.optimize", "scipy.special")
+MODULES = ("scipy", "scipy.optimize", "scipy.special")
 CONFIG = {"bath": {"peak_density_per_cm3": 1.5e13, "temperature_nK": 850.0},
           "protocol": {"t_min_ms": 0.05, "t_max_ms": 3.0, "n_t": 10},
           "quadrature": {"density_order": 96, "energy_order": 96},
@@ -81,11 +82,15 @@ def main():
                                         "--t2-ms", "0.6"])]
         print("| verb | exit | " + " | ".join(MODULES) + " |")
         print("| --- | --- |" + " --- |" * len(MODULES))
+        status = 0
         for name, argv in runs:
             rc, flags = loaded(argv)
             cells = [("loaded" if flags[m] else "-") if flags else "?" for m in MODULES]
             print(f"| {name} | {rc} | " + " | ".join(cells) + " |")
+            if rc != 0 or not flags or any(flags.values()):
+                status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,12 +7,13 @@ Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
 physical range, and reports a parameter left on a bound as pinned); the
 visibility, V = A/(A + 2C) elementwise, decays as V0 exp(-t^2/T2^2) + B.
 That fit is linear in (V0, B) at a fixed T2, so it starts at its
-variable-projection minimum, `fitting.gauss_newton_1d` in log T2, and
-scipy's bounded TRF with the model's analytic Jacobian polishes it.  The
-interaction phase is `np.unwrap` of the fringe phase minus the background
-delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
-dephasing time, weighted if every fringe there has a phase error.  Every
-fitted report is built by `fitting.fit_report`.
+variable-projection minimum, `fitting.gauss_newton_1d` in log T2 (on a
+face of the (V0, B) box if the free minimum leaves it), and the bounded
+`fitting.least_squares` with the model's analytic Jacobian polishes it.
+The interaction phase is `np.unwrap` of the non-constant fringes' phase
+minus the background delta_bg * t; its slope is `fitting.linear_fit` on
+[t, 1] for t below the dephasing time, weighted if every fringe there has
+a phase error.  Every fitted report is built by `fitting.fit_report`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def _fringe_jacobian(phi, A, phi0):
 
 
 BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
+CONSTANT_FIT = "constant fringe: amplitude pinned to zero"
 
 
 def fit_fringe(phi, p, p_err=None):
@@ -98,7 +100,7 @@ def fit_fringe(phi, p, p_err=None):
             params={"A": 0.0, "C": float(P[k, 0]), "phi0": 0.0},
             errors={"A": 0.0, "C": 0.0, "phi0": float("nan")},
             residual_norm=0.0, n_points=P.shape[1], converged=True,
-            warnings=["constant fringe: amplitude pinned to zero"])
+            warnings=[CONSTANT_FIT])
     for k in np.flatnonzero(bounded):
         reports[k] = _bounded_fringe(phi, P[k], None if E is None else E[k])
     return reports if p.ndim > 1 else reports[0]
@@ -166,24 +168,30 @@ def _crossing_guess(t, V):
     return np.array([V00, T20, B0])
 
 
-def _projected_start(t, V, w, guess):
+def _projected_start(t, V, w, guess, held=(False, False)):
     """Variable projection (Golub & Pereyra): the decay is linear in
     (V0, B) for a fixed T2, so those come from the 2x2 weighted normal
     equations and `fitting.gauss_newton_1d` searches log T2 from guess's.
     g = J_K . r is the exact gradient, from Kaufman's projected Jacobian
     J_K; h is J_K . J_K at the first step and the secant of g after it.
+    held marks the (V0, B) kept at guess's values, a face of the box; the
+    other then solves its 1x1 equation, and J_K projects on its column.
 
-    A trial T2 fails where the 2x2 system is singular (its (V0, B) is then
+    A trial T2 fails where the system is singular (its (V0, B) is then
     not finite) or its (V0, B) is not in [0, 2] x [0, 1], so the search
     stops at that box.  Returns the point reached, or guess, clipped into
     the fit's bounds, if guess's T2 fails.  No step raises a warning.
     """
+    kept = np.where(held, guess[[0, 2]], 0.0)
+
     def project(T2):
         e = np.exp(-((t / T2) ** 2))
         a, y = w * e, w * V
         aa, aw, ww = a @ a, a @ w, w @ w
-        inv = np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw)
-        V0, B = inv @ [a @ y, w @ y]
+        inv = (np.diag(np.where(held, 0.0, 1.0 / np.array([aa, ww]))) if np.any(held)
+               else np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw))
+        z = y - a * kept[0] - w * kept[1]
+        V0, B = kept + inv @ [a @ z, w @ z]
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
         # d r / d log T2, minus its projection on the columns (a, w)
@@ -216,13 +224,13 @@ def _projected_start(t, V, w, guess):
 def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
 
-    The start is the variable-projection minimum (`_projected_start`,
-    from the first crossing of B + V0/e), and scipy's bounded TRF with the
-    model's analytic Jacobian polishes it inside 0 <= V0 <= 2,
-    0 <= B <= 1 and gives the errors and any pinned parameter.  Constant
-    visibility yields a 'no decay detected' report with T2 set to
-    infinity; a monotonically increasing series is rejected as
-    unphysical.
+    The start is the variable-projection minimum (`_projected_start`, from
+    the first crossing of B + V0/e, and on a face of the (V0, B) box if the
+    free minimum leaves it); the bounded `fitting.least_squares` with the
+    analytic Jacobian polishes it inside 0 <= V0 <= 2, 0 <= B <= 1 and gives
+    the errors and any pinned parameter.  Constant visibility yields a 'no
+    decay detected' report with T2 infinite; a monotonically increasing
+    series is rejected as unphysical.
     """
     t = np.asarray(t, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -241,8 +249,10 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     if np.all(np.diff(V) >= 0.0):
         raise FitError("visibility increases monotonically: unphysical decay")
 
-    return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"],
-                             p0=_projected_start(t, V, w, _crossing_guess(t, V)),
+    start = _projected_start(t, V, w, _crossing_guess(t, V))
+    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the free minimum left the box
+    start = _projected_start(t, V, w, start, face) if face.any() else start
+    return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
                              sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
 
 
@@ -324,10 +334,11 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
         raise ValueError("phase_convention must be 'sin2' or 'cos2'")
     warnings = []
     fits = fit_fringe(series.phi, series.p, p_err=series.p_err)
-    bounded = [t for t, f in zip(series.t, fits) if BOUNDED_FIT in f.warnings]
-    if bounded:
-        warnings.append("bounded fringe fit at t_ms = "
-                        + ", ".join(f"{t * 1e3:.6g}" for t in bounded))
+    for flag, text in ((BOUNDED_FIT, "bounded fringe fit"),
+                       (CONSTANT_FIT, "constant fringe, no phase,")):
+        at = [f"{t * 1e3:.6g}" for t, f in zip(series.t, fits) if flag in f.warnings]
+        if at:
+            warnings.append(f"{text} at t_ms = " + ", ".join(at))
 
     A, C, phi0 = np.array([[f.params[k] for k in ("A", "C", "phi0")]
                            for f in fits]).T
@@ -345,16 +356,18 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
 
     if phase_convention == "cos2":
         phi0 = (-(phi0 + math.pi)) % TWO_PI
-    Phi, phase_warnings = extract_phase_series(series.t, phi0, delta_bg)
+    phased = np.array([CONSTANT_FIT not in f.warnings for f in fits])
+    t, Phi = series.t[phased], np.full(len(series.t), math.nan)
+    Phi[phased], phase_warnings = extract_phase_series(t, phi0[phased], delta_bg)
     warnings += phase_warnings
 
     slope = None
     T2 = decay.params["T2"]
     try:
         window = T2 if math.isfinite(T2) else float(series.t[-1])
-        use_err = phi0_err is not None and np.all(phi0_err[series.t <= window] > 0)
-        slope = fit_phase_slope(series.t, Phi, window,
-                                Phi_err=phi0_err if use_err else None)
+        err = np.zeros(len(t)) if phi0_err is None else phi0_err[phased]
+        slope = fit_phase_slope(t, Phi[phased], window,  # weighted if every error > 0
+                                Phi_err=err if np.all(err[t <= window] > 0) else None)
     except FitError as exc:
         warnings.append(f"phase slope not extracted: {exc}")
 

@@ -1,8 +1,8 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
 slope and quadratic Zeeman fit (both linear, solved exactly), and
 release-curve thermometry in closed form.  The B-field and release fits
-are `fitting.gauss_newton_1d` searches, so `calibrate` loads no scipy;
-only the four-parameter bath-free trace fit uses scipy's TRF.
+are `fitting.gauss_newton_1d` searches; the four-parameter bath-free
+trace fit is a bounded `fitting.fit_least_squares`.  None loads scipy.
 """
 
 from __future__ import annotations

@@ -6,16 +6,17 @@ uncertainties from the local quadratic model (`standard_errors`; a stack
 of same-shaped fits takes one call); `weights` checks sigma.  Linear
 models go through `linear_fit`, an exact `lstsq`, one-parameter searches
 through `gauss_newton_1d`, and the rest (bath-free trace, decay polish,
-bounded fringe fallback) through scipy's bounded trust-region reflective
-solver in `fit_least_squares`, the only one that loads scipy, with the
-model's analytic Jacobian or, without one, finite differences.  A
-parameter left on a bound is reported pinned, with error 0.
+bounded fringe fallback) through `fit_least_squares`, on `least_squares`,
+a bounded Levenberg-Marquardt solver in numpy, with the model's analytic
+Jacobian or, without one, finite differences.  A parameter left on a
+bound is reported pinned, with error 0.  No module loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,18 +24,62 @@ SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first fit.
-
-    Importing scipy.optimize takes about half a second, which every CLI
-    verb would pay at start-up whether it fits or not.
-    """
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
-
-
 class FitError(RuntimeError):
     """Raised when a fit fails to converge or the data is degenerate."""
+
+
+def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, xtol=1e-8,
+                  ftol=None, gtol=None, max_nfev=2000, y=0.0):
+    """Minimise r.r, r = fun(x), in the box bounds by bounded Levenberg-
+    Marquardt (More 1978), in scipy's least_squares call and result shape
+    (ftol, gtol unread).  jac(x) is dr/dx, else forward differences of step
+    sqrt(eps) max(1, |x|), inward at an upper bound, not counted in nfev.  A
+    parameter on a bound, its gradient pointing out, is held (Lawson &
+    Hanson's active set; active_mask -1 lower, 1 upper); the step, damped in
+    the free columns' norms, is solved on the rest, projected into the box
+    and kept if it lowers r.r.  Stops when the undamped step lowers r.r by
+    at most its rounding 4 eps |r|.|y| (y the weighted data) or moves x by
+    at most xtol (xtol + |x|).  Raises ValueError for x0 outside the bounds
+    or r not finite there, FitError after max_nfev evaluations."""
+    x, eps = np.array(x0, dtype=float), np.finfo(float).eps
+    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
+    if not np.all((lb <= x) & (x <= ub)):
+        raise ValueError("x0 is outside the bounds")
+    r = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at x0")
+
+    def jacobian(x, r):
+        if jac is not None:
+            return np.asarray(jac(x), dtype=float)
+        h = math.sqrt(eps) * np.maximum(1.0, np.abs(x))
+        xs = x + np.diag(np.where(x + h > ub, -h, h))  # row k steps x_k
+        return np.column_stack([(fun(xk) - r) / (xk[k] - x[k]) for k, xk in enumerate(xs)])
+
+    J, nfev, lam, message = jacobian(x, r), 1, 1e-3, None
+    while True:
+        g = J.T @ r
+        active = np.where((x <= lb) & (g > 0.0), -1, np.where((x >= ub) & (g < 0.0), 1, 0))
+        Jf, s = J[:, active == 0], np.zeros_like(x)
+        A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.linalg.norm(Jf, axis=0))])
+        s[active == 0] = np.linalg.lstsq(A, np.r_[-r, np.zeros(Jf.shape[1])], rcond=None)[0]
+        t = np.clip(x + s, lb, ub)
+        if message or np.linalg.norm(t - x) <= xtol * (xtol + np.linalg.norm(x)):
+            break
+        if nfev >= max_nfev:
+            raise FitError(f"no convergence in {max_nfev} residual evaluations")
+        rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
+        lowered = r @ r - rt @ rt  # NaN for a non-finite trial
+        within = abs(lowered) <= 4.0 * eps * np.sum(np.abs(r * y))
+        if lam == 0.0 and within:
+            message = "the undamped step lowers r.r by no more than its rounding"
+        if lowered > 0.0:
+            x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
+            J = jacobian(x, r)
+        else:  # a first trial within rounding: x0 is a minimum, so try undamped
+            lam = 0.0 if within and nfev == 2 else max(10.0 * lam, 1e-3)
+    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=active, success=True,
+                           message=message or "the step is below xtol")
 
 
 @dataclass
@@ -180,7 +225,7 @@ def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
 
 
 def fit_least_squares(model, x, y, p0, names, sigma=None,
-                      bounds=None, jac=None) -> FitReport:
+                      bounds=(-np.inf, np.inf), jac=None) -> FitReport:
     """Fit y = model(x, *p) by damped least squares.
 
     sigma, when given, weights residuals as (y - model)/sigma.  bounds is
@@ -192,13 +237,9 @@ def fit_least_squares(model, x, y, p0, names, sigma=None,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = weights(y, sigma)
-    sol = least_squares(lambda p: (model(x, *p) - y) * w, np.asarray(p0, dtype=float),
-                        bounds=(-np.inf, np.inf) if bounds is None else bounds,
-                        jac="2-point" if jac is None else
-                        lambda p: np.asarray(jac(x, *p), dtype=float) * w[:, None],
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-    if not sol.success:
-        raise FitError(f"least-squares fit did not converge: {sol.message}")
+    sol = least_squares(lambda p: (model(x, *p) - y) * w, p0, bounds=bounds,
+                        jac=None if jac is None else lambda p: jac(x, *p) * w[:, None],
+                        xtol=1e-14, y=y * w)
     pinned = sol.active_mask != 0
     rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun,
                      sigma is not None)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from impurityprobe import analysis, fitting
 from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian,
@@ -13,7 +14,7 @@ from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian,
                                     fit_visibility_decay, normalize_counts,
                                     visibility, visibility_error)
 from impurityprobe.bath import BathState
-from impurityprobe.fitting import FitError, fit_least_squares
+from impurityprobe.fitting import FitError
 from impurityprobe.ramsey import (FringeSeries, RamseyProtocol,
                                   fringe_closed_form, synthesize_fringe)
 from impurityprobe.scattering import ResonanceModel
@@ -190,22 +191,25 @@ class TestFitFringe:
         lin = fit_fringe(phi, p, p_err=err)
         assume(BOUNDED_FIT not in lin.warnings)
         start = [lin.params[name] for name in ("A", "C", "phi0")]
-        ref = fit_least_squares(_fringe_model, phi, p, p0=start,
-                                names=["A", "C", "phi0"], sigma=err,
-                                bounds=([0.0, 0.0, start[2] - TWO_PI],
-                                        [2.0, 2.0, start[2] + TWO_PI]))
+        w = 1.0 if err is None else 1.0 / err
+        ref = least_squares(lambda q: (_fringe_model(phi, *q) - p) * w, start,
+                            bounds=([0.0, 0.0, start[2] - TWO_PI],
+                                    [2.0, 2.0, start[2] + TWO_PI]),
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        r = ref.fun
+        ref_errors = np.sqrt(np.diag(np.linalg.inv(ref.jac.T @ ref.jac))
+                             * (1.0 if err is not None else r @ r / (n_phi - 3)))
         # Both sit at the minimum; the bounded fit stops where its
         # finite-difference gradient vanishes, which fixes a parameter only
         # to ~sqrt(eps) of its 1-sigma error, so that sets the floor.
-        for name in ("A", "C", "phi0"):
-            diff = lin.params[name] - ref.params[name]
+        for k, name in enumerate(("A", "C", "phi0")):
+            diff = lin.params[name] - ref.x[k]
             if name == "phi0":
                 diff = wrapped(diff)
-            assert abs(diff) <= max(1e-9, 1e-6 * ref.errors[name])
-        assert lin.residual_norm <= ref.residual_norm * (1.0 + 1e-12) + 1e-12
-        for name in ("A", "C", "phi0"):
-            assert lin.errors[name] == pytest.approx(ref.errors[name],
-                                                     rel=1e-6, abs=1e-12)
+            assert abs(diff) <= max(1e-9, 1e-6 * ref_errors[k])
+        assert lin.residual_norm <= np.linalg.norm(r) * (1.0 + 1e-12) + 1e-12
+        for k, name in enumerate(("A", "C", "phi0")):
+            assert lin.errors[name] == pytest.approx(ref_errors[k], rel=1e-6, abs=1e-12)
 
 
 class TestVisibility:
@@ -347,6 +351,38 @@ class TestVisibilityDecay:
             warnings.simplefilter("error")
             rep = fit_visibility_decay(self.T, V)
         assert f"{face} pinned at a bound" in rep.warnings
+
+    @pytest.mark.parametrize("V0, B, face, bound, trf_nfev", [
+        (0.9, -0.05, "B", 0.0, 9), (2.5, 0.1, "V0", 2.0, 24), (0.3, 1.05, "B", 1.0, 17)])
+    def test_face_fit_takes_few_evaluations(self, monkeypatch, V0, B, face, bound,
+                                            trf_nfev):
+        # the free minimum is outside the box, so the start searches log T2
+        # on the face: the polish takes no more evaluations than scipy's TRF
+        # from the clipped crossing guess did (trf_nfev) and lands where TRF
+        # lands from the same start
+        V = V0 * np.exp(-((self.T / 4e-3) ** 2)) + B
+        calls = []
+        solve = fitting.least_squares
+
+        def counted(fun, x0, **k):
+            sol = solve(fun, x0, **k)
+            calls.append((np.array(x0), sol.nfev))
+            return sol
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        rep = fit_visibility_decay(self.T, V)
+        (x0, nfev), = calls
+        assert nfev <= trf_nfev
+        assert rep.warnings == [f"{face} pinned at a bound"]
+        assert rep.params[face] == bound and rep.errors[face] == 0.0
+        trf = least_squares(lambda q: _decay_model(self.T, *q) - V, x0,
+                            jac=lambda q: _decay_jacobian(self.T, *q),
+                            bounds=analysis._DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, max_nfev=2000)
+        r = _decay_model(self.T, *(rep.params[k] for k in ("V0", "T2", "B"))) - V
+        eps = np.finfo(float).eps
+        assert r @ r <= trf.fun @ trf.fun + 4.0 * eps * np.abs(trf.fun) @ np.abs(V)
+        assert rep.params["T2"] == pytest.approx(trf.x[1], rel=1e-8)
 
     def test_start_is_the_weighted_minimum(self, monkeypatch):
         # the fit hands TRF the minimum of the sum weighted by 1/V_err
@@ -602,6 +638,24 @@ class TestPipeline:
         late = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
         assert late.fringe_fits[-1].params["A"] == 0.0 and late.T2 < 4e-3
         assert late.delta == res.delta
+
+    @pytest.mark.parametrize("row", [1, 2, 5])
+    def test_constant_fringe_in_the_window_has_no_phase(self, row):
+        # a constant fringe (0.8, 1.2 or 2.4 ms, inside the slope window)
+        # has no phase: it takes no part in the unwrap or the slope, which
+        # it used to enter with phi0 = 0 (delta/2pi 224.0, 221.5, 27.8 Hz)
+        t = np.linspace(0.4e-3, 8e-3, 20)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_closed_form(tk, phi, TWO_PI * 200.0, 3e-3) for tk in t])
+        p += 0.01 * np.random.default_rng(7).standard_normal(p.shape)
+        err = np.full_like(p, 0.01)
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        p[row] = 0.5
+        gap = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        assert math.isnan(gap.phase[row])
+        assert np.all(np.isfinite(np.delete(gap.phase, row)))
+        assert f"constant fringe, no phase, at t_ms = {t[row] * 1e3:.6g}" in gap.warnings
+        assert abs(gap.delta - res.delta) / TWO_PI < 0.5  # Hz; its error is about 1 Hz
 
     def test_bad_convention_rejected(self):
         proto = RamseyProtocol.default_grid(t_max_ms=2.0, n_t=8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 
 from impurityprobe.calibration import (LIGHT_SHIFT_THEORY, ZEEMAN_HZ_PER_G,
                                        fit_bfield, fit_light_shift,
@@ -10,7 +11,7 @@ from impurityprobe.calibration import (LIGHT_SHIFT_THEORY, ZEEMAN_HZ_PER_G,
                                        fit_zeeman, rabi_lineshape,
                                        release_curve)
 from impurityprobe.constants import CONST
-from impurityprobe.fitting import FitError, fit_least_squares
+from impurityprobe.fitting import FitError
 from impurityprobe.ramsey import no_bath_trace
 from impurityprobe.thermal import mb_pdf, zeeman_coefficient_hz_per_G2
 
@@ -254,13 +255,14 @@ class TestScalarFitsStationary:
         rep = fit_release_curve(E0, f, fraction_err=sigma)
         order = np.argsort(f)  # fit_release_curve's start, then its old fit
         T0 = max(float(np.interp(0.5, f[order], E0[order])) / (1.16 * K_B), 1e-9)
-        trf = fit_least_squares(release_curve, E0, f, p0=[T0], names=["T"],
-                                sigma=sigma, bounds=([1e-12], [np.inf]))
+        trf = least_squares(lambda p: (release_curve(E0, p[0]) - f) / sigma, [T0],
+                            bounds=([1e-12], [np.inf]), xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, max_nfev=2000)
         T_fit = rep.params["T"]
         x = E0 / (K_B * T_fit)
         J = -2.0 / math.sqrt(math.pi) * np.sqrt(x) * np.exp(-x) * x / T_fit / sigma
         self.check((release_curve(E0, T_fit) - f) / sigma, J,
-                   (release_curve(E0, trf.params["T"]) - f) / sigma, f / sigma)
+                   (release_curve(E0, trf.x[0]) - f) / sigma, f / sigma)
         assert rep.errors["T"] == pytest.approx(1.0 / np.linalg.norm(J), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -272,14 +274,15 @@ class TestScalarFitsStationary:
         sigma = np.full(41, 0.01)
         p = rabi_lineshape(w, OMEGA0, bg, omega_MW) + sigma * rng.normal(size=41)
         rep, _ = fit_bfield(w, p, OMEGA0, omega_MW, p_err=sigma)
-        trf = fit_least_squares(
-            lambda x, b: rabi_lineshape(x, OMEGA0, b, omega_MW), w, p,
-            p0=[omega_MW - w[np.argmax(p)]], names=["omega_bg"], sigma=sigma)
+        trf = least_squares(
+            lambda b: (rabi_lineshape(w, OMEGA0, b[0], omega_MW) - p) / sigma,
+            [omega_MW - w[np.argmax(p)]], xtol=1e-14, ftol=1e-14, gtol=1e-14,
+            max_nfev=2000)
         b = rep.params["omega_bg"]
         # complex step: the derivative to round-off, independent of the fit's
         J = np.imag(rabi_lineshape(w, OMEGA0, b + 1e-20j, omega_MW)) / 1e-20 / sigma
         self.check((rabi_lineshape(w, OMEGA0, b, omega_MW) - p) / sigma, J,
-                   (rabi_lineshape(w, OMEGA0, trf.params["omega_bg"], omega_MW) - p)
+                   (rabi_lineshape(w, OMEGA0, trf.x[0], omega_MW) - p)
                    / sigma, p / sigma)
         assert rep.errors["omega_bg"] == pytest.approx(1.0 / np.linalg.norm(J),
                                                        rel=1e-9)

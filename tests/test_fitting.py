@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares as scipy_least_squares
 
 from impurityprobe import fitting
 from impurityprobe.fitting import (FitError, fit_least_squares, fit_report,
@@ -145,6 +146,53 @@ class TestFitLeastSquares:
         assert rep.errors["a"] == pytest.approx(1.0 / np.linalg.norm(e), rel=1e-10)
 
 
+class TestLeastSquaresSolver:
+    """fitting.least_squares, the bounded Levenberg-Marquardt solver."""
+
+    X = TestFitLeastSquares.X
+
+    def test_start_outside_the_bounds_rejected(self):
+        with pytest.raises(ValueError, match="outside the bounds"):
+            fitting.least_squares(lambda p: p - 1.0, [2.0], bounds=([0.0], [1.5]))
+
+    def test_nonfinite_start_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            fitting.least_squares(lambda p: np.array([p[0], math.nan]), [1.0])
+
+    def test_forward_differences_step_inward_at_an_upper_bound(self):
+        # the minimum, x = 3, lies above the bound 2: the start sits on it,
+        # and its difference step sqrt(eps) * max(1, |x|) is taken downward
+        seen = []
+
+        def fun(p):
+            seen.append(float(p[0]))
+            return np.array([p[0] - 3.0, 0.5 * (p[0] - 3.0)])
+
+        sol = fitting.least_squares(fun, [2.0], bounds=([0.0], [2.0]))
+        assert seen[1] == 2.0 - 2.0 * math.sqrt(np.finfo(float).eps)
+        assert max(seen) == 2.0
+        assert sol.jac.ravel().tolist() == pytest.approx([1.0, 0.5], rel=1e-7)
+        assert sol.x.tolist() == [2.0] and sol.active_mask.tolist() == [1]
+        assert sol.nfev < len(seen)  # difference evaluations are not counted
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(FitError, match="no convergence in 2 residual evaluations"):
+            fitting.least_squares(lambda p: np.exp(p) - 5.0, [0.0], max_nfev=2)
+
+    @pytest.mark.parametrize("bounds, x0, k, mask", [
+        (([0.0, 0.0], [np.inf, 0.5]), [1.0, 0.2], 0.5, [0, 1]),
+        (([0.0, 1.0], [np.inf, np.inf]), [1.0, 1.2], 1.0, [0, -1])])
+    def test_active_mask_names_the_pinned_bound(self, bounds, x0, k, mask):
+        # TestFitLeastSquares's data decay at k = 0.8: k ends on whichever
+        # bound it is held away from, and only that bound is active
+        y, sigma = TestFitLeastSquares().data()
+        sol = fitting.least_squares(lambda p: (decay(self.X, *p) - y) / sigma, x0,
+                                    bounds=bounds, y=y / sigma,
+                                    jac=lambda p: decay_jac(self.X, *p) / sigma[:, None])
+        assert sol.x[1] == k
+        assert sol.active_mask.tolist() == mask
+
+
 class TestFitScalar:
     """Gauss-Newton on one parameter: a = 1.3 fixed, only the rate k is fitted."""
 
@@ -174,9 +222,10 @@ class TestFitScalar:
         assert abs(j @ r) <= 1e-12 * np.linalg.norm(j) * np.linalg.norm(r)
         assert rep.errors["k"] == pytest.approx(1.0 / np.linalg.norm(j), rel=1e-12)
         assert rep.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
-        trf = fit_least_squares(self.model, self.X, y, [0.3], ["k"], sigma=sigma,
-                                jac=lambda x, k: self.slope(x, k)[:, None])
-        assert k == pytest.approx(trf.params["k"], rel=1e-9)
+        trf = scipy_least_squares(lambda p: (self.model(self.X, p[0]) - y) / sigma, [0.3],
+                                  jac=lambda p: (self.slope(self.X, p[0]) / sigma)[:, None],
+                                  xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        assert k == pytest.approx(trf.x[0], rel=1e-9)
 
     def test_exact_data_recovered(self):
         y = self.model(self.X, 0.8)
