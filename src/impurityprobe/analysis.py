@@ -8,7 +8,7 @@ physical range, and reports a parameter left on a bound as pinned); the
 visibility, V = A/(A + 2C) elementwise, decays as V0 exp(-t^2/T2^2) + B.
 That fit is linear in (V0, B) at a fixed T2, so it starts at its
 variable-projection minimum, `fitting.gauss_newton_1d` in log T2 (on a
-face of the (V0, B) box if the free minimum leaves it), and the bounded
+box face if the guess's projection leaves it), and the bounded
 `fitting.least_squares` with the model's analytic Jacobian polishes it.
 The interaction phase is `np.unwrap` of the non-constant fringes' phase
 minus the background delta_bg * t; its slope is `fitting.linear_fit` on
@@ -225,8 +225,10 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
 
     The start is the variable-projection minimum (`_projected_start`, from
-    the first crossing of B + V0/e, and on a face of the (V0, B) box if the
-    free minimum leaves it); the bounded `fitting.least_squares` with the
+    the first crossing of B + V0/e); where the guess's projection leaves the
+    (V0, B) box it is the clipped guess, and a second search holds the
+    coefficient clipping put on a bound (a search stopped at the box from
+    inside gets none).  The bounded `fitting.least_squares` with the
     analytic Jacobian polishes it inside 0 <= V0 <= 2, 0 <= B <= 1 and gives
     the errors and any pinned parameter.  Constant visibility yields a 'no
     decay detected' report with T2 infinite; a monotonically increasing
@@ -250,7 +252,7 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
         raise FitError("visibility increases monotonically: unphysical decay")
 
     start = _projected_start(t, V, w, _crossing_guess(t, V))
-    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the free minimum left the box
+    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the clipped guess's bounds
     start = _projected_start(t, V, w, start, face) if face.any() else start
     return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
                              sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
@@ -365,9 +367,9 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     T2 = decay.params["T2"]
     try:
         window = T2 if math.isfinite(T2) else float(series.t[-1])
-        err = np.zeros(len(t)) if phi0_err is None else phi0_err[phased]
+        use = phi0_err is not None and np.all(phi0_err[phased][t <= window] > 0)
         slope = fit_phase_slope(t, Phi[phased], window,  # weighted if every error > 0
-                                Phi_err=err if np.all(err[t <= window] > 0) else None)
+                                Phi_err=phi0_err[phased] if use else None)
     except FitError as exc:
         warnings.append(f"phase slope not extracted: {exc}")
 

@@ -22,25 +22,25 @@ import numpy as np
 
 SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
+LSQ_XTOL = 1e-14  # relative step below which least_squares stops
 
 
 class FitError(RuntimeError):
     """Raised when a fit fails to converge or the data is degenerate."""
 
 
-def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, xtol=1e-8,
-                  ftol=None, gtol=None, max_nfev=2000, y=0.0):
+def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=0.0):
     """Minimise r.r, r = fun(x), in the box bounds by bounded Levenberg-
-    Marquardt (More 1978), in scipy's least_squares call and result shape
-    (ftol, gtol unread).  jac(x) is dr/dx, else forward differences of step
-    sqrt(eps) max(1, |x|), inward at an upper bound, not counted in nfev.  A
-    parameter on a bound, its gradient pointing out, is held (Lawson &
-    Hanson's active set; active_mask -1 lower, 1 upper); the step, damped in
-    the free columns' norms, is solved on the rest, projected into the box
-    and kept if it lowers r.r.  Stops when the undamped step lowers r.r by
-    at most its rounding 4 eps |r|.|y| (y the weighted data) or moves x by
-    at most xtol (xtol + |x|).  Raises ValueError for x0 outside the bounds
-    or r not finite there, FitError after max_nfev evaluations."""
+    Marquardt (More 1978), with scipy's result fields x, fun, jac, nfev and
+    active_mask.  jac(x) is dr/dx, else forward differences of step
+    sqrt(eps) max(1, |x|), inward at an upper bound, not counted in nfev.
+    A parameter on a bound, its gradient pointing out, is held (Lawson &
+    Hanson's active set; active_mask -1 lower, 1 upper); the step, damped
+    in the free columns' norms, is solved on the rest, projected into the
+    box and kept if it lowers r.r.  Stops when the undamped step lowers r.r
+    by at most its rounding 4 eps |r|.|y| (y the weighted data) or moves x
+    by at most LSQ_XTOL (LSQ_XTOL + |x|).  Raises ValueError for x0 outside
+    the bounds or r not finite there, FitError after max_nfev evaluations."""
     x, eps = np.array(x0, dtype=float), np.finfo(float).eps
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     if not np.all((lb <= x) & (x <= ub)):
@@ -56,7 +56,7 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, xtol=1e-8,
         xs = x + np.diag(np.where(x + h > ub, -h, h))  # row k steps x_k
         return np.column_stack([(fun(xk) - r) / (xk[k] - x[k]) for k, xk in enumerate(xs)])
 
-    J, nfev, lam, message = jacobian(x, r), 1, 1e-3, None
+    J, nfev, lam, done = jacobian(x, r), 1, 1e-3, False
     while True:
         g = J.T @ r
         active = np.where((x <= lb) & (g > 0.0), -1, np.where((x >= ub) & (g < 0.0), 1, 0))
@@ -64,22 +64,20 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, xtol=1e-8,
         A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.linalg.norm(Jf, axis=0))])
         s[active == 0] = np.linalg.lstsq(A, np.r_[-r, np.zeros(Jf.shape[1])], rcond=None)[0]
         t = np.clip(x + s, lb, ub)
-        if message or np.linalg.norm(t - x) <= xtol * (xtol + np.linalg.norm(x)):
+        if done or np.linalg.norm(t - x) <= LSQ_XTOL * (LSQ_XTOL + np.linalg.norm(x)):
             break
         if nfev >= max_nfev:
             raise FitError(f"no convergence in {max_nfev} residual evaluations")
         rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
         lowered = r @ r - rt @ rt  # NaN for a non-finite trial
         within = abs(lowered) <= 4.0 * eps * np.sum(np.abs(r * y))
-        if lam == 0.0 and within:
-            message = "the undamped step lowers r.r by no more than its rounding"
+        done = lam == 0.0 and within  # the undamped step gains only rounding
         if lowered > 0.0:
             x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
             J = jacobian(x, r)
         else:  # a first trial within rounding: x0 is a minimum, so try undamped
             lam = 0.0 if within and nfev == 2 else max(10.0 * lam, 1e-3)
-    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=active, success=True,
-                           message=message or "the step is below xtol")
+    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=active)
 
 
 @dataclass
@@ -239,7 +237,7 @@ def fit_least_squares(model, x, y, p0, names, sigma=None,
     w = weights(y, sigma)
     sol = least_squares(lambda p: (model(x, *p) - y) * w, p0, bounds=bounds,
                         jac=None if jac is None else lambda p: jac(x, *p) * w[:, None],
-                        xtol=1e-14, y=y * w)
+                        y=y * w)
     pinned = sol.active_mask != 0
     rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun,
                      sigma is not None)
