@@ -2,13 +2,13 @@
 visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
-(times, phases) grid in one stacked solve of its weighted normal equations
-(a bounded nonlinear fit runs only for a row whose free solution leaves the
-physical range, and reports a parameter left on a bound as pinned); the
-visibility, V = A/(A + 2C) elementwise, decays as V0 exp(-t^2/T2^2) + B.
-That fit is linear in (V0, B) at a fixed T2, so it starts at its
-variable-projection minimum, `fitting.gauss_newton_1d` in log T2 (on a
-box face if the guess's projection leaves it), and the bounded
+(times, phases) grid in one stacked solve of its weighted normal equations;
+a row whose free solution leaves the physical range gets a bounded fit, a
+variable-projection search in phi0 that reports a coefficient on a bound
+as pinned.  The visibility, V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B,
+linear in (V0, B) at a fixed T2, so that fit starts at its projected
+minimum, `fitting.gauss_newton_1d` in log T2 (on a box face where the
+guess's projection or the search leaves the box), and the bounded
 `fitting.least_squares` with the model's analytic Jacobian polishes it.
 The interaction phase is `np.unwrap` of the non-constant fringes' phase
 minus the background delta_bg * t; its slope is `fitting.linear_fit` on
@@ -38,10 +38,6 @@ def normalize_counts(N_bath, N0_max: float, N0_min: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _fringe_model(phi, A, C, phi0):
-    return A * np.sin(0.5 * (phi0 - phi)) ** 2 + C
-
-
 def _fringe_jacobian(phi, A, phi0):
     """d model / d(A, C, phi0), (times, phases, 3) for per-time A and phi0."""
     s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
@@ -63,8 +59,8 @@ def fit_fringe(phi, p, p_err=None):
     row (weights 1/p_err, or 1 without p_err), with errors from the
     analytic Jacobian in (A, C, phi0), one stacked SVD.  Two masks pick
     the rows that need more: a constant row returns a zero-amplitude
-    report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets a
-    bounded nonlinear fit, started from the 1-cycle Fourier component, and
+    report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets the
+    bounded fit of `_bounded_fringe`, a projected search in phi0, and
     carries BOUNDED_FIT.  phi0 is reported in [0, 2 pi).
     """
     phi = np.asarray(phi, dtype=float)
@@ -102,21 +98,47 @@ def fit_fringe(phi, p, p_err=None):
             residual_norm=0.0, n_points=P.shape[1], converged=True,
             warnings=[CONSTANT_FIT])
     for k in np.flatnonzero(bounded):
-        reports[k] = _bounded_fringe(phi, P[k], None if E is None else E[k])
+        reports[k] = _bounded_fringe(phi, P[k], W[k], E is not None)
     return reports if p.ndim > 1 else reports[0]
 
 
-def _bounded_fringe(phi, p, p_err) -> FitReport:
-    # the 1-cycle Fourier coefficient of the data is -(A/2) e^{-i phi0}
-    c1 = 2.0 * np.mean(p * np.exp(-1j * phi))
-    A0 = min(max(2.0 * abs(c1), 1e-6), 2.0)
-    phi0_0 = float(np.angle(-c1)) % TWO_PI
-    C0 = max(float(np.mean(p)) - 0.5 * A0, 1e-9)
-    rep = fit_least_squares(_fringe_model, phi, p, p0=[A0, C0, phi0_0],
-                            names=["A", "C", "phi0"], sigma=p_err,
-                            bounds=([0.0, 0.0, phi0_0 - TWO_PI],
-                                    [2.0, 2.0, phi0_0 + TWO_PI]))
-    rep.params["phi0"] %= TWO_PI
+def _bounded_fringe(phi, p, w, weighted) -> FitReport:
+    """Bounded fit of one fringe, weights w, by variable projection in phi0
+    (Golub & Pereyra): at each phi0, (A, C) is the exact weighted least-
+    squares solution in [0, 2] x [0, 2], the free one if it lies inside,
+    else the best edge (A or C held at 0 or 2, the other clipped, which
+    covers the corners).  phi0 is searched from the data's Fourier phase
+    by `fitting.gauss_newton_1d` with `_secant_slope`."""
+    y = w * p
+
+    def project(phi0):
+        a = w * np.sin(0.5 * (phi0 - phi)) ** 2
+        aa, aw, ww, ay, wy = a @ a, a @ w, w @ w, a @ y, w @ y
+        inv = np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw)
+        A, C = inv @ [ay, wy]
+        if not (0.0 <= A <= 2.0 and 0.0 <= C <= 2.0):  # the best edge: A or C held at e
+            e = np.array([0.0, 2.0])
+            edges = np.array([[*e, *np.clip((ay - aw * e) / aa, 0.0, 2.0)],
+                              [*np.clip((wy - aw * e) / ww, 0.0, 2.0), *e]]).T
+            A, C = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
+        free = np.array([0.0 < A < 2.0, 0.0 < C < 2.0])
+        if not free.all():
+            inv = np.diag(np.where(free, 1.0 / np.array([aa, ww]), 0.0))
+        # Kaufman's j_K: d r / d phi0 minus its projection on the free columns
+        j = 0.5 * A * w * np.sin(phi0 - phi)
+        c = inv @ [a @ j, w @ j]
+        return A * a + C * w - y, (A, C, free, a, j, j - c[0] * a - c[1] * w)
+
+    # the data's 1-cycle Fourier coefficient is -(A/2) e^{-i phi0}; the search
+    # runs one period up, so its step tolerance is at least 2 pi PHI0_REL_STEP
+    phi0 = float(-np.angle(-np.mean(p * np.exp(-1j * phi)))) % TWO_PI + TWO_PI
+    phi0, r, (A, C, free, a, j, _), converged, _ = gauss_newton_1d(
+        project, _secant_slope(log=False), phi0, project(phi0), y,
+        rel_step=PHI0_REL_STEP, steps=VP_STEPS)
+    rep = fit_report(("A", "C", "phi0"), [A, C, phi0 % TWO_PI],  # pinned columns zeroed
+                     np.column_stack([a * free[0], w * free[1], j]), r, weighted)
+    rep.converged = converged
+    rep.warnings += [f"{name} pinned at a bound" for name, on in zip("AC", free) if not on]
     rep.warnings.append(BOUNDED_FIT)
     return rep
 
@@ -156,6 +178,7 @@ def _decay_jacobian(t, V0, T2, B):
 _DECAY_BOUNDS = ([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0])  # V0, T2, B
 VP_STEPS = 50  # steps of the projected start at most
 VP_REL_STEP = 1e-10  # step in log T2 below which the projected start stops
+PHI0_REL_STEP = 1e-13  # relative step in phi0 below which the bounded fringe fit stops
 
 
 def _crossing_guess(t, V):
@@ -168,21 +191,40 @@ def _crossing_guess(t, V):
     return np.array([V00, T20, B0])
 
 
+def _secant_slope(log):
+    """`gauss_newton_1d`'s slope for a search whose state ends in Kaufman's
+    projected Jacobian j_K: g = j_K . r, the exact gradient, and h = j_K . j_K
+    at the first step, then the secant of g (in log p with log): with large
+    residuals Gauss-Newton's h (no r . d2r) converges only linearly."""
+    last = []  # p (or log p) and g at the previous accepted point
+
+    def slope(p, r, state):
+        g, h, u = state[-1] @ r, state[-1] @ state[-1], math.log(p) if log else p
+        if last:
+            secant = (g - last[1]) / (u - last[0])
+            h = secant if secant > 0.0 else h
+        last[:] = u, g
+        return g, h
+    return slope
+
+
 def _projected_start(t, V, w, guess, held=(False, False)):
     """Variable projection (Golub & Pereyra): the decay is linear in
     (V0, B) for a fixed T2, so those come from the 2x2 weighted normal
-    equations and `fitting.gauss_newton_1d` searches log T2 from guess's.
-    g = J_K . r is the exact gradient, from Kaufman's projected Jacobian
-    J_K; h is J_K . J_K at the first step and the secant of g after it.
-    held marks the (V0, B) kept at guess's values, a face of the box; the
-    other then solves its 1x1 equation, and J_K projects on its column.
+    equations and `fitting.gauss_newton_1d` searches log T2 from guess's
+    with `_secant_slope`.  held marks the (V0, B) kept at guess's values, a
+    face of the box; the other then solves its 1x1 equation, and J_K
+    projects on its column.
 
     A trial T2 fails where the system is singular (its (V0, B) is then
     not finite) or its (V0, B) is not in [0, 2] x [0, 1], so the search
     stops at that box.  Returns the point reached, or guess, clipped into
-    the fit's bounds, if guess's T2 fails.  No step raises a warning.
+    the fit's bounds, if guess's T2 fails; a search stopped at the box
+    takes the (V0, B) of a trial just past it, so one lands on its bound.
+    No step raises a warning.
     """
     kept = np.where(held, guess[[0, 2]], 0.0)
+    left = [0.0, 0.0]  # (V0, B) of the last trial
 
     def project(T2):
         e = np.exp(-((t / T2) ** 2))
@@ -192,6 +234,7 @@ def _projected_start(t, V, w, guess, held=(False, False)):
                else np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw))
         z = y - a * kept[0] - w * kept[1]
         V0, B = kept + inv @ [a @ z, w @ z]
+        left[:] = V0, B
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
         # d r / d log T2, minus its projection on the columns (a, w)
@@ -199,25 +242,17 @@ def _projected_start(t, V, w, guess, held=(False, False)):
         c = inv @ [a @ j, w @ j]
         return a * V0 + w * B - y, (V0, B, j - c[0] * a - c[1] * w)
 
-    last = []  # log T2 and gradient at the previous accepted point
-
-    def slope(T2, r, state):
-        g, h, u = state[2] @ r, state[2] @ state[2], math.log(T2)
-        if last:
-            # the residual is large, so Gauss-Newton's h (no r . d2r) converges
-            # only linearly; the secant of the exact g restores the curvature
-            secant = (g - last[1]) / (u - last[0])
-            h = secant if secant > 0.0 else h
-        last[:] = u, g
-        return g, h
-
     with np.errstate(all="ignore"):  # every value is checked
         start = project(guess[1])
         if start is None:
             return np.clip(guess, *_DECAY_BOUNDS)
-        T2, _, (V0, B, _), _, _ = gauss_newton_1d(
-            project, slope, guess[1], start, w * V, log=True,
+        T2, r, (V0, B, j), _, _ = gauss_newton_1d(
+            project, _secant_slope(log=True), guess[1], start, w * V, log=True,
             rel_step=VP_REL_STEP, steps=VP_STEPS)
+        # stopped at the box from inside if a trial two stopping steps
+        # downhill leaves it: that trial's (V0, B) is clipped onto the box
+        if project(T2 * math.exp(-math.copysign(2.0 * VP_REL_STEP, j @ r))) is None:
+            V0, B = np.where(np.isnan(left), [V0, B], left)
     return np.clip([V0, T2, B], *_DECAY_BOUNDS)
 
 
@@ -227,8 +262,8 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     The start is the variable-projection minimum (`_projected_start`, from
     the first crossing of B + V0/e); where the guess's projection leaves the
     (V0, B) box it is the clipped guess, and a second search holds the
-    coefficient clipping put on a bound (a search stopped at the box from
-    inside gets none).  The bounded `fitting.least_squares` with the
+    coefficient clipping put on a bound, as it does for a search stopped at
+    the box from inside.  The bounded `fitting.least_squares` with the
     analytic Jacobian polishes it inside 0 <= V0 <= 2, 0 <= B <= 1 and gives
     the errors and any pinned parameter.  Constant visibility yields a 'no
     decay detected' report with T2 infinite; a monotonically increasing
@@ -252,7 +287,7 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
         raise FitError("visibility increases monotonically: unphysical decay")
 
     start = _projected_start(t, V, w, _crossing_guess(t, V))
-    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the clipped guess's bounds
+    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the start's bounds
     start = _projected_start(t, V, w, start, face) if face.any() else start
     return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
                              sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)

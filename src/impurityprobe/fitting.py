@@ -5,10 +5,10 @@ weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
 uncertainties from the local quadratic model (`standard_errors`; a stack
 of same-shaped fits takes one call); `weights` checks sigma.  Linear
 models go through `linear_fit`, an exact `lstsq`, one-parameter searches
-through `gauss_newton_1d`, and the rest (bath-free trace, decay polish,
-bounded fringe fallback) through `fit_least_squares`, on `least_squares`,
-a bounded Levenberg-Marquardt solver in numpy, with the model's analytic
-Jacobian or, without one, finite differences.  A parameter left on a
+(and the projected ones of analysis) through `gauss_newton_1d`, and the
+bath-free trace and the decay polish through `fit_least_squares`, on
+`least_squares`, a bounded Levenberg-Marquardt solver in numpy, with the
+model's analytic Jacobian or finite differences.  A parameter left on a
 bound is reported pinned, with error 0.  No module loads scipy.
 """
 
@@ -60,11 +60,13 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
     while True:
         g = J.T @ r
         active = np.where((x <= lb) & (g > 0.0), -1, np.where((x >= ub) & (g < 0.0), 1, 0))
+        if done:
+            break
         Jf, s = J[:, active == 0], np.zeros_like(x)
         A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.linalg.norm(Jf, axis=0))])
         s[active == 0] = np.linalg.lstsq(A, np.r_[-r, np.zeros(Jf.shape[1])], rcond=None)[0]
         t = np.clip(x + s, lb, ub)
-        if done or np.linalg.norm(t - x) <= LSQ_XTOL * (LSQ_XTOL + np.linalg.norm(x)):
+        if np.linalg.norm(t - x) <= LSQ_XTOL * (LSQ_XTOL + np.linalg.norm(x)):
             break
         if nfev >= max_nfev:
             raise FitError(f"no convergence in {max_nfev} residual evaluations")
@@ -107,12 +109,14 @@ def standard_errors(jac, resid_var) -> np.ndarray:
     jac is the (weighted) residual Jacobian at the solution, or a stack
     (..., m, n) with one resid_var each; the diagonal is sum_k V_ik^2/s_k^2
     of J = U S V^T.  The pseudo-inverse drops singular values below
-    eps * max(m, n) * s_max, so an unconstrained direction gets error 0.
+    eps * max(m, n) * s_max, so an unconstrained direction gets error 0
+    (a zero column, a pinned parameter, exactly 0).
     """
     _, s, VT = np.linalg.svd(jac, full_matrices=False)
     tol = np.finfo(float).eps * max(np.shape(jac)[-2:]) * s[..., :1]
     s_inv2 = np.where(s > tol, 1.0 / np.maximum(s, tol) ** 2, 0.0)
     var = np.einsum("...ki,...k->...i", VT * VT, s_inv2)
+    var = np.where(np.any(jac, axis=-2), var, 0.0)  # exactly, whatever the SVD rounds
     return np.sqrt(var * np.asarray(resid_var)[..., None])
 
 

@@ -129,7 +129,7 @@ _ROW_BLOCK = 64
 @functools.lru_cache(maxsize=4)
 def _rule_table(rule_bytes):
     """[rows 0..M of one density rule's table], kept per (s, wn) bytes."""
-    return [np.empty((2, _TAYLOR_TERMS, 0))]
+    return [np.empty((_TAYLOR_TERMS, 0), complex)]
 
 
 def _coherence_trace(ts, s, wn, x, wE):
@@ -143,8 +143,8 @@ def _coherence_trace(ts, s, wn, x, wE):
     depends on the density rule alone, so the tables of the last four
     rules are kept, each extended from its end to the highest row a call
     needs (rows too sparse for that are sorted and built for the call
-    alone).  The table is term-major, so each Horner term is one
-    contiguous gather.  Every sum is an einsum loop, not BLAS, so a row's
+    alone).  The table is complex and term-major, so each Horner term is
+    one contiguous gather.  Every sum is an einsum loop, not BLAS, so a row's
     bits depend neither on the BLAS thread count nor on the block it was
     built in: the trace does not depend on what was called before.
     """
@@ -153,7 +153,7 @@ def _coherence_trace(ts, s, wn, x, wE):
     d = q - m
     if m.max(initial=0.0) >= 8 * m.size + 4096:  # sparse rows: sort them
         new, row_of = np.unique(m, return_inverse=True)
-        table, built = [None], np.empty((2, _TAYLOR_TERMS, 0))
+        table, built = [None], np.empty((_TAYLOR_TERMS, 0), complex)
         row_of = row_of.reshape(m.shape)
     else:
         row_of = m.astype(np.intp)
@@ -163,19 +163,20 @@ def _coherence_trace(ts, s, wn, x, wE):
     if new.size:
         moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
                    * wn[None, :] * _INV_FACTORIALS[:, None])
-        add = np.empty((2, _TAYLOR_TERMS, new.size))
+        add = np.empty((_TAYLOR_TERMS, new.size), complex)
         for b in range(0, new.size, _ROW_BLOCK):
             phase = np.multiply.outer(new[b:b + _ROW_BLOCK], s)
-            add[0, :, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
-            add[1, :, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
+            add.real[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
+            add.imag[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
         built = table[0] = np.concatenate((built, add), axis=-1)
-    re, im = built
-    # Horner in i d: (gr + i gi) i d + c = (c_r - gi d) + i (c_i + gr d)
-    gr, gi = re[-1][row_of], im[-1][row_of]
+    # Horner in i d, in place; the sums read contiguous copies of the real
+    # and imaginary parts (einsum sums strided views in another order)
+    g, i_d = built[-1][row_of], 1j * d
     for k in range(_TAYLOR_TERMS - 2, -1, -1):
-        gr, gi = re[k][row_of] - gi * d, im[k][row_of] + gr * d
-    return (np.einsum("...j,j->...", gr, wE),
-            np.einsum("...j,j->...", gi, np.where(x < 0.0, -wE, wE)))
+        g *= i_d
+        g += built[k][row_of]
+    return (np.einsum("...j,j->...", g.real.copy(), wE),
+            np.einsum("...j,j->...", g.imag.copy(), np.where(x < 0.0, -wE, wE)))
 
 
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from impurityprobe import analysis, fitting
-from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian,
-                                    _decay_model, _fringe_model,
+from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian, _decay_model,
                                     analyze_fringes, extract_phase_series,
                                     fit_fringe, fit_phase_slope,
                                     fit_visibility_decay, normalize_counts,
@@ -127,7 +127,7 @@ class TestFitFringe:
         A, phi0 = rep.params["A"], rep.params["phi0"]
         jac = np.column_stack([np.sin(0.5 * (phi0 - self.PHI)) ** 2,
                                0.5 * A * np.sin(phi0 - self.PHI)])
-        r = _fringe_model(self.PHI, A, rep.params["C"], phi0) - p
+        r = fringe_values(self.PHI, A, rep.params["C"], phi0) - p
         cov = np.linalg.inv(jac.T @ jac) * (r @ r) / (len(p) - 3)
         assert [rep.errors["A"], rep.errors["phi0"]] == \
             pytest.approx(np.sqrt(np.diag(cov)), rel=1e-6)
@@ -180,10 +180,10 @@ class TestFitFringe:
            seed=st.integers(0, 2**31))
     def test_linear_fit_equals_bounded_fit(self, A, C, phi0, noise, n_phi,
                                            weighted, seed):
-        # where no bound is active the linear fit and the bounded fit that
-        # fit_fringe falls back to minimise the same sum of squares; the
-        # bounded fit starts from the linear solution, since from the
-        # Fourier start it can land in a wrong minimum
+        # where no bound is active the linear fit and a bounded fit minimise
+        # the same sum of squares; the TRF reference starts from the linear
+        # solution, so both describe the same minimum (a three-parameter
+        # search from elsewhere may stop in another local one)
         rng = np.random.default_rng(seed)
         phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
         p = fringe_values(phi, A, C, phi0) + noise * rng.standard_normal(n_phi)
@@ -192,7 +192,7 @@ class TestFitFringe:
         assume(BOUNDED_FIT not in lin.warnings)
         start = [lin.params[name] for name in ("A", "C", "phi0")]
         w = 1.0 if err is None else 1.0 / err
-        ref = least_squares(lambda q: (_fringe_model(phi, *q) - p) * w, start,
+        ref = least_squares(lambda q: (fringe_values(phi, *q) - p) * w, start,
                             bounds=([0.0, 0.0, start[2] - TWO_PI],
                                     [2.0, 2.0, start[2] + TWO_PI]),
                             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
@@ -210,6 +210,174 @@ class TestFitFringe:
         assert lin.residual_norm <= np.linalg.norm(r) * (1.0 + 1e-12) + 1e-12
         for k, name in enumerate(("A", "C", "phi0")):
             assert lin.errors[name] == pytest.approx(ref_errors[k], rel=1e-6, abs=1e-12)
+
+
+def box_minimum(phi, p, w, phi0):
+    """(r.r, A, C) at each phase of phi0 with (A, C) the exact weighted
+    least-squares solution in [0, 2] x [0, 2]: the free one if it lies
+    inside, else the best of the four edges, each a clipped 1-D solution."""
+    a = w * np.sin(0.5 * (np.asarray(phi0)[:, None] - phi)) ** 2
+    y = w * p
+    aa, aw, ww, ay, wy = np.sum(a * a, 1), a @ w, w @ w, a @ y, w @ y
+    det = aa * ww - aw * aw
+    A, C = (ww * ay - aw * wy) / det, (aa * wy - aw * ay) / det
+    inside = (0.0 <= A) & (A <= 2.0) & (0.0 <= C) & (C <= 2.0)
+    best = (np.where(inside, np.sum((A[:, None] * a + C[:, None] * w - y) ** 2, axis=1),
+                     np.inf), A, C)
+    for edge in (np.zeros_like(A), np.full_like(A, 2.0)):
+        for A, C in ((edge, np.clip((wy - aw * edge) / ww, 0.0, 2.0)),
+                     (np.clip((ay - aw * edge) / aa, 0.0, 2.0), edge)):
+            ss = np.sum((A[:, None] * a + C[:, None] * w - y) ** 2, axis=1)
+            best = [np.where(ss < best[0], new, old) for new, old in zip((ss, A, C), best)]
+    return best
+
+
+def kaufman(phi, p, w, A, C, phi0):
+    """Weighted residual and Kaufman's Jacobian in phi0: d r / d phi0 minus
+    its projection on the columns of the coefficients not on a bound."""
+    X = w[:, None] * np.column_stack([np.sin(0.5 * (phi0 - phi)) ** 2, np.ones_like(phi)])
+    j = w * 0.5 * A * np.sin(phi0 - phi)
+    Xf = X[:, [A not in (0.0, 2.0), C not in (0.0, 2.0)]]
+    return X @ [A, C] - w * p, j - Xf @ np.linalg.lstsq(Xf, j, rcond=None)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def bounded_rows():
+    """(phi, p, p_err) of every row of a seeded set of noisy low-count
+    fringes (10 and 30 atoms per shot, three baths, two seeds, the 4-ms and
+    the 12-ms grid) whose free fringe solution leaves the box."""
+    rows = []
+    for t_max, n_t in ((4.0, 24), (12.0, 30)):
+        proto = RamseyProtocol.default_grid(t_max, n_t)
+        for n0, T in ((0.5e19, 300e-9), (1.4e19, 450e-9), (2e19, 850e-9)):
+            for atoms in (10, 30):
+                for seed in (1, 2):
+                    s = synthesize_fringe(proto, BathState(n0=n0, T=T), ResonanceModel(),
+                                          noise={"atoms_per_shot": atoms, "repetitions": 1},
+                                          seed=seed, density_order=96, energy_order=96)
+                    rows += [(s.phi, s.p[k], s.p_err[k])
+                             for k, f in enumerate(fit_fringe(s.phi, s.p, s.p_err))
+                             if BOUNDED_FIT in f.warnings]
+    return rows
+
+
+def faces():
+    """Fringes whose box minimum has A = 2 (C free) and A = 2, C = 0."""
+    phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+    noise = 0.01 * np.random.default_rng(5).standard_normal(12)
+    return [(phi, fringe_values(phi, 2.3, 0.1, 1.0) + noise, np.full(12, 0.05)),
+            (phi, fringe_values(phi, 2.6, -0.3, 4.0) + noise, np.full(12, 0.05))]
+
+
+class TestBoundedFringe:
+    """fit_fringe's bounded fallback, a projected search in phi0, against
+    referees: a dense phi0 scan with the exact box (A, C) at each phase,
+    and scipy's TRF started from the data's Fourier phase."""
+
+    PHI = np.deg2rad(np.arange(0.0, 360.0, 30.0))
+    # row 6 (t = 0.269 ms) of the pipeline dataset below; its free solution
+    # has C < 0
+    ROW = np.array([0.5, 0.6, 0.9, 0.8, 0.9, 0.8, 0.5, 0.3, 0.0, 0.3, 0.0, 0.5])
+
+    @staticmethod
+    def residual(phi, p, p_err, rep):
+        A, C, phi0 = (rep.params[k] for k in ("A", "C", "phi0"))
+        w = 1.0 / p_err
+        r = (fringe_values(phi, A, C, phi0) - p) * w
+        return r, 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(w * p)
+
+    def test_starts_at_the_fourier_phase(self):
+        # the fallback used to start at the mirrored phase, -phi0, and stop
+        # at A = 0 with r.r = 247.89
+        err = np.sqrt(np.maximum(self.ROW * (1.0 - self.ROW), 0.01) / 10)
+        rep = fit_fringe(self.PHI, self.ROW, err)
+        r, _ = self.residual(self.PHI, self.ROW, err, rep)
+        assert rep.params["A"] == pytest.approx(0.92089, abs=1e-5)
+        assert rep.params["C"] == 0.0 and rep.errors["C"] == 0.0
+        assert rep.params["phi0"] == pytest.approx(4.71849, abs=1e-5)
+        assert r @ r == pytest.approx(17.52999, abs=1e-5)
+        assert rep.warnings == ["C pinned at a bound", BOUNDED_FIT]
+
+    @pytest.mark.parametrize("case", ["noisy", "faces"])
+    def test_at_or_below_the_referees(self, case):
+        for phi, p, err in bounded_rows() if case == "noisy" else faces():
+            rep = fit_fringe(phi, p, err)
+            assert BOUNDED_FIT in rep.warnings
+            r, allow = self.residual(phi, p, err, rep)
+            w = 1.0 / err
+            scan, _, _ = box_minimum(phi, p, w, np.linspace(0.0, TWO_PI, 3600, endpoint=False))
+            assert r @ r <= scan.min() + allow
+            c1 = 2.0 * np.mean(p * np.exp(-1j * phi))  # -(A/2) e^{-i phi0}
+            start = -np.angle(-c1)
+            A0 = min(max(2.0 * abs(c1), 1e-6), 2.0)
+            x0 = [A0, min(max(np.mean(p) - 0.5 * A0, 1e-9), 2.0), start]
+            trf = least_squares(lambda q: (fringe_values(phi, *q) - p) * w, x0,
+                                bounds=([0.0, 0.0, start - TWO_PI], [2.0, 2.0, start + TWO_PI]),
+                                xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+            assert r @ r <= trf.fun @ trf.fun + allow
+
+    @pytest.mark.parametrize("case", ["noisy", "faces"])
+    def test_stationary_with_pinned_coefficients_on_their_bounds(self, case):
+        pinned_seen = set()
+        for phi, p, err in bounded_rows() if case == "noisy" else faces():
+            rep = fit_fringe(phi, p, err)
+            A, C, phi0 = (rep.params[k] for k in ("A", "C", "phi0"))
+            pinned = [f"{k} pinned at a bound" in rep.warnings for k in "AC"]
+            for k, on in zip("AC", pinned):
+                assert (rep.params[k] in (0.0, 2.0)) == on
+                assert (rep.errors[k] == 0.0) == on
+            pinned_seen.add(tuple(pinned))
+            r, jk = kaufman(phi, p, 1.0 / err, A, C, phi0)
+            assert A > 0.0
+            assert abs(jk @ r) <= 1e-8 * np.linalg.norm(jk) * np.linalg.norm(r)
+        if case == "faces":
+            assert pinned_seen == {(True, False), (True, True)}
+
+    @pytest.mark.parametrize("case", ["noisy", "faces"])
+    def test_first_step_is_kaufmans_gauss_newton(self, monkeypatch, case):
+        # at the start g = j_K . r and h = j_K . j_K; the secant replaces h
+        # after the first step
+        slopes = []
+        search = analysis.gauss_newton_1d
+
+        def first_slope(residual, slope, *a, **k):
+            def recorded(p, r, state):
+                g, h = slope(p, r, state)
+                if len(slopes) == n:
+                    slopes.append((p, g, h))
+                return g, h
+            n = len(slopes)
+            return search(residual, recorded, *a, **k)
+
+        monkeypatch.setattr(analysis, "gauss_newton_1d", first_slope)
+        rows = bounded_rows() if case == "noisy" else faces()
+        for phi, p, err in rows:
+            fit_fringe(phi, p, err)
+        assert len(slopes) == len(rows)
+        for (phi, p, err), (phi0, g, h) in zip(rows, slopes):
+            _, A, C = box_minimum(phi, p, 1.0 / err, [phi0])
+            r, jk = kaufman(phi, p, 1.0 / err, A[0], C[0], phi0)
+            assert h == pytest.approx(jk @ jk, rel=1e-9)
+            scale = np.linalg.norm(jk) * np.linalg.norm(r)
+            assert g == pytest.approx(jk @ r, rel=1e-9, abs=1e-9 * scale)
+
+    def test_few_projections(self, monkeypatch):
+        counts = []
+        search = analysis.gauss_newton_1d
+
+        def counted(residual, *a, **k):
+            counts.append(1)  # the start's projection
+
+            def projection(p):
+                counts[-1] += 1
+                return residual(p)
+            return search(projection, *a, **k)
+
+        monkeypatch.setattr(analysis, "gauss_newton_1d", counted)
+        for phi, p, err in bounded_rows():
+            fit_fringe(phi, p, err)
+        assert len(counts) == len(bounded_rows()) >= 50
+        assert np.median(counts) <= 8
 
 
 class TestVisibility:
@@ -602,6 +770,51 @@ class TestPipeline:
         assert [BOUNDED_FIT in f.warnings for f in res.fringe_fits] == \
             [False, False, True, False, False]
         assert "bounded fringe fit at t_ms = 3" in res.warnings
+
+    def test_bounded_rows_start_at_the_fourier_phase(self):
+        # 10 atoms per shot leave seven early rows bounded; the fallback,
+        # which used to start at the mirrored phase, stopped at A = 0 at
+        # 0.27 ms (V = 0, delta/2pi = -440.5 Hz against -309.1 Hz noiseless)
+        proto = RamseyProtocol.default_grid(12.0, 30)
+        bath = BathState(n0=1.4e19, T=450e-9)
+        series = synthesize_fringe(proto, bath, self.MODEL,
+                                   noise={"atoms_per_shot": 10, "repetitions": 1},
+                                   seed=1720723811)
+        res = analyze_fringes(series, delta_bg=proto.delta_bg, phase_convention="cos2")
+        assert "bounded fringe fit at t_ms = 0.1, 0.117949, 0.139121, 0.164092, " \
+            "0.193546, 0.228286, 0.269262" in res.warnings
+        assert res.t[6] == pytest.approx(0.269e-3, abs=1e-6) and res.visibility.V[6] == 1.0
+        assert res.delta / TWO_PI == pytest.approx(-305.3, abs=0.05)
+
+    def test_decay_search_stopped_at_the_box_gets_a_face_search(self, monkeypatch):
+        # the decay of test_bounded_fits_listed_in_warnings: the free search
+        # stops at B = 0 from inside (B = 1.2e-10), so a second search holds
+        # B there; the polish took 14 evaluations from the first search's
+        # point (scipy's TRF: 10)
+        t = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_values(phi, v, 0.5 - 0.5 * v, 1.0)
+                      for v in np.exp(-((t / 4e-3) ** 2))])
+        p[2] = fringe_values(phi, 0.5, -0.02, 1.0)
+        calls = []
+        solve = fitting.least_squares
+
+        def counted(fun, x0, **k):
+            sol = solve(fun, x0, **k)
+            calls.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0)
+        (nfev,) = calls  # one polish
+        assert nfev <= 4
+        rep, V = res.decay_fit, res.visibility.V
+        assert rep.params["B"] == 0.0 and rep.warnings == ["B pinned at a bound"]
+        trf = least_squares(lambda q: _decay_model(t, *q) - V, analysis._crossing_guess(t, V),
+                            jac=lambda q: _decay_jacobian(t, *q), bounds=analysis._DECAY_BOUNDS,
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        r = _decay_model(t, *(rep.params[k] for k in ("V0", "T2", "B"))) - V
+        assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(V)
 
     def test_pinned_fringe_keeps_its_visibility_error(self):
         # the bounded fit pins C at 3 ms, so its report gives C error 0;

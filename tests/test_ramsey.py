@@ -486,7 +486,7 @@ class TestRuleTable:
         assert ramsey._rule_table.cache_info().currsize == 4
         top = int(np.rint(np.max(np.abs(np.multiply.outer(proto.t, nodes[2])))))
         table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))[0]
-        assert table.shape == (2, ramsey._TAYLOR_TERMS, top + 1)
+        assert table.shape == (ramsey._TAYLOR_TERMS, top + 1)
 
 
 class TestCoherenceSplit:
