@@ -2,13 +2,14 @@
 visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
-(times, phases) grid in one stacked solve of its weighted normal equations;
-a row whose free solution leaves the physical range gets a bounded fit, a
-variable-projection search in phi0 that reports a coefficient on a bound
-as pinned.  The visibility, V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B,
-linear in (V0, B) at a fixed T2, so that fit starts at its projected
-minimum, `fitting.gauss_newton_1d` in log T2 (on a box face where the
-guess's projection or the search leaves the box), and the bounded
+(times, phases) grid in one stacked solve of its weighted normal equations,
+whose matrices give the errors in closed form; a row whose solution leaves
+the physical range gets a bounded fit, a variable-projection search in phi0
+that reports a coefficient on a bound as pinned.  The visibility,
+V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a
+fixed T2, so that fit starts at its projected minimum,
+`fitting.gauss_newton_1d` in log T2 (on a box face where the guess's
+projection or the search leaves the box), and the bounded
 `fitting.least_squares` with the model's analytic Jacobian polishes it.
 The interaction phase is `np.unwrap` of the non-constant fringes' phase
 minus the background delta_bg * t; its slope is `fitting.linear_fit` on
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import (FitError, FitReport, fit_least_squares, fit_report,
-                      gauss_newton_1d, linear_fit, standard_errors, weights)
+                      gauss_newton_1d, linear_fit, weights)
 from .ramsey import FringeSeries
 
 TWO_PI = 2.0 * math.pi
@@ -38,11 +39,20 @@ def normalize_counts(N_bath, N0_max: float, N0_min: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _fringe_jacobian(phi, A, phi0):
-    """d model / d(A, C, phi0), (times, phases, 3) for per-time A and phi0."""
-    s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
-    return np.stack([s2, np.ones_like(s2),
-                     0.5 * A[:, None] * np.sin(phi0[:, None] - phi)], axis=-1)
+def _fringe_normal(phi, W):
+    """Rows W [1, cos phi, sin phi] of the linear fringe model, their N."""
+    Xw = W[:, :, None] * np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    return Xw, np.einsum("tki,tkj->tij", Xw, Xw)
+
+
+def _fringe_variances(N, A, phi0):
+    """diag(G N^-1 G^T), the (A, C, phi0) variances at per-time (A, phi0) of
+    the linear fit with normal matrices N, G the Jacobian of A = 2 hypot(c1,
+    c2), C = c0 - A/2, phi0 = atan2(-c2, -c1); phi0's is 0 where A = 0."""
+    c, s, z = np.cos(phi0), np.sin(phi0), np.zeros_like(A)
+    k = np.divide(2.0, A, out=z.copy(), where=A != 0.0)
+    G = np.array([[z, -2.0 * c, -2.0 * s], [z + 1.0, c, s], [z, k * s, -k * c]])
+    return np.einsum("ijt,tjk,ikt->ti", G, np.linalg.inv(N), G)
 
 
 BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
@@ -56,8 +66,8 @@ def fit_fringe(phi, p, p_err=None):
     phi (one report per row); p_err has the shape of p.  The model is
     linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
     stacked solve of the 3x3 weighted normal equations, one system per
-    row (weights 1/p_err, or 1 without p_err), with errors from the
-    analytic Jacobian in (A, C, phi0), one stacked SVD.  Two masks pick
+    row (weights 1/p_err, or 1 without p_err), with errors in (A, C, phi0)
+    from the same normal matrices (`_fringe_variances`).  Two masks pick
     the rows that need more: a constant row returns a zero-amplitude
     report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets the
     bounded fit of `_bounded_fringe`, a projected search in phi0, and
@@ -78,17 +88,15 @@ def fit_fringe(phi, p, p_err=None):
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
-    Xw = W[:, :, None] * np.column_stack([np.ones_like(phi), np.cos(phi),
-                                          np.sin(phi)])
-    coef = np.linalg.solve(np.einsum("tki,tkj->tij", Xw, Xw),
-                           np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
+    Xw, N = _fringe_normal(phi, W)
+    coef = np.linalg.solve(N, np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
     A = 2.0 * np.hypot(coef[:, 1], coef[:, 2])
     C = coef[:, 0] - 0.5 * A
     phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
-    jac = _fringe_jacobian(phi, A, phi0)
-    reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]),
-                         jac * W[:, :, None],
-                         (A[:, None] * jac[..., 0] + C[:, None] - P) * W, E is not None)
+    s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
+    reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]), None,
+                         (A[:, None] * s2 + C[:, None] - P) * W, E is not None,
+                         var=_fringe_variances(N, A, phi0))
     constant = np.ptp(P, axis=1) == 0.0
     bounded = ~constant & ~((A <= 2.0) & (0.0 <= C) & (C <= 2.0))
     for k in np.flatnonzero(constant):
@@ -179,6 +187,7 @@ _DECAY_BOUNDS = ([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0])  # V0, T2, B
 VP_STEPS = 50  # steps of the projected start at most
 VP_REL_STEP = 1e-10  # step in log T2 below which the projected start stops
 PHI0_REL_STEP = 1e-13  # relative step in phi0 below which the bounded fringe fit stops
+UNSEEN_DECAY = 0.99  # exp(-(t_max/T2)^2) above which the data cannot fix T2
 
 
 def _crossing_guess(t, V):
@@ -223,22 +232,22 @@ def _projected_start(t, V, w, guess, held=(False, False)):
     takes the (V0, B) of a trial just past it, so one lands on its bound.
     No step raises a warning.
     """
-    kept = np.where(held, guess[[0, 2]], 0.0)
-    left = [0.0, 0.0]  # (V0, B) of the last trial
+    kept, face = np.where(held, guess[[0, 2]], 0.0), bool(np.any(held))
+    left, y, ww = [0.0, 0.0], w * V, w @ w  # left: (V0, B) of the last trial
 
-    def project(T2):
-        e = np.exp(-((t / T2) ** 2))
-        a, y = w * e, w * V
-        aa, aw, ww = a @ a, a @ w, w @ w
-        inv = (np.diag(np.where(held, 0.0, 1.0 / np.array([aa, ww]))) if np.any(held)
+    def project(T2):  # the 2x2 products stay numpy's: BLAS fuses their multiply-adds
+        q = (t / T2) ** 2
+        a = w * np.exp(-q)
+        aa, aw = a @ a, a @ w
+        inv = (np.diag(np.where(held, 0.0, 1.0 / np.array([aa, ww]))) if face
                else np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw))
-        z = y - a * kept[0] - w * kept[1]
+        z = y - a * kept[0] - w * kept[1] if face else y  # the same bits at kept 0
         V0, B = kept + inv @ [a @ z, w @ z]
         left[:] = V0, B
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
         # d r / d log T2, minus its projection on the columns (a, w)
-        j = 2.0 * V0 * a * (t / T2) ** 2
+        j = 2.0 * V0 * a * q
         c = inv @ [a @ j, w @ j]
         return a * V0 + w * B - y, (V0, B, j - c[0] * a - c[1] * w)
 
@@ -247,7 +256,7 @@ def _projected_start(t, V, w, guess, held=(False, False)):
         if start is None:
             return np.clip(guess, *_DECAY_BOUNDS)
         T2, r, (V0, B, j), _, _ = gauss_newton_1d(
-            project, _secant_slope(log=True), guess[1], start, w * V, log=True,
+            project, _secant_slope(log=True), guess[1], start, y, log=True,
             rel_step=VP_REL_STEP, steps=VP_STEPS)
         # stopped at the box from inside if a trial two stopping steps
         # downhill leaves it: that trial's (V0, B) is clipped onto the box
@@ -265,9 +274,9 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     coefficient clipping put on a bound, as it does for a search stopped at
     the box from inside.  The bounded `fitting.least_squares` with the
     analytic Jacobian polishes it inside 0 <= V0 <= 2, 0 <= B <= 1 and gives
-    the errors and any pinned parameter.  Constant visibility yields a 'no
-    decay detected' report with T2 infinite; a monotonically increasing
-    series is rejected as unphysical.
+    the errors and any pinned parameter; it warns where exp(-(t_max/T2)^2) >
+    UNSEEN_DECAY.  Constant visibility yields a 'no decay detected' report
+    with T2 infinite; a monotonically increasing series is rejected.
     """
     t = np.asarray(t, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -289,8 +298,12 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     start = _projected_start(t, V, w, _crossing_guess(t, V))
     face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the start's bounds
     start = _projected_start(t, V, w, start, face) if face.any() else start
-    return fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
-                             sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
+    rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
+                            sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
+    if math.exp(-((np.max(t) / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
+        rep.warnings.append(f"T2 = {rep.params['T2']:.3g} s is not constrained: the fitted "
+                            f"decay is under 1% by t = {np.max(t):.3g} s")
+    return rep
 
 
 def extract_phase_series(t, phi0, delta_bg: float):
@@ -384,8 +397,8 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
     if series.p_err is not None:
         # V and phi0 take every fringe's unconstrained errors: a report
         # gives a pinned A or C error 0, but the data scatter about it
-        jac = _fringe_jacobian(series.phi, A, phi0) * (1.0 / series.p_err)[..., None]
-        A_err, C_err, phi0_err = standard_errors(jac, 1.0).T
+        N = _fringe_normal(series.phi, 1.0 / series.p_err)[1]
+        A_err, C_err, phi0_err = np.sqrt(_fringe_variances(N, A, phi0)).T
         V_err = np.clip(visibility_error(A, C, A_err, C_err), 1e-6, None)
     vis = VisibilitySeries(t=series.t, V=V, V_err=V_err)
     decay = fit_visibility_decay(series.t, V, V_err=V_err)

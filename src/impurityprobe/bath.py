@@ -12,6 +12,7 @@ that measure at every order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,7 @@ def density_at(r, bath: BathState):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=16)
 def density_weight_measure(order: int = 48):
     """Quadrature (density fractions, weights) for the impurity-sampled
     density.
@@ -83,15 +85,16 @@ def density_weight_measure(order: int = 48):
     composite 8-point Gauss-Legendre panels on s in [0, sqrt(30)]; the
     panels track the rapidly oscillating integrands of long evolution
     times.  `order` is the total node budget.  Weights are positive and
-    sum to 1.
+    sum to 1.  The rule is built once per order; both arrays are read-only.
     """
     if order < 2:
         raise ValueError("measure order must be >= 2")
     n_panels = max(4, order // 8)
     s, w = panel_nodes(math.sqrt(30.0) * np.arange(n_panels + 1) / n_panels)
     w = w * 2.0 * s**2 * np.exp(-(s**2)) / _GAMMA_3_2
-    w = w / w.sum()  # absorb the ~1e-13 tail truncation
-    return np.exp(-(s**2)), w
+    s, w = np.exp(-(s**2)), w / w.sum()  # w absorbs the ~1e-13 tail truncation
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 def interaction_detuning(n, d_a):

@@ -1,15 +1,16 @@
 """Shared least-squares machinery.
 
 Every fit with errors ends in `fit_report`, which turns a solution, its
-weighted Jacobian and its weighted residuals into a FitReport with 1-sigma
-uncertainties from the local quadratic model (`standard_errors`; a stack
-of same-shaped fits takes one call); `weights` checks sigma.  Linear
-models go through `linear_fit`, an exact `lstsq`, one-parameter searches
-(and the projected ones of analysis) through `gauss_newton_1d`, and the
-bath-free trace and the decay polish through `fit_least_squares`, on
-`least_squares`, a bounded Levenberg-Marquardt solver in numpy, with the
-model's analytic Jacobian or finite differences.  A parameter left on a
-bound is reported pinned, with error 0.  No module loads scipy.
+weighted Jacobian (or a closed-form covariance diagonal) and its weighted
+residuals into a FitReport with 1-sigma uncertainties from the local
+quadratic model (`standard_errors`; a stack of same-shaped fits takes one
+pass); `weights` checks sigma.  Linear models go through `linear_fit`, an
+exact `lstsq`, one-parameter searches (and the projected ones of analysis)
+through `gauss_newton_1d`, and the bath-free trace and the decay polish
+through `fit_least_squares`, on `least_squares`, a bounded Levenberg-
+Marquardt solver in numpy, with the model's analytic Jacobian or finite
+differences.  A parameter left on a bound is reported pinned, with error 0.
+No module loads scipy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 LSQ_XTOL = 1e-14  # relative step below which least_squares stops
+_EPS4 = 4.0 * np.finfo(float).eps  # rounding of r.r: 2 * 2 eps |r|.|y|
 
 
 class FitError(RuntimeError):
@@ -63,16 +65,19 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
         if done:
             break
         Jf, s = J[:, active == 0], np.zeros_like(x)
-        A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.linalg.norm(Jf, axis=0))])
-        s[active == 0] = np.linalg.lstsq(A, np.r_[-r, np.zeros(Jf.shape[1])], rcond=None)[0]
+        # column norms and |t - x| as np.linalg.norm sums them, same bits
+        A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.sqrt(np.add.reduce(Jf * Jf, axis=0)))])
+        s[active == 0] = np.linalg.lstsq(A, np.concatenate((-r, np.zeros(Jf.shape[1]))),
+                                         rcond=None)[0]
         t = np.clip(x + s, lb, ub)
-        if np.linalg.norm(t - x) <= LSQ_XTOL * (LSQ_XTOL + np.linalg.norm(x)):
+        dx = t - x
+        if math.sqrt(dx @ dx) <= LSQ_XTOL * (LSQ_XTOL + math.sqrt(x @ x)):
             break
         if nfev >= max_nfev:
             raise FitError(f"no convergence in {max_nfev} residual evaluations")
         rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
         lowered = r @ r - rt @ rt  # NaN for a non-finite trial
-        within = abs(lowered) <= 4.0 * eps * np.sum(np.abs(r * y))
+        within = abs(lowered) <= _EPS4 * np.sum(np.abs(r * y))
         done = lam == 0.0 and within  # the undamped step gains only rounding
         if lowered > 0.0:
             x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
@@ -120,21 +125,20 @@ def standard_errors(jac, resid_var) -> np.ndarray:
     return np.sqrt(var * np.asarray(resid_var)[..., None])
 
 
-def fit_report(names, values, jac, resid, weighted: bool):
+def fit_report(names, values, jac, resid, weighted: bool, var=None):
     """FitReport of the least-squares solution `values`, given the residual
     Jacobian and residuals there.  The residual variance is 1 if they are
-    weighted by 1/sigma, else r.r / dof.  Stacked values (k, n), Jacobians
-    (k, m, n) and residuals (k, m) give a list of k reports."""
+    weighted by 1/sigma, else r.r / dof; var, given for jac = None, is a
+    closed-form diag((J^T J)^+).  Stacked values (k, n), Jacobians (k, m, n)
+    and residuals (k, m) give a list of k reports, built in one pass."""
     values, resid = np.asarray(values, dtype=float), np.asarray(resid, dtype=float)
     dof = max(resid.shape[-1] - values.shape[-1], 1)
-    resid_var = 1.0 if weighted else np.einsum("...i,...i", resid, resid) / dof
-    errs = standard_errors(jac, resid_var)
-    reports = [FitReport(params=dict(zip(names, map(float, v))),
-                         errors=dict(zip(names, map(float, e))),
-                         residual_norm=float(np.linalg.norm(r)),
-                         n_points=len(r), converged=True)
-               for v, e, r in zip(np.atleast_2d(values), np.atleast_2d(errs),
-                                  np.atleast_2d(resid))]
+    resid_var = np.asarray(1.0 if weighted else np.einsum("...i,...i", resid, resid) / dof)
+    errs = standard_errors(jac, resid_var) if var is None else np.sqrt(var * resid_var[..., None])
+    rr = resid[..., None, :] @ resid[..., :, None]  # np.linalg.norm's dot, not einsum's sum
+    reports = [FitReport(dict(zip(names, v)), dict(zip(names, e)), n, resid.shape[-1], True)
+               for v, e, n in zip(np.atleast_2d(values).tolist(), np.atleast_2d(errs).tolist(),
+                                  np.sqrt(rr).ravel().tolist())]
     return reports if values.ndim > 1 else reports[0]
 
 
@@ -184,7 +188,7 @@ def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
             return p, r, state, False, taken
         step = min(max(step, -1.0), 1.0) if log else step
         tol = rel_step * (1.0 if log else abs(p))
-        ceiling = r @ r + 4.0 * np.finfo(float).eps * (np.abs(r) @ np.abs(y))
+        ceiling = r @ r + _EPS4 * (np.abs(r) @ np.abs(y))
         while True:
             t = p * math.exp(step) if log else p + step
             if not lo <= t <= hi:

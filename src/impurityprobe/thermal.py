@@ -7,6 +7,7 @@ quadratic Zeeman shift.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -78,20 +79,27 @@ def mb_quadrature(T: float, order: int = 64):
     of f.  The rule is composite 8-point Gauss-Legendre panels on a
     quadratically graded grid over [0, 30 kB T], which resolve sharp
     structure (e.g. near-resonant scattering lengths) far better than a
-    global Gauss rule; `order` is the total node budget.
+    global Gauss rule; `order` is the total node budget.  The rule in
+    E / kB T is built once per order, so every T shares the read-only w.
     """
     if order < 2:
         raise ValueError("quadrature order must be >= 2")
     if T <= 0.0:
         raise ValueError("temperature must be positive")
-    kT = CONST.k_B * T
+    x, w = _mb_unit_rule(order)
+    return x * (CONST.k_B * T), w
+
+
+@functools.lru_cache(maxsize=16)
+def _mb_unit_rule(order: int):
     n_panels = max(4, order // 8)
     # quadratic grading concentrates panels at small E where both the
     # MB weight and near-threshold resonance structure live
     x, w = panel_nodes(30.0 * (np.arange(n_panels + 1) / n_panels) ** 2)
     w = w * np.sqrt(x) * np.exp(-x) / _GAMMA_3_2
     w = w / w.sum()  # absorb the ~1e-13 tail truncation
-    return x * kT, w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def quadratic_zeeman(B: float) -> float:

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import warnings
 
@@ -380,6 +381,88 @@ class TestBoundedFringe:
         assert np.median(counts) <= 8
 
 
+def fringe_jacobian(phi, A, phi0):
+    """d model / d(A, C, phi0) for per-row A and phi0, (rows, phases, 3)."""
+    return np.stack([np.sin(0.5 * (phi0[:, None] - phi)) ** 2,
+                     np.ones((len(A), len(phi))),
+                     0.5 * A[:, None] * np.sin(phi0[:, None] - phi)], axis=-1)
+
+
+class TestFringeErrors:
+    """Fringe errors come in closed form from the linear fit's normal
+    matrices, G N^-1 G^T, and must equal the SVD of the analytic Jacobian."""
+
+    PHI = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+    T = np.linspace(0.3e-3, 6e-3, 24)
+
+    def grid(self, seed):
+        """24 noisy decaying fringes, none bounded, and their p_err."""
+        rng = np.random.default_rng(seed)
+        A = 0.9 * np.exp(-((self.T / 3e-3) ** 2)) + 0.05
+        p = np.array([fringe_values(self.PHI, a, 0.5 - 0.5 * a, ph)
+                      for a, ph in zip(A, rng.uniform(0.0, TWO_PI, len(A)))])
+        p += 0.01 * rng.standard_normal(p.shape)
+        return p, rng.uniform(0.005, 0.03, p.shape)
+
+    @staticmethod
+    def params(reports):
+        return (np.array([r.params[k] for r in reports]) for k in ("A", "C", "phi0"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fit_errors_match_the_svd(self, seed, weighted):
+        p, err = self.grid(seed)
+        W = 1.0 / err if weighted else np.ones_like(p)
+        reports = fit_fringe(self.PHI, p, p_err=err if weighted else None)
+        assert not any(r.warnings for r in reports)
+        A, C, phi0 = self.params(reports)
+        r = (fringe_values(self.PHI, A[:, None], C[:, None], phi0[:, None]) - p) * W
+        var = 1.0 if weighted else np.sum(r * r, axis=1) / (len(self.PHI) - 3)
+        want = fitting.standard_errors(fringe_jacobian(self.PHI, A, phi0) * W[..., None], var)
+        got = [[rep.errors[k] for k in ("A", "C", "phi0")] for rep in reports]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_visibility_error_inputs_match_the_svd(self, seed):
+        # analyze_fringes takes every row's unconstrained errors at its
+        # reported (A, phi0), the bounded rows' too
+        p, err = self.grid(seed)
+        p[5] = fringe_values(self.PHI, 0.8, -0.03, 1.0)
+        res = analyze_fringes(FringeSeries(t=self.T, phi=self.PHI, p=p, p_err=err),
+                              delta_bg=0.0)
+        assert BOUNDED_FIT in res.fringe_fits[5].warnings
+        A, C, phi0 = self.params(res.fringe_fits)
+        want = fitting.standard_errors(fringe_jacobian(self.PHI, A, phi0) / err[..., None], 1.0)
+        N = analysis._fringe_normal(self.PHI, 1.0 / err)[1]
+        np.testing.assert_allclose(np.sqrt(analysis._fringe_variances(N, A, phi0)), want,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
+            res.visibility.V_err,
+            np.clip(visibility_error(A, C, want[:, 0], want[:, 1]), 1e-6, None),
+            rtol=1e-13, atol=0.0)
+
+    def test_bounded_and_constant_rows_keep_their_reports(self):
+        p, err = self.grid(4)
+        p[3] = fringe_values(self.PHI, 0.8, -0.05, 1.0)
+        p[7] = 0.4
+        reports = fit_fringe(self.PHI, p, p_err=err)
+        assert reports[3] == analysis._bounded_fringe(self.PHI, p[3], 1.0 / err[3], True)
+        assert reports[3].errors["C"] == 0.0 and BOUNDED_FIT in reports[3].warnings
+        const = reports[7]
+        assert const.params == {"A": 0.0, "C": 0.4, "phi0": 0.0}
+        assert const.errors["A"] == const.errors["C"] == 0.0
+        assert math.isnan(const.errors["phi0"]) and const.residual_norm == 0.0
+        assert const.warnings == [analysis.CONSTANT_FIT]
+
+    def test_zero_amplitude_gives_phi0_error_exactly_zero(self):
+        # as the SVD drops the Jacobian's zero phi0 column
+        _, err = self.grid(5)
+        N = analysis._fringe_normal(self.PHI, 1.0 / err[:2])[1]
+        var = analysis._fringe_variances(N, np.array([0.0, 0.5]), np.array([1.0, 1.0]))
+        assert var[0, 2] == 0.0 and var[1, 2] > 0.0
+        assert np.all(np.isfinite(var)) and np.all(var[:, :2] > 0.0)
+
+
 class TestVisibility:
     def test_full_contrast(self):
         assert visibility(1.0, 0.0) == 1.0
@@ -759,6 +842,40 @@ class TestPipeline:
         offset = res.phase[0] - Delta * t[0]
         assert offset / TWO_PI == pytest.approx(round(offset / TWO_PI), abs=1e-9)
         assert np.allclose(res.phase - offset, Delta * t, atol=1e-9)
+
+    def test_unseen_decay_warns(self):
+        # the data above: T2 = 1 s on t <= 3 ms, so V falls by 1e-5 and the
+        # fitted T2 (about 0.1 s) is not constrained
+        t = np.linspace(0.2e-3, 3e-3, 12)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_closed_form(tk, -(phi + math.pi), TWO_PI * 230.0, 1.0)
+                      for tk in t])
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0,
+                              phase_convention="cos2")
+        assert math.exp(-((t[-1] / res.T2) ** 2)) > analysis.UNSEEN_DECAY
+        assert [w for w in res.warnings if "T2 = " in w and "not constrained" in w]
+
+    def test_seen_decays_do_not_warn(self, tmp_path):
+        # criterion 04's round trip and inversion grids, criterion 10's CLI analysis
+        from impurityprobe.cli import main as cli_main
+        found = list(self.closed_form_analysis(200.0, 5e-3).warnings)
+        proto = RamseyProtocol(t=np.geomspace(0.05e-3, 4e-3, 24),
+                               phi=np.deg2rad(np.arange(0.0, 360.0, 30.0)))
+        for n0, T in ((1.0e19, 850e-9), (1.5e19, 400e-9)):
+            series = synthesize_fringe(proto, BathState(n0=n0, T=T), self.MODEL)
+            found += analyze_fringes(series, delta_bg=proto.delta_bg,
+                                     phase_convention="cos2").warnings
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "bath": {"peak_density_per_cm3": 1.5e13, "temperature_nK": 850.0},
+            "protocol": {"t_min_ms": 0.05, "t_max_ms": 3.0, "n_t": 10},
+            "quadrature": {"density_order": 96, "energy_order": 96},
+            "noise": {"atoms_per_shot": 10, "repetitions": 3}}))
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                         "--seed", "42"]) == 0
+        assert cli_main(["analyze", str(tmp_path / "fringes.csv"), "--out", str(tmp_path)]) == 0
+        found += json.loads((tmp_path / "analysis.json").read_text())["analysis"]["warnings"]
+        assert not [w for w in found if "not constrained" in w]
 
     def test_bounded_fits_listed_in_warnings(self):
         t = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])

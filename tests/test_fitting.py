@@ -77,6 +77,32 @@ class TestFitReport:
         assert rep.errors["a"] == pytest.approx(np.sqrt(8.0 / 3.0), rel=1e-15)
         assert rep.n_points == 5
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("m", [4, 12, 24, 37])
+    def test_stack_equals_row_calls_bit_for_bit(self, weighted, m):
+        # one pass over a stack gives exactly the reports of one call per
+        # row, and each residual norm is np.linalg.norm's
+        rng = np.random.default_rng(m)
+        values, jac = rng.normal(size=(7, 3)), rng.normal(size=(7, m, 3))
+        resid = rng.normal(size=(7, m)) * rng.uniform(1e-9, 1.0, (7, 1))
+        stack = fit_report(["a", "b", "c"], values, jac, resid, weighted)
+        for k, rep in enumerate(stack):
+            assert rep == fit_report(["a", "b", "c"], values[k], jac[k], resid[k], weighted)
+            assert rep.residual_norm == np.linalg.norm(resid[k])
+            assert type(rep.residual_norm) is float and type(rep.params["a"]) is float
+
+    def test_closed_form_variances_stand_in_for_the_jacobian(self):
+        rng = np.random.default_rng(8)
+        jac, resid = rng.normal(size=(3, 9, 2)), rng.normal(size=(3, 9))
+        var = np.einsum("tii->ti", np.linalg.inv(np.einsum("tki,tkj->tij", jac, jac)))
+        for weighted in (False, True):
+            by_jac = fit_report(["a", "b"], np.ones((3, 2)), jac, resid, weighted)
+            by_var = fit_report(["a", "b"], np.ones((3, 2)), None, resid, weighted, var=var)
+            for x, y in zip(by_jac, by_var):
+                assert list(y.errors.values()) == pytest.approx(list(x.errors.values()),
+                                                                rel=1e-13)
+                assert y.residual_norm == x.residual_norm
+
 
 class TestStandardErrors:
     def test_stack_matches_each_jacobian(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import argrelmax
 
-from impurityprobe import ramsey
+from impurityprobe import bath as bath_module, ramsey, thermal
 from impurityprobe.bath import BathState, density_at, interaction_detuning
 from impurityprobe.constants import CONST
 from impurityprobe.ramsey import (FringeSeries, RamseyProtocol,
@@ -487,6 +487,39 @@ class TestRuleTable:
         top = int(np.rint(np.max(np.abs(np.multiply.outer(proto.t, nodes[2])))))
         table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))[0]
         assert table.shape == (ramsey._TAYLOR_TERMS, top + 1)
+
+
+class TestCachedRules:
+    """The density measure and the Maxwell-Boltzmann rule in E / kB T are
+    the same for every bath, so each is built once per order and shared as
+    read-only arrays."""
+
+    @pytest.mark.parametrize("order", [48, 96, 384])
+    def test_read_only_and_equal_to_a_fresh_rule(self, order):
+        rules = [(bath_module.density_weight_measure(order),
+                  bath_module.density_weight_measure.__wrapped__(order)),
+                 (thermal._mb_unit_rule(order), thermal._mb_unit_rule.__wrapped__(order))]
+        for cached, fresh in rules:
+            for got, want in zip(cached, fresh):
+                assert not got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0.0
+
+    def test_temperatures_share_the_weights(self):
+        E1, w1 = thermal.mb_quadrature(400e-9, order=512)
+        E2, w2 = thermal.mb_quadrature(1200e-9, order=512)
+        assert w1 is w2
+        x = thermal._mb_unit_rule(512)[0]
+        assert E1.tobytes() == (x * (CONST.k_B * 400e-9)).tobytes()
+        assert E2.tobytes() == (x * (CONST.k_B * 1200e-9)).tobytes()
+        assert E1.flags.writeable
+
+    def test_nodes_use_the_cached_rules(self):
+        s, wn, _, wE = detuning_nodes(make_bath(2e19, 600e-9), MODEL, 198.5e-7)
+        s0, wn0 = bath_module.density_weight_measure(order=ramsey.DENSITY_ORDER)
+        assert s is s0 and wn is wn0
+        assert wE is thermal._mb_unit_rule(ramsey.ENERGY_ORDER)[1]
 
 
 class TestCoherenceSplit:
