@@ -1,11 +1,15 @@
-"""Print a Markdown table of which scipy modules each CLI verb loads.
+"""Print a Markdown table of which scipy modules, and numpy.ma, each CLI
+verb loads.
 
 Every verb runs once, in a fresh interpreter, on small inputs that this
 script writes to a temporary directory (a 96 x 96 node config with 10
 times, and calibration spectra of the CLI's default settings).  The
-table lists the exit code and whether `scipy`, `scipy.optimize` and
-`scipy.special` were in `sys.modules` when the verb returned.  The
-script exits 1 if any verb loads scipy or exits non-zero.
+table lists the exit code and whether `scipy`, `scipy.optimize`,
+`scipy.special` and `numpy.ma` were in `sys.modules` when the verb
+returned.  None of them is needed: scipy is the tests' referee, and
+numpy.ma (8-9 ms of import) comes only with calls such as `np.unique`
+without `return_inverse`.  The script exits 1 if any verb loads one of
+them or exits non-zero.
 
     PYTHONPATH=src python3 scripts/scipy_per_verb.py
 """
@@ -22,7 +26,7 @@ import numpy as np
 from impurityprobe.calibration import rabi_lineshape, release_curve
 from impurityprobe.constants import CONST
 
-MODULES = ("scipy", "scipy.optimize", "scipy.special")
+MODULES = ("scipy", "scipy.optimize", "scipy.special", "numpy.ma")
 CONFIG = {"bath": {"peak_density_per_cm3": 1.5e13, "temperature_nK": 850.0},
           "protocol": {"t_min_ms": 0.05, "t_max_ms": 3.0, "n_t": 10},
           "quadrature": {"density_order": 96, "energy_order": 96},

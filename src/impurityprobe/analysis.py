@@ -2,19 +2,22 @@
 visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
-(times, phases) grid in one stacked solve of its weighted normal equations,
-whose matrices give the errors in closed form; a row whose solution leaves
-the physical range gets a bounded fit, a variable-projection search in phi0
-that reports a coefficient on a bound as pinned.  The visibility,
-V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a
-fixed T2, so that fit starts at its projected minimum,
-`fitting.gauss_newton_1d` in log T2 (on a box face where the guess's
-projection or the search leaves the box), and the bounded
-`fitting.least_squares` with the model's analytic Jacobian polishes it.
-The interaction phase is `np.unwrap` of the non-constant fringes' phase
-minus the background delta_bg * t; its slope is `fitting.linear_fit` on
-[t, 1] for t below the dephasing time, weighted if every fringe there has
-a phase error.  Every fitted report is built by `fitting.fit_report`.
+(times, phases) grid in one stacked solve of its weighted normal equations
+(without weights every row shares one normal matrix), whose matrices give
+the errors in closed form; a row whose solution leaves the physical range
+gets a bounded fit, a variable-projection search in phi0 that reports a
+coefficient on a bound as pinned.  The visibility, V = A/(A + 2C), decays
+as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a fixed T2, so that fit
+starts at its projected minimum, `fitting.gauss_newton_1d` in log T2 (on a
+box face where the guess's projection or the search leaves the box), and
+the bounded `fitting.least_squares` with the model's analytic Jacobian
+polishes it.  Both projections solve their 2x2 normal equations on floats
+by Cramer's rule, in one fixed order, and take Kaufman's gradient and
+curvature from dot products.  The interaction phase is `np.unwrap` of the
+non-constant fringes' phase minus the background delta_bg * t; its slope
+is `fitting.linear_fit` on [t, 1] for t below the dephasing time, weighted
+if every fringe there has a phase error.  Every fitted report is built by
+`fitting.fit_report`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import (FitError, FitReport, fit_least_squares, fit_report,
+from .fitting import (FitError, FitReport, distinct, fit_least_squares, fit_report,
                       gauss_newton_1d, linear_fit, weights)
 from .ramsey import FringeSeries
 
@@ -40,19 +43,24 @@ def normalize_counts(N_bath, N0_max: float, N0_min: float):
 
 
 def _fringe_normal(phi, W):
-    """Rows W [1, cos phi, sin phi] of the linear fringe model, their N."""
-    Xw = W[:, :, None] * np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    """Rows W [1, cos phi, sin phi] of the linear fringe model, their N; with
+    W None the unweighted rows and the one N that every fringe shares."""
+    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    if W is None:
+        return X, np.einsum("ki,kj->ij", X, X)
+    Xw = W[:, :, None] * X
     return Xw, np.einsum("tki,tkj->tij", Xw, Xw)
 
 
 def _fringe_variances(N, A, phi0):
     """diag(G N^-1 G^T), the (A, C, phi0) variances at per-time (A, phi0) of
-    the linear fit with normal matrices N, G the Jacobian of A = 2 hypot(c1,
-    c2), C = c0 - A/2, phi0 = atan2(-c2, -c1); phi0's is 0 where A = 0."""
+    the linear fit with normal matrices N (or one shared N), G the Jacobian
+    of A = 2 hypot(c1, c2), C = c0 - A/2, phi0 = atan2(-c2, -c1); phi0's is
+    0 where A = 0."""
     c, s, z = np.cos(phi0), np.sin(phi0), np.zeros_like(A)
     k = np.divide(2.0, A, out=z.copy(), where=A != 0.0)
     G = np.array([[z, -2.0 * c, -2.0 * s], [z + 1.0, c, s], [z, k * s, -k * c]])
-    return np.einsum("ijt,tjk,ikt->ti", G, np.linalg.inv(N), G)
+    return np.einsum("ijt,tjk,ikt->ti", G, np.broadcast_to(np.linalg.inv(N), (len(A), 3, 3)), G)
 
 
 BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
@@ -66,7 +74,8 @@ def fit_fringe(phi, p, p_err=None):
     phi (one report per row); p_err has the shape of p.  The model is
     linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
     stacked solve of the 3x3 weighted normal equations, one system per
-    row (weights 1/p_err, or 1 without p_err), with errors in (A, C, phi0)
+    row (weights 1/p_err; without p_err every row shares one matrix, and
+    its inverse, with the bits of unit weights), with errors in (A, C, phi0)
     from the same normal matrices (`_fringe_variances`).  Two masks pick
     the rows that need more: a constant row returns a zero-amplitude
     report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets the
@@ -75,29 +84,32 @@ def fit_fringe(phi, p, p_err=None):
     """
     phi = np.asarray(phi, dtype=float)
     p = np.asarray(p, dtype=float)
-    if len(phi) < 4 or len(np.unique(phi)) < 3:
+    if len(phi) < 4 or distinct(phi) < 3:
         raise ValueError("need at least 4 phase points, 3 of them distinct")
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(phi).all() and np.isfinite(p).all()):
         raise ValueError("phases and populations must be finite")
-    if np.ptp(phi) <= math.pi:
+    if phi.max() - phi.min() <= math.pi:
         raise ValueError("phase points must span more than pi")
     P = np.atleast_2d(p)
-    E = (None if p_err is None else
-         np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape))
-    W = weights(P, E, "p_err")
+    W = (None if p_err is None else
+         weights(P, np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape),
+                 "p_err"))
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
     Xw, N = _fringe_normal(phi, W)
-    coef = np.linalg.solve(N, np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
+    rhs = np.einsum("ki,tk->ti", Xw, P) if W is None else np.einsum("tki,tk->ti", Xw, P * W)
+    # one system per row, as unit weights stack them (solve is faster on a copy than a view)
+    coef = np.linalg.solve(np.broadcast_to(N, (len(P), 3, 3)).copy(), rhs[..., None])[..., 0]
     A = 2.0 * np.hypot(coef[:, 1], coef[:, 2])
     C = coef[:, 0] - 0.5 * A
     phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
     s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
+    r = A[:, None] * s2 + C[:, None] - P
     reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]), None,
-                         (A[:, None] * s2 + C[:, None] - P) * W, E is not None,
+                         r if W is None else r * W, W is not None,
                          var=_fringe_variances(N, A, phi0))
-    constant = np.ptp(P, axis=1) == 0.0
+    constant = P.max(axis=1) == P.min(axis=1)
     bounded = ~constant & ~((A <= 2.0) & (0.0 <= C) & (C <= 2.0))
     for k in np.flatnonzero(constant):
         reports[k] = FitReport(
@@ -106,7 +118,8 @@ def fit_fringe(phi, p, p_err=None):
             residual_norm=0.0, n_points=P.shape[1], converged=True,
             warnings=[CONSTANT_FIT])
     for k in np.flatnonzero(bounded):
-        reports[k] = _bounded_fringe(phi, P[k], W[k], E is not None)
+        reports[k] = _bounded_fringe(phi, P[k], np.ones_like(phi) if W is None else W[k],
+                                     W is not None)
     return reports if p.ndim > 1 else reports[0]
 
 
@@ -118,24 +131,25 @@ def _bounded_fringe(phi, p, w, weighted) -> FitReport:
     covers the corners).  phi0 is searched from the data's Fourier phase
     by `fitting.gauss_newton_1d` with `_secant_slope`."""
     y = w * p
+    ww, wy = w @ w, w @ y
 
-    def project(phi0):
+    def project(phi0):  # the 2x2 algebra on floats, in one fixed order
         a = w * np.sin(0.5 * (phi0 - phi)) ** 2
-        aa, aw, ww, ay, wy = a @ a, a @ w, w @ w, a @ y, w @ y
-        inv = np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw)
-        A, C = inv @ [ay, wy]
+        aa, aw, ay = a @ a, a @ w, a @ y
+        det = aa * ww - aw * aw
+        A, C = (ww * ay - aw * wy) / det, (aa * wy - aw * ay) / det
         if not (0.0 <= A <= 2.0 and 0.0 <= C <= 2.0):  # the best edge: A or C held at e
             e = np.array([0.0, 2.0])
             edges = np.array([[*e, *np.clip((ay - aw * e) / aa, 0.0, 2.0)],
                               [*np.clip((wy - aw * e) / ww, 0.0, 2.0), *e]]).T
             A, C = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
-        free = np.array([0.0 < A < 2.0, 0.0 < C < 2.0])
-        if not free.all():
-            inv = np.diag(np.where(free, 1.0 / np.array([aa, ww]), 0.0))
-        # Kaufman's j_K: d r / d phi0 minus its projection on the free columns
+        free = (0.0 < A < 2.0, 0.0 < C < 2.0)
+        # j = d r / d phi0; c, its projection on the free columns, gives j_K.j_K
         j = 0.5 * A * w * np.sin(phi0 - phi)
-        c = inv @ [a @ j, w @ j]
-        return A * a + C * w - y, (A, C, free, a, j, j - c[0] * a - c[1] * w)
+        aj, wj = a @ j, w @ j
+        c0, c1 = (((ww * aj - aw * wj) / det, (aa * wj - aw * aj) / det) if all(free) else
+                  (aj / aa if free[0] else 0.0, wj / ww if free[1] else 0.0))
+        return A * a + C * w - y, (A, C, free, a, j, j @ j - c0 * aj - c1 * wj)
 
     # the data's 1-cycle Fourier coefficient is -(A/2) e^{-i phi0}; the search
     # runs one period up, so its step tolerance is at least 2 pi PHI0_REL_STEP
@@ -154,11 +168,12 @@ def _bounded_fringe(phi, p, w, weighted) -> FitReport:
 def visibility(A, C):
     """Fringe visibility V = A / (A + 2C), elementwise; a float for scalars."""
     A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
-    if np.any(A < 0.0) or np.any(C < 0.0):
+    if (A < 0.0).any() or (C < 0.0).any():
         raise ValueError("amplitude and offset must be nonnegative")
-    if np.any(A + 2.0 * C == 0.0):
+    D = A + 2.0 * C
+    if (D == 0.0).any():
         raise ValueError("degenerate fringe: A + 2C = 0")
-    V = A / (A + 2.0 * C)
+    V = A / D
     return float(V) if V.ndim == 0 else V
 
 
@@ -179,11 +194,13 @@ def _decay_model(t, V0, T2, B):
 
 
 def _decay_jacobian(t, V0, T2, B):
-    e = np.exp(-((t / T2) ** 2))
-    return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
+    J = np.ones((len(t), 3))
+    J[:, 0] = e = np.exp(-((t / T2) ** 2))
+    J[:, 1] = 2.0 * V0 * e * t**2 / T2**3
+    return J
 
 
-_DECAY_BOUNDS = ([0.0, 1e-12, 0.0], [2.0, np.inf, 1.0])  # V0, T2, B
+_DECAY_BOUNDS = np.array([[0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]])  # V0, T2, B
 VP_STEPS = 50  # steps of the projected start at most
 VP_REL_STEP = 1e-10  # step in log T2 below which the projected start stops
 PHI0_REL_STEP = 1e-13  # relative step in phi0 below which the bounded fringe fit stops
@@ -193,7 +210,7 @@ UNSEEN_DECAY = 0.99  # exp(-(t_max/T2)^2) above which the data cannot fix T2
 def _crossing_guess(t, V):
     """(V0, T2, B) from the data: B its minimum, V0 the first point above
     it, T2 the first time V falls to B + V0/e."""
-    B0 = max(float(np.min(V)), 0.0)
+    B0 = max(float(V.min()), 0.0)
     V00 = max(float(V[0]) - B0, 1e-6)
     below = np.nonzero(V <= B0 + V00 / math.e)[0]
     T20 = float(t[below[0]]) if len(below) and t[below[0]] > 0 else float(np.median(t))
@@ -201,14 +218,16 @@ def _crossing_guess(t, V):
 
 
 def _secant_slope(log):
-    """`gauss_newton_1d`'s slope for a search whose state ends in Kaufman's
-    projected Jacobian j_K: g = j_K . r, the exact gradient, and h = j_K . j_K
-    at the first step, then the secant of g (in log p with log): with large
+    """`gauss_newton_1d`'s slope for a variable-projection search whose state
+    ends in j = dr/dp and h = j_K . j_K, Kaufman's projected Jacobian j_K = j
+    minus its projection on the free linear columns: g = j . r, which is
+    j_K . r, the exact gradient, as r is orthogonal to those columns, and h at
+    the first step, then the secant of g (in log p with log): with large
     residuals Gauss-Newton's h (no r . d2r) converges only linearly."""
     last = []  # p (or log p) and g at the previous accepted point
 
     def slope(p, r, state):
-        g, h, u = state[-1] @ r, state[-1] @ state[-1], math.log(p) if log else p
+        g, h, u = state[-2] @ r, state[-1], math.log(p) if log else p
         if last:
             secant = (g - last[1]) / (u - last[0])
             h = secant if secant > 0.0 else h
@@ -232,30 +251,37 @@ def _projected_start(t, V, w, guess, held=(False, False)):
     takes the (V0, B) of a trial just past it, so one lands on its bound.
     No step raises a warning.
     """
-    kept, face = np.where(held, guess[[0, 2]], 0.0), bool(np.any(held))
-    left, y, ww = [0.0, 0.0], w * V, w @ w  # left: (V0, B) of the last trial
+    face = bool(held[0] or held[1])
+    kept = np.where(held, guess[::2], 0.0) if face else None
+    left, y = [0.0, 0.0], w * V  # left: (V0, B) of the last trial
+    ww, wy = w @ w, w @ y
 
-    def project(T2):  # the 2x2 products stay numpy's: BLAS fuses their multiply-adds
+    def project(T2):  # the 2x2 algebra on floats, in one fixed order
         q = (t / T2) ** 2
         a = w * np.exp(-q)
         aa, aw = a @ a, a @ w
-        inv = (np.diag(np.where(held, 0.0, 1.0 / np.array([aa, ww]))) if face
-               else np.array([[ww, -aw], [-aw, aa]]) / (aa * ww - aw * aw))
-        z = y - a * kept[0] - w * kept[1] if face else y  # the same bits at kept 0
-        V0, B = kept + inv @ [a @ z, w @ z]
+        if face:  # a held coefficient keeps its value, the other solves its 1x1 equation
+            z = y - a * kept[0] - w * kept[1]
+            V0 = kept[0] if held[0] else (a @ z) / aa
+            B = kept[1] if held[1] else (w @ z) / ww
+        else:
+            det, ay = aa * ww - aw * aw, a @ y
+            V0, B = (ww * ay - aw * wy) / det, (aa * wy - aw * ay) / det
         left[:] = V0, B
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
-        # d r / d log T2, minus its projection on the columns (a, w)
+        # j = d r / d log T2; c, its projection on the free columns, gives j_K.j_K
         j = 2.0 * V0 * a * q
-        c = inv @ [a @ j, w @ j]
-        return a * V0 + w * B - y, (V0, B, j - c[0] * a - c[1] * w)
+        aj, wj = a @ j, w @ j
+        c0, c1 = ((0.0 if held[0] else aj / aa, 0.0 if held[1] else wj / ww) if face else
+                  ((ww * aj - aw * wj) / det, (aa * wj - aw * aj) / det))
+        return a * V0 + w * B - y, (V0, B, j, j @ j - c0 * aj - c1 * wj)
 
     with np.errstate(all="ignore"):  # every value is checked
         start = project(guess[1])
         if start is None:
-            return np.clip(guess, *_DECAY_BOUNDS)
-        T2, r, (V0, B, j), _, _ = gauss_newton_1d(
+            return guess.clip(*_DECAY_BOUNDS)
+        T2, r, (V0, B, j, _), _, _ = gauss_newton_1d(
             project, _secant_slope(log=True), guess[1], start, y, log=True,
             rel_step=VP_REL_STEP, steps=VP_STEPS)
         # stopped at the box from inside if a trial two stopping steps
@@ -282,27 +308,28 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     V = np.asarray(V, dtype=float)
     if len(t) < 4:
         raise ValueError("need at least 4 time points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(V))):
+    if not (np.isfinite(t).all() and np.isfinite(V).all()):
         raise ValueError("times and visibilities must be finite")
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ValueError("times must be nonnegative")
     w = weights(V, V_err, "V_err")
-    if np.ptp(V) < 1e-12:
+    if V.max() - V.min() < 1e-12:
         return FitReport(params={"V0": 0.0, "T2": float("inf"), "B": float(V[0])},
                          errors={"V0": 0.0, "T2": float("nan"), "B": 0.0},
                          residual_norm=0.0, n_points=len(V), converged=True,
                          warnings=["no decay detected"])
-    if np.all(np.diff(V) >= 0.0):
+    if (V[1:] >= V[:-1]).all():
         raise FitError("visibility increases monotonically: unphysical decay")
 
     start = _projected_start(t, V, w, _crossing_guess(t, V))
-    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the start's bounds
-    start = _projected_start(t, V, w, start, face) if face.any() else start
+    V0, _, B = start.tolist()
+    face = (V0 in (0.0, 2.0), B in (0.0, 1.0))  # the start's bounds
+    start = _projected_start(t, V, w, start, face) if any(face) else start
     rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
                             sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
-    if math.exp(-((np.max(t) / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
+    if math.exp(-((t.max() / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
         rep.warnings.append(f"T2 = {rep.params['T2']:.3g} s is not constrained: the fitted "
-                            f"decay is under 1% by t = {np.max(t):.3g} s")
+                            f"decay is under 1% by t = {t.max():.3g} s")
     return rep
 
 
@@ -384,9 +411,10 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
         raise ValueError("phase_convention must be 'sin2' or 'cos2'")
     warnings = []
     fits = fit_fringe(series.phi, series.p, p_err=series.p_err)
+    flagged = [(t, f.warnings) for t, f in zip(series.t.tolist(), fits) if f.warnings]
     for flag, text in ((BOUNDED_FIT, "bounded fringe fit"),
                        (CONSTANT_FIT, "constant fringe, no phase,")):
-        at = [f"{t * 1e3:.6g}" for t, f in zip(series.t, fits) if flag in f.warnings]
+        at = [f"{t * 1e3:.6g}" for t, w in flagged if flag in w]
         if at:
             warnings.append(f"{text} at t_ms = " + ", ".join(at))
 
@@ -406,7 +434,8 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
 
     if phase_convention == "cos2":
         phi0 = (-(phi0 + math.pi)) % TWO_PI
-    phased = np.array([CONSTANT_FIT not in f.warnings for f in fits])
+    phased = [CONSTANT_FIT not in f.warnings for f in fits]
+    phased = slice(None) if all(phased) else np.array(phased)  # a slice copies nothing
     t, Phi = series.t[phased], np.full(len(series.t), math.nan)
     Phi[phased], phase_warnings = extract_phase_series(t, phi0[phased], delta_bg)
     warnings += phase_warnings

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .constants import CONST, TWO_PI
-from .fitting import (FitError, FitReport, fit_least_squares, fit_scalar,
+from .fitting import (FitError, FitReport, distinct, fit_least_squares, fit_scalar,
                       linear_fit)
 from .ramsey import no_bath_trace
 
@@ -78,7 +78,7 @@ def fit_light_shift(P, delta, delta_err=None) -> FitReport:
     """
     P = np.asarray(P, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if len(np.unique(P)) < 2:
+    if distinct(P) < 2:
         raise ValueError("need at least 2 distinct powers")
     rep = linear_fit(np.column_stack([P, np.ones_like(P)]), delta,
                      ["slope", "intercept"], sigma=delta_err)
@@ -98,7 +98,7 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     """
     B = np.asarray(B, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if len(np.unique(np.abs(B))) < 3:
+    if distinct(np.abs(B)) < 3:
         raise ValueError("need at least 3 distinct field magnitudes")
     rep = linear_fit(np.column_stack([B * B, np.ones_like(B)]), delta,
                      ["a", "c"], sigma=delta_err)

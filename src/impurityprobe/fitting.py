@@ -3,14 +3,17 @@
 Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian (or a closed-form covariance diagonal) and its weighted
 residuals into a FitReport with 1-sigma uncertainties from the local
-quadratic model (`standard_errors`; a stack of same-shaped fits takes one
-pass); `weights` checks sigma.  Linear models go through `linear_fit`, an
-exact `lstsq`, one-parameter searches (and the projected ones of analysis)
-through `gauss_newton_1d`, and the bath-free trace and the decay polish
-through `fit_least_squares`, on `least_squares`, a bounded Levenberg-
-Marquardt solver in numpy, with the model's analytic Jacobian or finite
-differences.  A parameter left on a bound is reported pinned, with error 0.
-No module loads scipy.
+quadratic model: `standard_errors`, the inverse of the Jacobian's Gram
+matrix in closed form (`_covariance`: unit-scaled columns, the adjugate up
+to 3 x 3, no SVD; a stack of same-shaped fits takes one call); `weights`
+checks sigma.  Linear models go through `linear_fit`, the same closed-form
+inverse applied to the normal equations with one refinement step,
+one-parameter searches (and the projected ones of analysis) through
+`gauss_newton_1d`, and the bath-free trace and the decay polish through
+`fit_least_squares`, on `least_squares`, a bounded Levenberg-Marquardt
+solver in numpy, with the model's analytic Jacobian or finite differences.
+A parameter left on a bound is reported pinned, with error 0.  No module
+loads scipy, and `distinct` counts values without loading numpy.ma.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 LSQ_XTOL = 1e-14  # relative step below which least_squares stops
 _EPS4 = 4.0 * np.finfo(float).eps  # rounding of r.r: 2 * 2 eps |r|.|y|
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # forward-difference step
 
 
 class FitError(RuntimeError):
@@ -43,33 +47,34 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
     by at most its rounding 4 eps |r|.|y| (y the weighted data) or moves x
     by at most LSQ_XTOL (LSQ_XTOL + |x|).  Raises ValueError for x0 outside
     the bounds or r not finite there, FitError after max_nfev evaluations."""
-    x, eps = np.array(x0, dtype=float), np.finfo(float).eps
-    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
-    if not np.all((lb <= x) & (x <= ub)):
+    x = np.array(x0, dtype=float)
+    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
+    if not ((lb <= x) & (x <= ub)).all():
         raise ValueError("x0 is outside the bounds")
     r = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("residuals are not finite at x0")
+    edges = list(zip((lb + 0.0 * x).tolist(), (ub + 0.0 * x).tolist()))  # per parameter
 
     def jacobian(x, r):
         if jac is not None:
             return np.asarray(jac(x), dtype=float)
-        h = math.sqrt(eps) * np.maximum(1.0, np.abs(x))
+        h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
         xs = x + np.diag(np.where(x + h > ub, -h, h))  # row k steps x_k
         return np.column_stack([(fun(xk) - r) / (xk[k] - x[k]) for k, xk in enumerate(xs)])
 
     J, nfev, lam, done = jacobian(x, r), 1, 1e-3, False
     while True:
-        g = J.T @ r
-        active = np.where((x <= lb) & (g > 0.0), -1, np.where((x >= ub) & (g < 0.0), 1, 0))
+        active = [-1 if xk <= lo and gk > 0.0 else 1 if xk >= hi and gk < 0.0 else 0
+                  for xk, gk, (lo, hi) in zip(x.tolist(), (J.T @ r).tolist(), edges)]
         if done:
             break
-        Jf, s = J[:, active == 0], np.zeros_like(x)
+        free = [k == 0 for k in active]
+        Jf, s = J[:, free], np.zeros_like(x)
         # column norms and |t - x| as np.linalg.norm sums them, same bits
-        A = np.vstack([Jf, np.diag(math.sqrt(lam) * np.sqrt(np.add.reduce(Jf * Jf, axis=0)))])
-        s[active == 0] = np.linalg.lstsq(A, np.concatenate((-r, np.zeros(Jf.shape[1]))),
-                                         rcond=None)[0]
-        t = np.clip(x + s, lb, ub)
+        A = np.concatenate((Jf, np.diag(math.sqrt(lam) * np.sqrt(np.add.reduce(Jf * Jf, axis=0)))))
+        s[free] = np.linalg.lstsq(A, np.concatenate((-r, np.zeros(Jf.shape[1]))), rcond=None)[0]
+        t = (x + s).clip(lb, ub)
         dx = t - x
         if math.sqrt(dx @ dx) <= LSQ_XTOL * (LSQ_XTOL + math.sqrt(x @ x)):
             break
@@ -77,14 +82,14 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
             raise FitError(f"no convergence in {max_nfev} residual evaluations")
         rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
         lowered = r @ r - rt @ rt  # NaN for a non-finite trial
-        within = abs(lowered) <= _EPS4 * np.sum(np.abs(r * y))
+        within = abs(lowered) <= _EPS4 * np.abs(r * y).sum()
         done = lam == 0.0 and within  # the undamped step gains only rounding
         if lowered > 0.0:
             x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
             J = jacobian(x, r)
         else:  # a first trial within rounding: x0 is a minimum, so try undamped
             lam = 0.0 if within and nfev == 2 else max(10.0 * lam, 1e-3)
-    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=active)
+    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=np.array(active))
 
 
 @dataclass
@@ -108,38 +113,82 @@ class FitReport:
                 "converged": self.converged, "warnings": list(self.warnings)}
 
 
+def _adjugate(c):
+    """(adj C, det C) of a symmetric 1 x 1, 2 x 2 or 3 x 3 C given as rows of
+    floats: explicit products in one fixed order, no BLAS."""
+    if len(c) == 1:
+        return [[1.0]], c[0][0]
+    if len(c) == 2:
+        (a, b), (_, e) = c
+        return [[e, -b], [-b, a]], a * e - b * b
+    (a, b, d), (_, e, f), (_, _, k) = c
+    u, v, w = e * k - f * f, d * f - b * k, b * f - d * e
+    x, y, z = a * k - d * d, b * d - a * f, a * e - b * b
+    return [[u, v, w], [v, x, y], [w, y, z]], a * u + b * v + d * w
+
+
+def _covariance(J) -> list:
+    """(J^T J)^-1 for the columns of J (m x n, n <= 4) in closed form, as rows
+    of floats: the Gram matrix (one einsum, no BLAS) of the unit-scaled
+    columns, C, inverted by its adjugate and scaled back; LAPACK inverts the
+    bath-free trace fit's 4 x 4.  A zero column, a pinned parameter, gets a
+    zero row and column.  Where det C is at most its rounding, 4 eps n^2, the
+    live columns do not fix their parameters: their entries are NaN."""
+    g = np.einsum("ki,kj->ij", J, J).tolist()
+    n, tol = len(g), _EPS4 * len(g) ** 2
+    s = [1.0 / math.sqrt(row[i]) if row[i] > 0.0 else 0.0 for i, row in enumerate(g)]
+    c = [[1.0 if i == j else x * s[i] * s[j] for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    if n > 3:
+        det = float(np.linalg.det(c))
+        adj = (np.linalg.inv(c) * det).tolist() if det > tol else None
+    else:
+        adj, det = _adjugate(c)
+    if not det > tol:
+        return [[math.nan if si and sj else 0.0 for sj in s] for si in s]
+    return [[a / det * si * sj for a, sj in zip(row, s)] for row, si in zip(adj, s)]
+
+
 def standard_errors(jac, resid_var) -> np.ndarray:
-    """1-sigma parameter errors sqrt(resid_var * diag((J^T J)^+)).
+    """1-sigma parameter errors sqrt(resid_var * diag((J^T J)^-1)).
 
     jac is the (weighted) residual Jacobian at the solution, or a stack
-    (..., m, n) with one resid_var each; the diagonal is sum_k V_ik^2/s_k^2
-    of J = U S V^T.  The pseudo-inverse drops singular values below
-    eps * max(m, n) * s_max, so an unconstrained direction gets error 0
-    (a zero column, a pinned parameter, exactly 0).
+    (..., m, n) with one resid_var each; the covariance comes in closed
+    form (`_covariance`), one per Jacobian.  A zero column, a pinned
+    parameter, gets error exactly 0; where the other columns' Gram matrix is
+    singular their errors are NaN.
     """
-    _, s, VT = np.linalg.svd(jac, full_matrices=False)
-    tol = np.finfo(float).eps * max(np.shape(jac)[-2:]) * s[..., :1]
-    s_inv2 = np.where(s > tol, 1.0 / np.maximum(s, tol) ** 2, 0.0)
-    var = np.einsum("...ki,...k->...i", VT * VT, s_inv2)
-    var = np.where(np.any(jac, axis=-2), var, 0.0)  # exactly, whatever the SVD rounds
-    return np.sqrt(var * np.asarray(resid_var)[..., None])
+    jac = np.asarray(jac, dtype=float)
+    if jac.ndim > 2:
+        return np.array([standard_errors(J, v) for J, v in
+                         zip(jac, np.broadcast_to(resid_var, jac.shape[:-2]))])
+    var = np.array([row[i] for i, row in enumerate(_covariance(jac))])
+    return np.sqrt(var * resid_var)
 
 
 def fit_report(names, values, jac, resid, weighted: bool, var=None):
     """FitReport of the least-squares solution `values`, given the residual
     Jacobian and residuals there.  The residual variance is 1 if they are
     weighted by 1/sigma, else r.r / dof; var, given for jac = None, is a
-    closed-form diag((J^T J)^+).  Stacked values (k, n), Jacobians (k, m, n)
+    closed-form diag((J^T J)^-1).  Stacked values (k, n), Jacobians (k, m, n)
     and residuals (k, m) give a list of k reports, built in one pass."""
     values, resid = np.asarray(values, dtype=float), np.asarray(resid, dtype=float)
-    dof = max(resid.shape[-1] - values.shape[-1], 1)
-    resid_var = np.asarray(1.0 if weighted else np.einsum("...i,...i", resid, resid) / dof)
+    n = values.shape[-1]
+    resid_var = np.asarray(1.0 if weighted else np.einsum("...i,...i", resid, resid)
+                           / max(resid.shape[-1] - n, 1))
     errs = standard_errors(jac, resid_var) if var is None else np.sqrt(var * resid_var[..., None])
     rr = resid[..., None, :] @ resid[..., :, None]  # np.linalg.norm's dot, not einsum's sum
-    reports = [FitReport(dict(zip(names, v)), dict(zip(names, e)), n, resid.shape[-1], True)
-               for v, e, n in zip(np.atleast_2d(values).tolist(), np.atleast_2d(errs).tolist(),
+    reports = [FitReport(dict(zip(names, v)), dict(zip(names, e)), r, resid.shape[-1], True)
+               for v, e, r in zip(values.reshape(-1, n).tolist(), errs.reshape(-1, n).tolist(),
                                   np.sqrt(rr).ravel().tolist())]
     return reports if values.ndim > 1 else reports[0]
+
+
+def distinct(x) -> int:
+    """The number of distinct values in x, NaNs counted once, as np.unique
+    counts them (whose first call imports numpy.ma)."""
+    values = np.ravel(x).tolist()
+    return len({v for v in values if v == v}) + any(v != v for v in values)
 
 
 def weights(y, sigma, name="sigma") -> np.ndarray:
@@ -147,22 +196,31 @@ def weights(y, sigma, name="sigma") -> np.ndarray:
     if sigma is None:
         return np.ones_like(y)
     sigma = np.asarray(sigma, dtype=float)
-    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+    if not (np.isfinite(sigma) & (sigma > 0.0)).all():
         raise ValueError(f"{name} must be finite and positive")
     return 1.0 / sigma
 
 
 def linear_fit(X, y, names, sigma=None) -> FitReport:
     """Exact least-squares fit of y = X @ p, one X column per name in
-    `names`; sigma, when given, weights the rows by 1/sigma."""
+    `names` (at most 4); sigma, when given, weights the rows by 1/sigma.  The
+    normal equations are solved in closed form (`_covariance`), and their
+    inverse gives the errors."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("design matrix and data must be finite")
     w = weights(y, sigma)
     Xw, yw = X * w[:, None], y * w
-    coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-    return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
+    cov = _covariance(Xw)
+
+    def solve(v):  # (Xw^T Xw)^-1 Xw^T v
+        b = np.einsum("ki,k->i", Xw, v).tolist()
+        return np.array([sum(c * x for c, x in zip(row, b)) for row in cov])
+    coef = solve(yw)
+    coef -= solve(np.einsum("ki,i->k", Xw, coef) - yw)  # one refinement: lstsq's accuracy
+    return fit_report(names, coef, None, np.einsum("ki,i->k", Xw, coef) - yw,
+                      sigma is not None, var=np.array([row[i] for i, row in enumerate(cov)]))
 
 
 def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
@@ -180,7 +238,7 @@ def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
     not converged after a non-finite step or `steps` steps, converged at
     h = 0 or a step of at most rel_step (relative, or in log p).
     """
-    (lo, hi), (r, state), seen = bracket, at_p, {p: at_p}
+    (lo, hi), (r, state), seen, abs_y = bracket, at_p, {p: at_p}, np.abs(y)
     for taken in range(steps):
         g, h = slope(p, r, state)
         step = -float(g) / float(h) if h != 0.0 else 0.0
@@ -188,7 +246,7 @@ def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
             return p, r, state, False, taken
         step = min(max(step, -1.0), 1.0) if log else step
         tol = rel_step * (1.0 if log else abs(p))
-        ceiling = r @ r + _EPS4 * (np.abs(r) @ np.abs(y))
+        ceiling = r @ r + _EPS4 * (np.abs(r) @ abs_y)
         while True:
             t = p * math.exp(step) if log else p + step
             if not lo <= t <= hi:

@@ -410,7 +410,7 @@ class TestFringeErrors:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_fit_errors_match_the_svd(self, seed, weighted):
+    def test_fit_errors_match_the_svd(self, seed, weighted, svd_errors):
         p, err = self.grid(seed)
         W = 1.0 / err if weighted else np.ones_like(p)
         reports = fit_fringe(self.PHI, p, p_err=err if weighted else None)
@@ -418,12 +418,12 @@ class TestFringeErrors:
         A, C, phi0 = self.params(reports)
         r = (fringe_values(self.PHI, A[:, None], C[:, None], phi0[:, None]) - p) * W
         var = 1.0 if weighted else np.sum(r * r, axis=1) / (len(self.PHI) - 3)
-        want = fitting.standard_errors(fringe_jacobian(self.PHI, A, phi0) * W[..., None], var)
+        want = svd_errors(fringe_jacobian(self.PHI, A, phi0) * W[..., None], var)
         got = [[rep.errors[k] for k in ("A", "C", "phi0")] for rep in reports]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_visibility_error_inputs_match_the_svd(self, seed):
+    def test_visibility_error_inputs_match_the_svd(self, seed, svd_errors):
         # analyze_fringes takes every row's unconstrained errors at its
         # reported (A, phi0), the bounded rows' too
         p, err = self.grid(seed)
@@ -432,7 +432,7 @@ class TestFringeErrors:
                               delta_bg=0.0)
         assert BOUNDED_FIT in res.fringe_fits[5].warnings
         A, C, phi0 = self.params(res.fringe_fits)
-        want = fitting.standard_errors(fringe_jacobian(self.PHI, A, phi0) / err[..., None], 1.0)
+        want = svd_errors(fringe_jacobian(self.PHI, A, phi0) / err[..., None], 1.0)
         N = analysis._fringe_normal(self.PHI, 1.0 / err)[1]
         np.testing.assert_allclose(np.sqrt(analysis._fringe_variances(N, A, phi0)), want,
                                    rtol=1e-13, atol=0.0)
@@ -440,6 +440,16 @@ class TestFringeErrors:
             res.visibility.V_err,
             np.clip(visibility_error(A, C, want[:, 0], want[:, 1]), 1e-6, None),
             rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shared_normal_matrix_keeps_the_stacked_bits(self, seed):
+        # unweighted rows share one normal matrix; the fit takes the bits of
+        # the stacked per-row solve that unit weights run
+        p, _ = self.grid(seed)
+        free = fit_fringe(self.PHI, p)
+        unit = fit_fringe(self.PHI, p, p_err=np.ones_like(p))
+        assert [r.params for r in free] == [r.params for r in unit]
+        assert [r.residual_norm for r in free] == [r.residual_norm for r in unit]
 
     def test_bounded_and_constant_rows_keep_their_reports(self):
         p, err = self.grid(4)

@@ -1,13 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
 from impurityprobe import fitting
-from impurityprobe.fitting import (FitError, fit_least_squares, fit_report,
-                                   fit_scalar, gauss_newton_1d, linear_fit,
-                                   standard_errors)
+from impurityprobe.fitting import (FitError, distinct, fit_least_squares,
+                                   fit_report, fit_scalar, gauss_newton_1d,
+                                   linear_fit, standard_errors)
 
 NAMES = ["slope", "intercept"]
 
@@ -62,6 +65,24 @@ class TestLinearFit:
             linear_fit(X, y, NAMES)
 
 
+class TestDistinct:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counts_as_np_unique(self, seed):
+        # NaNs count once, -0.0 equals 0.0, infinities are values
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf], size=rng.integers(0, 9))
+        assert distinct(x) == len(np.unique(x))
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # np.unique without return_inverse imports numpy.ma, 8-9 ms a process
+        code = ("import sys; import numpy as np; from impurityprobe.fitting import distinct; "
+                "distinct(np.array([1.0, 2.0, 2.0])); print('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(fitting.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["False"]
+
+
 class TestFitReport:
     def test_weighted_residuals_have_unit_variance(self):
         jac = np.eye(3)
@@ -91,34 +112,67 @@ class TestFitReport:
             assert rep.residual_norm == np.linalg.norm(resid[k])
             assert type(rep.residual_norm) is float and type(rep.params["a"]) is float
 
-    def test_closed_form_variances_stand_in_for_the_jacobian(self):
+    def test_closed_form_variances_stand_in_for_the_jacobian(self, svd_errors):
         rng = np.random.default_rng(8)
         jac, resid = rng.normal(size=(3, 9, 2)), rng.normal(size=(3, 9))
         var = np.einsum("tii->ti", np.linalg.inv(np.einsum("tki,tkj->tij", jac, jac)))
         for weighted in (False, True):
             by_jac = fit_report(["a", "b"], np.ones((3, 2)), jac, resid, weighted)
             by_var = fit_report(["a", "b"], np.ones((3, 2)), None, resid, weighted, var=var)
-            for x, y in zip(by_jac, by_var):
+            resid_var = 1.0 if weighted else np.sum(resid * resid, axis=1) / 7
+            for x, y, want in zip(by_jac, by_var, svd_errors(jac, resid_var)):
                 assert list(y.errors.values()) == pytest.approx(list(x.errors.values()),
                                                                 rel=1e-13)
+                assert list(x.errors.values()) == pytest.approx(want, rel=1e-13)
                 assert y.residual_norm == x.residual_norm
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_errors_match_the_svd_referee(self, n, svd_errors):
+        # the closed-form covariance, for every parameter count a fit uses
+        rng = np.random.default_rng(n)
+        jac = rng.normal(size=(20, n)) * rng.uniform(1e-3, 1e3, n)
+        resid = rng.normal(size=20)
+        rep = fit_report([f"p{k}" for k in range(n)], np.zeros(n), jac, resid, False)
+        want = svd_errors(jac, resid @ resid / (20 - n))
+        assert list(rep.errors.values()) == pytest.approx(want, rel=1e-13)
 
 
 class TestStandardErrors:
-    def test_stack_matches_each_jacobian(self):
+    def test_stack_matches_each_jacobian(self, svd_errors):
         rng = np.random.default_rng(11)
         jac = rng.normal(size=(5, 20, 3))
         var = rng.uniform(0.5, 2.0, 5)
         stacked = standard_errors(jac, var)
         for J, v, got in zip(jac, var, stacked):
-            assert got == pytest.approx(standard_errors(J, v), rel=1e-13)
+            assert got.tolist() == standard_errors(J, v).tolist()
+            assert got == pytest.approx(svd_errors(J, v), rel=1e-13)
             assert got == pytest.approx(np.sqrt(np.diag(np.linalg.inv(J.T @ J)) * v),
                                         rel=1e-10)
 
     def test_unconstrained_direction_gets_zero(self):
         jac = np.column_stack([np.ones(6), np.zeros(6)])
-        assert standard_errors(jac, 1.0).tolist() == \
-            pytest.approx([1.0 / np.sqrt(6.0), 0.0], abs=1e-15)
+        got = standard_errors(jac, 1.0)
+        assert got[1] == 0.0
+        assert got[0] == pytest.approx(1.0 / np.sqrt(6.0), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_column_is_exactly_zero(self, n, svd_errors):
+        # a pinned parameter's zeroed column: error 0, the others as without it
+        rng = np.random.default_rng(n)
+        jac = rng.normal(size=(15, n))
+        got = standard_errors(np.column_stack([jac[:, :1], np.zeros(15), jac[:, 1:]]), 2.0)
+        assert got[1] == 0.0
+        assert np.delete(got, 1) == pytest.approx(svd_errors(jac, 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_live_columns_give_nan(self, n):
+        # two live columns the data cannot tell apart: no finite covariance,
+        # so every live parameter's error is NaN and a zero column's stays 0
+        rng = np.random.default_rng(n)
+        jac = rng.normal(size=(15, n))
+        jac[:, -1] = 3.0 * jac[:, 0]
+        got = standard_errors(np.column_stack([jac, np.zeros(15)]), 1.0)
+        assert np.isnan(got[:-1]).all() and got[-1] == 0.0
 
     def test_stacked_reports(self):
         jac = np.stack([np.eye(3), 2.0 * np.eye(3)])
@@ -170,6 +224,8 @@ class TestFitLeastSquares:
         assert rep.warnings == ["k pinned at a bound"]
         e = np.exp(-0.5 * self.X) / sigma
         assert rep.errors["a"] == pytest.approx(1.0 / np.linalg.norm(e), rel=1e-10)
+        assert rep.errors["a"] == pytest.approx(
+            1.0 / np.linalg.norm(np.exp(-rep.params["k"] * self.X) / sigma), rel=1e-13)
 
 
 class TestLeastSquaresSolver:
