@@ -2,21 +2,22 @@
 visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
-(times, phases) grid in one stacked solve of its weighted normal equations
-(without weights every row shares one normal matrix), whose matrices give
-the errors in closed form; a row whose solution leaves the physical range
-gets a bounded fit, a variable-projection search in phi0 that reports a
-coefficient on a bound as pinned.  The visibility, V = A/(A + 2C), decays
-as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a fixed T2, so that fit
-starts at its projected minimum, `fitting.gauss_newton_1d` in log T2 (on a
-box face where the guess's projection or the search leaves the box), and
-the bounded `fitting.least_squares` with the model's analytic Jacobian
-polishes it.  Both projections solve their 2x2 normal equations on floats
-by Cramer's rule, in one fixed order, and take Kaufman's gradient and
-curvature from dot products.  The interaction phase is `np.unwrap` of the
-non-constant fringes' phase minus the background delta_bg * t; its slope
-is `fitting.linear_fit` on [t, 1] for t below the dephasing time, weighted
-if every fringe there has a phase error.  Every fitted report is built by
+(times, phases) grid in one stacked solve of its weighted normal equations,
+whose matrices give the errors in closed form; a row whose solution leaves
+the physical range gets a bounded fit, a variable-projection search in phi0
+that reports a coefficient on a bound as pinned.  The visibility,
+V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a
+fixed T2, so that fit starts at its projected minimum,
+`fitting.gauss_newton_1d` in log T2 (on a box face where the guess's
+projection or the search leaves the box), and the bounded
+`fitting.least_squares` with the model's analytic Jacobian polishes it.
+Both projections solve their 2x2 normal equations on floats, in one fixed
+order (the decay's on the parts orthogonal to w, which do not cancel where
+the decay is unseen), with Kaufman's gradient and curvature from dot
+products.  The interaction phase is `np.unwrap` of the non-constant
+fringes' phase minus the background delta_bg * t; its slope is
+`fitting.linear_fit` on [t, 1] for t below the dephasing time, weighted if
+every fringe there has a phase error.  Every fitted report is built by
 `fitting.fit_report`.
 """
 
@@ -43,24 +44,19 @@ def normalize_counts(N_bath, N0_max: float, N0_min: float):
 
 
 def _fringe_normal(phi, W):
-    """Rows W [1, cos phi, sin phi] of the linear fringe model, their N; with
-    W None the unweighted rows and the one N that every fringe shares."""
-    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    if W is None:
-        return X, np.einsum("ki,kj->ij", X, X)
-    Xw = W[:, :, None] * X
+    """Rows W [1, cos phi, sin phi] of the linear fringe model, their N."""
+    Xw = W[:, :, None] * np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
     return Xw, np.einsum("tki,tkj->tij", Xw, Xw)
 
 
 def _fringe_variances(N, A, phi0):
     """diag(G N^-1 G^T), the (A, C, phi0) variances at per-time (A, phi0) of
-    the linear fit with normal matrices N (or one shared N), G the Jacobian
-    of A = 2 hypot(c1, c2), C = c0 - A/2, phi0 = atan2(-c2, -c1); phi0's is
-    0 where A = 0."""
+    the linear fit with normal matrices N, G the Jacobian of A = 2 hypot(c1,
+    c2), C = c0 - A/2, phi0 = atan2(-c2, -c1); phi0's is 0 where A = 0."""
     c, s, z = np.cos(phi0), np.sin(phi0), np.zeros_like(A)
     k = np.divide(2.0, A, out=z.copy(), where=A != 0.0)
     G = np.array([[z, -2.0 * c, -2.0 * s], [z + 1.0, c, s], [z, k * s, -k * c]])
-    return np.einsum("ijt,tjk,ikt->ti", G, np.broadcast_to(np.linalg.inv(N), (len(A), 3, 3)), G)
+    return np.einsum("ijt,tjk,ikt->ti", G, np.linalg.inv(N), G)
 
 
 BOUNDED_FIT = "free fringe solution left A <= 2, 0 <= C <= 2: bounded fit"
@@ -74,8 +70,7 @@ def fit_fringe(phi, p, p_err=None):
     phi (one report per row); p_err has the shape of p.  The model is
     linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
     stacked solve of the 3x3 weighted normal equations, one system per
-    row (weights 1/p_err; without p_err every row shares one matrix, and
-    its inverse, with the bits of unit weights), with errors in (A, C, phi0)
+    row (weights 1/p_err, or 1 without p_err), with errors in (A, C, phi0)
     from the same normal matrices (`_fringe_variances`).  Two masks pick
     the rows that need more: a constant row returns a zero-amplitude
     report, and a row whose solution leaves A <= 2, 0 <= C <= 2 gets the
@@ -91,23 +86,20 @@ def fit_fringe(phi, p, p_err=None):
     if phi.max() - phi.min() <= math.pi:
         raise ValueError("phase points must span more than pi")
     P = np.atleast_2d(p)
-    W = (None if p_err is None else
-         weights(P, np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape),
-                 "p_err"))
+    E = (None if p_err is None else
+         np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape))
+    W = weights(P, E, "p_err")
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
     Xw, N = _fringe_normal(phi, W)
-    rhs = np.einsum("ki,tk->ti", Xw, P) if W is None else np.einsum("tki,tk->ti", Xw, P * W)
-    # one system per row, as unit weights stack them (solve is faster on a copy than a view)
-    coef = np.linalg.solve(np.broadcast_to(N, (len(P), 3, 3)).copy(), rhs[..., None])[..., 0]
+    coef = np.linalg.solve(N, np.einsum("tki,tk->ti", Xw, P * W)[..., None])[..., 0]
     A = 2.0 * np.hypot(coef[:, 1], coef[:, 2])
     C = coef[:, 0] - 0.5 * A
     phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
     s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
-    r = A[:, None] * s2 + C[:, None] - P
     reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]), None,
-                         r if W is None else r * W, W is not None,
+                         (A[:, None] * s2 + C[:, None] - P) * W, E is not None,
                          var=_fringe_variances(N, A, phi0))
     constant = P.max(axis=1) == P.min(axis=1)
     bounded = ~constant & ~((A <= 2.0) & (0.0 <= C) & (C <= 2.0))
@@ -118,8 +110,7 @@ def fit_fringe(phi, p, p_err=None):
             residual_norm=0.0, n_points=P.shape[1], converged=True,
             warnings=[CONSTANT_FIT])
     for k in np.flatnonzero(bounded):
-        reports[k] = _bounded_fringe(phi, P[k], np.ones_like(phi) if W is None else W[k],
-                                     W is not None)
+        reports[k] = _bounded_fringe(phi, P[k], W[k], E is not None)
     return reports if p.ndim > 1 else reports[0]
 
 
@@ -194,10 +185,8 @@ def _decay_model(t, V0, T2, B):
 
 
 def _decay_jacobian(t, V0, T2, B):
-    J = np.ones((len(t), 3))
-    J[:, 0] = e = np.exp(-((t / T2) ** 2))
-    J[:, 1] = 2.0 * V0 * e * t**2 / T2**3
-    return J
+    e = np.exp(-((t / T2) ** 2))
+    return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
 
 
 _DECAY_BOUNDS = np.array([[0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]])  # V0, T2, B
@@ -255,27 +244,35 @@ def _projected_start(t, V, w, guess, held=(False, False)):
     kept = np.where(held, guess[::2], 0.0) if face else None
     left, y = [0.0, 0.0], w * V  # left: (V0, B) of the last trial
     ww, wy = w @ w, w @ y
+    yc = y - wy / ww * w  # y's part orthogonal to w
 
     def project(T2):  # the 2x2 algebra on floats, in one fixed order
         q = (t / T2) ** 2
         a = w * np.exp(-q)
-        aa, aw = a @ a, a @ w
         if face:  # a held coefficient keeps its value, the other solves its 1x1 equation
-            z = y - a * kept[0] - w * kept[1]
+            aa, z = a @ a, y - a * kept[0] - w * kept[1]
             V0 = kept[0] if held[0] else (a @ z) / aa
             B = kept[1] if held[1] else (w @ z) / ww
-        else:
-            det, ay = aa * ww - aw * aw, a @ y
-            V0, B = (ww * ay - aw * wy) / det, (aa * wy - aw * ay) / det
+        else:  # V0 from the parts orthogonal to w: nothing cancels as a nears w
+            aw = a @ w
+            u = a - aw / ww * w
+            uu = u @ u
+            V0 = (u @ yc) / uu
+            B = (wy - aw * V0) / ww
         left[:] = V0, B
         if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
             return None
-        # j = d r / d log T2; c, its projection on the free columns, gives j_K.j_K
+        # j = d r / d log T2; j_K.j_K is j.j less its projection on the free
+        # columns (w and u are orthogonal)
         j = 2.0 * V0 * a * q
-        aj, wj = a @ j, w @ j
-        c0, c1 = ((0.0 if held[0] else aj / aa, 0.0 if held[1] else wj / ww) if face else
-                  ((ww * aj - aw * wj) / det, (aa * wj - aw * aj) / det))
-        return a * V0 + w * B - y, (V0, B, j, j @ j - c0 * aj - c1 * wj)
+        wj = w @ j
+        if face:
+            aj = a @ j
+            h = j @ j - (0.0 if held[0] else aj / aa) * aj - (0.0 if held[1] else wj / ww) * wj
+        else:
+            uj = u @ j
+            h = j @ j - wj / ww * wj - uj / uu * uj
+        return a * V0 + w * B - y, (V0, B, j, h)
 
     with np.errstate(all="ignore"):  # every value is checked
         start = project(guess[1])
@@ -322,9 +319,8 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
         raise FitError("visibility increases monotonically: unphysical decay")
 
     start = _projected_start(t, V, w, _crossing_guess(t, V))
-    V0, _, B = start.tolist()
-    face = (V0 in (0.0, 2.0), B in (0.0, 1.0))  # the start's bounds
-    start = _projected_start(t, V, w, start, face) if any(face) else start
+    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the start's bounds
+    start = _projected_start(t, V, w, start, face) if face.any() else start
     rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
                             sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
     if math.exp(-((t.max() / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
@@ -411,10 +407,9 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
         raise ValueError("phase_convention must be 'sin2' or 'cos2'")
     warnings = []
     fits = fit_fringe(series.phi, series.p, p_err=series.p_err)
-    flagged = [(t, f.warnings) for t, f in zip(series.t.tolist(), fits) if f.warnings]
     for flag, text in ((BOUNDED_FIT, "bounded fringe fit"),
                        (CONSTANT_FIT, "constant fringe, no phase,")):
-        at = [f"{t * 1e3:.6g}" for t, w in flagged if flag in w]
+        at = [f"{t * 1e3:.6g}" for t, f in zip(series.t, fits) if flag in f.warnings]
         if at:
             warnings.append(f"{text} at t_ms = " + ", ".join(at))
 
@@ -434,8 +429,7 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
 
     if phase_convention == "cos2":
         phi0 = (-(phi0 + math.pi)) % TWO_PI
-    phased = [CONSTANT_FIT not in f.warnings for f in fits]
-    phased = slice(None) if all(phased) else np.array(phased)  # a slice copies nothing
+    phased = np.array([CONSTANT_FIT not in f.warnings for f in fits])
     t, Phi = series.t[phased], np.full(len(series.t), math.nan)
     Phi[phased], phase_warnings = extract_phase_series(t, phi0[phased], delta_bg)
     warnings += phase_warnings

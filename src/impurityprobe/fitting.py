@@ -3,17 +3,16 @@
 Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian (or a closed-form covariance diagonal) and its weighted
 residuals into a FitReport with 1-sigma uncertainties from the local
-quadratic model: `standard_errors`, the inverse of the Jacobian's Gram
-matrix in closed form (`_covariance`: unit-scaled columns, the adjugate up
-to 3 x 3, no SVD; a stack of same-shaped fits takes one call); `weights`
-checks sigma.  Linear models go through `linear_fit`, the same closed-form
-inverse applied to the normal equations with one refinement step,
-one-parameter searches (and the projected ones of analysis) through
-`gauss_newton_1d`, and the bath-free trace and the decay polish through
-`fit_least_squares`, on `least_squares`, a bounded Levenberg-Marquardt
-solver in numpy, with the model's analytic Jacobian or finite differences.
-A parameter left on a bound is reported pinned, with error 0.  No module
-loads scipy, and `distinct` counts values without loading numpy.ma.
+quadratic model (`standard_errors`: the inverse of the Gram matrix in closed
+form, `_covariance`, where it is well conditioned, else the SVD); `weights`
+checks sigma.  Linear models go through `linear_fit`, the normal equations
+solved by the same closed form (else `lstsq`), one-parameter searches (and
+the projected ones of analysis) through `gauss_newton_1d`, and the bath-free
+trace and the decay polish through `fit_least_squares`, on `least_squares`,
+a bounded Levenberg-Marquardt solver in numpy, with the model's analytic
+Jacobian or finite differences.  A parameter left on a bound is reported
+pinned, with error 0.  No module loads scipy, and `distinct` counts values
+without loading numpy.ma.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 LSQ_XTOL = 1e-14  # relative step below which least_squares stops
 _EPS4 = 4.0 * np.finfo(float).eps  # rounding of r.r: 2 * 2 eps |r|.|y|
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # forward-difference step
+MIN_DET = 1e-4  # scaled Gram determinant above which the closed form is used
 
 
 class FitError(RuntimeError):
@@ -127,42 +127,41 @@ def _adjugate(c):
     return [[u, v, w], [v, x, y], [w, y, z]], a * u + b * v + d * w
 
 
-def _covariance(J) -> list:
-    """(J^T J)^-1 for the columns of J (m x n, n <= 4) in closed form, as rows
+def _covariance(J):
+    """(J^T J)^-1 for the columns of J (m x n, n <= 3) in closed form, as rows
     of floats: the Gram matrix (one einsum, no BLAS) of the unit-scaled
-    columns, C, inverted by its adjugate and scaled back; LAPACK inverts the
-    bath-free trace fit's 4 x 4.  A zero column, a pinned parameter, gets a
-    zero row and column.  Where det C is at most its rounding, 4 eps n^2, the
-    live columns do not fix their parameters: their entries are NaN."""
+    columns, C, inverted by its adjugate and scaled back.  A zero column, a
+    pinned parameter, gets a zero row and column.  None for n > 3, and where
+    det C <= MIN_DET: above it cond C <= 27/det C, so the inverse keeps its
+    rounding below about 3e5 eps (relative)."""
+    if J.shape[1] > 3:
+        return None
     g = np.einsum("ki,kj->ij", J, J).tolist()
-    n, tol = len(g), _EPS4 * len(g) ** 2
     s = [1.0 / math.sqrt(row[i]) if row[i] > 0.0 else 0.0 for i, row in enumerate(g)]
-    c = [[1.0 if i == j else x * s[i] * s[j] for j, x in enumerate(row)]
-         for i, row in enumerate(g)]
-    if n > 3:
-        det = float(np.linalg.det(c))
-        adj = (np.linalg.inv(c) * det).tolist() if det > tol else None
-    else:
-        adj, det = _adjugate(c)
-    if not det > tol:
-        return [[math.nan if si and sj else 0.0 for sj in s] for si in s]
+    adj, det = _adjugate([[1.0 if i == j else x * s[i] * s[j] for j, x in enumerate(row)]
+                          for i, row in enumerate(g)])
+    if not det > MIN_DET:
+        return None
     return [[a / det * si * sj for a, sj in zip(row, s)] for row, si in zip(adj, s)]
 
 
 def standard_errors(jac, resid_var) -> np.ndarray:
     """1-sigma parameter errors sqrt(resid_var * diag((J^T J)^-1)).
 
-    jac is the (weighted) residual Jacobian at the solution, or a stack
-    (..., m, n) with one resid_var each; the covariance comes in closed
-    form (`_covariance`), one per Jacobian.  A zero column, a pinned
-    parameter, gets error exactly 0; where the other columns' Gram matrix is
-    singular their errors are NaN.
+    jac is the (weighted) residual Jacobian at the solution.  The covariance
+    comes in closed form (`_covariance`), else from the SVD of the live
+    columns, J = U S V^T: sum_k V_ik^2 / s_k^2.  A zero column, a pinned
+    parameter, gets error exactly 0; where the live columns are singular (an
+    s_k at most eps max(m, n) s_1) their errors are NaN.
     """
     jac = np.asarray(jac, dtype=float)
-    if jac.ndim > 2:
-        return np.array([standard_errors(J, v) for J, v in
-                         zip(jac, np.broadcast_to(resid_var, jac.shape[:-2]))])
-    var = np.array([row[i] for i, row in enumerate(_covariance(jac))])
+    cov = _covariance(jac)
+    if cov is not None:
+        return np.sqrt(np.array([row[i] for i, row in enumerate(cov)]) * resid_var)
+    live, var = jac.any(axis=0), np.zeros(jac.shape[1])
+    _, s, VT = np.linalg.svd(jac[:, live], full_matrices=False)
+    singular = (s[-1:] <= np.finfo(float).eps * max(jac.shape) * s[:1]).any()  # none live: no
+    var[live] = math.nan if singular else np.einsum("ki,k->i", VT * VT, 1.0 / s**2)
     return np.sqrt(var * resid_var)
 
 
@@ -170,8 +169,8 @@ def fit_report(names, values, jac, resid, weighted: bool, var=None):
     """FitReport of the least-squares solution `values`, given the residual
     Jacobian and residuals there.  The residual variance is 1 if they are
     weighted by 1/sigma, else r.r / dof; var, given for jac = None, is a
-    closed-form diag((J^T J)^-1).  Stacked values (k, n), Jacobians (k, m, n)
-    and residuals (k, m) give a list of k reports, built in one pass."""
+    closed-form diag((J^T J)^-1).  Stacked values (k, n), residuals (k, m)
+    and var (k, n) give a list of k reports, built in one pass."""
     values, resid = np.asarray(values, dtype=float), np.asarray(resid, dtype=float)
     n = values.shape[-1]
     resid_var = np.asarray(1.0 if weighted else np.einsum("...i,...i", resid, resid)
@@ -203,9 +202,9 @@ def weights(y, sigma, name="sigma") -> np.ndarray:
 
 def linear_fit(X, y, names, sigma=None) -> FitReport:
     """Exact least-squares fit of y = X @ p, one X column per name in
-    `names` (at most 4); sigma, when given, weights the rows by 1/sigma.  The
-    normal equations are solved in closed form (`_covariance`), and their
-    inverse gives the errors."""
+    `names`; sigma, when given, weights the rows by 1/sigma.  The normal
+    equations are solved in closed form (`_covariance`), whose inverse gives
+    the errors; where it declines, `lstsq` solves the system."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -213,6 +212,9 @@ def linear_fit(X, y, names, sigma=None) -> FitReport:
     w = weights(y, sigma)
     Xw, yw = X * w[:, None], y * w
     cov = _covariance(Xw)
+    if cov is None:
+        coef = np.linalg.lstsq(Xw, yw, rcond=None)[0]
+        return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
 
     def solve(v):  # (Xw^T Xw)^-1 Xw^T v
         b = np.einsum("ki,k->i", Xw, v).tolist()

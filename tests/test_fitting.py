@@ -57,6 +57,20 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="sigma"):
             linear_fit(X, y, NAMES, sigma=sigma)
 
+    def test_nearly_collinear_columns_are_solved(self, svd_errors):
+        # x far from 0 against its spread: the closed form declines, lstsq
+        # solves the system and the SVD gives finite errors
+        x = 1e4 + np.linspace(0.0, 1e-2, 12)
+        X = np.column_stack([x, np.ones_like(x)])
+        y = 3.0 * x - 1.0 + 1e-6 * np.sin(x)
+        assert fitting._covariance(X) is None
+        rep = linear_fit(X, y, NAMES)
+        coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert [rep.params[k] for k in NAMES] == coef.tolist()
+        r = X @ coef - y
+        assert [rep.errors[k] for k in NAMES] == pytest.approx(svd_errors(X, r @ r / 10),
+                                                               rel=1e-13)
+
     @pytest.mark.parametrize("where", ["X", "y"])
     def test_nonfinite_data_rejected(self, where):
         X, y, _ = line_data()
@@ -104,11 +118,13 @@ class TestFitReport:
         # one pass over a stack gives exactly the reports of one call per
         # row, and each residual norm is np.linalg.norm's
         rng = np.random.default_rng(m)
-        values, jac = rng.normal(size=(7, 3)), rng.normal(size=(7, m, 3))
+        # (a stack takes closed-form variances, as the fringe grid passes them)
+        values, var = rng.normal(size=(7, 3)), rng.uniform(0.1, 2.0, (7, 3))
         resid = rng.normal(size=(7, m)) * rng.uniform(1e-9, 1.0, (7, 1))
-        stack = fit_report(["a", "b", "c"], values, jac, resid, weighted)
+        stack = fit_report(["a", "b", "c"], values, None, resid, weighted, var=var)
         for k, rep in enumerate(stack):
-            assert rep == fit_report(["a", "b", "c"], values[k], jac[k], resid[k], weighted)
+            assert rep == fit_report(["a", "b", "c"], values[k], None, resid[k], weighted,
+                                     var=var[k])
             assert rep.residual_norm == np.linalg.norm(resid[k])
             assert type(rep.residual_norm) is float and type(rep.params["a"]) is float
 
@@ -117,7 +133,8 @@ class TestFitReport:
         jac, resid = rng.normal(size=(3, 9, 2)), rng.normal(size=(3, 9))
         var = np.einsum("tii->ti", np.linalg.inv(np.einsum("tki,tkj->tij", jac, jac)))
         for weighted in (False, True):
-            by_jac = fit_report(["a", "b"], np.ones((3, 2)), jac, resid, weighted)
+            by_jac = [fit_report(["a", "b"], np.ones(2), J, r, weighted)
+                      for J, r in zip(jac, resid)]
             by_var = fit_report(["a", "b"], np.ones((3, 2)), None, resid, weighted, var=var)
             resid_var = 1.0 if weighted else np.sum(resid * resid, axis=1) / 7
             for x, y, want in zip(by_jac, by_var, svd_errors(jac, resid_var)):
@@ -142,10 +159,9 @@ class TestStandardErrors:
         rng = np.random.default_rng(11)
         jac = rng.normal(size=(5, 20, 3))
         var = rng.uniform(0.5, 2.0, 5)
-        stacked = standard_errors(jac, var)
-        for J, v, got in zip(jac, var, stacked):
-            assert got.tolist() == standard_errors(J, v).tolist()
-            assert got == pytest.approx(svd_errors(J, v), rel=1e-13)
+        for J, v, want in zip(jac, var, svd_errors(jac, var)):  # the referee takes stacks
+            got = standard_errors(J, v)
+            assert got == pytest.approx(want, rel=1e-13)
             assert got == pytest.approx(np.sqrt(np.diag(np.linalg.inv(J.T @ J)) * v),
                                         rel=1e-10)
 
@@ -174,11 +190,23 @@ class TestStandardErrors:
         got = standard_errors(np.column_stack([jac, np.zeros(15)]), 1.0)
         assert np.isnan(got[:-1]).all() and got[-1] == 0.0
 
+    @pytest.mark.parametrize("rho", [0.9999, 0.99995])
+    def test_ill_conditioned_columns(self, rho, svd_errors):
+        # columns correlated by rho: det C = 1 - rho^2 is 2e-4 (the closed
+        # form, within its rounding bound of 3e5 eps) or 1e-4 (the SVD)
+        rng = np.random.default_rng(5)
+        a, b = np.linalg.qr(rng.normal(size=(20, 2)))[0].T
+        jac = np.column_stack([a, rho * a + math.sqrt(1.0 - rho * rho) * b]) * [3.0, 0.02]
+        closed = fitting._covariance(jac) is not None
+        assert closed == (1.0 - rho * rho > fitting.MIN_DET)
+        assert standard_errors(jac, 2.0) == pytest.approx(svd_errors(jac, 2.0),
+                                                          rel=1e-10 if closed else 1e-13)
+
     def test_stacked_reports(self):
-        jac = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        var = np.array([[1.0, 1.0, 1.0], [0.25, 0.25, 0.25]])
         resid = np.zeros((2, 3))
         reps = fit_report(["a", "b", "c"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
-                          jac, resid, True)
+                          None, resid, True, var=var)
         assert [r.params["a"] for r in reps] == [1.0, 4.0]
         assert [r.errors["b"] for r in reps] == [1.0, 0.5]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from impurityprobe import fitting, inference
+from impurityprobe import analysis, fitting, inference
 from impurityprobe.bath import BathState
 from impurityprobe.inference import (InferenceError, collision_counts,
                                      forward_observables, infer_density,
@@ -27,21 +27,26 @@ def make_bath(n0=1.5e19, T=850e-9):
 
 class TestForwardObservables:
     def test_fit_errors_do_not_reach_the_posterior(self, monkeypatch):
-        # inversions read fitted values only: with every closed-form fit
-        # error NaN the posterior is the same, bit for bit
+        # inversions read fitted values only: with the errors of every
+        # fit_report NaN (fringe grid, bounded fringes, decay polish and phase
+        # slope) the posterior is the same, bit for bit
         proto = make_protocol()
         obs = forward_observables(1.2e19, 700e-9, MODEL, proto, 96, 96)
         args = ({"delta": obs["delta"], "T2": obs["T2"]}, 700e-9, MODEL, proto)
         kwargs = {"errors": {"T2": 0.02 * obs["T2"]}, "density_order": 96, "energy_order": 96}
         want = infer_density(*args, **kwargs).to_dict()
-        calls = []
+        fit_report, calls = fitting.fit_report, []
 
-        def nan_errors(jac, resid_var):
-            calls.append(1)
-            return np.full(np.shape(jac)[-1], np.nan)
-        monkeypatch.setattr(fitting, "standard_errors", nan_errors)
+        def nan_errors(*a, **k):
+            reports = fit_report(*a, **k)
+            calls.append(a[2] is None)  # closed-form variances, or a Jacobian
+            for rep in reports if isinstance(reports, list) else [reports]:
+                rep.errors = dict.fromkeys(rep.errors, math.nan)
+            return reports
+        monkeypatch.setattr(fitting, "fit_report", nan_errors)
+        monkeypatch.setattr(analysis, "fit_report", nan_errors)
         assert infer_density(*args, **kwargs).to_dict() == want
-        assert calls  # every decay polish reports through it
+        assert set(calls) == {False, True}
 
     def test_returns_finite_observables(self):
         obs = forward_observables(1.5e19, 850e-9, MODEL, make_protocol())
