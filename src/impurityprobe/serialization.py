@@ -2,8 +2,10 @@
 
 Configs are JSON with unit-explicit key names (temperature_nK,
 peak_density_per_cm3, bfield_mG, ...).  Every artifact records a
-schema_version and the SHA-256 hash of the canonical config so runs are
-reproducible and cross-referenced.
+schema_version and the SHA-256 of its input (the canonical config or the
+CSV's bytes), so runs are reproducible and cross-referenced.  A JSON
+artifact is written in the canonical form itself: sorted keys and no
+whitespace (`python -m json.tool` pretty-prints it).
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def merge_config(user: dict) -> dict:
 
 def _read_json_object(path, what: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object")
@@ -205,41 +207,59 @@ def _read_csv(path, columns, expected: str):
     has the header's length, every value is a finite float, and an error
     is positive and filled on every row or on none.  Returns the values,
     the errors (or None) and the file's SHA-256; blank rows are skipped
-    and not counted.
+    and not counted.  The rows are checked as arrays; only a failed check
+    walks them one by one, for the message that names the first bad row.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    rows = [r for r in csv.reader(io.StringIO(data.decode(), newline="")) if r]
-    header = rows[0] if rows else []
+    try:
+        rows = [r for r in csv.reader(io.StringIO(data.decode(), newline="")) if r]
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over 128 KiB
+        raise ConfigError(f"{path}: {exc}") from None
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
     try:
         idx, err_col = columns(header)
         if max(idx) >= len(header) or all(map(_is_float, header)):
             raise ValueError
     except ValueError:
         raise ConfigError(f"{path}: row 1 must be the header {expected}") from None
-    values, errors = [], []
-    for k, row in enumerate(rows[1:], start=2):
+    if not body:
+        raise ConfigError(f"{path}: no data rows")
+    try:
+        if set(map(len, body)) != {len(header)}:
+            raise ValueError
+        fields = [row[i] for row in body for i in idx]
+        filled = [] if err_col is None else [r[err_col] for r in body if r[err_col]]
+        # float() once per distinct field: t and phase repeat on every row
+        parsed = {x: float(x) for x in dict.fromkeys(fields + filled)}
+        values = np.array([parsed[x] for x in fields]).reshape(len(body), len(idx))
+        errors = np.array([parsed[x] for x in filled])
+        # float() accepts "nan" and "inf", and NaN passes every "<= 0" check
+        if not (np.isfinite(values).all() and np.isfinite(errors).all()
+                and (errors > 0.0).all()) or 0 < len(errors) < len(body):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"{path}: {_first_bad_row(header, body, idx, err_col)}"
+                          ) from None
+    return values, errors if len(errors) else None, hash_bytes(data)
+
+
+def _first_bad_row(header, body, idx, err_col) -> str:
+    """'row k: why' for the first data row that breaks a rule of `_read_csv`."""
+    for k, row in enumerate(body, start=2):
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
             vals = [float(row[i]) for i in idx]
             err = float(row[err_col]) if err_col is not None and row[err_col] else None
-            # float() accepts "nan" and "inf", and NaN passes every "<= 0" check
             if not all(map(math.isfinite, vals + [err or 0.0])):
                 raise ValueError("values must be finite")
             if err is not None and err <= 0.0:
                 raise ValueError(f"{header[err_col]} must be positive")
         except ValueError as exc:
-            raise ConfigError(f"{path}: row {k}: {exc}") from None
-        values.append(vals)
-        errors.append(err)
-    if not values:
-        raise ConfigError(f"{path}: no data rows")
-    empty = [k for k, err in enumerate(errors, start=2) if err is None]
-    if 0 < len(empty) < len(errors):
-        raise ConfigError(f"{path}: row {empty[0]}: {header[err_col]} is empty "
-                          "but other rows have one")
-    return np.array(values), None if empty else np.array(errors), hash_bytes(data)
+            return f"row {k}: {exc}"
+    k = next(k for k, row in enumerate(body, start=2) if not row[err_col])
+    return f"row {k}: {header[err_col]} is empty but other rows have one"
 
 
 def _is_float(field: str) -> bool:
@@ -254,19 +274,20 @@ def _grid(path, keys, names: str):
     """The sorted axes of the rows' key pairs keys[:, 0], keys[:, 1] and
     each row's indices on them; refuses a repeated pair, naming the row,
     and a grid that is not rectangular, naming a missing pair."""
+    (x, ix), (y, iy) = (np.unique(c, return_inverse=True) for c in keys.T)
+    # as many rows as cells and none twice: every cell once
+    if len(keys) == len(x) * len(y) and np.bincount(ix * len(y) + iy).max() == 1:
+        return x, y, ix, iy
     seen = {}
     for k, pair in enumerate(map(tuple, keys.tolist()), start=2):
         if pair in seen:
             raise ConfigError(f"{path}: row {k}: repeats {names} of row "
                               f"{seen[pair]}")
         seen[pair] = k
-    (x, ix), (y, iy) = (np.unique(c, return_inverse=True) for c in keys.T)
-    if len(keys) != len(x) * len(y):
-        gap = next(p for p in itertools.product(x.tolist(), y.tolist())
-                   if p not in seen)
-        raise ConfigError(f"{path}: grid is not rectangular: no row with "
-                          f"{names} = ({gap[0]:g}, {gap[1]:g})")
-    return x, y, ix, iy
+    gap = next(p for p in itertools.product(x.tolist(), y.tolist())
+               if p not in seen)
+    raise ConfigError(f"{path}: grid is not rectangular: no row with "
+                      f"{names} = ({gap[0]:g}, {gap[1]:g})")
 
 
 def _table_from_csv(path, a_e: float) -> TabulatedModel:
@@ -341,7 +362,7 @@ def _write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, canonical_json(obj) + "\n")
 
 
 def write_artifacts(out_dir, files: dict, merge: bool = False) -> list:

@@ -17,3 +17,32 @@ def svd_errors(jac, resid_var):
 @pytest.fixture(name="svd_errors")
 def svd_errors_fixture():
     return svd_errors
+
+
+def fringe_csv_referee(path):
+    """t (s), phi (rad), p and p_err (None where the column is empty) of a
+    fringe CSV in the layout `serialization.fringe_to_csv` writes (plain
+    comma-separated fields, no quoting), converted row by row with float():
+    the independent referee of `serialization.fringe_from_csv`."""
+    with open(path, encoding="utf-8") as fh:
+        header, *lines = [line for line in fh.read().split("\n") if line]
+    rows = []
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        rows.append([float(row["t_ms"]), float(row["phase_deg"]), float(row["p"]),
+                     float(row["p_err"]) if row.get("p_err") else None])
+    t_ms = sorted({r[0] for r in rows})
+    deg = sorted({r[1] for r in rows})
+    p = np.full((len(t_ms), len(deg)), np.nan)
+    p_err = np.full_like(p, np.nan)
+    for t, phase, value, err in rows:
+        i, j = t_ms.index(t), deg.index(phase)
+        p[i, j] = value
+        p_err[i, j] = np.nan if err is None else err
+    return (np.array(t_ms) * 1e-3, np.deg2rad(deg), p,
+            None if rows[0][3] is None else p_err)
+
+
+@pytest.fixture(name="fringe_csv_referee", scope="session")
+def fringe_csv_referee_fixture():
+    return fringe_csv_referee

@@ -652,3 +652,45 @@ class TestNumberArguments:
         assert main(args) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPathErrors:
+    """A path of the wrong kind is an input error (exit 2) whose message
+    names the path: a directory or a non-UTF-8 file where a file is read,
+    and a file where the output directory goes."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["analyze", "{dir}", "--out", "{out}"], "{dir}"),
+        (["analyze", "{latin1_csv}", "--out", "{out}"], "{latin1_csv}"),
+        (["simulate", "--config", "{dir}", "--out", "{out}"], "{dir}"),
+        (["simulate", "--config", "{latin1_json}", "--out", "{out}"], "{latin1_json}"),
+        (["simulate", "--config", "{table_config}", "--out", "{out}"], "{dir}"),
+        (["calibrate", "lightshift", "{cal}", "--out", "{file}"], "{file}"),
+        (["calibrate", "lightshift", "{cal}", "--out", "{file}/sub"], "{file}/sub"),
+        (["analyze", "{fringes}", "--out", "{file}"], "{file}"),
+    ], ids=["analyze-directory", "analyze-non-utf8", "config-directory",
+            "config-non-utf8", "table-directory", "out-is-a-file",
+            "out-under-a-file", "analyze-out-is-a-file"])
+    def test_wrong_kind_of_path_is_input_error(self, tmp_path, capsys, argv, name):
+        t = np.linspace(0.5e-3, 3e-3, 6)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = 0.5 - 0.4 * np.cos(phi[None, :] - 1.0 - 900.0 * t[:, None])
+        fringes = tmp_path / "fringes.csv"
+        fringes.write_text(fringe_to_csv(FringeSeries(t=t, phi=phi, p=p)))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("not a directory\n")
+        (tmp_path / "cal.csv").write_text("P_W,shift_Hz\n" + "".join(
+            f"{x},{1083.0 * x}\n" for x in np.linspace(0.0, 1.0, 10)))
+        (tmp_path / "latin1.csv").write_bytes(fringes.read_bytes() + b"\xe9\n")
+        (tmp_path / "latin1.json").write_bytes(b'{"seed": 1, "x": "\xe9"}')
+        files = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+                 "cal": tmp_path / "cal.csv", "fringes": fringes,
+                 "latin1_csv": tmp_path / "latin1.csv",
+                 "latin1_json": tmp_path / "latin1.json",
+                 "table_config": write_config(tmp_path, {"model": {
+                     "table_csv": str(tmp_path / "dir")}}, name="table.json"),
+                 "out": tmp_path / "run"}
+        assert main([a.format(**files) for a in argv]) == 2
+        assert name.format(**files) in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+        assert not (tmp_path / "run").exists()
