@@ -3,22 +3,17 @@ visibility decay (T2), and interaction-phase slope (delta).
 
 Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
 (times, phases) grid in one stacked solve of its weighted normal equations,
-whose matrices give the errors in closed form; a row whose solution leaves
-the physical range gets a bounded fit, a variable-projection search in phi0
-that reports a coefficient on a bound as pinned.  The visibility,
-V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B, linear in (V0, B) at a
-fixed T2, so that fit starts at its projected minimum,
-`fitting.gauss_newton_1d` in log T2 (on a box face where the guess's
-projection or the search leaves the box), and the bounded
-`fitting.least_squares` with the model's analytic Jacobian polishes it.
-Both projections solve their 2x2 normal equations on floats, in one fixed
-order (the decay's on the parts orthogonal to w, which do not cancel where
-the decay is unseen), with Kaufman's gradient and curvature from dot
-products.  The interaction phase is `np.unwrap` of the non-constant
-fringes' phase minus the background delta_bg * t; its slope is
-`fitting.linear_fit` on [t, 1] for t below the dephasing time, weighted if
-every fringe there has a phase error.  Every fitted report is built by
-`fitting.fit_report`.
+whose matrices give the errors in closed form.  The visibility,
+V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B.  Both models are linear in
+a pair of coefficients at a fixed phi0 or T2, so one bounded variable
+projection, `_projected_fit`, serves a fringe row whose solution leaves the
+physical range (searching phi0, a coefficient on a bound reported pinned)
+and the decay's start (searching log T2), which the bounded
+`fitting.least_squares` with the model's analytic Jacobian polishes.  The
+interaction phase is `np.unwrap` of the non-constant fringes' phase minus
+the background delta_bg * t; its slope is `fitting.linear_fit` on [t, 1]
+for t below the dephasing time, weighted if every fringe there has a phase
+error.  Every fitted report is built by `fitting.fit_report`.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 
 def normalize_counts(N_bath, N0_max: float, N0_min: float):
     """Relative atom number (N_bath - N0_min) / (N0_max - N0_min)."""
-    if N0_min < 0 or N0_max <= N0_min:
+    if not 0.0 <= N0_min < N0_max:
         raise ValueError("need N0_max > N0_min >= 0 for normalization")
     out = (np.asarray(N_bath, dtype=float) - N0_min) / (N0_max - N0_min)
     return float(out) if np.ndim(out) == 0 else out
@@ -115,45 +110,85 @@ def fit_fringe(phi, p, p_err=None):
 
 
 def _bounded_fringe(phi, p, w, weighted) -> FitReport:
-    """Bounded fit of one fringe, weights w, by variable projection in phi0
-    (Golub & Pereyra): at each phi0, (A, C) is the exact weighted least-
-    squares solution in [0, 2] x [0, 2], the free one if it lies inside,
-    else the best edge (A or C held at 0 or 2, the other clipped, which
-    covers the corners).  phi0 is searched from the data's Fourier phase
-    by `fitting.gauss_newton_1d` with `_secant_slope`."""
-    y = w * p
-    ww, wy = w @ w, w @ y
+    """Bounded fit of one fringe, weights w: `_projected_fit` in phi0 with
+    (A, C) in [0, 2] x [0, 2], from the data's Fourier phase."""
 
-    def project(phi0):  # the 2x2 algebra on floats, in one fixed order
-        a = w * np.sin(0.5 * (phi0 - phi)) ** 2
-        aa, aw, ay = a @ a, a @ w, a @ y
-        det = aa * ww - aw * aw
-        A, C = (ww * ay - aw * wy) / det, (aa * wy - aw * ay) / det
-        if not (0.0 <= A <= 2.0 and 0.0 <= C <= 2.0):  # the best edge: A or C held at e
-            e = np.array([0.0, 2.0])
-            edges = np.array([[*e, *np.clip((ay - aw * e) / aa, 0.0, 2.0)],
-                              [*np.clip((wy - aw * e) / ww, 0.0, 2.0), *e]]).T
-            A, C = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
-        free = (0.0 < A < 2.0, 0.0 < C < 2.0)
-        # j = d r / d phi0; c, its projection on the free columns, gives j_K.j_K
-        j = 0.5 * A * w * np.sin(phi0 - phi)
-        aj, wj = a @ j, w @ j
-        c0, c1 = (((ww * aj - aw * wj) / det, (aa * wj - aw * aj) / det) if all(free) else
-                  (aj / aa if free[0] else 0.0, wj / ww if free[1] else 0.0))
-        return A * a + C * w - y, (A, C, free, a, j, j @ j - c0 * aj - c1 * wj)
+    def column(phi0):
+        return w * np.sin(0.5 * (phi0 - phi)) ** 2, lambda A: 0.5 * A * w * np.sin(phi0 - phi)
 
     # the data's 1-cycle Fourier coefficient is -(A/2) e^{-i phi0}; the search
     # runs one period up, so its step tolerance is at least 2 pi PHI0_REL_STEP
     phi0 = float(-np.angle(-np.mean(p * np.exp(-1j * phi)))) % TWO_PI + TWO_PI
-    phi0, r, (A, C, free, a, j, _), converged, _ = gauss_newton_1d(
-        project, _secant_slope(log=False), phi0, project(phi0), y,
-        rel_step=PHI0_REL_STEP, steps=VP_STEPS)
+    phi0, r, (A, C, free, a, j, _), converged = _projected_fit(
+        column, phi0, w, w * p, 2.0, False, PHI0_REL_STEP)
     rep = fit_report(("A", "C", "phi0"), [A, C, phi0 % TWO_PI],  # pinned columns zeroed
                      np.column_stack([a * free[0], w * free[1], j]), r, weighted)
     rep.converged = converged
     rep.warnings += [f"{name} pinned at a bound" for name, on in zip("AC", free) if not on]
     rep.warnings.append(BOUNDED_FIT)
     return rep
+
+
+def _projected_fit(column, p0, w, y, hi, log, rel_step):
+    """Variable projection (Golub & Pereyra) of y ~ alpha a(p) + beta w, with
+    (alpha, beta) in [0, 2] x [0, hi]: column(p) gives the weighted column a
+    and j(alpha) = dr/dp (dr/dlog p with log).  At each p, (alpha, beta) is
+    the exact least-squares solution in the box: the free one if it lies
+    inside (alpha from a's and y's parts orthogonal to w, which do not cancel
+    as a nears w), else the best edge (one coefficient held at a bound, the
+    other clipped, which covers the corners).  A p fails where the system is
+    singular.  `fitting.gauss_newton_1d` searches p with `_secant_slope` and
+    Kaufman's h = j_K . j_K on the free columns, from p0, or from the one of
+    several p0 with the lowest projected r.r.  Returns (p, r, (alpha, beta,
+    free, a, j, h), converged), or None if every p0 fails."""
+    ww, wy = w @ w, w @ y
+    yc = y - wy / ww * w  # y's part orthogonal to w
+
+    def project(p):  # the 2x2 algebra on floats, in one fixed order
+        a, jac = column(p)
+        aw = a @ w
+        u = a - aw / ww * w
+        uu = u @ u
+        alpha = (u @ yc) / uu
+        beta = (wy - aw * alpha) / ww
+        if not (math.isfinite(alpha) and math.isfinite(beta)):  # singular
+            return None
+        if not (0.0 <= alpha <= 2.0 and 0.0 <= beta <= hi):  # the best edge
+            aa, ay, ea, eb = a @ a, a @ y, np.array([0.0, 2.0]), np.array([0.0, hi])
+            edges = np.array([[*ea, *np.clip((ay - aw * eb) / aa, 0.0, 2.0)],
+                              [*np.clip((wy - aw * ea) / ww, 0.0, hi), *eb]]).T
+            alpha, beta = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
+        free = (0.0 < alpha < 2.0, 0.0 < beta < hi)
+        # j_K.j_K is j.j less its projection on the free columns: w, and u
+        # (orthogonal to w) or a alone
+        c, j = u if all(free) else a, jac(alpha)
+        wj, cj = w @ j, c @ j
+        h = j @ j - (wj / ww * wj if free[1] else 0.0) - (cj / (c @ c) * cj if free[0] else 0.0)
+        return alpha * a + beta * w - y, (alpha, beta, free, a, j, h)
+
+    starts = [(p, at) for p in np.atleast_1d(p0).tolist() if (at := project(p)) is not None]
+    p, at = min(starts, key=lambda start: start[1][0] @ start[1][0], default=(None, None))
+    return None if at is None else gauss_newton_1d(
+        project, _secant_slope(log), p, at, y, log=log, rel_step=rel_step, steps=VP_STEPS)[:4]
+
+
+def _secant_slope(log):
+    """`gauss_newton_1d`'s slope for a variable-projection search whose state
+    ends in j = dr/dp and h = j_K . j_K, Kaufman's projected Jacobian j_K = j
+    minus its projection on the free linear columns: g = j . r, which is
+    j_K . r, the exact gradient, as r is orthogonal to those columns, and h at
+    the first step, then the secant of g (in log p with log): with large
+    residuals Gauss-Newton's h (no r . d2r) converges only linearly."""
+    last = []  # p (or log p) and g at the previous accepted point
+
+    def slope(p, r, state):
+        g, h, u = state[-2] @ r, state[-1], math.log(p) if log else p
+        if last:
+            secant = (g - last[1]) / (u - last[0])
+            h = secant if secant > 0.0 else h
+        last[:] = u, g
+        return g, h
+    return slope
 
 
 def visibility(A, C):
@@ -206,100 +241,41 @@ def _crossing_guess(t, V):
     return np.array([V00, T20, B0])
 
 
-def _secant_slope(log):
-    """`gauss_newton_1d`'s slope for a variable-projection search whose state
-    ends in j = dr/dp and h = j_K . j_K, Kaufman's projected Jacobian j_K = j
-    minus its projection on the free linear columns: g = j . r, which is
-    j_K . r, the exact gradient, as r is orthogonal to those columns, and h at
-    the first step, then the secant of g (in log p with log): with large
-    residuals Gauss-Newton's h (no r . d2r) converges only linearly."""
-    last = []  # p (or log p) and g at the previous accepted point
+def _projected_start(t, V, w, guess):
+    """The decay's start: `_projected_fit` in log T2 from guess's, with
+    (V0, B) in [0, 2] x [0, 1].  With V0 = 0, r.r does not depend on T2, so
+    a search that ends there restarts from the data time with the lowest
+    projected r.r, kept if it ends lower.  Returns the point reached, or
+    guess if its system is singular, clipped into the fit's bounds.  No step
+    raises a warning."""
 
-    def slope(p, r, state):
-        g, h, u = state[-2] @ r, state[-1], math.log(p) if log else p
-        if last:
-            secant = (g - last[1]) / (u - last[0])
-            h = secant if secant > 0.0 else h
-        last[:] = u, g
-        return g, h
-    return slope
-
-
-def _projected_start(t, V, w, guess, held=(False, False)):
-    """Variable projection (Golub & Pereyra): the decay is linear in
-    (V0, B) for a fixed T2, so those come from the 2x2 weighted normal
-    equations and `fitting.gauss_newton_1d` searches log T2 from guess's
-    with `_secant_slope`.  held marks the (V0, B) kept at guess's values, a
-    face of the box; the other then solves its 1x1 equation, and J_K
-    projects on its column.
-
-    A trial T2 fails where the system is singular (its (V0, B) is then
-    not finite) or its (V0, B) is not in [0, 2] x [0, 1], so the search
-    stops at that box.  Returns the point reached, or guess, clipped into
-    the fit's bounds, if guess's T2 fails; a search stopped at the box
-    takes the (V0, B) of a trial just past it, so one lands on its bound.
-    No step raises a warning.
-    """
-    face = bool(held[0] or held[1])
-    kept = np.where(held, guess[::2], 0.0) if face else None
-    left, y = [0.0, 0.0], w * V  # left: (V0, B) of the last trial
-    ww, wy = w @ w, w @ y
-    yc = y - wy / ww * w  # y's part orthogonal to w
-
-    def project(T2):  # the 2x2 algebra on floats, in one fixed order
+    def column(T2):
         q = (t / T2) ** 2
         a = w * np.exp(-q)
-        if face:  # a held coefficient keeps its value, the other solves its 1x1 equation
-            aa, z = a @ a, y - a * kept[0] - w * kept[1]
-            V0 = kept[0] if held[0] else (a @ z) / aa
-            B = kept[1] if held[1] else (w @ z) / ww
-        else:  # V0 from the parts orthogonal to w: nothing cancels as a nears w
-            aw = a @ w
-            u = a - aw / ww * w
-            uu = u @ u
-            V0 = (u @ yc) / uu
-            B = (wy - aw * V0) / ww
-        left[:] = V0, B
-        if not (0.0 <= V0 <= 2.0 and 0.0 <= B <= 1.0):  # NaN if singular
-            return None
-        # j = d r / d log T2; j_K.j_K is j.j less its projection on the free
-        # columns (w and u are orthogonal)
-        j = 2.0 * V0 * a * q
-        wj = w @ j
-        if face:
-            aj = a @ j
-            h = j @ j - (0.0 if held[0] else aj / aa) * aj - (0.0 if held[1] else wj / ww) * wj
-        else:
-            uj = u @ j
-            h = j @ j - wj / ww * wj - uj / uu * uj
-        return a * V0 + w * B - y, (V0, B, j, h)
+        return a, lambda V0: 2.0 * V0 * a * q
 
+    y = w * V
     with np.errstate(all="ignore"):  # every value is checked
-        start = project(guess[1])
-        if start is None:
+        fit = _projected_fit(column, guess[1], w, y, 1.0, True, VP_REL_STEP)
+        if fit is None:
             return guess.clip(*_DECAY_BOUNDS)
-        T2, r, (V0, B, j, _), _, _ = gauss_newton_1d(
-            project, _secant_slope(log=True), guess[1], start, y, log=True,
-            rel_step=VP_REL_STEP, steps=VP_STEPS)
-        # stopped at the box from inside if a trial two stopping steps
-        # downhill leaves it: that trial's (V0, B) is clipped onto the box
-        if project(T2 * math.exp(-math.copysign(2.0 * VP_REL_STEP, j @ r))) is None:
-            V0, B = np.where(np.isnan(left), [V0, B], left)
+        if fit[2][0] == 0.0:
+            again = _projected_fit(column, t[t > 0.0], w, y, 1.0, True, VP_REL_STEP)
+            fit = again if again is not None and again[1] @ again[1] < fit[1] @ fit[1] else fit
+    T2, _, (V0, B, *_), _ = fit
     return np.clip([V0, T2, B], *_DECAY_BOUNDS)
 
 
 def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
 
-    The start is the variable-projection minimum (`_projected_start`, from
-    the first crossing of B + V0/e); where the guess's projection leaves the
-    (V0, B) box it is the clipped guess, and a second search holds the
-    coefficient clipping put on a bound, as it does for a search stopped at
-    the box from inside.  The bounded `fitting.least_squares` with the
-    analytic Jacobian polishes it inside 0 <= V0 <= 2, 0 <= B <= 1 and gives
-    the errors and any pinned parameter; it warns where exp(-(t_max/T2)^2) >
-    UNSEEN_DECAY.  Constant visibility yields a 'no decay detected' report
-    with T2 infinite; a monotonically increasing series is rejected.
+    The start is the bounded variable-projection minimum
+    (`_projected_start`, from the first crossing of B + V0/e).  The bounded
+    `fitting.least_squares` with the analytic Jacobian polishes it inside
+    0 <= V0 <= 2, 0 <= B <= 1 and gives the errors and any pinned
+    parameter; it warns where exp(-(t_max/T2)^2) > UNSEEN_DECAY.  Constant
+    visibility yields a 'no decay detected' report with T2 infinite; a
+    monotonically increasing series is rejected.
     """
     t = np.asarray(t, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -318,10 +294,8 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     if (V[1:] >= V[:-1]).all():
         raise FitError("visibility increases monotonically: unphysical decay")
 
-    start = _projected_start(t, V, w, _crossing_guess(t, V))
-    face = np.any(start == _DECAY_BOUNDS, axis=0)[[0, 2]]  # the start's bounds
-    start = _projected_start(t, V, w, start, face) if face.any() else start
-    rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"], p0=start,
+    rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"],
+                            p0=_projected_start(t, V, w, _crossing_guess(t, V)),
                             sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
     if math.exp(-((t.max() / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
         rep.warnings.append(f"T2 = {rep.params['T2']:.3g} s is not constrained: the fitted "

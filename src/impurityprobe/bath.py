@@ -104,7 +104,7 @@ def interaction_detuning(n, d_a):
     follows d_a.  Broadcasts over array arguments.
     """
     n = np.asarray(n, dtype=float)
-    if np.any(n < 0.0):
+    if not np.all(n >= 0.0):
         raise ValueError("density must be nonnegative")
     out = 2.0 * math.pi * CONST.hbar / MU_RBCS * n * np.asarray(d_a, dtype=float)
     return float(out) if out.ndim == 0 else out

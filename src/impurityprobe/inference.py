@@ -214,7 +214,7 @@ def collision_counts(bath: BathState, model, T2: float,
     resonance position B0; a model without one (TabulatedModel) needs B
     given explicitly.
     """
-    if T2 <= 0.0:
+    if not T2 > 0.0:
         raise ValueError("T2 must be positive")
     if B is None:
         if not hasattr(model, "B0"):

@@ -93,7 +93,7 @@ def fringe_closed_form(t, phi, Delta: float, T2: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be nonnegative")
-    if T2 <= 0.0:
+    if not T2 > 0.0:
         raise ValueError("T2 must be positive")
     env = np.exp(-((t / T2) ** 2))
     out = 0.5 + (np.sin(0.5 * (Delta * t - np.asarray(phi))) ** 2 - 0.5) * env
@@ -281,7 +281,7 @@ def no_bath_trace(t, A: float, C: float, delta: float, T2: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be nonnegative")
-    if T2 <= 0.0:
+    if not T2 > 0.0:
         raise ValueError("T2 must be positive")
     out = 0.5 * A * (1.0 - np.exp(-((t / T2) ** 2)) * np.cos(delta * t)) + C
     return float(out) if out.ndim == 0 else out

@@ -34,7 +34,7 @@ class QuadratureError(RuntimeError):
 
 def reduced_mass(m1: float, m2: float) -> float:
     """Two-body reduced mass m1*m2/(m1+m2) in kg."""
-    if m1 <= 0.0 or m2 <= 0.0:
+    if not (m1 > 0.0 and m2 > 0.0):
         raise ValueError("masses must be positive")
     return m1 * m2 / (m1 + m2)
 
@@ -61,7 +61,7 @@ def mb_pdf(E, T: float):
     p(E) = 2 pi (pi kB T)^(-3/2) sqrt(E) exp(-E / kB T), normalized on
     [0, inf).  Accepts scalar or array E.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("temperature must be positive")
     E = np.asarray(E, dtype=float)
     if np.any(E < 0.0):
@@ -84,7 +84,7 @@ def mb_quadrature(T: float, order: int = 64):
     """
     if order < 2:
         raise ValueError("quadrature order must be >= 2")
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("temperature must be positive")
     x, w = _mb_unit_rule(order)
     return x * (CONST.k_B * T), w
@@ -108,7 +108,7 @@ def quadratic_zeeman(B: float) -> float:
     delta_B = (g_J - g_I)^2 mu_B^2 / (2 hbar DeltaE_hfs) * B^2, which
     evaluates to 2 pi x 427.45 Hz/G^2.
     """
-    if B < 0.0:
+    if not B >= 0.0:
         raise ValueError("magnetic field magnitude must be nonnegative")
     g = CONST.g_J - CONST.g_I
     return (g * CONST.mu_B) ** 2 / (2.0 * CONST.hbar * CONST.delta_E_hfs) * B**2

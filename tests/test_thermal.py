@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from impurityprobe import thermal
+from impurityprobe import analysis, bath, inference, ramsey, scattering, thermal
+from impurityprobe.bath import BathState
 from impurityprobe.constants import CONST
+from impurityprobe.scattering import ResonanceModel
 from impurityprobe.thermal import (mb_pdf, mb_quadrature, quadratic_zeeman,
                                    reduced_mass, zeeman_coefficient_hz_per_G2)
 
@@ -128,3 +130,30 @@ class TestZeeman:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             quadratic_zeeman(-1e-5)
+
+
+
+MODEL = ResonanceModel()
+# a public call per "must be positive" (or nonnegative) check, given NaN
+# where it looks: NaN fails every comparison, so `x <= 0` lets it through
+NAN_CALLS = {
+    "mb_pdf T": lambda: mb_pdf(1e-30, math.nan),
+    "mb_quadrature T": lambda: mb_quadrature(math.nan),
+    "reduced_mass m1": lambda: reduced_mass(math.nan, 1.0),
+    "reduced_mass m2": lambda: reduced_mass(1.0, math.nan),
+    "quadratic_zeeman B": lambda: quadratic_zeeman(math.nan),
+    "fringe_closed_form T2": lambda: ramsey.fringe_closed_form(1e-3, 0.0, 1.0, math.nan),
+    "no_bath_trace T2": lambda: ramsey.no_bath_trace(1e-3, 1.0, 0.0, 1.0, math.nan),
+    "collision_counts T2": lambda: inference.collision_counts(
+        BathState(n0=1e19, T=500e-9), MODEL, math.nan),
+    "interaction_detuning n": lambda: bath.interaction_detuning([1e19, math.nan], 1e-9),
+    "mean_a T": lambda: scattering.mean_a(MODEL.B0, math.nan, MODEL),
+    "normalize_counts N0_min": lambda: analysis.normalize_counts(0.5, 1.0, math.nan),
+    "normalize_counts N0_max": lambda: analysis.normalize_counts(0.5, math.nan, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_CALLS))
+def test_nan_argument_rejected(case):
+    with pytest.raises(ValueError):
+        NAN_CALLS[case]()
