@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import TWO_PI
 from .fitting import (FitError, FitReport, distinct, fit_least_squares, fit_report,
                       gauss_newton_1d, linear_fit, weights)
 from .ramsey import FringeSeries
-
-TWO_PI = 2.0 * math.pi
 
 
 def normalize_counts(N_bath, N0_max: float, N0_min: float):

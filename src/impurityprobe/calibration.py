@@ -1,8 +1,8 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
 slope and quadratic Zeeman fit (both linear, solved exactly), and
 release-curve thermometry in closed form.  The B-field and release fits
-are `fitting.gauss_newton_1d` searches; the four-parameter bath-free
-trace fit is a bounded `fitting.fit_least_squares`.  None loads scipy.
+are `fitting.gauss_newton_1d` searches; the bath-free trace fit is a bounded
+`fitting.fit_least_squares` on its analytic Jacobian.  None loads scipy.
 """
 
 from __future__ import annotations
@@ -107,13 +107,21 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     return rep
 
 
+def _no_bath_jacobian(t, A, C, delta, T2):
+    """d`no_bath_trace`/d(A, C, delta, T2)."""
+    e = np.exp(-((t / T2) ** 2))
+    ec = e * np.cos(delta * t)
+    return np.column_stack([0.5 * (1.0 - ec), np.ones_like(t),
+                            0.5 * A * e * t * np.sin(delta * t), -A * ec * t**2 / T2**3])
+
+
 def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     """Fit a bath-free Ramsey time trace for the background fringe.
 
     Model: N(t) = 0.5 A (1 - exp(-t^2/T2^2) cos(delta t)) + C with
     amplitude A, offset C, detuning delta (rad/s) and Gaussian dephasing
-    time T2 (s).  Initial values come from the trace extrema and the
-    dominant Fourier component.
+    time T2 (s), fitted with its analytic Jacobian.  Initial values come
+    from the trace extrema and the dominant Fourier component.
     """
     t = np.asarray(t, dtype=float)
     N = np.asarray(N, dtype=float)
@@ -137,7 +145,8 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     return fit_least_squares(
         no_bath_trace, t, N, p0=[span, float(N.min()), delta0, T20],
         names=["A", "C", "delta", "T2"], sigma=N_err,
-        bounds=([0.0, -np.inf, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]))
+        bounds=([0.0, -np.inf, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]),
+        jac=_no_bath_jacobian)
 
 
 def release_curve(E0, T: float):

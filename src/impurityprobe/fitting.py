@@ -9,10 +9,10 @@ checks sigma.  Linear models go through `linear_fit`, the normal equations
 solved by the same closed form (else `lstsq`), one-parameter searches (and
 the projected ones of analysis) through `gauss_newton_1d`, and the bath-free
 trace and the decay polish through `fit_least_squares`, on `least_squares`,
-a bounded Levenberg-Marquardt solver in numpy, with the model's analytic
-Jacobian or finite differences.  A parameter left on a bound is reported
-pinned, with error 0.  No module loads scipy, and `distinct` counts values
-without loading numpy.ma.
+a bounded Levenberg-Marquardt solver in numpy, always with the model's
+analytic Jacobian.  A parameter left on a bound is reported pinned, with
+error 0.  No module loads scipy, and `distinct` counts values without
+loading numpy.ma.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
 LSQ_XTOL = 1e-14  # relative step below which least_squares stops
+LSQ_MAX_NFEV = 2000  # residual evaluations of least_squares at most
 _EPS4 = 4.0 * np.finfo(float).eps  # rounding of r.r: 2 * 2 eps |r|.|y|
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # forward-difference step
 MIN_DET = 1e-4  # scaled Gram determinant above which the closed form is used
 
 
@@ -35,18 +35,17 @@ class FitError(RuntimeError):
     """Raised when a fit fails to converge or the data is degenerate."""
 
 
-def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=0.0):
+def least_squares(fun, x0, *, bounds, jac, y):
     """Minimise r.r, r = fun(x), in the box bounds by bounded Levenberg-
-    Marquardt (More 1978), with scipy's result fields x, fun, jac, nfev and
-    active_mask.  jac(x) is dr/dx, else forward differences of step
-    sqrt(eps) max(1, |x|), inward at an upper bound, not counted in nfev.
-    A parameter on a bound, its gradient pointing out, is held (Lawson &
-    Hanson's active set; active_mask -1 lower, 1 upper); the step, damped
-    in the free columns' norms, is solved on the rest, projected into the
-    box and kept if it lowers r.r.  Stops when the undamped step lowers r.r
-    by at most its rounding 4 eps |r|.|y| (y the weighted data) or moves x
-    by at most LSQ_XTOL (LSQ_XTOL + |x|).  Raises ValueError for x0 outside
-    the bounds or r not finite there, FitError after max_nfev evaluations."""
+    Marquardt (More 1978), with scipy's result fields x, fun, jac, nfev (every
+    call of fun) and active_mask; jac(x) is the analytic dr/dx.  A parameter
+    on a bound, its gradient pointing out, is held (Lawson & Hanson's active
+    set; active_mask -1 lower, 1 upper); the step, damped in the free
+    columns' norms, is solved on the rest, projected into the box and kept
+    if it lowers r.r.  Stops when the undamped step lowers r.r by at most
+    its rounding 4 eps |r|.|y| (y the weighted data) or moves x by at most
+    LSQ_XTOL (LSQ_XTOL + |x|).  Raises ValueError for x0 outside the bounds
+    or r not finite there, FitError after LSQ_MAX_NFEV evaluations."""
     x = np.array(x0, dtype=float)
     lb, ub = (np.asarray(b, dtype=float) for b in bounds)
     if not ((lb <= x) & (x <= ub)).all():
@@ -55,15 +54,7 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
     if not np.isfinite(r).all():
         raise ValueError("residuals are not finite at x0")
     edges = list(zip((lb + 0.0 * x).tolist(), (ub + 0.0 * x).tolist()))  # per parameter
-
-    def jacobian(x, r):
-        if jac is not None:
-            return np.asarray(jac(x), dtype=float)
-        h = _SQRT_EPS * np.maximum(1.0, np.abs(x))
-        xs = x + np.diag(np.where(x + h > ub, -h, h))  # row k steps x_k
-        return np.column_stack([(fun(xk) - r) / (xk[k] - x[k]) for k, xk in enumerate(xs)])
-
-    J, nfev, lam, done = jacobian(x, r), 1, 1e-3, False
+    J, nfev, lam, done = jac(x), 1, 1e-3, False
     while True:
         active = [-1 if xk <= lo and gk > 0.0 else 1 if xk >= hi and gk < 0.0 else 0
                   for xk, gk, (lo, hi) in zip(x.tolist(), (J.T @ r).tolist(), edges)]
@@ -78,15 +69,15 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf), jac=None, max_nfev=2000, y=
         dx = t - x
         if math.sqrt(dx @ dx) <= LSQ_XTOL * (LSQ_XTOL + math.sqrt(x @ x)):
             break
-        if nfev >= max_nfev:
-            raise FitError(f"no convergence in {max_nfev} residual evaluations")
+        if nfev >= LSQ_MAX_NFEV:
+            raise FitError(f"no convergence in {LSQ_MAX_NFEV} residual evaluations")
         rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
         lowered = r @ r - rt @ rt  # NaN for a non-finite trial
         within = abs(lowered) <= _EPS4 * np.abs(r * y).sum()
         done = lam == 0.0 and within  # the undamped step gains only rounding
         if lowered > 0.0:
             x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
-            J = jacobian(x, r)
+            J = jac(x)
         else:  # a first trial within rounding: x0 is a minimum, so try undamped
             lam = 0.0 if within and nfev == 2 else max(10.0 * lam, 1e-3)
     return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=np.array(active))
@@ -290,22 +281,20 @@ def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     return fit_report([name], [p], (jac(x, p) * w)[:, None], r, sigma is not None)
 
 
-def fit_least_squares(model, x, y, p0, names, sigma=None,
-                      bounds=(-np.inf, np.inf), jac=None) -> FitReport:
-    """Fit y = model(x, *p) by damped least squares.
+def fit_least_squares(model, x, y, p0, names, sigma=None, *, bounds, jac) -> FitReport:
+    """Fit y = model(x, *p) by damped least squares (`least_squares`).
 
     sigma, when given, weights residuals as (y - model)/sigma.  bounds is
-    a (lower, upper) pair of sequences; jac(x, *p), when given, is the
-    model's (len(x), len(p)) derivative.  A parameter left on a bound is
-    pinned: error 0 (the others get the free-parameter covariance) and a
-    warning naming it.  Raises FitError on non-convergence.
+    a (lower, upper) pair of sequences; jac(x, *p) is the model's analytic
+    (len(x), len(p)) derivative.  A parameter left on a bound is pinned:
+    error 0 (the others get the free-parameter covariance) and a warning
+    naming it.  Raises FitError on non-convergence.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = weights(y, sigma)
     sol = least_squares(lambda p: (model(x, *p) - y) * w, p0, bounds=bounds,
-                        jac=None if jac is None else lambda p: jac(x, *p) * w[:, None],
-                        y=y * w)
+                        jac=lambda p: jac(x, *p) * w[:, None], y=y * w)
     pinned = sol.active_mask != 0
     rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun,
                      sigma is not None)

@@ -83,6 +83,8 @@ class FringeSeries:
     def __post_init__(self):
         if self.p.shape != (len(self.t), len(self.phi)):
             raise ValueError("population grid shape mismatch")
+        if not (np.isfinite(self.t).all() and (np.diff(self.t) > 0.0).all()):
+            raise ValueError("times must be finite and strictly increasing")
 
 
 def fringe_closed_form(t, phi, Delta: float, T2: float):

@@ -517,26 +517,23 @@ class TestVisibilityDecay:
                 yield proto.t, V
                 yield proto.t, V + 0.01 * rng.standard_normal(len(V))
 
-    def test_stationary_and_no_worse_than_finite_differences(self, monkeypatch):
+    def test_stationary_and_no_worse_than_finite_differences(self):
         # started at the variable-projection minimum, the fit is stationary
-        # to round-off (at most 2.7e-9 on this scale); the reference is the
-        # finite-difference TRF fit from the first-crossing guess, which
-        # stops short of it (its gradient is 4e-6 to 2e-5 here)
-        fits = [(t, V, fit_visibility_decay(t, V)) for t, V in self.visibility_series()]
-        solve = fitting.least_squares
-        monkeypatch.setattr(fitting, "least_squares",
-                            lambda *a, jac=None, **k: solve(*a, **k))
-        monkeypatch.setattr(analysis, "_projected_start",
-                            lambda t, V, w, guess: guess)
-        for t, V, rep in fits:
+        # to round-off (at most 2.7e-9 on this scale); the reference is
+        # scipy's finite-difference TRF fit from the first-crossing guess,
+        # which stops short of it
+        for t, V in self.visibility_series():
+            rep = fit_visibility_decay(t, V)
             V0, T2, B = (rep.params[k] for k in ("V0", "T2", "B"))
             assert 0.0 < V0 < 2.0 and 0.0 < B < 1.0  # an interior solution
             r = _decay_model(t, V0, T2, B) - V
             J = _decay_jacobian(t, V0, T2, B)
             assert np.linalg.norm(J.T @ r) <= \
                 1e-8 * np.linalg.norm(J) * np.linalg.norm(r)
-            ref = fit_visibility_decay(t, V)
-            assert rep.residual_norm <= ref.residual_norm
+            ref = least_squares(lambda q: _decay_model(t, *q) - V,
+                                analysis._crossing_guess(t, V), jac="2-point",
+                                bounds=analysis._DECAY_BOUNDS)
+            assert rep.residual_norm <= np.linalg.norm(ref.fun)
 
     def test_projected_start_cuts_solver_evaluations(self, monkeypatch):
         # TRF polishes the projected start: the first-crossing start took

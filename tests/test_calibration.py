@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import least_squares
 
+from impurityprobe import fitting
 from impurityprobe.calibration import (LIGHT_SHIFT_THEORY, ZEEMAN_HZ_PER_G,
-                                       fit_bfield, fit_light_shift,
+                                       _no_bath_jacobian, fit_bfield, fit_light_shift,
                                        fit_no_bath_trace, fit_release_curve,
                                        fit_zeeman, rabi_lineshape,
                                        release_curve)
@@ -348,6 +349,67 @@ class TestNoBathTrace:
             N[5] = np.nan if case == "nan-count" else np.inf
         with pytest.raises(ValueError, match="times"):
             fit_no_bath_trace(t, N)
+
+
+class TestNoBathReferee:
+    """fit_no_bath_trace on criterion 06's trace and seeded noisy traces,
+    unweighted and weighted: a sum of squares at or below that of scipy's
+    TRF from the same start, up to the rounding of r.r, with nfev counting
+    every residual evaluation."""
+
+    T = np.linspace(0.2e-3, 40e-3, 80)  # criterion 06's times
+    NAMES = ("A", "C", "delta", "T2")
+
+    @staticmethod
+    def noisy(seed):
+        # 40-100 times to 20-40 ms, 80-200 Hz, T2 10-40 ms, 1-5 % noise
+        rng = np.random.default_rng(seed)
+        n = rng.integers(40, 101)
+        t = np.linspace(0.2e-3, rng.uniform(20e-3, 40e-3), n)
+        A, C = rng.uniform(3.0, 8.0), rng.uniform(0.0, 3.0)
+        p = (A, C, TWO_PI * rng.uniform(80.0, 200.0), rng.uniform(10e-3, 40e-3))
+        sigma = A * rng.uniform(0.01, 0.05, n)
+        return t, no_bath_trace(t, *p) + sigma * rng.standard_normal(n), sigma
+
+    def check(self, monkeypatch, t, N, N_err=None):
+        calls, sols, solve = [], [], fitting.least_squares
+
+        def counted(fun, x0, **kw):
+            def fun_counted(p):
+                calls.append(1)
+                return fun(p)
+            sols.append((solve(fun_counted, x0, **kw), x0, kw))
+            return sols[-1][0]
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        rep = fit_no_bath_trace(t, N, N_err=N_err)
+        monkeypatch.undo()
+        (sol, x0, kw), = sols
+        assert sol.nfev == len(calls)
+        w = np.ones_like(N) if N_err is None else 1.0 / N_err
+        r = (no_bath_trace(t, *(rep.params[k] for k in self.NAMES)) - N) * w
+        trf = least_squares(lambda q: (no_bath_trace(t, *q) - N) * w, x0,
+                            jac=lambda q: _no_bath_jacobian(t, *q) * w[:, None],
+                            bounds=kw["bounds"], xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            max_nfev=2000)
+        assert r @ r <= trf.fun @ trf.fun + _sum_of_squares_slack(r, N * w)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_criterion_06(self, monkeypatch, weighted):
+        N = no_bath_trace(self.T, 6.0, 2.0, TWO_PI * 135.0, 27.2e-3)
+        self.check(monkeypatch, self.T, N, np.full(80, 0.05) if weighted else None)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noisy(self, monkeypatch, seed):
+        t, N, sigma = self.noisy(seed)
+        self.check(monkeypatch, t, N, sigma if seed % 2 else None)
+
+    def test_jacobian_against_central_differences(self):
+        p = np.array([6.0, 2.0, TWO_PI * 135.0, 27.2e-3])
+        h = 1e-6 * p
+        fd = np.column_stack([(no_bath_trace(self.T, *(p + dp)) - no_bath_trace(self.T, *(p - dp)))
+                              / (2.0 * hk) for hk, dp in zip(h, np.diag(h))])
+        assert _no_bath_jacobian(self.T, *p) == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
 BAD_SIGMA = pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf],

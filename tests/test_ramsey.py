@@ -635,6 +635,24 @@ class TestSynthesize:
             FringeSeries(t=np.array([1.0, 2.0]), phi=np.array([0.0]),
                          p=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("case", ["permuted", "repeated", "nan", "inf"])
+    def test_times_checked(self, case):
+        # analyze_fringes used to unwrap a permuted series in array order:
+        # this one gave delta = -6266 rad/s for -1171.1 ("cos2" convention),
+        # flagged only as branch-ambiguous
+        series = synthesize_fringe(RamseyProtocol.default_grid(t_max_ms=4.0, n_t=24),
+                                   make_bath(), ResonanceModel())
+        t, p = series.t.copy(), series.p
+        if case == "permuted":
+            order = np.random.default_rng(4).permutation(len(t))
+            t, p = t[order], p[order]
+        elif case == "repeated":
+            t[5] = t[4]
+        else:
+            t[5] = math.nan if case == "nan" else math.inf
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FringeSeries(t=t, phi=series.phi, p=p)
+
 
 class TestNoBathTrace:
     def test_time_zero(self):
