@@ -22,7 +22,8 @@ from .serialization import (SCHEMA_VERSION, ConfigError, bath_from_config,
                             config_hash, fringe_from_csv, fringe_to_csv,
                             hash_bytes, load_config, merge_config,
                             model_from_config, protocol_from_config,
-                            validate_config, write_artifacts, xy_from_csv)
+                            rows_to_csv, validate_config, write_artifacts,
+                            xy_from_csv)
 from .thermal import QuadratureError
 
 EXIT_OK = 0
@@ -115,11 +116,7 @@ def cmd_sweep(args) -> int:
                      None if slope is None else slope.errors["delta"] / TWO_PI,
                      res.T2 * 1e3, res.decay_fit.errors["T2"] * 1e3))
 
-    lines = [f"{param},delta_Hz,delta_err_Hz,T2_ms,T2_err_ms"]
-    for row in rows:
-        lines.append(",".join("" if v is None else format(float(v), ".17g")
-                              for v in row))
-    text = "\n".join(lines) + "\n"
+    text = rows_to_csv(f"{param},delta_Hz,delta_err_Hz,T2_ms,T2_err_ms", rows)
     meta = {"schema_version": SCHEMA_VERSION, "config": cfg,
             "config_hash": config_hash(cfg), "csv_hash": hash_bytes(text.encode())}
     paths = write_artifacts(args.out, {"sweep.csv": text, "sweep.meta.json": meta})

@@ -77,12 +77,15 @@ class FringeSeries:
     t: np.ndarray          # s, shape (Nt,)
     phi: np.ndarray        # rad, shape (Nphi,)
     p: np.ndarray          # shape (Nt, Nphi), values in [0, 1]
-    p_err: np.ndarray | None = None
+    p_err: np.ndarray | None = None  # shape of p
     source_hash: str | None = None  # SHA-256 of the CSV it was read from
 
     def __post_init__(self):
         if self.p.shape != (len(self.t), len(self.phi)):
             raise ValueError("population grid shape mismatch")
+        if self.p_err is not None and np.shape(self.p_err) != self.p.shape:
+            raise ValueError(f"p_err has the shape {np.shape(self.p_err)}, "
+                             f"p {self.p.shape}")
         if not (np.isfinite(self.t).all() and (np.diff(self.t) > 0.0).all()):
             raise ValueError("times must be finite and strictly increasing")
 

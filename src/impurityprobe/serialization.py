@@ -333,19 +333,32 @@ def xy_from_csv(path):
 
 # --- artifacts ---
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def fringe_to_csv(series: FringeSeries) -> str:
-    buf = io.StringIO()
-    buf.write("t_ms,phase_deg,p,p_err\n")
-    for i, t in enumerate(series.t):
-        for j, phi in enumerate(series.phi):
-            err = None if series.p_err is None else series.p_err[i, j]
-            buf.write(f"{_fmt(t*1e3)},{_fmt(math.degrees(phi))},"
-                      f"{_fmt(series.p[i, j])},{_fmt(err)}\n")
-    return buf.getvalue()
+    """The fringe CSV of series: the header t_ms,phase_deg,p,p_err and one
+    row per (t, phase) cell, time-major.  Every number has 17 significant
+    digits, so p and p_err read back bit for bit and a series always gives
+    the same bytes; p_err is empty without errors.  t in ms and phases in
+    degrees read back only to 1e-15, and re-writing a read series can
+    change its t_ms bytes (ROADMAP defect 3)."""
+    # each time, phase and value formatted once, the rows in one %-format
+    t_ms = ["%.17g," % x for x in (series.t * 1e3).tolist()]
+    deg = ["%.17g," % math.degrees(x) for x in series.phi.tolist()]
+    cols = [[t + d for t in t_ms for d in deg], series.p.ravel().tolist()]
+    if series.p_err is not None:
+        cols.append(series.p_err.ravel().tolist())
+    flat = [None] * (len(cols) * len(cols[1]))  # cell by cell, field by field
+    for k, col in enumerate(cols):
+        flat[k::len(cols)] = col
+    row = "%s%.17g,\n" if series.p_err is None else "%s%.17g,%.17g\n"
+    return "t_ms,phase_deg,p,p_err\n" + (row * len(cols[1])) % tuple(flat)
+
+
+def rows_to_csv(header: str, rows) -> str:
+    """A header line, then rows of numbers at 17 significant digits as in
+    `fringe_to_csv`, with None as an empty field."""
+    lines = [",".join("" if v is None else "%.17g" % float(v) for v in row)
+             for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _write_text(path, text: str) -> None:

@@ -1,5 +1,8 @@
 """Referees shared by the test modules."""
 
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,24 @@ def fringe_csv_referee(path):
 @pytest.fixture(name="fringe_csv_referee", scope="session")
 def fringe_csv_referee_fixture():
     return fringe_csv_referee
+
+
+def fringe_csv_writer_referee(series):
+    """The fringe CSV of series written cell by cell, each number through
+    format(float(x), ".17g") and a missing p_err as an empty field: the
+    independent referee of `serialization.fringe_to_csv`."""
+    def fmt(x):
+        return "" if x is None else format(float(x), ".17g")
+    buf = io.StringIO()
+    buf.write("t_ms,phase_deg,p,p_err\n")
+    for i, t in enumerate(series.t):
+        for j, phi in enumerate(series.phi):
+            err = None if series.p_err is None else series.p_err[i, j]
+            buf.write(f"{fmt(t*1e3)},{fmt(math.degrees(phi))},"
+                      f"{fmt(series.p[i, j])},{fmt(err)}\n")
+    return buf.getvalue()
+
+
+@pytest.fixture(name="fringe_csv_writer_referee", scope="session")
+def fringe_csv_writer_referee_fixture():
+    return fringe_csv_writer_referee

@@ -630,10 +630,20 @@ class TestSynthesize:
                 ref = 0.5 + 0.5 * env * math.cos(proto.delta_bg * t + phi)
                 assert series.p[i, j] == pytest.approx(ref, abs=1e-12)
 
-    def test_grid_shape_checked(self):
-        with pytest.raises(ValueError):
-            FringeSeries(t=np.array([1.0, 2.0]), phi=np.array([0.0]),
-                         p=np.zeros((3, 1)))
+    @pytest.mark.parametrize("p_shape, err_shape, match", [
+        ((3, 1), None, "population grid shape mismatch"),
+        # each p_err here raised IndexError in the cell-by-cell CSV writer,
+        # and the one-pass writer would drop rows for a short one; analysis
+        # broadcasts an (Nt, 1) p_err, but no CSV can hold it
+        ((2, 4), (4,), r"p_err has the shape \(4,\), p \(2, 4\)"),
+        ((2, 4), (1, 4), r"p_err has the shape \(1, 4\), p \(2, 4\)"),
+        ((2, 4), (2, 1), r"p_err has the shape \(2, 1\), p \(2, 4\)"),
+    ], ids=["p", "p_err-row", "p_err-short", "p_err-column"])
+    def test_grid_shape_checked(self, p_shape, err_shape, match):
+        with pytest.raises(ValueError, match=match):
+            FringeSeries(t=np.array([1.0, 2.0]), phi=np.linspace(0.0, 3.0, p_shape[1]),
+                         p=np.zeros(p_shape),
+                         p_err=None if err_shape is None else np.ones(err_shape))
 
     @pytest.mark.parametrize("case", ["permuted", "repeated", "nan", "inf"])
     def test_times_checked(self, case):

@@ -155,6 +155,36 @@ def test_fringe_csv_round_trip(tmp_path_factory, fringe_csv_referee, data, n_t,
         assert mine is None and ref is None or mine.tobytes() == ref.tobytes()
 
 
+# round p as well as arbitrary: 17 digits write 0 and 1 as "0" and "1",
+# where a float's repr adds ".0"
+P_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_t=st.integers(1, 30), n_phi=st.integers(1, 16),
+       noisy=st.booleans(), t0=st.booleans())
+def test_fringe_csv_matches_the_cell_by_cell_writer(fringe_csv_writer_referee,
+                                                    data, n_t, n_phi, noisy, t0):
+    """fringe_to_csv's one-pass text equals the per-cell referee's byte for
+    byte: times from t = 0, phases negative, past 2 pi and unsorted, p
+    arbitrary and round, p_err over 300 decades."""
+    t = np.cumsum(data.draw(arrays(np.float64, n_t, elements=st.floats(1e-9, 1e-2))))
+    t -= t[0] if t0 else 0.0
+    phi = data.draw(arrays(np.float64, n_phi, elements=st.floats(-20.0, 20.0)))
+    p = data.draw(arrays(np.float64, (n_t, n_phi), elements=P_VALUES))
+    p_err = data.draw(arrays(np.float64, (n_t, n_phi), elements=st.floats(
+        1e-300, 1.0))) if noisy else None
+    series = FringeSeries(t=t, phi=phi, p=p, p_err=p_err)
+    assert fringe_to_csv(series) == fringe_csv_writer_referee(series)
+
+
+def test_rows_to_csv_writes_17_digits_and_none_as_empty():
+    # the sweep table: an int from the config, a missing slope, a numpy float
+    assert (serialization.rows_to_csv("x,y,z", [(400, None, 0.1),
+                                                 (np.float64(2.5), 1e-300, None)])
+            == "x,y,z\n400,,0.10000000000000001\n2.5,1e-300,\n")
+
+
 def write_json_indented(path, obj):
     """The JSON writer before artifacts were canonical: sorted keys, indent 2."""
     serialization._write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
