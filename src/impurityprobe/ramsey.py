@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,23 @@ _INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_TERMS)])
 _ROW_BLOCK = 64
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(shape):
+    """This thread's work arrays for one trace call, viewed to `shape`:
+    three float, one of row indices and three complex.  They only grow, to
+    fit the largest call so far, so a warm call allocates none of them and
+    takes no page faults; being per thread, the trace stays re-entrant."""
+    n = math.prod(shape)
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None or bufs[0].size < n:
+        bufs = _SCRATCH.bufs = [np.empty(n, dtype) for dtype in
+                                (float, float, float, np.intp,
+                                 complex, complex, complex)]
+    return [b[:n].reshape(shape) for b in bufs]
+
+
 @functools.lru_cache(maxsize=4)
 def _rule_table(rule_bytes):
     """[rows 0..M of one density rule's table], kept per (s, wn) bytes."""
@@ -153,15 +171,18 @@ def _coherence_trace(ts, s, wn, x, wE):
     bits depend neither on the BLAS thread count nor on the block it was
     built in: the trace does not depend on what was called before.
     """
-    q = np.abs(np.multiply.outer(ts, x))
-    m = np.rint(q)
-    d = q - m
+    # the outer product by einsum and i d by a copy: a broadcast ufunc and
+    # 1j * d would each take numpy's 128 kB iterator buffers every call
+    q, m, d, row_of, i_d, g, term = _scratch(np.shape(ts) + np.shape(x))
+    np.abs(np.einsum("...,j->...j", ts, x, out=q), out=q)
+    np.rint(q, out=m)
+    np.subtract(q, m, out=d)
     if m.max(initial=0.0) >= 8 * m.size + 4096:  # sparse rows: sort them
         new, row_of = np.unique(m, return_inverse=True)
         table, built = [None], np.empty((_TAYLOR_TERMS, 0), complex)
         row_of = row_of.reshape(m.shape)
     else:
-        row_of = m.astype(np.intp)
+        np.copyto(row_of, m, casting="unsafe")
         table = _rule_table((s.tobytes(), wn.tobytes()))
         built = table[0]
         new = np.arange(built.shape[-1], row_of.max(initial=0) + 1)
@@ -175,13 +196,18 @@ def _coherence_trace(ts, s, wn, x, wE):
             add.imag[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
         built = table[0] = np.concatenate((built, add), axis=-1)
     # Horner in i d, in place; the sums read contiguous copies of the real
-    # and imaginary parts (einsum sums strided views in another order)
-    g, i_d = built[-1][row_of], 1j * d
+    # and imaginary parts (einsum sums strided views in another order),
+    # made in q and m, which are free by then
+    np.copyto(i_d, d)
+    i_d *= 1j
+    np.take(built[-1], row_of, out=g, mode="clip")
     for k in range(_TAYLOR_TERMS - 2, -1, -1):
         g *= i_d
-        g += built[k][row_of]
-    return (np.einsum("...j,j->...", g.real.copy(), wE),
-            np.einsum("...j,j->...", g.imag.copy(), np.where(x < 0.0, -wE, wE)))
+        g += np.take(built[k], row_of, out=term, mode="clip")
+    np.copyto(q, g.real)
+    np.copyto(m, g.imag)
+    return (np.einsum("...j,j->...", q, wE),
+            np.einsum("...j,j->...", m, np.where(x < 0.0, -wE, wE)))
 
 
 def ramsey_population(t, phi, bath: BathState, model, protocol: RamseyProtocol,

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -583,6 +584,64 @@ class TestCoherenceSplit:
         ramsey._rule_table.cache_clear()
         _warm_density_scan([0.5e19, 1e19])
         assert _trace_from_fork(proto.t, nodes) == (C.tobytes(), S.tobytes())
+
+
+class TestTraceScratch:
+    """The trace keeps its (times x nodes) work arrays per thread and reuses
+    them, so a warm call returns no pages to the heap and threads that
+    call it at once compute what they compute one after the other."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_warm_calls_take_no_page_faults(self):
+        # with the heap trimmed on every free, each per-call temporary of
+        # ~250 kB faulted its pages in again: 19,520 faults in 20 calls
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(ramsey.__file__))
+        script = os.path.join(os.path.dirname(src), "scripts", "trace_faults.py")
+        env = {**os.environ, "PYTHONPATH": src,
+               "GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0"}
+        out = subprocess.run([sys.executable, script], capture_output=True,
+                             text=True, check=True, timeout=300, env=env)
+        assert int(out.stdout) <= 20
+
+    def test_concurrent_calls_match_serial_calls(self):
+        # four threads, two on each density rule's shared table, each with
+        # its own rule and time shapes, started on cold tables
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=30)
+        jobs = []
+        for n0, T, order in ((3e19, 700e-9, 384), (1e19, 850e-9, 384),
+                             (0.8e19, 400e-9, 96), (5e19, 1200e-9, 96)):
+            nodes = detuning_nodes(make_bath(n0, T), MODEL, proto.B,
+                                   density_order=order, energy_order=order + 32)
+            shapes = ([proto.t[:k] for k in (30, 7, 19)] if order == 384
+                      else [proto.t[:k, None] for k in (12, 30, 3)])
+            jobs.append([(shapes[i % 3], nodes) for i in range(50)])
+
+        def run(calls):
+            return [b"".join(a.tobytes() for a in ramsey._coherence_trace(ts, *nodes))
+                    for ts, nodes in calls]
+
+        ramsey._rule_table.cache_clear()
+        serial = [run(calls) for calls in jobs]
+        ramsey._rule_table.cache_clear()
+        got = [None] * len(jobs)
+
+        def worker(k):
+            got[k] = run(jobs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(len(jobs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
 
 
 class TestSynthesize:
