@@ -124,9 +124,11 @@ def detuning_nodes(bath: BathState, model, B: float,
     return s, wn, x, wE
 
 
-# Taylor terms per table row: with s <= 1 and |d| <= 1/2 the first term
-# left out is at most (1/2)^14 / 14! ~ 7e-16.
-_TAYLOR_TERMS = 14
+# Table rows per unit of q, and Taylor terms per row: with s <= 1 and
+# |d| <= 1/16 the first term left out is at most (1/16)^9 / 9! ~ 4e-17.
+# Scaling q by 8 and d by 1/8 is exact in binary.
+_ROWS_PER_UNIT = 8
+_TAYLOR_TERMS = 9
 _INV_FACTORIALS = 1.0 / np.cumprod([1.0, *range(1, _TAYLOR_TERMS)])
 # table rows built per block, so the (rows, Nd) trig matrices stay small
 _ROW_BLOCK = 64
@@ -151,7 +153,11 @@ def _scratch(shape):
 
 @functools.lru_cache(maxsize=4)
 def _rule_table(rule_bytes):
-    """[rows 0..M of one density rule's table], kept per (s, wn) bytes."""
+    """[rows 0..M of one density rule's table], kept per (s, wn) bytes.
+
+    The table is (_TAYLOR_TERMS, M + 1) complex, row m at q = m / 8, so
+    its size is 8 * max q + 1 columns of 144 bytes: about 765 kB for
+    5e19 m^-3 at 12 ms."""
     return [np.empty((_TAYLOR_TERMS, 0), complex)]
 
 
@@ -159,22 +165,26 @@ def _coherence_trace(ts, s, wn, x, wE):
     """<cos(delta t)>, <sin(delta t)> over the rule delta_ij = x_j s_i.
 
     Returns two arrays shaped like the array `ts`.  The density average
-    g(q) = sum_i wn_i exp(i q s_i) is read from a Taylor table on integer
-    q: row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i) / k!, and
-    g(m + d) = sum_k c_mk (i d)^k for |d| <= 1/2; g(-q) = conj g(q)
-    covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).  Row m
-    depends on the density rule alone, so the tables of the last four
-    rules are kept, each extended from its end to the highest row a call
-    needs (rows too sparse for that are sorted and built for the call
-    alone).  The table is complex and term-major, so each Horner term is
-    one contiguous gather.  Every sum is an einsum loop, not BLAS, so a row's
-    bits depend neither on the BLAS thread count nor on the block it was
-    built in: the trace does not depend on what was called before.
+    g(q) = sum_i wn_i exp(i q s_i) is read from a Taylor table on q = m / 8:
+    row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i / 8) / k!, and
+    g(m / 8 + d) = sum_k c_mk (i d)^k for |d| <= 1/16, to 4e-17 with 9
+    terms; g(-q) = conj g(q) covers x < 0.  Then <exp(i delta t)> =
+    sum_j wE_j g(x_j t).  Row m depends on the density rule alone, so the
+    tables of the last four rules are kept, each extended from its end to
+    the highest row a call needs (rows too sparse for that are sorted and
+    built for the call alone).  The table is complex and term-major, so
+    each Horner term is one contiguous gather.  Every sum is an einsum
+    loop, not BLAS, so a row's bits depend neither on the BLAS thread
+    count nor on the block it was built in: the trace does not depend on
+    what was called before.  Its (times x nodes) work arrays are this
+    thread's scratch (`_scratch`), so a warm call allocates none and
+    threads may call it at once.
     """
     # the outer product by einsum and i d by a copy: a broadcast ufunc and
-    # 1j * d would each take numpy's 128 kB iterator buffers every call
+    # 1j * d would each take numpy's 128 kB iterator buffers every call;
+    # q and d are in rows, 8 |x t| and 8 d, until i d scales d back
     q, m, d, row_of, i_d, g, term = _scratch(np.shape(ts) + np.shape(x))
-    np.abs(np.einsum("...,j->...j", ts, x, out=q), out=q)
+    np.abs(np.einsum("...,j->...j", ts, x * _ROWS_PER_UNIT, out=q), out=q)
     np.rint(q, out=m)
     np.subtract(q, m, out=d)
     if m.max(initial=0.0) >= 8 * m.size + 4096:  # sparse rows: sort them
@@ -191,7 +201,7 @@ def _coherence_trace(ts, s, wn, x, wE):
                    * wn[None, :] * _INV_FACTORIALS[:, None])
         add = np.empty((_TAYLOR_TERMS, new.size), complex)
         for b in range(0, new.size, _ROW_BLOCK):
-            phase = np.multiply.outer(new[b:b + _ROW_BLOCK], s)
+            phase = np.multiply.outer(new[b:b + _ROW_BLOCK] / _ROWS_PER_UNIT, s)
             add.real[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
             add.imag[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
         built = table[0] = np.concatenate((built, add), axis=-1)
@@ -199,7 +209,7 @@ def _coherence_trace(ts, s, wn, x, wE):
     # and imaginary parts (einsum sums strided views in another order),
     # made in q and m, which are free by then
     np.copyto(i_d, d)
-    i_d *= 1j
+    i_d *= 1j / _ROWS_PER_UNIT
     np.take(built[-1], row_of, out=g, mode="clip")
     for k in range(_TAYLOR_TERMS - 2, -1, -1):
         g *= i_d

@@ -256,12 +256,42 @@ class TestCoherenceTable:
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
-def sorted_rows_trace(ts, s, wn, x, wE):
+def test_taylor_truncation_below_1e_16():
+    # with s <= 1 a query sits at most half a row spacing from its row, so
+    # the first Taylor term left out is at most (spacing / 2)^terms / terms!
+    terms, half = ramsey._TAYLOR_TERMS, 0.5 / ramsey._ROWS_PER_UNIT
+    assert half ** terms / math.factorial(terms) <= 1e-16
+    assert ramsey._INV_FACTORIALS.size == terms
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("t_max", [4.0, 12.0])
+@pytest.mark.parametrize("n0, T", [(1e19, 850e-9), (5e19, 850e-9),
+                                   (1.45e19, 550e-9)])
+def test_trace_within_1e_15_of_long_double_sum(n0, T, t_max):
+    # the referee sums the same 96 x 128 product rule node by node, its
+    # phases and sums in long double
+    proto = RamseyProtocol.default_grid(t_max_ms=t_max, n_t=12)
+    s, wn, x, wE = detuning_nodes(make_bath(n0, T), MODEL, proto.B,
+                                  density_order=96, energy_order=128)
+    C, S = ramsey._coherence_trace(proto.t, s, wn, x, wE)
+    ld = np.longdouble
+    delta = np.multiply.outer(s.astype(ld), x.astype(ld)).ravel()
+    w = np.multiply.outer(wn.astype(ld), wE.astype(ld)).ravel()
+    for k, t in enumerate(proto.t):
+        theta = delta * ld(t)
+        assert abs(C[k] - np.sum(w * np.cos(theta))) <= 1e-15
+        assert abs(S[k] - np.sum(w * np.sin(theta))) <= 1e-15
+
+
+def sorted_rows_trace(ts, s, wn, x, wE, per_unit=ramsey._ROWS_PER_UNIT):
     """The table trace with only the call's rows, found by np.unique and
-    stored row-major: the reference for the bits of _coherence_trace."""
-    q = np.abs(np.multiply.outer(ts, x))
+    stored row-major, with `per_unit` rows per unit of q: the reference
+    for the bits of _coherence_trace."""
+    q = np.abs(np.multiply.outer(ts, x)) * per_unit
     m = np.rint(q)
-    d = q - m
+    d = (q - m) / per_unit
     rows, row_of = np.unique(m, return_inverse=True)
     row_of = row_of.reshape(q.shape)
     terms = ramsey._TAYLOR_TERMS
@@ -270,7 +300,7 @@ def sorted_rows_trace(ts, s, wn, x, wE):
     re, im = np.empty((2, rows.size, terms))
     block = ramsey._ROW_BLOCK
     for b in range(0, rows.size, block):
-        phase = np.multiply.outer(rows[b:b + block], s)
+        phase = np.multiply.outer(rows[b:b + block] / per_unit, s)
         re[b:b + block] = np.einsum("ri,ki->rk", np.cos(phase), moments)
         im[b:b + block] = np.einsum("ri,ki->rk", np.sin(phase), moments)
     gr, gi = re[row_of, -1], im[row_of, -1]
@@ -485,7 +515,8 @@ class TestRuleTable:
             for t in (proto.t[:5], proto.t, proto.t[:10]):
                 ramsey._coherence_trace(t, *nodes)
         assert ramsey._rule_table.cache_info().currsize == 4
-        top = int(np.rint(np.max(np.abs(np.multiply.outer(proto.t, nodes[2])))))
+        top = int(np.rint(ramsey._ROWS_PER_UNIT
+                          * np.max(np.abs(np.multiply.outer(proto.t, nodes[2])))))
         table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))[0]
         assert table.shape == (ramsey._TAYLOR_TERMS, top + 1)
 
