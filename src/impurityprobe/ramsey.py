@@ -138,10 +138,9 @@ _SCRATCH = threading.local()
 
 
 def _scratch(shape):
-    """This thread's work arrays for one trace call, viewed to `shape`:
-    three float, one of row indices and three complex.  They only grow, to
-    fit the largest call so far, so a warm call allocates none of them and
-    takes no page faults; being per thread, the trace stays re-entrant."""
+    """This thread's trace work arrays, viewed to `shape`: three float, row
+    indices and three complex.  They only grow, to fit the largest call so
+    far, so a warm call allocates none of them and takes no page faults."""
     n = math.prod(shape)
     bufs = getattr(_SCRATCH, "bufs", None)
     if bufs is None or bufs[0].size < n:
@@ -153,11 +152,8 @@ def _scratch(shape):
 
 @functools.lru_cache(maxsize=4)
 def _rule_table(rule_bytes):
-    """[rows 0..M of one density rule's table], kept per (s, wn) bytes.
-
-    The table is (_TAYLOR_TERMS, M + 1) complex, row m at q = m / 8, so
-    its size is 8 * max q + 1 columns of 144 bytes: about 765 kB for
-    5e19 m^-3 at 12 ms."""
+    """[rows 0..M of one density rule's table], kept per (s, wn) bytes:
+    (9, M + 1) complex, row m at q = m / 8 (765 kB for 5e19 m^-3 at 12 ms)."""
     return [np.empty((_TAYLOR_TERMS, 0), complex)]
 
 
@@ -167,18 +163,17 @@ def _coherence_trace(ts, s, wn, x, wE):
     Returns two arrays shaped like the array `ts`.  The density average
     g(q) = sum_i wn_i exp(i q s_i) is read from a Taylor table on q = m / 8:
     row m holds c_mk = sum_i wn_i s_i^k exp(i m s_i / 8) / k!, and
-    g(m / 8 + d) = sum_k c_mk (i d)^k for |d| <= 1/16, to 4e-17 with 9
-    terms; g(-q) = conj g(q) covers x < 0.  Then <exp(i delta t)> =
-    sum_j wE_j g(x_j t).  Row m depends on the density rule alone, so the
-    tables of the last four rules are kept, each extended from its end to
-    the highest row a call needs (rows too sparse for that are sorted and
-    built for the call alone).  The table is complex and term-major, so
-    each Horner term is one contiguous gather.  Every sum is an einsum
-    loop, not BLAS, so a row's bits depend neither on the BLAS thread
-    count nor on the block it was built in: the trace does not depend on
-    what was called before.  Its (times x nodes) work arrays are this
-    thread's scratch (`_scratch`), so a warm call allocates none and
-    threads may call it at once.
+    g(m / 8 + d) = sum_k c_mk (i d)^k for |d| <= 1/16, k < 9; g(-q) =
+    conj g(q) covers x < 0.  Then <exp(i delta t)> = sum_j wE_j g(x_j t).
+    Row m depends on the density rule alone, so the tables of the last four
+    rules are kept, each extended from its end to the highest row a call
+    needs (rows too sparse for that are sorted and built for the call
+    alone).  The table is complex and term-major, so each Horner term is
+    one contiguous gather.  Every sum is an einsum loop, not BLAS, so a
+    row's bits depend neither on the BLAS thread count nor on the block it
+    was built in: the trace does not depend on what was called before.
+    Its (times x nodes) work arrays are this thread's `_scratch`, so a warm
+    call allocates none and threads may call it at once.
     """
     # the outer product by einsum and i d by a copy: a broadcast ufunc and
     # 1j * d would each take numpy's 128 kB iterator buffers every call;
@@ -271,8 +266,10 @@ def quadrature_error(protocol: RamseyProtocol, bath: BathState, model,
                      energy_order: int = ENERGY_ORDER) -> float:
     """Largest change of (<cos>, <sin>), as hypot(dC, dS), over the
     protocol's times when both node budgets are doubled; a population moves
-    by at most half of it.  It costs about three population grids, so no
-    forward or inversion path calls it."""
+    by at most half of it.  Warm, it costs about three population grids;
+    the first call on a doubled rule also builds that rule's table, about
+    60 warm grids for 30 times to 12 ms at 1.5e13 cm^-3.  No forward or
+    inversion path calls it."""
     (C, S), (C2, S2) = (_coherence_trace(protocol.t, *detuning_nodes(
         bath, model, protocol.B, density_order=k * density_order,
         energy_order=k * energy_order)) for k in (1, 2))
