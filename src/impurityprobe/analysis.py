@@ -13,7 +13,9 @@ and the decay's start (searching log T2), which the bounded
 interaction phase is `np.unwrap` of the non-constant fringes' phase minus
 the background delta_bg * t; its slope is `fitting.linear_fit` on [t, 1]
 for t below the dephasing time, weighted if every fringe there has a phase
-error.  Every fitted report is built by `fitting.fit_report`.
+error.  Every fitted report is built by `fitting.fit_report`.  The steps
+after the fringe fits are `decay_and_slope`, which the inversion's forward
+model runs on the visibility and phase it reads from the coherence trace.
 """
 
 from __future__ import annotations
@@ -396,27 +398,37 @@ def analyze_fringes(series: FringeSeries, delta_bg: float,
         N = _fringe_normal(series.phi, 1.0 / series.p_err)[1]
         A_err, C_err, phi0_err = np.sqrt(_fringe_variances(N, A, phi0)).T
         V_err = np.clip(visibility_error(A, C, A_err, C_err), 1e-6, None)
-    vis = VisibilitySeries(t=series.t, V=V, V_err=V_err)
-    decay = fit_visibility_decay(series.t, V, V_err=V_err)
-    warnings += decay.warnings
-
     if phase_convention == "cos2":
         phi0 = (-(phi0 + math.pi)) % TWO_PI
-    phased = np.array([CONSTANT_FIT not in f.warnings for f in fits])
-    t, Phi = series.t[phased], np.full(len(series.t), math.nan)
-    Phi[phased], phase_warnings = extract_phase_series(t, phi0[phased], delta_bg)
-    warnings += phase_warnings
+    phi0[np.array([CONSTANT_FIT in f.warnings for f in fits], dtype=bool)] = math.nan
+    decay, Phi, slope, tail = decay_and_slope(series.t, V, phi0, delta_bg,
+                                              V_err=V_err, phi0_err=phi0_err)
+    return AnalysisResult(t=series.t, fringe_fits=fits,
+                          visibility=VisibilitySeries(t=series.t, V=V, V_err=V_err),
+                          decay_fit=decay, phase=Phi, slope_fit=slope,
+                          warnings=warnings + tail)
 
+
+def decay_and_slope(t, V, phi0, delta_bg: float, V_err=None, phi0_err=None):
+    """The pipeline after its fringe fits: the decay fit of V, the
+    interaction phase from the fringe phases phi0 (NaN where a fringe has
+    none, which then stays NaN in Phi) and its slope below the fitted T2, or
+    below t_max where T2 is infinite, weighted if every phase there has an
+    error.  Returns (decay, Phi, slope, warnings), slope None, with a
+    warning, where the window holds fewer than 2 phases."""
+    decay = fit_visibility_decay(t, V, V_err=V_err)
+    warnings = list(decay.warnings)
+    phased = ~np.isnan(phi0)
+    tp, Phi = t[phased], np.full(len(t), math.nan)
+    Phi[phased], phase_warnings = extract_phase_series(tp, phi0[phased], delta_bg)
+    warnings += phase_warnings
     slope = None
     T2 = decay.params["T2"]
     try:
-        window = T2 if math.isfinite(T2) else float(series.t[-1])
-        use = phi0_err is not None and np.all(phi0_err[phased][t <= window] > 0)
-        slope = fit_phase_slope(t, Phi[phased], window,  # weighted if every error > 0
+        window = T2 if math.isfinite(T2) else float(t[-1])
+        use = phi0_err is not None and np.all(phi0_err[phased][tp <= window] > 0)
+        slope = fit_phase_slope(tp, Phi[phased], window,  # weighted if every error > 0
                                 Phi_err=phi0_err[phased] if use else None)
     except FitError as exc:
         warnings.append(f"phase slope not extracted: {exc}")
-
-    return AnalysisResult(t=series.t, fringe_fits=fits, visibility=vis,
-                          decay_fit=decay, phase=Phi, slope_fit=slope,
-                          warnings=warnings)
+    return decay, Phi, slope, warnings

@@ -1,10 +1,15 @@
 """Inversion of the forward model: bath density from delta and/or T2,
 bath temperature from T2, and collision-count diagnostics.
 
-Inversions are pipeline-consistent: trial forward values are obtained by
-synthesizing a noiseless signal and pushing it through the same fringe
-analysis applied to the data, mirroring how the measured observables were
-produced.
+Inversions are pipeline-consistent: a trial's forward values are what the
+fringe analysis applied to the data recovers from a noiseless signal.
+`forward_observables` reads the fringes' visibility and phase straight
+from the coherence trace (`ramsey.visibility_phase`) and runs the
+analysis's own decay and slope fits on them (`analysis.decay_and_slope`),
+which agrees with synthesizing the grid and analyzing it to round-off.
+Each inversion checks that at its estimate: `pipeline_observables` runs
+the full synthesis and analysis there once, and the posterior is flagged
+if delta or T2 differs by more than PIPELINE_RTOL.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import analyze_fringes
+from .analysis import analyze_fringes, decay_and_slope
 from .bath import BathState
 from .fitting import gauss_newton_1d
 from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
-                     synthesize_fringe)
+                     synthesize_fringe, visibility_phase)
 from .scattering import mean_a
 from .thermal import effective_collision_temperature, mean_relative_speed
 
@@ -29,6 +34,7 @@ SLOPE_REL_STEP = 1e-4  # relative forward-difference step of the slope
 DENSITY_BRACKET = (0.05e19, 5.0e19)  # m^-3, searched by infer_density
 TEMPERATURE_BRACKET = (100e-9, 1500e-9)  # K, searched by infer_temperature
 T_CS = 1.7e-6  # K, impurity temperature in the collision counts
+PIPELINE_RTOL = 1e-9  # relative shortcut-vs-pipeline gap flagged at the estimate
 
 
 class InferenceError(RuntimeError):
@@ -58,6 +64,22 @@ class Posterior1D:
 def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
                         density_order: int = DENSITY_ORDER,
                         energy_order: int = ENERGY_ORDER) -> dict:
+    """{delta, T2} that analyzing the noiseless signal, background included,
+    would give, from the visibility and fringe phase of the coherence trace
+    (`ramsey.visibility_phase`) through the analysis's unweighted decay and
+    slope fits: `pipeline_observables` to round-off, without the population
+    grid and its fringe fits."""
+    V, phi0 = visibility_phase(protocol, BathState(n0=n0, T=T), model,
+                               density_order=density_order,
+                               energy_order=energy_order)
+    decay, _, slope, _ = decay_and_slope(protocol.t, V, phi0, protocol.delta_bg)
+    return {"delta": None if slope is None else slope.params["delta"],
+            "T2": decay.params["T2"]}
+
+
+def pipeline_observables(n0: float, T: float, model, protocol: RamseyProtocol,
+                         density_order: int = DENSITY_ORDER,
+                         energy_order: int = ENERGY_ORDER) -> dict:
     """Synthesize a noiseless signal, background included, and analyze it;
     returns {delta, T2}."""
     series = synthesize_fringe(protocol, BathState(n0=n0, T=T), model,
@@ -83,20 +105,24 @@ def _residuals(observed: dict, forward: dict, errors: dict) -> np.ndarray:
 
 
 def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
-    """Minimise the misfit of forward(x), the observables at trial x, over
-    bracket, the range of the parameter `name`; returns the Posterior1D.
+    """Minimise the misfit of forward(x, forward_observables), the
+    observables at trial x, over bracket, the range of the parameter
+    `name`; returns the Posterior1D.
 
-    One memo keeps the scaled residuals at every x the forward model ran
-    at (the curve).  A coarse scan brackets the lowest of its minima,
-    `fitting.gauss_newton_1d` refines it between the scan's neighbours of
-    it, and the interval is x +- sqrt(rise/JtJ): the f_min + 1 crossing of
-    the locally quadratic chi^2 when an observed key has an error, else
-    scaled by the residual misfit.  Where JtJ is so small that this
+    One memo keeps the observables and scaled residuals at every x the
+    forward model ran at (the curve).  A coarse scan brackets the lowest of
+    its minima, `fitting.gauss_newton_1d` refines it between the scan's
+    neighbours of it, and the interval is x +- sqrt(rise/JtJ): the f_min + 1
+    crossing of the locally quadratic chi^2 when an observed key has an
+    error, else scaled by the residual misfit.  Where JtJ is so small that this
     half-width exceeds the searched bracket (a residual stationary at a
     nonzero value), the interval is the bracket and the posterior is
     flagged unbounded.  A single observable is flagged unreached if its
     residual has one sign at every memoized x, and reached more than once
-    if it changes sign more than once on the coarse scan.
+    if it changes sign more than once on the coarse scan.  At the estimate,
+    forward(x, pipeline_observables) runs the full pipeline once, and the
+    posterior is flagged if its delta or T2 differs from the memo's by more
+    than PIPELINE_RTOL (relative), or is None where the memo's is not.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -112,12 +138,13 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
             raise ValueError(f"error of {key} must be finite and positive")
         if obs == 0.0 and err is None:
             raise ValueError(f"observed {key} is 0: its misfit needs an error")
-    memo = {}  # x -> scaled residuals at every point the forward model ran at
+    memo = {}  # x -> (observables, scaled residuals) at every forward call
 
     def residuals(x):
         if x not in memo:
-            memo[x] = _residuals(observed, forward(x), errors)
-        return memo[x]
+            fwd = forward(x, forward_observables)
+            memo[x] = fwd, _residuals(observed, fwd, errors)
+        return memo[x][1]
 
     xs = np.linspace(bracket[0], bracket[1], BRACKET_SAMPLES).tolist()
     rs = [residuals(x) for x in xs]
@@ -146,7 +173,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
     rise = 1.0 if errors else max(float(r @ r), 1e-16)
     half = math.sqrt(rise / jtj) if jtj > 0.0 else math.inf
     post = Posterior1D(estimate=x, interval=(x - half, x + half),
-                       curve=sorted((x, float(r @ r)) for x, r in memo.items()),
+                       curve=sorted((x, float(r @ r)) for x, (_, r) in memo.items()),
                        iterations=steps)
     if half > bracket[1] - bracket[0]:
         post.interval = tuple(bracket)
@@ -155,13 +182,22 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
                           "bracket")
     if len(observed) == 1:
         (key,) = observed
-        if len({np.sign(r[0]) for r in memo.values()}) == 1:
+        if len({np.sign(r[0]) for _, r in memo.values()}) == 1:
             post.flags.append(f"observed {key} is not reached in the bracket: "
                               "every forward value lies on one side")
         side = np.sign(np.ravel(rs))  # on the coarse scan
         if np.count_nonzero(np.diff(side[side != 0])) > 1:
             post.flags.append(f"observed {key} is reached at more than one "
                               f"{name} in the bracket")
+    full = forward(x, pipeline_observables)
+    for key, value in memo[x][0].items():
+        ref = full[key]
+        if (value is None) != (ref is None) or (
+                ref is not None and abs(value - ref) > PIPELINE_RTOL * abs(ref)):
+            post.flags.append(f"pipeline check: {key} at the estimate is {ref!r} "
+                              f"from synthesize_fringe + analyze_fringes but "
+                              f"{value!r} from the coherence trace, more than "
+                              f"PIPELINE_RTOL = {PIPELINE_RTOL:g} apart")
     return post
 
 
@@ -180,7 +216,7 @@ def infer_density(observed: dict, T_known: float, model,
         raise ValueError("need at least one observable")
     if T_known <= 0.0:
         raise ValueError("known temperature must be positive")
-    return _invert(lambda n0: forward_observables(
+    return _invert(lambda n0, observables: observables(
         n0, T_known, model, protocol, density_order=density_order,
         energy_order=energy_order), observed, errors, DENSITY_BRACKET, "density")
 
@@ -195,7 +231,7 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
     density); the posterior is flagged when the coarse forward curve
     crosses the observed T2 more than once.
     """
-    return _invert(lambda T: forward_observables(
+    return _invert(lambda T, observables: observables(
         n0_known, T, model, protocol, density_order=density_order,
         energy_order=energy_order), {"T2": T2_observed},
         None if T2_error is None else {"T2": T2_error}, TEMPERATURE_BRACKET,

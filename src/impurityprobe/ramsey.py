@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathState, density_weight_measure, interaction_detuning
+from .constants import TWO_PI
 from .scattering import delta_a
 from .thermal import mb_quadrature
 
@@ -153,7 +154,10 @@ def _scratch(shape):
 @functools.lru_cache(maxsize=4)
 def _rule_table(rule_bytes):
     """[rows 0..M of one density rule's table], kept per (s, wn) bytes:
-    (9, M + 1) complex, row m at q = m / 8 (765 kB for 5e19 m^-3 at 12 ms)."""
+    (9, M + 1) complex, row m at q = m / 8 (765 kB for 5e19 m^-3 at 12 ms),
+    a view of the buffer (its base) that the rows are written into.  The
+    buffer's capacity at least doubles when it grows, so an ascending scan
+    copies the table O(log M) times."""
     return [np.empty((_TAYLOR_TERMS, 0), complex)]
 
 
@@ -189,17 +193,28 @@ def _coherence_trace(ts, s, wn, x, wE):
     else:
         np.copyto(row_of, m, casting="unsafe")
         table = _rule_table((s.tobytes(), wn.tobytes()))
-        built = table[0]
+        built = table[0]  # read once: another thread may replace it
         new = np.arange(built.shape[-1], row_of.max(initial=0) + 1)
     if new.size:
+        # rows 0..n - 1 of the buffer are final and the ones after are
+        # written only here, each with the same bits by every thread, so a
+        # thread may extend a buffer another thread reads or extends
+        n, buf = built.shape[-1], built if built.base is None else built.base
+        if n + new.size > buf.shape[-1]:
+            buf = np.empty((_TAYLOR_TERMS, max(n + new.size, 2 * buf.shape[-1])), complex)
+            buf[:, :n] = built
         moments = (s[None, :] ** np.arange(_TAYLOR_TERMS)[:, None]
                    * wn[None, :] * _INV_FACTORIALS[:, None])
-        add = np.empty((_TAYLOR_TERMS, new.size), complex)
+        # phase, cos and sin blocks once per extension, not per block: at 384
+        # nodes each is 196 kB, which glibc maps fresh and faults in again
+        phase, cos, sin = np.empty((3, min(new.size, _ROW_BLOCK), s.size))
         for b in range(0, new.size, _ROW_BLOCK):
-            phase = np.multiply.outer(new[b:b + _ROW_BLOCK] / _ROWS_PER_UNIT, s)
-            add.real[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.cos(phase), moments).T
-            add.imag[:, b:b + _ROW_BLOCK] = np.einsum("ri,ki->rk", np.sin(phase), moments).T
-        built = table[0] = np.concatenate((built, add), axis=-1)
+            rows = new[b:b + _ROW_BLOCK]
+            at, r = slice(n + b, n + b + rows.size), slice(rows.size)
+            np.multiply.outer(rows / _ROWS_PER_UNIT, s, out=phase[r])
+            buf.real[:, at] = np.einsum("ri,ki->rk", np.cos(phase[r], out=cos[r]), moments).T
+            buf.imag[:, at] = np.einsum("ri,ki->rk", np.sin(phase[r], out=sin[r]), moments).T
+        built = table[0] = buf[:, :n + new.size]
     # Horner in i d, in place; the sums read contiguous copies of the real
     # and imaginary parts (einsum sums strided views in another order),
     # made in q and m, which are free by then
@@ -259,6 +274,23 @@ def population_grid(protocol: RamseyProtocol, bath: BathState, model,
                              bath, model, protocol,
                              density_order=density_order,
                              energy_order=energy_order)
+
+
+def visibility_phase(protocol: RamseyProtocol, bath: BathState, model,
+                     density_order: int = DENSITY_ORDER,
+                     energy_order: int = ENERGY_ORDER):
+    """What the fringe fits of the noiseless population grid recover, read
+    from the coherence trace: with C + iS = R exp(i theta), the fringe at t
+    is 1/2 + (V/2) cos(phi + theta + delta_bg t), so its visibility is
+    V(t) = exp(-t^2/T2_bg^2) R and its phase, as analysis.analyze_fringes
+    passes it on for "cos2" data, phi0(t) = (theta + delta_bg t) mod 2 pi.
+    Returns (V, phi0) at the protocol's times."""
+    t = protocol.t
+    C, S = _coherence_trace(t, *detuning_nodes(bath, model, protocol.B,
+                                               density_order=density_order,
+                                               energy_order=energy_order))
+    V = np.exp(-((t / protocol.T2_bg) ** 2)) * np.hypot(C, S)
+    return V, (np.arctan2(S, C) + protocol.delta_bg * t) % TWO_PI
 
 
 def quadrature_error(protocol: RamseyProtocol, bath: BathState, model,

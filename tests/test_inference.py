@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from impurityprobe import analysis, fitting, inference
+from impurityprobe.analysis import analyze_fringes
 from impurityprobe.bath import BathState
 from impurityprobe.inference import (InferenceError, collision_counts,
                                      forward_observables, infer_density,
                                      infer_temperature)
-from impurityprobe.ramsey import RamseyProtocol
+from impurityprobe.ramsey import (RamseyProtocol, synthesize_fringe,
+                                  visibility_phase)
 from impurityprobe.scattering import ResonanceModel
 
 TWO_PI = 2 * math.pi
@@ -72,6 +74,100 @@ class TestForwardObservables:
         T2s = [forward_observables(1.5e19, T, MODEL, proto)["T2"]
                for T in (200e-9, 400e-9, 700e-9, 1000e-9)]
         assert np.all(np.diff(T2s) > 0)
+
+
+# the drift guard's baths and protocols: criterion 04's 24 times to 4 ms
+# and the default 30 times to 12 ms
+DRIFT_BATHS = [(n0, T) for n0 in (0.3e19, 0.8e19, 1.5e19, 3e19, 5e19)
+               for T in (150e-9, 400e-9, 800e-9, 1200e-9)]
+DRIFT_PROTOCOLS = [pytest.param(make_protocol, id="criterion-04"),
+                   pytest.param(RamseyProtocol.default_grid, id="12-ms")]
+
+
+class TestForwardShortcut:
+    """forward_observables reads V and the fringe phase from the coherence
+    trace; it must stay what synthesizing the noiseless grid and analyzing
+    it gives, to round-off, so the shortcut cannot drift from the
+    pipeline."""
+
+    @pytest.mark.parametrize("protocol", DRIFT_PROTOCOLS)
+    def test_matches_the_pipeline_on_a_grid_of_baths(self, protocol):
+        proto = protocol()
+        for n0, T in DRIFT_BATHS:
+            fast = forward_observables(n0, T, MODEL, proto)
+            full = analyze_fringes(synthesize_fringe(proto, BathState(n0=n0, T=T), MODEL),
+                                   delta_bg=proto.delta_bg, phase_convention="cos2")
+            assert (fast["delta"] is None) == (full.delta is None)
+            assert math.isfinite(fast["T2"]) == math.isfinite(full.T2)
+            if full.delta is not None:
+                assert fast["delta"] == pytest.approx(full.delta, rel=1e-12, abs=0.0)
+            assert fast["T2"] == pytest.approx(full.T2, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n0, T, protocol", [
+        (1e19, 850e-9, make_protocol), (5e19, 400e-9, RamseyProtocol.default_grid)])
+    def test_rows_are_the_fringe_fits(self, n0, T, protocol):
+        # row by row: V is the fitted A (A + 2C = 1 for these fringes) and
+        # phi0 the fitted phase mapped as analyze_fringes maps "cos2" data
+        proto = protocol()
+        V, phi0 = visibility_phase(proto, BathState(n0=n0, T=T), MODEL)
+        fits = analysis.fit_fringe(proto.phi, synthesize_fringe(
+            proto, BathState(n0=n0, T=T), MODEL).p)
+        A, fit_phi0 = np.array([[f.params[k] for k in ("A", "phi0")] for f in fits]).T
+        gap = np.angle(np.exp(1j * (phi0 - (-(fit_phi0 + math.pi)) % TWO_PI)))
+        assert np.all((0.0 <= phi0) & (phi0 < TWO_PI))
+        np.testing.assert_allclose(V, A, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(gap, 0.0, rtol=0.0, atol=1e-12)
+
+
+class TestPipelineCheck:
+    """Each inversion runs the full pipeline once at its estimate and flags
+    a gap above PIPELINE_RTOL between it and the shortcut."""
+
+    def test_skewed_shortcut_flagged(self, monkeypatch):
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
+        assert not any(f.startswith("pipeline check")
+                       for f in infer_density(obs, 700e-9, MODEL, proto, **kw).flags)
+
+        def skewed(protocol, *args, **kwargs):  # V off by up to 1e-6, relative
+            V, phi0 = visibility_phase(protocol, *args, **kwargs)
+            return V * (1.0 + 1e-6 * protocol.t / protocol.t[-1]), phi0
+        monkeypatch.setattr(inference, "visibility_phase", skewed)
+        post = infer_density(obs, 700e-9, MODEL, proto, **kw)
+        checks = [f for f in post.flags if f.startswith("pipeline check")]
+        assert len(checks) == 1 and checks[0].startswith("pipeline check: T2 ")
+
+    def test_missing_delta_flagged(self, monkeypatch):
+        proto = make_protocol()
+        kw = {"density_order": 96, "energy_order": 96}
+        obs = forward_observables(1.5e19, 700e-9, MODEL, proto, **kw)
+        monkeypatch.setattr(inference, "pipeline_observables",  # no slope there
+                            lambda *a, **k: {**forward_observables(*a, **k), "delta": None})
+        post = infer_density({"T2": obs["T2"]}, 700e-9, MODEL, proto, **kw)
+        assert [f.split(" at ")[0] for f in post.flags] == ["pipeline check: delta"]
+
+    def test_no_flag_on_criterion_04_and_the_benchmark_kinds(self):
+        # criterion 04's two inversions (the first is also perfbench's first
+        # invert kind), then the other perfbench kinds at their nominal
+        # baths: no flag, and inference.json's keys
+        proto = make_protocol()
+        posts = [infer_density(forward_observables(1e19, 850e-9, MODEL, proto),
+                               850e-9, MODEL, proto),
+                 infer_temperature(forward_observables(1.5e19, 400e-9, MODEL, proto)["T2"],
+                                   1.5e19, MODEL, proto)]
+        for keys, with_errors, n0, T in [(("delta",), False, 0.8e19, 700e-9),
+                                         (("T2",), True, 2.0e19, 950e-9)]:
+            obs = forward_observables(n0, T, MODEL, proto)
+            posts.append(infer_density(
+                {k: obs[k] for k in keys}, T, MODEL, proto,
+                errors={k: 0.02 * abs(obs[k]) for k in keys} if with_errors else None))
+        T2 = forward_observables(1.8e19, 500e-9, MODEL, proto)["T2"]
+        posts.append(infer_temperature(T2, 1.8e19, MODEL, proto, T2_error=0.02 * T2))
+        for post in posts:
+            assert post.flags == []
+            assert set(post.to_dict()) == {"estimate", "interval", "curve",
+                                           "iterations", "flags"}
 
 
 class TestInferDensity:

@@ -520,6 +520,26 @@ class TestRuleTable:
         table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))[0]
         assert table.shape == (ramsey._TAYLOR_TERMS, top + 1)
 
+    def test_ascending_scan_regrows_geometrically(self):
+        # an ascending density scan extends the table at every point; the
+        # rows go into a buffer whose capacity at least doubles when it
+        # grows, so the table is copied a logarithmic number of times
+        ramsey._rule_table.cache_clear()
+        proto = RamseyProtocol.default_grid(t_max_ms=12.0, n_t=24)
+        buffers, extended = [], 0
+        for n0 in np.linspace(0.05e19, 5e19, 12):
+            nodes = detuning_nodes(make_bath(n0), MODEL, proto.B)
+            table = ramsey._rule_table((nodes[0].tobytes(), nodes[1].tobytes()))
+            before = table[0].shape[-1]
+            ramsey._coherence_trace(proto.t, *nodes)
+            built, buf = table[0], table[0].base
+            extended += built.shape[-1] > before
+            assert built.shape[-1] <= buf.shape[-1]
+            if not buffers or buffers[-1] is not buf:
+                buffers.append(buf)
+        assert extended == 12
+        assert len(buffers) <= 1 + math.ceil(math.log2(buf.shape[-1] / buffers[0].shape[-1]))
+
 
 class TestCachedRules:
     """The density measure and the Maxwell-Boltzmann rule in E / kB T are
