@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import TWO_PI
-from .fitting import (FitError, FitReport, distinct, fit_least_squares, fit_report,
-                      gauss_newton_1d, linear_fit, weights)
+from .fitting import (FitError, FitReport, distinct, fit_inputs, fit_least_squares,
+                      fit_report, gauss_newton_1d, linear_fit, weights)
 from .ramsey import FringeSeries
 
 
@@ -278,15 +278,9 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     visibility yields a 'no decay detected' report with T2 infinite; a
     monotonically increasing series is rejected.
     """
-    t = np.asarray(t, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if len(t) < 4:
-        raise ValueError("need at least 4 time points")
-    if not (np.isfinite(t).all() and np.isfinite(V).all()):
-        raise ValueError("times and visibilities must be finite")
+    t, V, w = fit_inputs(t, V, V_err, at_least=4, what="times and visibilities")
     if (t < 0.0).any():
         raise ValueError("times must be nonnegative")
-    w = weights(V, V_err, "V_err")
     if V.max() - V.min() < 1e-12:
         return FitReport(params={"V0": 0.0, "T2": float("inf"), "B": float(V[0])},
                          errors={"V0": 0.0, "T2": float("nan"), "B": 0.0},
@@ -322,15 +316,14 @@ def extract_phase_series(t, phi0, delta_bg: float):
 
 def fit_phase_slope(t, Phi, T2: float, Phi_err=None) -> FitReport:
     """Weighted linear fit Phi = delta * t + const restricted to t <= T2."""
-    t = np.asarray(t, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
+    t, Phi, _ = fit_inputs(t, Phi, Phi_err, at_least=0, what="times and phases")
     mask = t <= T2
     if np.count_nonzero(mask) < 2:
         raise FitError("fewer than 2 phase points below the dephasing time")
     tm = t[mask]
+    sigma = None if Phi_err is None else np.broadcast_to(Phi_err, t.shape)[mask]
     return linear_fit(np.column_stack([tm, np.ones_like(tm)]), Phi[mask],
-                      ["delta", "intercept"],
-                      sigma=None if Phi_err is None else np.asarray(Phi_err)[mask])
+                      ["delta", "intercept"], sigma=sigma)
 
 
 @dataclass
@@ -415,8 +408,12 @@ def decay_and_slope(t, V, phi0, delta_bg: float, V_err=None, phi0_err=None):
     none, which then stays NaN in Phi) and its slope below the fitted T2, or
     below t_max where T2 is infinite, weighted if every phase there has an
     error.  Returns (decay, Phi, slope, warnings), slope None, with a
-    warning, where the window holds fewer than 2 phases."""
+    warning, where the window holds fewer than 2 phases.  phi0 and
+    phi0_err (or a scalar) need one value per time."""
     decay = fit_visibility_decay(t, V, V_err=V_err)
+    t, phi0 = np.asarray(t, dtype=float), np.asarray(phi0, dtype=float)
+    if phi0.shape != t.shape or np.shape(phi0_err) not in ((), t.shape):
+        raise ValueError("need one fringe phase, and one phase error, per time")
     warnings = list(decay.warnings)
     phased = ~np.isnan(phi0)
     tp, Phi = t[phased], np.full(len(t), math.nan)
@@ -424,11 +421,12 @@ def decay_and_slope(t, V, phi0, delta_bg: float, V_err=None, phi0_err=None):
     warnings += phase_warnings
     slope = None
     T2 = decay.params["T2"]
+    err = None if phi0_err is None else np.broadcast_to(phi0_err, t.shape)[phased]
     try:
         window = T2 if math.isfinite(T2) else float(t[-1])
-        use = phi0_err is not None and np.all(phi0_err[phased][tp <= window] > 0)
+        use = err is not None and np.all(err[tp <= window] > 0)
         slope = fit_phase_slope(tp, Phi[phased], window,  # weighted if every error > 0
-                                Phi_err=phi0_err[phased] if use else None)
+                                Phi_err=err if use else None)
     except FitError as exc:
         warnings.append(f"phase slope not extracted: {exc}")
     return decay, Phi, slope, warnings

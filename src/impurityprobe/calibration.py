@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .constants import CONST, TWO_PI
-from .fitting import (FitError, FitReport, distinct, fit_least_squares, fit_scalar,
-                      linear_fit)
+from .fitting import (FitError, FitReport, distinct, fit_inputs, fit_least_squares,
+                      fit_scalar, linear_fit)
 from .ramsey import no_bath_trace
 
 # linear Zeeman conversion for the Rb calibration transition
@@ -50,10 +50,7 @@ def fit_bfield(omega_coil, p, Omega0: float, omega_MW: float,
     designated resonance field.  Requires the transfer peak to be
     bracketed by the scanned points.
     """
-    omega_coil = np.asarray(omega_coil, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if len(p) < 5:
-        raise ValueError("need at least 5 spectrum points")
+    omega_coil, p, _ = fit_inputs(omega_coil, p, p_err, at_least=5, what="spectrum")
     k = int(np.argmax(p))
     if k == 0 or k == len(p) - 1:
         raise ValueError("transfer peak not bracketed by the scan")
@@ -76,8 +73,7 @@ def fit_light_shift(P, delta, delta_err=None) -> FitReport:
     Flags the report when the slope deviates from the theoretical
     2 pi x 1104 Hz/W expectation by more than LIGHT_SHIFT_TOLERANCE.
     """
-    P = np.asarray(P, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    P, delta, _ = fit_inputs(P, delta, delta_err, at_least=2, what="powers and detunings")
     if distinct(P) < 2:
         raise ValueError("need at least 2 distinct powers")
     rep = linear_fit(np.column_stack([P, np.ones_like(P)]), delta,
@@ -96,8 +92,7 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     also carries the coefficient in Hz/G^2 for comparison against the
     theory value.
     """
-    B = np.asarray(B, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    B, delta, _ = fit_inputs(B, delta, delta_err, at_least=3, what="fields and detunings")
     if distinct(np.abs(B)) < 3:
         raise ValueError("need at least 3 distinct field magnitudes")
     rep = linear_fit(np.column_stack([B * B, np.ones_like(B)]), delta,
@@ -123,12 +118,7 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     time T2 (s), fitted with its analytic Jacobian.  Initial values come
     from the trace extrema and the dominant Fourier component.
     """
-    t = np.asarray(t, dtype=float)
-    N = np.asarray(N, dtype=float)
-    if len(t) < 6:
-        raise ValueError("need at least 6 trace points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(N))):
-        raise ValueError("times and atom numbers must be finite")
+    t, N, _ = fit_inputs(t, N, N_err, at_least=6, what="times and atom numbers")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     span = float(N.max() - N.min())
@@ -176,10 +166,7 @@ def fit_release_curve(E0, fraction, fraction_err=None) -> FitReport:
     Data sitting entirely near full retention carries no temperature
     information and is flagged as unbounded.
     """
-    E0 = np.asarray(E0, dtype=float)
-    fraction = np.asarray(fraction, dtype=float)
-    if len(E0) < 3:
-        raise ValueError("need at least 3 release points")
+    E0, fraction, _ = fit_inputs(E0, fraction, fraction_err, at_least=3, what="release curve")
     if np.min(fraction) > 0.95:
         return FitReport(params={"T": float("inf")}, errors={"T": float("nan")},
                          residual_norm=0.0, n_points=len(E0), converged=False,

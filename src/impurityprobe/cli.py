@@ -33,30 +33,24 @@ EXIT_INFERENCE = 4
 
 
 def _prepare(args):
+    """The run's config (--seed over its seed), model and protocol."""
     cfg = load_config(args.config) if args.config else merge_config({})
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         cfg["seed"] = args.seed
-    return cfg
+    return cfg, model_from_config(cfg), protocol_from_config(cfg)
 
 
-def _synthesize(cfg):
-    """Build the bath, model and protocol of `cfg` and synthesize its
-    fringe; returns (protocol, series)."""
-    bath = bath_from_config(cfg)
-    model = model_from_config(cfg)
-    protocol = protocol_from_config(cfg)
-    series = synthesize_fringe(
-        protocol, bath, model, noise=cfg["noise"], seed=cfg["seed"],
-        density_order=cfg["quadrature"]["density_order"],
-        energy_order=cfg["quadrature"]["energy_order"])
-    return protocol, series
+def _synthesize(cfg, protocol, model):
+    """The fringe of `cfg`'s bath, noise, seed and quadrature."""
+    return synthesize_fringe(protocol, bath_from_config(cfg), model, noise=cfg["noise"],
+                             seed=cfg["seed"], **cfg["quadrature"])
 
 
 def cmd_simulate(args) -> int:
-    cfg = _prepare(args)
-    _, series = _synthesize(cfg)
+    cfg, model, protocol = _prepare(args)
+    series = _synthesize(cfg, protocol, model)
     csv_text = fringe_to_csv(series)
     sidecar = {"schema_version": SCHEMA_VERSION, "config": cfg,
                "config_hash": config_hash(cfg),
@@ -91,13 +85,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _prepare(args)
+    cfg, model, protocol = _prepare(args)
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict) or set(sweep) != {"parameter", "values"} \
             or not isinstance(sweep["values"], list):
         raise ConfigError("sweep config needs {'parameter':..., 'values':[...]}")
-    param = sweep["parameter"]
-    values = sweep["values"]
+    param, values = sweep["parameter"], sweep["values"]
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 values")
     if param not in ("peak_density_per_cm3", "temperature_nK"):
@@ -107,9 +100,8 @@ def cmd_sweep(args) -> int:
     for value in values:
         cfg_i = {**cfg, "bath": {**cfg["bath"], param: value}}
         validate_config(cfg_i)
-        protocol, series = _synthesize(cfg_i)
-        res = analyze_fringes(series, delta_bg=protocol.delta_bg,
-                              phase_convention="cos2")
+        res = analyze_fringes(_synthesize(cfg_i, protocol, model),
+                              delta_bg=protocol.delta_bg, phase_convention="cos2")
         slope = res.slope_fit
         rows.append((value,
                      None if slope is None else slope.params["delta"] / TWO_PI,
@@ -126,6 +118,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     x, y, y_err, input_hash = xy_from_csv(args.data)
+    rad_err = None if y_err is None else TWO_PI * y_err  # Hz -> rad/s
     if args.kind == "bfield":
         rep, B_coil = fit_bfield(TWO_PI * x, y, Omega0=TWO_PI * args.rabi_hz,
                                  omega_MW=TWO_PI * args.mw_hz, p_err=y_err)
@@ -133,13 +126,11 @@ def cmd_calibrate(args) -> int:
                    "omega_bg_Hz": rep.params["omega_bg"] / TWO_PI,
                    "B_coil_mG": B_coil * 1e7}
     elif args.kind == "lightshift":
-        rep = fit_light_shift(x, TWO_PI * y, delta_err=None if y_err is None
-                              else TWO_PI * y_err)
+        rep = fit_light_shift(x, TWO_PI * y, delta_err=rad_err)
         payload = {"kind": "lightshift", "fit": rep.to_dict(),
                    "slope_Hz_per_W": rep.params["slope"] / TWO_PI}
     elif args.kind == "zeeman":
-        rep = fit_zeeman(x * 1e-4, TWO_PI * y, delta_err=None if y_err is None
-                         else TWO_PI * y_err)
+        rep = fit_zeeman(x * 1e-4, TWO_PI * y, delta_err=rad_err)
         payload = {"kind": "zeeman", "fit": rep.to_dict(),
                    "a_Hz_per_G2": rep.params["a_hz_per_G2"]}
     else:  # release
@@ -155,11 +146,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _prepare(args)
-    model = model_from_config(cfg)
-    protocol = protocol_from_config(cfg)
-    qd = cfg["quadrature"]["density_order"]
-    qe = cfg["quadrature"]["energy_order"]
+    cfg, model, protocol = _prepare(args)
     if args.kind == "density":
         observed = {}
         if args.delta_hz is not None:
@@ -169,7 +156,7 @@ def cmd_infer(args) -> int:
         if not observed:
             raise ConfigError("density inference needs --delta-hz and/or --t2-ms")
         post = infer_density(observed, cfg["bath"]["temperature_nK"] * 1e-9,
-                             model, protocol, density_order=qd, energy_order=qe)
+                             model, protocol, **cfg["quadrature"])
         payload = {"kind": "density", "estimate_per_cm3": post.estimate / 1e6,
                    "interval_per_cm3": [v / 1e6 for v in post.interval]}
     else:  # temperature
@@ -177,8 +164,7 @@ def cmd_infer(args) -> int:
             raise ConfigError("temperature inference needs --t2-ms")
         post = infer_temperature(args.t2_ms * 1e-3,
                                  cfg["bath"]["peak_density_per_cm3"] * 1e6,
-                                 model, protocol, density_order=qd,
-                                 energy_order=qe)
+                                 model, protocol, **cfg["quadrature"])
         payload = {"kind": "temperature", "estimate_nK": post.estimate * 1e9,
                    "interval_nK": [v * 1e9 for v in post.interval]}
 
@@ -198,13 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed):  # seed for the verbs that draw noise
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="synthesize a fringe dataset")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="run the extraction pipeline on a fringe CSV")
@@ -217,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep one bath parameter")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit a calibration dataset")
@@ -231,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("infer", help="invert observables for density or temperature")
-    common(p)
+    common(p, seed=False)
     p.add_argument("kind", choices=["density", "temperature"])
     p.add_argument("--delta-hz", type=float, default=None)
     p.add_argument("--t2-ms", type=float, default=None)
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, seed=None)  # no --seed: no inversion draws noise
     return parser
 
 

@@ -4,15 +4,15 @@ Every fit with errors ends in `fit_report`, which turns a solution, its
 weighted Jacobian (or a closed-form covariance diagonal) and its weighted
 residuals into a FitReport with 1-sigma uncertainties from the local
 quadratic model (`standard_errors`: the inverse of the Gram matrix in closed
-form, `_covariance`, where it is well conditioned, else the SVD); `weights`
-checks sigma.  Linear models go through `linear_fit`, the normal equations
-solved by the same closed form (else `lstsq`), one-parameter searches (and
-the projected ones of analysis) through `gauss_newton_1d`, and the bath-free
-trace and the decay polish through `fit_least_squares`, on `least_squares`,
-a bounded Levenberg-Marquardt solver in numpy, always with the model's
-analytic Jacobian.  A parameter left on a bound is reported pinned, with
-error 0.  No module loads scipy, and `distinct` counts values without
-loading numpy.ma.
+form, `_covariance`, where it is well conditioned, else the SVD); every
+fit's x, y and sigma pass `fit_inputs`.  Linear models go through
+`linear_fit`, the normal equations solved by the same closed form (else
+`lstsq`), one-parameter searches (and the projected ones of analysis)
+through `gauss_newton_1d`, and the bath-free trace and the decay polish
+through `fit_least_squares`, on `least_squares`, a bounded Levenberg-
+Marquardt solver in numpy, always with the model's analytic Jacobian.  A
+parameter left on a bound is reported pinned, with error 0.  No module
+loads scipy, and `distinct` counts values without loading numpy.ma.
 """
 
 from __future__ import annotations
@@ -182,13 +182,31 @@ def distinct(x) -> int:
 
 
 def weights(y, sigma, name="sigma") -> np.ndarray:
-    """Row weights 1/sigma, or ones like y; refuses a sigma not finite and > 0."""
+    """Row weights 1/sigma, or ones like y; refuses a sigma not finite and
+    > 0, or not shaped like y (a scalar is the same sigma everywhere)."""
     if sigma is None:
         return np.ones_like(y)
     sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape not in ((), y.shape):
+        raise ValueError(f"{name} needs one value per point or one for all, not {sigma.shape}")
     if not (np.isfinite(sigma) & (sigma > 0.0)).all():
         raise ValueError(f"{name} must be finite and positive")
-    return 1.0 / sigma
+    return 1.0 / np.broadcast_to(sigma, y.shape)
+
+
+def fit_inputs(x, y, sigma=None, *, at_least, what):
+    """A fit's x (one value or row per point) and y as float arrays, and
+    their `weights`; refuses (ValueError, naming `what`) x, y or sigma
+    without one value per point, fewer than at_least points and an x or y
+    not finite."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if y.ndim != 1 or x.shape[:1] != y.shape:
+        raise ValueError(f"{what}: need one value per point, not {x.shape} and {y.shape}")
+    if len(y) < at_least:
+        raise ValueError(f"{what}: need at least {at_least} points, not {len(y)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"{what}: a value is not finite")
+    return x, y, weights(y, sigma, f"{what}: sigma")
 
 
 def linear_fit(X, y, names, sigma=None) -> FitReport:
@@ -196,11 +214,7 @@ def linear_fit(X, y, names, sigma=None) -> FitReport:
     `names`; sigma, when given, weights the rows by 1/sigma.  The normal
     equations are solved in closed form (`_covariance`), whose inverse gives
     the errors; where it declines, `lstsq` solves the system."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("design matrix and data must be finite")
-    w = weights(y, sigma)
+    X, y, w = fit_inputs(X, y, sigma, at_least=len(names), what="design matrix and data")
     Xw, yw = X * w[:, None], y * w
     cov = _covariance(Xw)
     if cov is None:
@@ -261,8 +275,7 @@ def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     """Fit y = model(x, p) for one parameter p, given jac(x, p) = dmodel/dp,
     by `gauss_newton_1d` (in log p with log).  Raises ValueError if the
     residual is not finite at p0, FitError if the search does not converge."""
-    y = np.asarray(y, dtype=float)
-    w = weights(y, sigma)
+    x, y, w = fit_inputs(x, y, sigma, at_least=1, what="x and y")
 
     def residual(p):
         return (model(x, p) - y) * w, None
@@ -290,9 +303,7 @@ def fit_least_squares(model, x, y, p0, names, sigma=None, *, bounds, jac) -> Fit
     error 0 (the others get the free-parameter covariance) and a warning
     naming it.  Raises FitError on non-convergence.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = weights(y, sigma)
+    x, y, w = fit_inputs(x, y, sigma, at_least=len(names), what="x and y")
     sol = least_squares(lambda p: (model(x, *p) - y) * w, p0, bounds=bounds,
                         jac=lambda p: jac(x, *p) * w[:, None], y=y * w)
     pinned = sol.active_mask != 0

@@ -214,8 +214,8 @@ def infer_density(observed: dict, T_known: float, model,
     observed = {k: v for k, v in observed.items() if v is not None}
     if not observed:
         raise ValueError("need at least one observable")
-    if T_known <= 0.0:
-        raise ValueError("known temperature must be positive")
+    if not (math.isfinite(T_known) and T_known > 0.0):
+        raise ValueError(f"infer_density: T_known = {T_known!r} must be finite and positive")
     return _invert(lambda n0, observables: observables(
         n0, T_known, model, protocol, density_order=density_order,
         energy_order=energy_order), observed, errors, DENSITY_BRACKET, "density")
@@ -231,6 +231,8 @@ def infer_temperature(T2_observed: float, n0_known: float, model,
     density); the posterior is flagged when the coarse forward curve
     crosses the observed T2 more than once.
     """
+    if not (math.isfinite(n0_known) and n0_known > 0.0):
+        raise ValueError(f"infer_temperature: n0_known = {n0_known!r} must be finite and positive")
     return _invert(lambda T, observables: observables(
         n0_known, T, model, protocol, density_order=density_order,
         energy_order=energy_order), {"T2": T2_observed},

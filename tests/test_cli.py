@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import impurityprobe
+from impurityprobe import serialization
 from impurityprobe.cli import main
 from impurityprobe.inference import forward_observables
 from impurityprobe.ramsey import FringeSeries, fringe_closed_form, no_bath_trace
@@ -407,6 +408,28 @@ class TestSweep:
             "parameter": "rabi_freq_kHz", "values": [1.0, 2.0]}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_table_model_read_once(self, tmp_path, monkeypatch):
+        # the model and protocol are built once per verb: the table was
+        # read and parsed again for every swept value
+        table = tmp_path / "table.csv"
+        table.write_text("B_mG,E_over_kB_nK,a_over_a0\n" + "".join(
+            f"{b},{e},{650.0 + 0.01 * e - b}\n"
+            for b in (190.0, 200.0, 210.0) for e in (0.0, 500.0, 5000.0)))
+        reads = []
+
+        def counting(path, a_e):
+            reads.append(path)
+            return table_from_csv(path, a_e)
+
+        table_from_csv = serialization._table_from_csv
+        monkeypatch.setattr(serialization, "_table_from_csv", counting)
+        cfg = write_config(tmp_path, {"model": {"table_csv": str(table)}, "sweep": {
+            "parameter": "temperature_nK", "values": [300.0, 600.0, 1000.0]}})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.joinpath("sweep.csv").read_text().splitlines()) == 4
+        assert reads == [str(table)]
+
 
 class TestCalibrate:
     def test_release_curve(self, tmp_path):
@@ -581,6 +604,16 @@ class TestInfer:
                      "--t2-ms", "0.6"]) == 2
         assert "include_background" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_is_not_an_infer_option(self, tmp_path, capsys):
+        # no inversion draws noise: --seed only changed the config hash
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "density", "--config", cfg, "--out", str(tmp_path / "run"),
+                  "--t2-ms", "0.6", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_observable_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
-from impurityprobe import fitting
+from impurityprobe import analysis, calibration, fitting
+from impurityprobe.constants import CONST
 from impurityprobe.fitting import (FitError, distinct, fit_least_squares,
                                    fit_report, fit_scalar, gauss_newton_1d,
                                    linear_fit, standard_errors)
+from impurityprobe.ramsey import no_bath_trace
 
 NAMES = ["slope", "intercept"]
 
@@ -442,3 +444,119 @@ class TestGaussNewton1d:
             2.0, slope=lambda p, r, _: (r[0], 4.0), steps=3)
         assert not converged and taken == 3 and len(seen) == 3
         assert p == pytest.approx(10.0 - 8.0 * 0.75**3, rel=1e-15)
+
+
+def _noisy(y, scale, seed=3):
+    return y + scale * np.random.default_rng(seed).normal(size=len(y))
+
+
+def _boundary_fits():
+    """name -> (x, y, sigma, fit(x, y, sigma)) for every public fit, on
+    valid noisy data: the fits that take their input through fit_inputs."""
+    two_pi = 2.0 * math.pi
+    Omega0, omega_MW, bg = two_pi * 15.4e3, two_pi * 140e3, two_pi * 0.7e6 * 0.1985
+    w = omega_MW - bg + np.linspace(-2.5, 2.5, 41) * Omega0
+    t12, t80 = np.linspace(0.0, 4e-3, 12), np.linspace(0.2e-3, 40e-3, 80)
+    E0, B = np.linspace(0.1, 6.0, 20) * CONST.k_B * 1.7e-6, np.linspace(0.0, 0.5, 15) * 1e-4
+    x10 = np.linspace(0.0, 3.0, 10)
+    X, y, sigma = line_data()
+    return {
+        "linear_fit": (X, y, sigma, lambda x, y, s: linear_fit(x, y, NAMES, sigma=s)),
+        "fit_scalar": (x10, _noisy(np.exp(-0.8 * x10), 0.01), np.full(10, 0.01),
+                       lambda x, y, s: fit_scalar(lambda x, k: np.exp(-k * x),
+                                                  lambda x, k: -x * np.exp(-k * x),
+                                                  x, y, 1.0, "k", sigma=s)),
+        "fit_least_squares": (
+            x10, _noisy(decay(x10, 2.0, 0.7), 0.01), np.full(10, 0.01),
+            lambda x, y, s: fit_least_squares(decay, x, y, [1.0, 1.0], ["a", "k"], sigma=s,
+                                              bounds=([0.0, 0.0], [np.inf, np.inf]),
+                                              jac=decay_jac)),
+        "fit_visibility_decay": (
+            t12, _noisy(0.8 * np.exp(-(t12 / 2e-3) ** 2) + 0.05, 0.01), np.full(12, 0.01),
+            lambda x, y, s: analysis.fit_visibility_decay(x, y, V_err=s)),
+        "fit_phase_slope": (t12, _noisy(900.0 * t12 + 0.3, 0.02), np.full(12, 0.02),
+                            lambda x, y, s: analysis.fit_phase_slope(x, y, 3e-3, Phi_err=s)),
+        "fit_light_shift": (
+            np.linspace(0.0, 1.2, 10), _noisy(two_pi * 1083.0 * np.linspace(0.0, 1.2, 10) + 1.0,
+                                              5.0), np.full(10, 5.0),
+            lambda x, y, s: calibration.fit_light_shift(x, y, delta_err=s)),
+        "fit_zeeman": (B, _noisy(two_pi * 417.2e8 * B**2 + 2.0, 0.5), np.full(15, 0.5),
+                       lambda x, y, s: calibration.fit_zeeman(x, y, delta_err=s)),
+        "fit_bfield": (
+            w, _noisy(calibration.rabi_lineshape(w, Omega0, bg, omega_MW), 0.01),
+            np.full(41, 0.01),
+            lambda x, y, s: calibration.fit_bfield(x, y, Omega0, omega_MW, p_err=s)[0]),
+        "fit_release_curve": (E0, _noisy(calibration.release_curve(E0, 1.7e-6), 0.01),
+                              np.full(20, 0.01),
+                              lambda x, y, s: calibration.fit_release_curve(x, y, s)),
+        "fit_no_bath_trace": (
+            t80, _noisy(no_bath_trace(t80, 6.0, 2.0, two_pi * 135.0, 27.2e-3), 0.05),
+            np.full(80, 0.05), lambda x, y, s: calibration.fit_no_bath_trace(x, y, N_err=s)),
+    }
+
+
+def _decay_and_slope(t, V, phi0, V_err, phi0_err):
+    decay, Phi, slope, warnings = analysis.decay_and_slope(t, V, phi0, -500.0, V_err=V_err,
+                                                  phi0_err=phi0_err)
+    return repr((decay.to_dict(), Phi.tolist(), slope.to_dict(), warnings))
+
+
+class TestFitInputs:
+    """Every public fit takes x, y and sigma through `fitting.fit_inputs`:
+    x, y or sigma one value short, and an x or y not finite, raise
+    ValueError (short ones raised IndexError, or numpy's broadcast or
+    np.interp message, in seven fits), and a scalar sigma is sigma at every
+    point (it raised IndexError or TypeError in seven).  decay_and_slope
+    also checks the phases and their errors before it masks by them."""
+
+    FITS = _boundary_fits()
+    T = np.linspace(0.0, 4e-3, 12)
+    V = _noisy(0.8 * np.exp(-(T / 2e-3) ** 2) + 0.05, 0.01)
+    PHI0 = _noisy(1200.0 * T + 0.3, 0.02) % (2.0 * math.pi)
+    PHI0[4] = math.nan  # a fringe without phase
+
+    @pytest.mark.parametrize("short", ["x", "y", "sigma"])
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_one_value_short_rejected(self, name, short):
+        x, y, s, fit = self.FITS[name]
+        args = {"x": x, "y": y, "sigma": s}
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError, match="one value per point"):
+            fit(args["x"], args["y"], args["sigma"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_nonfinite_value_rejected(self, name, where, bad):
+        x, y, s, fit = self.FITS[name]
+        x, y = x.copy(), y.copy()
+        (x if where == "x" else y)[3] = bad  # a row of linear_fit's design matrix
+        with pytest.raises(ValueError, match="not finite"):
+            fit(x, y, s)
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_scalar_sigma_is_sigma_at_every_point(self, name):
+        x, y, _, fit = self.FITS[name]
+        assert repr(fit(x, y, 0.03).to_dict()) == repr(fit(x, y, np.full(len(y), 0.03)).to_dict())
+
+    @pytest.mark.parametrize("short", ["t", "V", "phi0", "V_err", "phi0_err"])
+    def test_decay_and_slope_one_value_short_rejected(self, short):
+        args = {"t": self.T, "V": self.V, "phi0": self.PHI0,
+                "V_err": np.full(12, 0.01), "phi0_err": np.full(12, 0.02)}
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError, match="one"):
+            _decay_and_slope(**args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["t", "V"])
+    def test_decay_and_slope_nonfinite_value_rejected(self, where, bad):
+        args = {"t": self.T.copy(), "V": self.V.copy(), "phi0": self.PHI0,
+                "V_err": None, "phi0_err": None}
+        args[where][5] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            _decay_and_slope(**args)
+
+    def test_decay_and_slope_scalar_errors(self):
+        got = _decay_and_slope(self.T, self.V, self.PHI0, 0.01, 0.02)
+        assert got == _decay_and_slope(self.T, self.V, self.PHI0, np.full(12, 0.01),
+                                       np.full(12, 0.02))

@@ -406,6 +406,22 @@ class TestInvert:
             infer_density({"T2": 1e-3}, 850e-9, MODEL, make_protocol(),
                           errors={"delta": TWO_PI * 5.0})
 
+    @pytest.mark.parametrize("known", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("target", ["density", "temperature"])
+    def test_bad_known_value_rejected(self, monkeypatch, target, known):
+        # NaN passed infer_density's "<= 0" check and infer_temperature had
+        # none, so BathState refused them inside the first forward call
+        calls = []
+        monkeypatch.setattr(inference, "forward_observables",
+                            lambda *args, **kw: calls.append(args))
+        if target == "density":
+            with pytest.raises(ValueError, match="infer_density: T_known"):
+                infer_density({"T2": 1e-3}, known, MODEL, make_protocol())
+        else:
+            with pytest.raises(ValueError, match="infer_temperature: n0_known"):
+                infer_temperature(1e-3, known, MODEL, make_protocol())
+        assert calls == []
+
     @pytest.mark.parametrize("errors", [{"delta": None}, {"T2": None}])
     def test_interval_rule_needs_an_observed_error(self, errors):
         # 96 x 96 at 1.5e19 m^-3, 850 nK from T2 alone: an errors dict
