@@ -63,7 +63,7 @@ def fit_fringe(phi, p, p_err=None):
     """Fit fixed-time fringes with A sin^2[(phi0 - phi)/2] + C.
 
     p is one fringe (one report) or a (times, phases) grid on the shared
-    phi (one report per row); p_err has the shape of p.  The model is
+    phi (one report per row); p_err has the shape of p, or is one value.  The model is
     linear in (A/2 + C, A cos phi0, A sin phi0), so the grid is one
     stacked solve of the 3x3 weighted normal equations, one system per
     row (weights 1/p_err, or 1 without p_err), with errors in (A, C, phi0)
@@ -82,9 +82,7 @@ def fit_fringe(phi, p, p_err=None):
     if phi.max() - phi.min() <= math.pi:
         raise ValueError("phase points must span more than pi")
     P = np.atleast_2d(p)
-    E = (None if p_err is None else
-         np.broadcast_to(np.asarray(p_err, dtype=float), p.shape).reshape(P.shape))
-    W = weights(P, E, "p_err")
+    W = weights(p, p_err, "p_err").reshape(P.shape)
 
     # A sin^2[(phi0 - phi)/2] + C = (A/2 + C) - (A/2) cos(phi0) cos(phi)
     #                                         - (A/2) sin(phi0) sin(phi)
@@ -95,7 +93,7 @@ def fit_fringe(phi, p, p_err=None):
     phi0 = np.arctan2(-coef[:, 2], -coef[:, 1]) % TWO_PI
     s2 = np.sin(0.5 * (phi0[:, None] - phi)) ** 2
     reports = fit_report(("A", "C", "phi0"), np.column_stack([A, C, phi0]), None,
-                         (A[:, None] * s2 + C[:, None] - P) * W, E is not None,
+                         (A[:, None] * s2 + C[:, None] - P) * W, p_err is not None,
                          var=_fringe_variances(N, A, phi0))
     constant = P.max(axis=1) == P.min(axis=1)
     bounded = ~constant & ~((A <= 2.0) & (0.0 <= C) & (C <= 2.0))
@@ -106,7 +104,7 @@ def fit_fringe(phi, p, p_err=None):
             residual_norm=0.0, n_points=P.shape[1], converged=True,
             warnings=[CONSTANT_FIT])
     for k in np.flatnonzero(bounded):
-        reports[k] = _bounded_fringe(phi, P[k], W[k], E is not None)
+        reports[k] = _bounded_fringe(phi, P[k], W[k], p_err is not None)
     return reports if p.ndim > 1 else reports[0]
 
 
@@ -314,14 +312,24 @@ def extract_phase_series(t, phi0, delta_bg: float):
     return unwrapped - delta_bg * t, warnings
 
 
+def _errors_at(err, keep):
+    """err (None, one for all points or one per point of the mask keep) at keep's points."""
+    if np.ndim(err) == 0:
+        return err
+    err = np.asarray(err, dtype=float)
+    if err.shape != keep.shape:
+        raise ValueError(f"errors need one value per point or one for all, not {err.shape}")
+    return err[keep]
+
+
 def fit_phase_slope(t, Phi, T2: float, Phi_err=None) -> FitReport:
-    """Weighted linear fit Phi = delta * t + const restricted to t <= T2."""
-    t, Phi, _ = fit_inputs(t, Phi, Phi_err, at_least=0, what="times and phases")
+    """Weighted linear fit Phi = delta * t + const on the points t <= T2 and their errors."""
+    t, Phi, _ = fit_inputs(t, Phi, at_least=0, what="times and phases")
     mask = t <= T2
+    sigma = _errors_at(Phi_err, mask)
     if np.count_nonzero(mask) < 2:
         raise FitError("fewer than 2 phase points below the dephasing time")
     tm = t[mask]
-    sigma = None if Phi_err is None else np.broadcast_to(Phi_err, t.shape)[mask]
     return linear_fit(np.column_stack([tm, np.ones_like(tm)]), Phi[mask],
                       ["delta", "intercept"], sigma=sigma)
 
@@ -412,19 +420,19 @@ def decay_and_slope(t, V, phi0, delta_bg: float, V_err=None, phi0_err=None):
     phi0_err (or a scalar) need one value per time."""
     decay = fit_visibility_decay(t, V, V_err=V_err)
     t, phi0 = np.asarray(t, dtype=float), np.asarray(phi0, dtype=float)
-    if phi0.shape != t.shape or np.shape(phi0_err) not in ((), t.shape):
-        raise ValueError("need one fringe phase, and one phase error, per time")
+    if phi0.shape != t.shape:
+        raise ValueError(f"need one fringe phase per time, not {phi0.shape}")
     warnings = list(decay.warnings)
     phased = ~np.isnan(phi0)
+    err = _errors_at(phi0_err, phased)
     tp, Phi = t[phased], np.full(len(t), math.nan)
     Phi[phased], phase_warnings = extract_phase_series(tp, phi0[phased], delta_bg)
     warnings += phase_warnings
     slope = None
     T2 = decay.params["T2"]
-    err = None if phi0_err is None else np.broadcast_to(phi0_err, t.shape)[phased]
     try:
         window = T2 if math.isfinite(T2) else float(t[-1])
-        use = err is not None and np.all(err[tp <= window] > 0)
+        use = err is not None and np.all((err > 0) | (tp > window))
         slope = fit_phase_slope(tp, Phi[phased], window,  # weighted if every error > 0
                                 Phi_err=err if use else None)
     except FitError as exc:

@@ -73,11 +73,10 @@ def fit_light_shift(P, delta, delta_err=None) -> FitReport:
     Flags the report when the slope deviates from the theoretical
     2 pi x 1104 Hz/W expectation by more than LIGHT_SHIFT_TOLERANCE.
     """
-    P, delta, _ = fit_inputs(P, delta, delta_err, at_least=2, what="powers and detunings")
     if distinct(P) < 2:
         raise ValueError("need at least 2 distinct powers")
-    rep = linear_fit(np.column_stack([P, np.ones_like(P)]), delta,
-                     ["slope", "intercept"], sigma=delta_err)
+    rep = linear_fit(np.column_stack([P, np.ones_like(P)]), delta, ["slope", "intercept"],
+                     sigma=delta_err, what="powers and detunings")
     dev = abs(rep.params["slope"] - LIGHT_SHIFT_THEORY) / LIGHT_SHIFT_THEORY
     if dev > LIGHT_SHIFT_TOLERANCE:
         rep.warnings.append(
@@ -92,11 +91,10 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     also carries the coefficient in Hz/G^2 for comparison against the
     theory value.
     """
-    B, delta, _ = fit_inputs(B, delta, delta_err, at_least=3, what="fields and detunings")
     if distinct(np.abs(B)) < 3:
         raise ValueError("need at least 3 distinct field magnitudes")
-    rep = linear_fit(np.column_stack([B * B, np.ones_like(B)]), delta,
-                     ["a", "c"], sigma=delta_err)
+    rep = linear_fit(np.column_stack([np.square(B), np.ones_like(B)]), delta, ["a", "c"],
+                     sigma=delta_err, what="fields and detunings")
     rep.params["a_hz_per_G2"] = rep.params["a"] / TWO_PI * 1e-8
     rep.errors["a_hz_per_G2"] = rep.errors["a"] / TWO_PI * 1e-8
     return rep

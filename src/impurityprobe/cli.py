@@ -35,7 +35,7 @@ EXIT_INFERENCE = 4
 def _prepare(args):
     """The run's config (--seed over its seed), model and protocol."""
     cfg = load_config(args.config) if args.config else merge_config({})
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # infer draws no noise: no --seed
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         cfg["seed"] = args.seed
@@ -184,14 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed):  # seed for the verbs that draw noise
+    def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="synthesize a fringe dataset")
-    common(p, seed=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="run the extraction pipeline on a fringe CSV")
@@ -204,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep one bath parameter")
-    common(p, seed=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit a calibration dataset")
@@ -218,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("infer", help="invert observables for density or temperature")
-    common(p, seed=False)
+    common(p)
     p.add_argument("kind", choices=["density", "temperature"])
     p.add_argument("--delta-hz", type=float, default=None)
     p.add_argument("--t2-ms", type=float, default=None)
-    p.set_defaults(func=cmd_infer, seed=None)  # no --seed: no inversion draws noise
+    p.set_defaults(func=cmd_infer)
     return parser
 
 

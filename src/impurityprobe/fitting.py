@@ -209,12 +209,12 @@ def fit_inputs(x, y, sigma=None, *, at_least, what):
     return x, y, weights(y, sigma, f"{what}: sigma")
 
 
-def linear_fit(X, y, names, sigma=None) -> FitReport:
-    """Exact least-squares fit of y = X @ p, one X column per name in
-    `names`; sigma, when given, weights the rows by 1/sigma.  The normal
-    equations are solved in closed form (`_covariance`), whose inverse gives
-    the errors; where it declines, `lstsq` solves the system."""
-    X, y, w = fit_inputs(X, y, sigma, at_least=len(names), what="design matrix and data")
+def linear_fit(X, y, names, sigma=None, *, what="design matrix and data") -> FitReport:
+    """Exact least-squares fit of y = X @ p, one X column per name in `names`,
+    rows weighted by 1/sigma if given (`what` names the data in refusals).  The
+    normal equations are solved in closed form (`_covariance`), whose inverse
+    gives the errors; where it declines, `lstsq` solves the system."""
+    X, y, w = fit_inputs(X, y, sigma, at_least=len(names), what=what)
     Xw, yw = X * w[:, None], y * w
     cov = _covariance(Xw)
     if cov is None:

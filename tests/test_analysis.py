@@ -825,6 +825,18 @@ class TestPhaseSlope:
         assert rep.params["delta"] == pytest.approx(5.0, abs=1e-9)
         assert rep.n_points == int(np.count_nonzero(t <= 4e-3))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_errors_outside_the_window_unchecked(self, bad):
+        t = np.linspace(0.2e-3, 10e-3, 30)
+        Phi = 5.0 * t + 0.01 * np.random.default_rng(2).standard_normal(30)
+        err = np.full(30, 0.01)
+        want = fit_phase_slope(t, Phi, T2=4e-3, Phi_err=err)
+        err[-1] = bad
+        assert fit_phase_slope(t, Phi, T2=4e-3, Phi_err=err) == want
+        err[0] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            fit_phase_slope(t, Phi, T2=4e-3, Phi_err=err)
+
     def test_insufficient_points(self):
         with pytest.raises(FitError):
             fit_phase_slope(np.array([1e-3, 2e-3]), np.array([0.1, 0.2]),
@@ -1061,6 +1073,27 @@ class TestPipeline:
         p[-1] = 0.5
         late = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
         assert late.fringe_fits[-1].params["A"] == 0.0 and late.T2 < 4e-3
+        assert late.delta == res.delta
+
+    def test_zero_amplitude_late_fringe_keeps_the_slope_weighted(self):
+        # a bounded fit that pins A at 0 keeps its phase, with error 0; at
+        # 8 ms, beyond T2, only the errors in the slope window are checked,
+        # so the slope stays the same weighted fit (it raised ValueError)
+        t = np.linspace(0.4e-3, 8e-3, 20)
+        phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        p = np.array([fringe_closed_form(tk, phi, TWO_PI * 200.0, 3e-3) for tk in t])
+        p += 0.01 * np.random.default_rng(7).standard_normal(p.shape)
+        err = np.full_like(p, 0.01)
+        res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        p[-1] = [0.032, -0.045, -0.055, 0.002, 0.078, 0.092,
+                 0.035, -0.041, -0.057, -0.001, 0.078, 0.094]
+        err[-1] = [0.016, 0.029, 0.017, 0.016, 0.021, 0.03,
+                   0.029, 0.017, 0.024, 0.017, 0.018, 0.025]
+        late = analyze_fringes(FringeSeries(t=t, phi=phi, p=p, p_err=err), delta_bg=0.0)
+        fit = late.fringe_fits[-1]
+        assert fit.params["A"] == 0.0 and BOUNDED_FIT in fit.warnings
+        assert analysis.CONSTANT_FIT not in fit.warnings and math.isfinite(late.phase[-1])
+        assert late.T2 < 4e-3 and late.slope_fit is not None
         assert late.delta == res.delta
 
     @pytest.mark.parametrize("row", [1, 2, 5])
