@@ -5,17 +5,18 @@ Fringes are fitted with A sin^2[(phi0 - phi)/2] + C, the whole
 (times, phases) grid in one stacked solve of its weighted normal equations,
 whose matrices give the errors in closed form.  The visibility,
 V = A/(A + 2C), decays as V0 exp(-t^2/T2^2) + B.  Both models are linear in
-a pair of coefficients at a fixed phi0 or T2, so one bounded variable
-projection, `_projected_fit`, serves a fringe row whose solution leaves the
-physical range (searching phi0, a coefficient on a bound reported pinned)
-and the decay's start (searching log T2), which the bounded
-`fitting.least_squares` with the model's analytic Jacobian polishes.  The
-interaction phase is `np.unwrap` of the non-constant fringes' phase minus
-the background delta_bg * t; its slope is `fitting.linear_fit` on [t, 1]
-for t below the dephasing time, weighted if every fringe there has a phase
-error.  Every fitted report is built by `fitting.fit_report`.  The steps
-after the fringe fits are `decay_and_slope`, which the inversion's forward
-model runs on the visibility and phase it reads from the coherence trace.
+a pair of coefficients at a fixed phi0 or T2, so the package's one
+variable projection, `fitting.least_squares`, serves a fringe row whose
+solution leaves the physical range (searching phi0, a coefficient on a
+bound reported pinned) and the decay fit (searching log T2 through
+`fitting.fit_least_squares`, whose projected minimum is the reported fit,
+with its errors from the analytic Jacobian).  The interaction phase is
+`np.unwrap` of the non-constant fringes' phase minus the background
+delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
+dephasing time, weighted if every fringe there has a phase error.  Every
+fitted report is built by `fitting.fit_report`.  The steps after the fringe
+fits are `decay_and_slope`, which the inversion's forward model runs on the
+visibility and phase it reads from the coherence trace.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .fitting import (FitError, FitReport, distinct, fit_inputs, fit_least_squares,
-                      fit_report, gauss_newton_1d, linear_fit, weights)
+                      fit_report, least_squares, linear_fit, projection_report, weights)
 from .ramsey import FringeSeries
 
 
@@ -109,8 +110,8 @@ def fit_fringe(phi, p, p_err=None):
 
 
 def _bounded_fringe(phi, p, w, weighted) -> FitReport:
-    """Bounded fit of one fringe, weights w: `_projected_fit` in phi0 with
-    (A, C) in [0, 2] x [0, 2], from the data's Fourier phase."""
+    """Bounded fit of one fringe, weights w: `fitting.least_squares` in
+    phi0 with (A, C) in [0, 2] x [0, 2], from the data's Fourier phase."""
 
     def column(phi0):
         return w * np.sin(0.5 * (phi0 - phi)) ** 2, lambda A: 0.5 * A * w * np.sin(phi0 - phi)
@@ -118,76 +119,12 @@ def _bounded_fringe(phi, p, w, weighted) -> FitReport:
     # the data's 1-cycle Fourier coefficient is -(A/2) e^{-i phi0}; the search
     # runs one period up, so its step tolerance is at least 2 pi PHI0_REL_STEP
     phi0 = float(-np.angle(-np.mean(p * np.exp(-1j * phi)))) % TWO_PI + TWO_PI
-    phi0, r, (A, C, free, a, j, _), converged = _projected_fit(
-        column, phi0, w, w * p, 2.0, False, PHI0_REL_STEP)
-    rep = fit_report(("A", "C", "phi0"), [A, C, phi0 % TWO_PI],  # pinned columns zeroed
-                     np.column_stack([a * free[0], w * free[1], j]), r, weighted)
-    rep.converged = converged
-    rep.warnings += [f"{name} pinned at a bound" for name, on in zip("AC", free) if not on]
+    sol = least_squares(column, [phi0], w, w * p, bounds=((0.0, 2.0), (0.0, 2.0)),
+                        rel_step=PHI0_REL_STEP)
+    sol.x[2] %= TWO_PI
+    rep = projection_report(("A", "C", "phi0"), sol, weighted)
     rep.warnings.append(BOUNDED_FIT)
     return rep
-
-
-def _projected_fit(column, p0, w, y, hi, log, rel_step):
-    """Variable projection (Golub & Pereyra) of y ~ alpha a(p) + beta w, with
-    (alpha, beta) in [0, 2] x [0, hi]: column(p) gives the weighted column a
-    and j(alpha) = dr/dp (dr/dlog p with log).  At each p, (alpha, beta) is
-    the exact least-squares solution in the box: the free one if it lies
-    inside (alpha from a's and y's parts orthogonal to w, which do not cancel
-    as a nears w), else the best edge (one coefficient held at a bound, the
-    other clipped, which covers the corners).  A p fails where the system is
-    singular.  `fitting.gauss_newton_1d` searches p with `_secant_slope` and
-    Kaufman's h = j_K . j_K on the free columns, from p0, or from the one of
-    several p0 with the lowest projected r.r.  Returns (p, r, (alpha, beta,
-    free, a, j, h), converged), or None if every p0 fails."""
-    ww, wy = w @ w, w @ y
-    yc = y - wy / ww * w  # y's part orthogonal to w
-
-    def project(p):  # the 2x2 algebra on floats, in one fixed order
-        a, jac = column(p)
-        aw = a @ w
-        u = a - aw / ww * w
-        uu = u @ u
-        alpha = (u @ yc) / uu
-        beta = (wy - aw * alpha) / ww
-        if not (math.isfinite(alpha) and math.isfinite(beta)):  # singular
-            return None
-        if not (0.0 <= alpha <= 2.0 and 0.0 <= beta <= hi):  # the best edge
-            aa, ay, ea, eb = a @ a, a @ y, np.array([0.0, 2.0]), np.array([0.0, hi])
-            edges = np.array([[*ea, *np.clip((ay - aw * eb) / aa, 0.0, 2.0)],
-                              [*np.clip((wy - aw * ea) / ww, 0.0, hi), *eb]]).T
-            alpha, beta = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
-        free = (0.0 < alpha < 2.0, 0.0 < beta < hi)
-        # j_K.j_K is j.j less its projection on the free columns: w, and u
-        # (orthogonal to w) or a alone
-        c, j = u if all(free) else a, jac(alpha)
-        wj, cj = w @ j, c @ j
-        h = j @ j - (wj / ww * wj if free[1] else 0.0) - (cj / (c @ c) * cj if free[0] else 0.0)
-        return alpha * a + beta * w - y, (alpha, beta, free, a, j, h)
-
-    starts = [(p, at) for p in np.atleast_1d(p0).tolist() if (at := project(p)) is not None]
-    p, at = min(starts, key=lambda start: start[1][0] @ start[1][0], default=(None, None))
-    return None if at is None else gauss_newton_1d(
-        project, _secant_slope(log), p, at, y, log=log, rel_step=rel_step, steps=VP_STEPS)[:4]
-
-
-def _secant_slope(log):
-    """`gauss_newton_1d`'s slope for a variable-projection search whose state
-    ends in j = dr/dp and h = j_K . j_K, Kaufman's projected Jacobian j_K = j
-    minus its projection on the free linear columns: g = j . r, which is
-    j_K . r, the exact gradient, as r is orthogonal to those columns, and h at
-    the first step, then the secant of g (in log p with log): with large
-    residuals Gauss-Newton's h (no r . d2r) converges only linearly."""
-    last = []  # p (or log p) and g at the previous accepted point
-
-    def slope(p, r, state):
-        g, h, u = state[-2] @ r, state[-1], math.log(p) if log else p
-        if last:
-            secant = (g - last[1]) / (u - last[0])
-            h = secant if secant > 0.0 else h
-        last[:] = u, g
-        return g, h
-    return slope
 
 
 def visibility(A, C):
@@ -214,18 +151,13 @@ class VisibilitySeries:
     V_err: np.ndarray | None = None
 
 
-def _decay_model(t, V0, T2, B):
-    return V0 * np.exp(-((t / T2) ** 2)) + B
-
-
-def _decay_jacobian(t, V0, T2, B):
+def _decay_column(t, T2):
+    """exp(-t^2/T2^2), the decay's column, and d(V0 exp(-t^2/T2^2))/dT2."""
     e = np.exp(-((t / T2) ** 2))
-    return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
+    return e, lambda V0: 2.0 * V0 * e * t**2 / T2**3
 
 
-_DECAY_BOUNDS = np.array([[0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]])  # V0, T2, B
-VP_STEPS = 50  # steps of the projected start at most
-VP_REL_STEP = 1e-10  # step in log T2 below which the projected start stops
+DECAY_REL_STEP = 1e-10  # step in log T2 below which the decay fit stops
 PHI0_REL_STEP = 1e-13  # relative step in phi0 below which the bounded fringe fit stops
 UNSEEN_DECAY = 0.99  # exp(-(t_max/T2)^2) above which the data cannot fix T2
 
@@ -240,43 +172,19 @@ def _crossing_guess(t, V):
     return np.array([V00, T20, B0])
 
 
-def _projected_start(t, V, w, guess):
-    """The decay's start: `_projected_fit` in log T2 from guess's, with
-    (V0, B) in [0, 2] x [0, 1].  With V0 = 0, r.r does not depend on T2, so
-    a search that ends there restarts from the data time with the lowest
-    projected r.r, kept if it ends lower.  Returns the point reached, or
-    guess if its system is singular, clipped into the fit's bounds.  No step
-    raises a warning."""
-
-    def column(T2):
-        q = (t / T2) ** 2
-        a = w * np.exp(-q)
-        return a, lambda V0: 2.0 * V0 * a * q
-
-    y = w * V
-    with np.errstate(all="ignore"):  # every value is checked
-        fit = _projected_fit(column, guess[1], w, y, 1.0, True, VP_REL_STEP)
-        if fit is None:
-            return guess.clip(*_DECAY_BOUNDS)
-        if fit[2][0] == 0.0:
-            again = _projected_fit(column, t[t > 0.0], w, y, 1.0, True, VP_REL_STEP)
-            fit = again if again is not None and again[1] @ again[1] < fit[1] @ fit[1] else fit
-    T2, _, (V0, B, *_), _ = fit
-    return np.clip([V0, T2, B], *_DECAY_BOUNDS)
-
-
 def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     """Gaussian visibility decay fit V(t) = V0 exp(-t^2/T2^2) + B.
 
-    The start is the bounded variable-projection minimum
-    (`_projected_start`, from the first crossing of B + V0/e).  The bounded
-    `fitting.least_squares` with the analytic Jacobian polishes it inside
-    0 <= V0 <= 2, 0 <= B <= 1 and gives the errors and any pinned
-    parameter; it warns where exp(-(t_max/T2)^2) > UNSEEN_DECAY.  Constant
-    visibility yields a 'no decay detected' report with T2 infinite; a
-    monotonically increasing series is rejected.
+    The fit is `fitting.fit_least_squares`' bounded variable projection in
+    log T2 from the first crossing of B + V0/e, with (V0, B) in [0, 2] x
+    [0, 1], errors from the analytic Jacobian and any coefficient on a bound
+    pinned.  With V0 = 0, r.r does not depend on T2, so a fit that ends
+    there restarts from the data time with the lowest projected r.r, kept
+    if it ends lower.  It warns where exp(-(t_max/T2)^2) > UNSEEN_DECAY.
+    Constant visibility yields a 'no decay detected' report with T2
+    infinite; a monotonically increasing series is rejected.
     """
-    t, V, w = fit_inputs(t, V, V_err, at_least=4, what="times and visibilities")
+    t, V, _ = fit_inputs(t, V, V_err, at_least=4, what="times and visibilities")
     if (t < 0.0).any():
         raise ValueError("times must be nonnegative")
     if V.max() - V.min() < 1e-12:
@@ -287,9 +195,15 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     if (V[1:] >= V[:-1]).all():
         raise FitError("visibility increases monotonically: unphysical decay")
 
-    rep = fit_least_squares(_decay_model, t, V, names=["V0", "T2", "B"],
-                            p0=_projected_start(t, V, w, _crossing_guess(t, V)),
-                            sigma=V_err, bounds=_DECAY_BOUNDS, jac=_decay_jacobian)
+    def fit(starts):
+        return fit_least_squares(_decay_column, t, V, starts, ("V0", "B", "T2"), sigma=V_err,
+                                 bounds=((0.0, 2.0), (0.0, 1.0)), log=True,
+                                 rel_step=DECAY_REL_STEP)
+    rep = fit([_crossing_guess(t, V)[1]])
+    if rep.params["V0"] == 0.0:
+        again = fit(t[t > 0.0].tolist())
+        rep = again if again.residual_norm < rep.residual_norm else rep
+    rep.params, rep.errors = ({k: d[k] for k in ("V0", "T2", "B")} for d in (rep.params, rep.errors))
     if math.exp(-((t.max() / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
         rep.warnings.append(f"T2 = {rep.params['T2']:.3g} s is not constrained: the fitted "
                             f"decay is under 1% by t = {t.max():.3g} s")
@@ -301,10 +215,11 @@ def extract_phase_series(t, phi0, delta_bg: float):
 
     Unwrapping (`np.unwrap`) follows the nearest branch between
     consecutive times; a step whose wrapped magnitude exceeds pi/2 is
-    branch-ambiguous and appends a warning.
+    branch-ambiguous and appends a warning.  t and phi0 pass `fit_inputs`:
+    one finite phase per time.
     """
-    t = np.asarray(t, dtype=float)
-    unwrapped = np.unwrap(np.asarray(phi0, dtype=float))
+    t, phi0, _ = fit_inputs(t, phi0, at_least=0, what="times and phases")
+    unwrapped = np.unwrap(phi0)
     steps = np.diff(unwrapped)
     warnings = [f"branch-ambiguous phase step of {steps[k]:.3f} rad at "
                 f"t={t[k + 1]:.4g} s"

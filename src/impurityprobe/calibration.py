@@ -1,8 +1,10 @@
 """Calibration procedures: microwave B-field spectroscopy, light-shift
 slope and quadratic Zeeman fit (both linear, solved exactly), and
 release-curve thermometry in closed form.  The B-field and release fits
-are `fitting.gauss_newton_1d` searches; the bath-free trace fit is a bounded
-`fitting.fit_least_squares` on its analytic Jacobian.  None loads scipy.
+are `fitting.gauss_newton` searches; the bath-free trace fit is the
+package's one variable projection, `fitting.fit_least_squares`, linear in
+(A, C) and searched in (delta, log T2) on its analytic Jacobian.  None
+loads scipy.
 """
 
 from __future__ import annotations
@@ -100,27 +102,30 @@ def fit_zeeman(B, delta, delta_err=None) -> FitReport:
     return rep
 
 
-def _no_bath_jacobian(t, A, C, delta, T2):
-    """d`no_bath_trace`/d(A, C, delta, T2)."""
+def _no_bath_column(t, p):
+    """0.5 (1 - exp(-t^2/T2^2) cos(delta t)), A's column of `no_bath_trace`,
+    and d(A column)/d(delta, T2) at p = (delta, T2)."""
+    delta, T2 = p
     e = np.exp(-((t / T2) ** 2))
     ec = e * np.cos(delta * t)
-    return np.column_stack([0.5 * (1.0 - ec), np.ones_like(t),
-                            0.5 * A * e * t * np.sin(delta * t), -A * ec * t**2 / T2**3])
+    return 0.5 * (1.0 - ec), lambda A: np.column_stack(
+        [0.5 * A * e * t * np.sin(delta * t), -A * ec * t**2 / T2**3])
 
 
 def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     """Fit a bath-free Ramsey time trace for the background fringe.
 
     Model: N(t) = 0.5 A (1 - exp(-t^2/T2^2) cos(delta t)) + C with
-    amplitude A, offset C, detuning delta (rad/s) and Gaussian dephasing
-    time T2 (s), fitted with its analytic Jacobian.  Initial values come
-    from the trace extrema and the dominant Fourier component.
+    amplitude A >= 0, offset C, detuning delta (rad/s) and Gaussian
+    dephasing time T2 (s): `fitting.fit_least_squares`' variable projection
+    over (delta, log T2), from the dominant Fourier component and half the
+    time span, with (A, C) solved exactly at each point.  The model is even
+    in delta, so delta is reported as |delta|.
     """
     t, N, _ = fit_inputs(t, N, N_err, at_least=6, what="times and atom numbers")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    span = float(N.max() - N.min())
-    if span == 0.0:
+    if N.max() == N.min():
         raise FitError("trace carries no oscillation")
     # dominant nonzero frequency of the mean-subtracted trace on a
     # uniform resampling of the time axis
@@ -129,12 +134,11 @@ def fit_no_bath_trace(t, N, N_err=None) -> FitReport:
     spec = np.abs(np.fft.rfft(yu))
     freqs = np.fft.rfftfreq(len(tu), tu[1] - tu[0])
     delta0 = TWO_PI * float(freqs[1 + np.argmax(spec[1:])])
-    T20 = 0.5 * (t[-1] - t[0])
-    return fit_least_squares(
-        no_bath_trace, t, N, p0=[span, float(N.min()), delta0, T20],
-        names=["A", "C", "delta", "T2"], sigma=N_err,
-        bounds=([0.0, -np.inf, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]),
-        jac=_no_bath_jacobian)
+    rep = fit_least_squares(_no_bath_column, t, N, [(delta0, 0.5 * float(t[-1] - t[0]))],
+                            ("A", "C", "delta", "T2"), sigma=N_err,
+                            bounds=((0.0, math.inf), (-math.inf, math.inf)), log=(False, True))
+    rep.params["delta"] = abs(rep.params["delta"])
+    return rep
 
 
 def release_curve(E0, T: float):

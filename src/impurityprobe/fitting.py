@@ -7,12 +7,15 @@ quadratic model (`standard_errors`: the inverse of the Gram matrix in closed
 form, `_covariance`, where it is well conditioned, else the SVD); every
 fit's x, y and sigma pass `fit_inputs`.  Linear models go through
 `linear_fit`, the normal equations solved by the same closed form (else
-`lstsq`), one-parameter searches (and the projected ones of analysis)
-through `gauss_newton_1d`, and the bath-free trace and the decay polish
-through `fit_least_squares`, on `least_squares`, a bounded Levenberg-
-Marquardt solver in numpy, always with the model's analytic Jacobian.  A
-parameter left on a bound is reported pinned, with error 0.  No module
-loads scipy, and `distinct` counts values without loading numpy.ma.
+`lstsq`), one-parameter models through `fit_scalar`, and every model
+linear in two coefficients, alpha a(p) + beta, through one nonlinear
+engine: `least_squares`, the bounded variable projection (Golub & Pereyra;
+Kaufman's projected Jacobian) behind the bounded fringe fit, the decay fit
+and the bath-free trace fit, checked and reported by `fit_least_squares`.
+All of them search with `gauss_newton`, on one parameter or a pair, always
+with the model's analytic derivatives.  A coefficient left on a bound is
+reported pinned, with error 0.  No module loads scipy, and `distinct`
+counts values without loading numpy.ma.
 """
 
 from __future__ import annotations
@@ -25,62 +28,14 @@ import numpy as np
 
 SCALAR_STEPS = 100  # Gauss-Newton steps of fit_scalar at most
 SCALAR_REL_STEP = 1e-13  # relative step below which fit_scalar stops
-LSQ_XTOL = 1e-14  # relative step below which least_squares stops
-LSQ_MAX_NFEV = 2000  # residual evaluations of least_squares at most
+VP_STEPS = 50  # steps of a least_squares search at most
+VP_REL_STEP = 1e-14  # least_squares' default step (relative, or in log p) at which it stops
 _EPS4 = 4.0 * np.finfo(float).eps  # rounding of r.r: 2 * 2 eps |r|.|y|
 MIN_DET = 1e-4  # scaled Gram determinant above which the closed form is used
 
 
 class FitError(RuntimeError):
     """Raised when a fit fails to converge or the data is degenerate."""
-
-
-def least_squares(fun, x0, *, bounds, jac, y):
-    """Minimise r.r, r = fun(x), in the box bounds by bounded Levenberg-
-    Marquardt (More 1978), with scipy's result fields x, fun, jac, nfev (every
-    call of fun) and active_mask; jac(x) is the analytic dr/dx.  A parameter
-    on a bound, its gradient pointing out, is held (Lawson & Hanson's active
-    set; active_mask -1 lower, 1 upper); the step, damped in the free
-    columns' norms, is solved on the rest, projected into the box and kept
-    if it lowers r.r.  Stops when the undamped step lowers r.r by at most
-    its rounding 4 eps |r|.|y| (y the weighted data) or moves x by at most
-    LSQ_XTOL (LSQ_XTOL + |x|).  Raises ValueError for x0 outside the bounds
-    or r not finite there, FitError after LSQ_MAX_NFEV evaluations."""
-    x = np.array(x0, dtype=float)
-    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
-    if not ((lb <= x) & (x <= ub)).all():
-        raise ValueError("x0 is outside the bounds")
-    r = np.asarray(fun(x), dtype=float)
-    if not np.isfinite(r).all():
-        raise ValueError("residuals are not finite at x0")
-    edges = list(zip((lb + 0.0 * x).tolist(), (ub + 0.0 * x).tolist()))  # per parameter
-    J, nfev, lam, done = jac(x), 1, 1e-3, False
-    while True:
-        active = [-1 if xk <= lo and gk > 0.0 else 1 if xk >= hi and gk < 0.0 else 0
-                  for xk, gk, (lo, hi) in zip(x.tolist(), (J.T @ r).tolist(), edges)]
-        if done:
-            break
-        free = [k == 0 for k in active]
-        Jf, s = J[:, free], np.zeros_like(x)
-        # column norms and |t - x| as np.linalg.norm sums them, same bits
-        A = np.concatenate((Jf, np.diag(math.sqrt(lam) * np.sqrt(np.add.reduce(Jf * Jf, axis=0)))))
-        s[free] = np.linalg.lstsq(A, np.concatenate((-r, np.zeros(Jf.shape[1]))), rcond=None)[0]
-        t = (x + s).clip(lb, ub)
-        dx = t - x
-        if math.sqrt(dx @ dx) <= LSQ_XTOL * (LSQ_XTOL + math.sqrt(x @ x)):
-            break
-        if nfev >= LSQ_MAX_NFEV:
-            raise FitError(f"no convergence in {LSQ_MAX_NFEV} residual evaluations")
-        rt, nfev = np.asarray(fun(t), dtype=float), nfev + 1
-        lowered = r @ r - rt @ rt  # NaN for a non-finite trial
-        within = abs(lowered) <= _EPS4 * np.abs(r * y).sum()
-        done = lam == 0.0 and within  # the undamped step gains only rounding
-        if lowered > 0.0:
-            x, r, lam = t, rt, 0.1 * lam if lam > 1e-3 else 0.0
-            J = jac(x)
-        else:  # a first trial within rounding: x0 is a minimum, so try undamped
-            lam = 0.0 if within and nfev == 2 else max(10.0 * lam, 1e-3)
-    return SimpleNamespace(x=x, fun=r, jac=J, nfev=nfev, active_mask=np.array(active))
 
 
 @dataclass
@@ -230,50 +185,155 @@ def linear_fit(X, y, names, sigma=None, *, what="design matrix and data") -> Fit
                       sigma is not None, var=np.array([row[i] for i, row in enumerate(cov)]))
 
 
-def gauss_newton_1d(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
-                    bracket=(-math.inf, math.inf)):
-    """Minimise r.r over one parameter p by steps -g/h (in log p with log).
+def gauss_newton(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
+                 bracket=(-math.inf, math.inf)):
+    """Minimise r.r over p, a float or a pair of floats, by steps -h^-1 g
+    (in log p with log, a flag per parameter for a pair).
 
     residual(p) is (r, state), r weighted, or None where p fails; at_p is
     that pair at the start p, y the weighted data.  slope(p, r, state),
-    asked at accepted points only, gives g = j.r and h (j.j for Gauss-Newton),
-    j = dr/dp or dr/dlog p.  A step (at most 1 in log p) is clipped to the
-    bracket and halved while r.r rises by more than its rounding
-    2 * 2 eps |r|.|y|; failed or rising trials, and the points steps leave,
-    bound the bracket.  Every evaluated point (the start too) is kept, so no
-    p is evaluated twice.  Returns (p, r, state, converged, steps taken):
-    not converged after a non-finite step or `steps` steps, converged at
-    h = 0 or a step of at most rel_step (relative, or in log p).
+    asked at accepted points only, gives g = J.r and h (J.J for Gauss-Newton),
+    J = dr/dp or dr/dlog p: floats for a float p, else a vector and a 2 x 2
+    matrix (`_newton_step`).  A step, at most 1 in each log p, is halved while r.r rises by more than its rounding
+    2 * 2 eps |r|.|y|; for a float p it is also clipped to the bracket, and
+    failed or rising trials, and the points steps leave, bound the bracket.
+    Every evaluated point (the start too) is kept, so no p is evaluated
+    twice.  Returns (p, r, state, converged, steps taken): not converged
+    after a non-finite step or `steps` steps, converged at a singular h or a
+    step of at most rel_step (relative, or in log p) in every parameter.
     """
+    one = not isinstance(p, tuple)
+    logs = (log,) if one else log
     (lo, hi), (r, state), seen, abs_y = bracket, at_p, {p: at_p}, np.abs(y)
     for taken in range(steps):
-        g, h = slope(p, r, state)
-        step = -float(g) / float(h) if h != 0.0 else 0.0
-        if not math.isfinite(step):
+        step = _newton_step(*slope(p, r, state))
+        if not all(map(math.isfinite, step)):
             return p, r, state, False, taken
-        step = min(max(step, -1.0), 1.0) if log else step
-        tol = rel_step * (1.0 if log else abs(p))
+        q = [p] if one else p
+        step = [min(max(s, -1.0), 1.0) if lg else s for s, lg in zip(step, logs)]
         ceiling = r @ r + _EPS4 * (np.abs(r) @ abs_y)
         while True:
-            t = p * math.exp(step) if log else p + step
-            if not lo <= t <= hi:
-                t = min(max(t, lo), hi)
-                step = math.log(t / p) if log else t - p
-            if abs(step) <= tol:
+            t = [x * math.exp(s) if lg else x + s for x, s, lg in zip(q, step, logs)]
+            if one and not lo <= t[0] <= hi:
+                t[0] = min(max(t[0], lo), hi)
+                step[0] = math.log(t[0] / p) if log else t[0] - p
+            if all([abs(s) <= rel_step * (1.0 if lg else abs(x))
+                    for x, s, lg in zip(q, step, logs)]):
                 return p, r, state, True, taken
+            t = t[0] if one else tuple(t)
             trial = seen[t] = seen[t] if t in seen else residual(t)
             if trial is not None and trial[0] @ trial[0] <= ceiling:
                 break
-            lo, hi = (lo, t) if t > p else (t, hi)
-            step *= 0.5
-        lo, hi = (p, hi) if t > p else (lo, p)
+            if one:
+                lo, hi = (lo, t) if t > p else (t, hi)
+            step = [0.5 * s for s in step]
+        if one:
+            lo, hi = (p, hi) if t > p else (lo, p)
         p, (r, state) = t, trial
     return p, r, state, False, steps
 
 
+def _newton_step(g, h):
+    """-g/h for floats, -h^-1 g for a vector and a 2 x 2 matrix, as a list
+    of floats; zeros for a singular h."""
+    if not isinstance(h, np.ndarray):
+        return [-float(g) / float(h) if h != 0.0 else 0.0]
+    (a, b), (_, e), (x, z) = *h.tolist(), g.tolist()
+    det = a * e - b * b
+    return [(b * z - e * x) / det, (b * x - a * z) / det] if det != 0.0 else [0.0, 0.0]
+
+
+def least_squares(column, starts, w, y, *, bounds, log=False, rel_step=VP_REL_STEP):
+    """Variable projection (Golub & Pereyra) of weighted data y onto
+    alpha a(p) + beta w, the package's nonlinear least-squares engine.
+
+    column(p) gives the weighted column a and j(alpha) = dr/dp, (len(y),)
+    for a float p, (len(y), 2) for a pair.  bounds gives the (lo, hi)
+    box of alpha and of beta, which may be half-open.  At each p, (alpha,
+    beta) is the exact least-squares solution in the box: the free one if it
+    lies inside (alpha from a's and y's parts orthogonal to w, which do not
+    cancel as a nears w), else the best edge (one coefficient held at a
+    finite bound, the other clipped, which covers the corners).  A p fails
+    where the system is singular.  `gauss_newton` searches p (log p where
+    log) with `_projected_slope`, from the start with the lowest projected
+    r.r, to rel_step or VP_STEPS steps; no step raises a numpy warning.
+    Returns scipy's fields: x = (alpha, beta, *p), fun = r, jac = dr/dx,
+    nfev (projections evaluated), active_mask (-1 for a coefficient on its
+    lower bound, 1 on its upper) and success (converged).  Raises FitError
+    if the system is singular at every start."""
+    (la, ha), (lb, hb) = bounds
+    ea, eb = (np.array([e for e in box if math.isfinite(e)]) for box in bounds)
+    ww, wy = w @ w, w @ y
+    yc = y - wy / ww * w  # y's part orthogonal to w
+    one, nfev = not isinstance(starts[0], tuple), 0
+    outer = (lambda x, z: x * z) if one else np.multiply.outer
+
+    def project(p):  # the 2x2 algebra on floats, in one fixed order
+        nonlocal nfev
+        nfev += 1
+        a, jac = column(p)
+        aw = a @ w
+        u = a - aw / ww * w
+        uu = u @ u
+        alpha = (u @ yc) / uu
+        beta = (wy - aw * alpha) / ww
+        if not (math.isfinite(alpha) and math.isfinite(beta)):  # singular
+            return None
+        if not (la <= alpha <= ha and lb <= beta <= hb):  # the best edge
+            aa, ay = a @ a, a @ y
+            edges = np.array([[*ea, *np.clip((ay - aw * eb) / aa, la, ha)],
+                              [*np.clip((wy - aw * ea) / ww, lb, hb), *eb]]).T
+            alpha, beta = edges[np.argmin(np.sum((edges @ [a, w] - y) ** 2, axis=1))]
+        free = (la < alpha < ha, lb < beta < hb)
+        # J_K.J_K is J.J less its projection on the free columns: w, and u
+        # (orthogonal to w) or a alone
+        c, J = u if all(free) else a, jac(alpha)
+        wj, cj = w @ J, c @ J
+        h = (J.T @ J - (outer(wj / ww, wj) if free[1] else 0.0)
+             - (outer(cj / (c @ c), cj) if free[0] else 0.0))
+        return alpha * a + beta * w - y, (alpha, beta, a, J, h)
+
+    with np.errstate(all="ignore"):  # every value is checked
+        at = [(p, s) for p in starts if (s := project(p)) is not None]
+        if not at:
+            raise FitError("the projection is singular or not finite at every start")
+        p, s = min(at, key=lambda start: start[1][0] @ start[1][0])
+        p, r, (alpha, beta, a, J, _), converged, _ = gauss_newton(
+            project, _projected_slope(log, one, outer), p, s, y, log=log, rel_step=rel_step,
+            steps=VP_STEPS)
+    x = np.array([alpha, beta, *([p] if one else p)])
+    return SimpleNamespace(
+        x=x, fun=r, jac=np.column_stack([a, w, J]), nfev=nfev, success=converged,
+        active_mask=np.array([int(c >= hi) - int(c <= lo) for c, (lo, hi) in
+                              zip((alpha, beta), bounds)] + [0] * (len(x) - 2)))
+
+
+def _projected_slope(log, one, outer):
+    """`gauss_newton`'s slope for a projected search whose state ends in
+    J = dr/dp and h = J_K.J_K, Kaufman's projected Jacobian J_K = J less its
+    projection on the free linear columns: g = J.r, which is J_K.r, the exact
+    gradient, as r is orthogonal to those columns, and h, both taken to log p
+    where log.  For one parameter h serves the first step only, then the
+    secant of g (in log p with log): with large residuals Gauss-Newton's h
+    (no r . d2r) converges only linearly.  outer(x, z) is x z^T."""
+    last = []  # p (or log p) and g at the previous accepted point
+
+    def slope(p, r, state):
+        s = (p if log else 1.0) if one else np.where(log, p, 1.0)
+        g, h = (r @ state[-2]) * s, state[-1] * outer(s, s)
+        if one:
+            u = math.log(p) if log else p
+            if last:
+                secant = (g - last[1]) / (u - last[0])
+                h = secant if secant > 0.0 else h
+            last[:] = u, g
+        return g, h
+    return slope
+
+
 def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     """Fit y = model(x, p) for one parameter p, given jac(x, p) = dmodel/dp,
-    by `gauss_newton_1d` (in log p with log).  Raises ValueError if the
+    by `gauss_newton` (in log p with log).  Raises ValueError if the
     residual is not finite at p0, FitError if the search does not converge."""
     x, y, w = fit_inputs(x, y, sigma, at_least=1, what="x and y")
 
@@ -286,7 +346,7 @@ def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     at_p = residual(float(p0))
     if not math.isfinite(at_p[0] @ at_p[0]):
         raise ValueError(f"residuals are not finite at the start {name} = {p0:g}")
-    p, r, _, converged, _ = gauss_newton_1d(
+    p, r, _, converged, _ = gauss_newton(
         residual, slope, float(p0), at_p, y * w, log=log,
         rel_step=SCALAR_REL_STEP, steps=SCALAR_STEPS)
     if not converged:
@@ -294,20 +354,32 @@ def fit_scalar(model, jac, x, y, p0, name, sigma=None, log=False) -> FitReport:
     return fit_report([name], [p], (jac(x, p) * w)[:, None], r, sigma is not None)
 
 
-def fit_least_squares(model, x, y, p0, names, sigma=None, *, bounds, jac) -> FitReport:
-    """Fit y = model(x, *p) by damped least squares (`least_squares`).
+def fit_least_squares(column, x, y, starts, names, sigma=None, *, bounds, log=False,
+                      rel_step=VP_REL_STEP) -> FitReport:
+    """Fit y = alpha a(x, p) + beta by `least_squares` from the starts.
 
-    sigma, when given, weights residuals as (y - model)/sigma.  bounds is
-    a (lower, upper) pair of sequences; jac(x, *p) is the model's analytic
-    (len(x), len(p)) derivative.  A parameter left on a bound is pinned:
-    error 0 (the others get the free-parameter covariance) and a warning
-    naming it.  Raises FitError on non-convergence.
+    column(x, p) gives a and j(alpha) = d(alpha a)/dp, which sigma, when
+    given, weights with the residuals (y - model)/sigma; bounds are the
+    boxes of alpha and beta, names those of (alpha, beta, *p); the report
+    is `projection_report`'s.
     """
     x, y, w = fit_inputs(x, y, sigma, at_least=len(names), what="x and y")
-    sol = least_squares(lambda p: (model(x, *p) - y) * w, p0, bounds=bounds,
-                        jac=lambda p: jac(x, *p) * w[:, None], y=y * w)
+
+    def weighted(p):
+        a, jac = column(x, p)
+        return w * a, lambda alpha: (jac(alpha).T * w).T
+    return projection_report(names, least_squares(
+        weighted if sigma is not None else lambda p: column(x, p), starts, w, y * w,
+        bounds=bounds, log=log, rel_step=rel_step), sigma is not None)
+
+
+def projection_report(names, sol, weighted) -> FitReport:
+    """FitReport of a `least_squares` solution, names those of its x: a
+    coefficient on a bound is pinned, with error 0 (the others get the
+    free-parameter covariance) and a warning naming it; converged if the
+    search is."""
     pinned = sol.active_mask != 0
-    rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun,
-                     sigma is not None)
+    rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun, weighted)
+    rep.converged = sol.success
     rep.warnings += [f"{name} pinned at a bound" for name, on in zip(names, pinned) if on]
     return rep

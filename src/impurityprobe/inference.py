@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import analyze_fringes, decay_and_slope
 from .bath import BathState
-from .fitting import gauss_newton_1d
+from .fitting import gauss_newton
 from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
                      synthesize_fringe, visibility_phase)
 from .scattering import mean_a
@@ -111,7 +111,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
 
     One memo keeps the observables and scaled residuals at every x the
     forward model ran at (the curve).  A coarse scan brackets the lowest of
-    its minima, `fitting.gauss_newton_1d` refines it between the scan's
+    its minima, `fitting.gauss_newton` refines it between the scan's
     neighbours of it, and the interval is x +- sqrt(rise/JtJ): the f_min + 1
     crossing of the locally quadratic chi^2 when an observed key has an
     error, else scaled by the residual misfit.  Where JtJ is so small that this
@@ -165,7 +165,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
         return J @ r, J @ J
 
     y = np.array([obs / errors.get(key, abs(obs)) for key, obs in observed.items()])
-    x, r, _, _, steps = gauss_newton_1d(
+    x, r, _, _, steps = gauss_newton(
         lambda x: (residuals(x), None), slope, xs[k], (rs[k], None), y,
         bracket=(xs[k - 1], xs[k + 1]), rel_step=GN_REL_STEP, steps=GN_STEPS)
     jtj = float(slope(x, r, None)[1])  # memoized, unless the steps ran out

@@ -169,7 +169,7 @@ def hash_bytes(data: bytes) -> str:
 def bath_from_config(cfg: dict) -> BathState:
     b = cfg["bath"]
     return BathState(n0=b["peak_density_per_cm3"] * 1e6,
-                     T=b["temperature_nK"] * 1e-9)
+                     T=b["temperature_nK"] / 1e9)
 
 
 def model_from_config(cfg: dict):
@@ -178,10 +178,10 @@ def model_from_config(cfg: dict):
         return _table_from_csv(m["table_csv"], a_e=m["a_e_a0"] * CONST.a_0)
     return ResonanceModel(
         a_bg=m["a_bg_a0"] * CONST.a_0,
-        B0=m["B0_mG"] * 1e-7,
-        delta_B=m["delta_B_mG"] * 1e-7,
-        gamma_B=m["gamma_B_mG"] * 1e-7,
-        dB_dE=m["dB_dE_mG_per_kB_uK"] * 1e-7 / (CONST.k_B * 1e-6),
+        B0=m["B0_mG"] / 1e7,
+        delta_B=m["delta_B_mG"] / 1e7,
+        gamma_B=m["gamma_B_mG"] / 1e7,
+        dB_dE=m["dB_dE_mG_per_kB_uK"] / 1e7 / (CONST.k_B * 1e-6),
         a_cap=m["a_cap_a0"] * CONST.a_0,
         a_e=m["a_e_a0"] * CONST.a_0,
     )
@@ -190,11 +190,11 @@ def model_from_config(cfg: dict):
 def protocol_from_config(cfg: dict) -> RamseyProtocol:
     p = cfg["protocol"]
     space = np.geomspace if p["t_spacing"] == "log" else np.linspace
-    t = space(p["t_min_ms"], p["t_max_ms"], p["n_t"]) * 1e-3
+    t = space(p["t_min_ms"] / 1e3, p["t_max_ms"] / 1e3, p["n_t"])
     phi = np.deg2rad(np.arange(0.0, 360.0, p["phi_step_deg"]))
-    return RamseyProtocol(t=t, phi=phi, B=p["bfield_mG"] * 1e-7,
+    return RamseyProtocol(t=t, phi=phi, B=p["bfield_mG"] / 1e7,
                           delta_bg=TWO_PI * p["delta_bg_Hz"],
-                          T2_bg=p["T2_bg_ms"] * 1e-3)
+                          T2_bg=p["T2_bg_ms"] / 1e3)
 
 
 # --- CSV readers ---

@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from impurityprobe import analysis, fitting
-from impurityprobe.analysis import (BOUNDED_FIT, _decay_jacobian, _decay_model,
-                                    analyze_fringes, extract_phase_series,
+from impurityprobe.analysis import (BOUNDED_FIT, analyze_fringes, extract_phase_series,
                                     fit_fringe, fit_phase_slope,
                                     fit_visibility_decay, normalize_counts,
                                     visibility, visibility_error)
@@ -30,6 +29,20 @@ def fringe_values(phi, A, C, phi0):
 def wrapped(angle):
     """angle mapped into [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
+
+
+def decay_model(t, V0, T2, B):
+    return V0 * np.exp(-((t / T2) ** 2)) + B
+
+
+def decay_jacobian(t, V0, T2, B):
+    """d `decay_model` / d(V0, T2, B)."""
+    e = np.exp(-((t / T2) ** 2))
+    return np.column_stack([e, 2.0 * V0 * e * t**2 / T2**3, np.ones_like(t)])
+
+
+# the scipy referee's box for (V0, T2, B): the decay fit's (V0, B) box, T2 > 0
+DECAY_BOUNDS = np.array([[0.0, 1e-12, 0.0], [2.0, np.inf, 1.0]])
 
 
 class TestNormalize:
@@ -339,7 +352,7 @@ class TestBoundedFringe:
         # at the start g = j_K . r and h = j_K . j_K; the secant replaces h
         # after the first step
         slopes = []
-        search = analysis.gauss_newton_1d
+        search = fitting.gauss_newton
 
         def first_slope(residual, slope, *a, **k):
             def recorded(p, r, state):
@@ -350,7 +363,7 @@ class TestBoundedFringe:
             n = len(slopes)
             return search(residual, recorded, *a, **k)
 
-        monkeypatch.setattr(analysis, "gauss_newton_1d", first_slope)
+        monkeypatch.setattr(fitting, "gauss_newton", first_slope)
         rows = bounded_rows() if case == "noisy" else faces()
         for phi, p, err in rows:
             fit_fringe(phi, p, err)
@@ -364,7 +377,7 @@ class TestBoundedFringe:
 
     def test_few_projections(self, monkeypatch):
         counts = []
-        search = analysis.gauss_newton_1d
+        search = fitting.gauss_newton
 
         def counted(residual, *a, **k):
             counts.append(1)  # the start's projection
@@ -374,7 +387,7 @@ class TestBoundedFringe:
                 return residual(p)
             return search(projection, *a, **k)
 
-        monkeypatch.setattr(analysis, "gauss_newton_1d", counted)
+        monkeypatch.setattr(fitting, "gauss_newton", counted)
         for phi, p, err in bounded_rows():
             fit_fringe(phi, p, err)
         assert len(counts) == len(bounded_rows()) >= 50
@@ -526,143 +539,150 @@ class TestVisibilityDecay:
             rep = fit_visibility_decay(t, V)
             V0, T2, B = (rep.params[k] for k in ("V0", "T2", "B"))
             assert 0.0 < V0 < 2.0 and 0.0 < B < 1.0  # an interior solution
-            r = _decay_model(t, V0, T2, B) - V
-            J = _decay_jacobian(t, V0, T2, B)
+            r = decay_model(t, V0, T2, B) - V
+            J = decay_jacobian(t, V0, T2, B)
             assert np.linalg.norm(J.T @ r) <= \
                 1e-8 * np.linalg.norm(J) * np.linalg.norm(r)
-            ref = least_squares(lambda q: _decay_model(t, *q) - V,
+            ref = least_squares(lambda q: decay_model(t, *q) - V,
                                 analysis._crossing_guess(t, V), jac="2-point",
-                                bounds=analysis._DECAY_BOUNDS)
+                                bounds=DECAY_BOUNDS)
             assert rep.residual_norm <= np.linalg.norm(ref.fun)
 
-    def test_projected_start_cuts_solver_evaluations(self, monkeypatch):
-        # TRF polishes the projected start: the first-crossing start took
-        # a median of 17 evaluations on these series
-        series = list(self.visibility_series())
-        nfev = []
-        solve = fitting.least_squares
+    @staticmethod
+    def counted(monkeypatch):
+        """Every fitting.least_squares result the fits below return."""
+        sols, solve = [], fitting.least_squares
 
         def counted(*a, **k):
-            sol = solve(*a, **k)
-            nfev.append(sol.nfev)
-            return sol
-
+            sols.append(solve(*a, **k))
+            return sols[-1]
         monkeypatch.setattr(fitting, "least_squares", counted)
+        return sols
+
+    def test_few_projections(self, monkeypatch):
+        # the projected search in log T2, one fitting.least_squares call per
+        # series, converged in a median of at most 7 projections
+        series = list(self.visibility_series())
+        sols = self.counted(monkeypatch)
         for t, V in series:
-            fit_visibility_decay(t, V)
-        assert len(nfev) == 18 and np.median(nfev) <= 8
+            assert fit_visibility_decay(t, V).converged
+        assert len(sols) == 18 and np.median([sol.nfev for sol in sols]) <= 7
 
     def test_start_converges_in_few_steps(self, monkeypatch):
         # the secant curvature makes the search superlinear: 8 steps reach
         # the 50-step point, where Gauss-Newton alone, linear at about 1/3
         # per step on these large residuals, is still 1e-4 away
         series = list(self.visibility_series())
-        full = [self.start(t, V, analysis._crossing_guess(t, V)) for t, V in series]
-        monkeypatch.setattr(analysis, "VP_STEPS", 8)
+        full = [fit_visibility_decay(t, V).params for t, V in series]
+        monkeypatch.setattr(fitting, "VP_STEPS", 8)
         for (t, V), ref in zip(series, full):
-            np.testing.assert_allclose(
-                self.start(t, V, analysis._crossing_guess(t, V)), ref, rtol=1e-9)
+            got = fit_visibility_decay(t, V).params
+            np.testing.assert_allclose(list(got.values()), list(ref.values()), rtol=1e-9)
 
     @staticmethod
-    def start(t, V, guess, V_err=None):
-        w = np.ones_like(V) if V_err is None else 1.0 / V_err
+    def fit(t, V, starts, V_err=None):
+        """The decay's projection in log T2 from the given starts."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return analysis._projected_start(t, V, w, np.asarray(guess, dtype=float))
+            return fitting.fit_least_squares(analysis._decay_column, t, V, starts,
+                                             ("V0", "B", "T2"), sigma=V_err,
+                                             bounds=((0.0, 2.0), (0.0, 1.0)), log=True,
+                                             rel_step=analysis.DECAY_REL_STEP)
 
     def test_start_falls_back_on_a_singular_system(self):
-        # at T2 = 1e30 s the decay column is all ones, the offset's twin
+        # at T2 = 1e30 s the decay column is all ones, the offset's twin:
+        # the search runs from the other start, and with no other it fails
         V = 0.9 * np.exp(-((self.T / 4e-3) ** 2)) + 0.05
-        guess = [0.85, 1e30, 0.05]
-        assert self.start(self.T, V, guess).tolist() == guess
+        assert self.fit(self.T, V, [1e30, 3e-3]) == self.fit(self.T, V, [3e-3])
+        with pytest.raises(FitError, match="singular"):
+            self.fit(self.T, V, [1e30])
 
     def test_start_stops_at_a_non_finite_step(self):
         # at T2 = 1e-200 s, (t/T2)^2 overflows for t > 0: the Jacobian is
-        # not finite, so the search ends at the guess's projection
+        # not finite, so the search ends, not converged, at the start's
+        # projection
         t = np.concatenate([[0.0], self.T])
         V = 0.9 * np.exp(-((t / 4e-3) ** 2)) + 0.05
-        V0, T2, B = self.start(t, V, [0.85, 1e-200, 0.05])
-        assert T2 == 1e-12  # the fit's lower bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = fitting.least_squares(lambda T2: analysis._decay_column(t, T2), [1e-200],
+                                        np.ones_like(t), V, bounds=((0.0, 2.0), (0.0, 1.0)),
+                                        log=True, rel_step=analysis.DECAY_REL_STEP)
+        V0, B, T2 = sol.x
+        assert T2 == 1e-200 and not sol.success and sol.nfev == 1
         assert V0 == pytest.approx(V[0] - np.mean(V[1:]), rel=1e-12)
         assert B == pytest.approx(np.mean(V[1:]), rel=1e-12)
 
     @pytest.mark.parametrize("V0, B, face", [(0.9, -0.05, "B"), (2.5, 0.1, "V0"),
                                              (0.3, 1.05, "B")])
     def test_start_stays_in_the_box(self, V0, B, face):
-        # the free minimum is the truth, outside [0, 2] x [0, 1]: the start,
+        # the free minimum is the truth, outside [0, 2] x [0, 1]: the fit,
         # the bounded projection's minimum, puts the face's coefficient on
         # its bound, no higher than scipy's TRF from the clipped crossing guess
         V = V0 * np.exp(-((self.T / 4e-3) ** 2)) + B
         guess = analysis._crossing_guess(self.T, V)
-        names = ("V0", "T2", "B")
-        start = dict(zip(names, self.start(self.T, V, guess)))
-        bound = dict(zip(names, np.clip([V0, 4e-3, B], *analysis._DECAY_BOUNDS)))[face]
-        assert start[face] == bound
-        trf = least_squares(lambda q: _decay_model(self.T, *q) - V,
-                            np.clip(guess, *analysis._DECAY_BOUNDS),
-                            jac=lambda q: _decay_jacobian(self.T, *q),
-                            bounds=analysis._DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
-                            gtol=1e-14, max_nfev=2000)
-        r = _decay_model(self.T, *start.values()) - V
-        assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(V)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = fit_visibility_decay(self.T, V)
+        bound = dict(zip(("V0", "T2", "B"), np.clip([V0, 4e-3, B], *DECAY_BOUNDS)))[face]
+        assert rep.params[face] == bound
+        trf = least_squares(lambda q: decay_model(self.T, *q) - V,
+                            np.clip(guess, *DECAY_BOUNDS),
+                            jac=lambda q: decay_jacobian(self.T, *q),
+                            bounds=DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, max_nfev=2000)
+        r = decay_model(self.T, *rep.params.values()) - V
+        assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(V)
         assert f"{face} pinned at a bound" in rep.warnings
 
     @pytest.mark.parametrize("V0, B, face, bound, trf_nfev", [
         (0.9, -0.05, "B", 0.0, 9), (2.5, 0.1, "V0", 2.0, 24), (0.3, 1.05, "B", 1.0, 17)])
     def test_face_fit_takes_few_evaluations(self, monkeypatch, V0, B, face, bound,
                                             trf_nfev):
-        # the free minimum is outside the box, so the start searches log T2
-        # on the face: the polish takes no more evaluations than scipy's TRF
-        # from the clipped crossing guess did (trf_nfev) and lands where TRF
-        # lands from the same start
+        # the free minimum is outside the box, so the search in log T2 runs
+        # on the face: it takes no more projections than scipy's TRF from the
+        # clipped crossing guess took evaluations (trf_nfev), and lands where
+        # TRF lands from that start
         V = V0 * np.exp(-((self.T / 4e-3) ** 2)) + B
-        calls = []
-        solve = fitting.least_squares
-
-        def counted(fun, x0, **k):
-            sol = solve(fun, x0, **k)
-            calls.append((np.array(x0), sol.nfev))
-            return sol
-
-        monkeypatch.setattr(fitting, "least_squares", counted)
+        sols = self.counted(monkeypatch)
         rep = fit_visibility_decay(self.T, V)
-        (x0, nfev), = calls
-        assert nfev <= trf_nfev
+        (sol,) = sols
+        assert sol.nfev <= trf_nfev and rep.converged
         assert rep.warnings == [f"{face} pinned at a bound"]
         assert rep.params[face] == bound and rep.errors[face] == 0.0
-        trf = least_squares(lambda q: _decay_model(self.T, *q) - V, x0,
-                            jac=lambda q: _decay_jacobian(self.T, *q),
-                            bounds=analysis._DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
+        trf = least_squares(lambda q: decay_model(self.T, *q) - V,
+                            np.clip(analysis._crossing_guess(self.T, V), *DECAY_BOUNDS),
+                            jac=lambda q: decay_jacobian(self.T, *q),
+                            bounds=DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
                             gtol=1e-14, max_nfev=2000)
-        r = _decay_model(self.T, *(rep.params[k] for k in ("V0", "T2", "B"))) - V
+        assert trf.nfev == trf_nfev
+        r = decay_model(self.T, *rep.params.values()) - V
         eps = np.finfo(float).eps
         assert r @ r <= trf.fun @ trf.fun + 4.0 * eps * np.abs(trf.fun) @ np.abs(V)
         assert rep.params["T2"] == pytest.approx(trf.x[1], rel=1e-8)
 
-    def test_start_is_the_weighted_minimum(self, monkeypatch):
-        # the fit hands TRF the minimum of the sum weighted by 1/V_err
+    def test_start_is_the_weighted_minimum(self):
+        # the fit minimises the sum weighted by 1/V_err: no higher than
+        # scipy's weighted TRF, and not at the unweighted minimum
         rng = np.random.default_rng(3)
         V_err = rng.uniform(0.005, 0.05, len(self.T))
         V = (0.8 * np.exp(-((self.T / 5e-3) ** 2)) + 0.1
              + V_err * rng.standard_normal(len(self.T)))
-        starts = []
-        solve = fitting.least_squares
-
-        def record(fun, x0, **k):
-            starts.append(x0)
-            return solve(fun, x0, **k)
-
-        monkeypatch.setattr(fitting, "least_squares", record)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = fit_visibility_decay(self.T, V, V_err=V_err)
-        fitted = [rep.params[k] for k in ("V0", "T2", "B")]
-        np.testing.assert_allclose(starts[0], fitted, rtol=1e-8)
-        unweighted = self.start(self.T, V, analysis._crossing_guess(self.T, V))
-        assert abs(unweighted[1] / fitted[1] - 1.0) > 1e-3
+        w = 1.0 / V_err
+        trf = least_squares(lambda q: (decay_model(self.T, *q) - V) * w,
+                            np.clip(analysis._crossing_guess(self.T, V), *DECAY_BOUNDS),
+                            jac=lambda q: decay_jacobian(self.T, *q) * w[:, None],
+                            bounds=DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, max_nfev=2000)
+        fitted = list(rep.params.values())
+        r = (decay_model(self.T, *fitted) - V) * w
+        assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(V * w)
+        np.testing.assert_allclose(fitted, trf.x, rtol=1e-8)
+        unweighted = fit_visibility_decay(self.T, V).params["T2"]
+        assert abs(unweighted / fitted[1] - 1.0) > 1e-3
 
     @pytest.mark.parametrize("kw", [{"V": [0.9, 0.5, math.nan, 0.1]},
                                     {"t": [0.0, 1e-3, math.inf, 3e-3]},
@@ -699,9 +719,8 @@ class TestVisibilityDecay:
 
 class TestDecayReferee:
     """fit_visibility_decay on seeded noisy decays against scipy's TRF from
-    the clipped first-crossing guess: never a FitError, a polish of at most
-    3 evaluations from the bounded projection's start, and a sum of squares
-    at or below TRF's up to its rounding."""
+    the clipped first-crossing guess: never a FitError, few projections,
+    and a sum of squares at or below TRF's up to its rounding."""
 
     @staticmethod
     def series(seed):
@@ -722,35 +741,26 @@ class TestDecayReferee:
 
     @staticmethod
     def check(monkeypatch, t, V, V_err=None):
-        """The fit's r.r, after the polish-count and TRF checks."""
-        nfev = []
-        solve = fitting.least_squares
-
-        def counted(*a, **k):
-            sol = solve(*a, **k)
-            nfev.append(sol.nfev)
-            return sol
-
-        monkeypatch.setattr(fitting, "least_squares", counted)
+        """The fit's r.r, after the TRF check, and its projections."""
+        sols = TestVisibilityDecay.counted(monkeypatch)
         rep = fit_visibility_decay(t, V, V_err=V_err)
         monkeypatch.undo()
-        assert nfev[0] <= 3
         w = np.ones_like(V) if V_err is None else 1.0 / V_err
-        r = (_decay_model(t, *(rep.params[k] for k in ("V0", "T2", "B"))) - V) * w
-        trf = least_squares(lambda q: (_decay_model(t, *q) - V) * w,
-                            np.clip(analysis._crossing_guess(t, V), *analysis._DECAY_BOUNDS),
-                            jac=lambda q: _decay_jacobian(t, *q) * w[:, None],
-                            bounds=analysis._DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
+        r = (decay_model(t, *(rep.params[k] for k in ("V0", "T2", "B"))) - V) * w
+        trf = least_squares(lambda q: (decay_model(t, *q) - V) * w,
+                            np.clip(analysis._crossing_guess(t, V), *DECAY_BOUNDS),
+                            jac=lambda q: decay_jacobian(t, *q) * w[:, None],
+                            bounds=DECAY_BOUNDS, xtol=1e-14, ftol=1e-14,
                             gtol=1e-14, max_nfev=2000)
         assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(w * V)
-        return r @ r
+        return r @ r, sum(sol.nfev for sol in sols)
 
     def test_at_or_below_trf_in_few_evaluations(self, monkeypatch):
         # the start that met the (V0, B) box as a wall failed 2 of these (one
         # FitError, one 1.1 % above TRF), and its polish took up to 1,124
         # evaluations
-        for seed in range(300):
-            self.check(monkeypatch, *self.series(seed))
+        nfev = [self.check(monkeypatch, *self.series(seed))[1] for seed in range(300)]
+        assert np.median(nfev) <= 7
 
     def test_short_window_converges(self, monkeypatch):
         # a visibility above 1 seen over half a T2: the start clipped onto
@@ -768,7 +778,7 @@ class TestDecayReferee:
         # lower, with B on its bound
         t, V, V_err = self.series(658)
         assert V_err is None
-        rr = self.check(monkeypatch, t, V)
+        rr, _ = self.check(monkeypatch, t, V)
         assert rr <= 0.95 * np.sum((V - V.mean()) ** 2)  # the plateau's r.r
 
 
@@ -790,6 +800,13 @@ class TestPhaseSeries:
         t = np.linspace(0.0, 5e-3, 10)
         Phi, _ = extract_phase_series(t, np.full_like(t, 1.2), 0.0)
         assert np.allclose(Phi, 1.2)
+
+    @pytest.mark.parametrize("t, phi0", [([0.0, 1.0], [0.0, 0.0, 3.0]),
+                                         ([0.0, 1.0, 2.0], [0.0, 0.0])])
+    def test_one_phase_per_time(self, t, phi0):
+        # an extra phase raised IndexError, a missing one numpy's broadcast error
+        with pytest.raises(ValueError, match=r"one value per point, not \(\d,\) and \(\d,\)"):
+            extract_phase_series(t, phi0, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), start=st.floats(-3.1, 3.1),
@@ -954,10 +971,12 @@ class TestPipeline:
         fit = res.decay_fit
         assert fit.residual_norm < 1e-10
         # the scaled Jacobian's condition number is about 3e10: the closed
-        # form declines, and the errors come from the SVD, finite
-        J = analysis._decay_jacobian(t, *(fit.params[k] for k in ("V0", "T2", "B")))
+        # form declines, and the errors come from the SVD, finite; at this
+        # condition the SVD's rounding depends on the column order, so the
+        # referee takes the fit's (V0, B, T2)
+        J = decay_jacobian(t, *(fit.params[k] for k in ("V0", "T2", "B")))[:, [0, 2, 1]]
         assert fitting._covariance(J) is None
-        want = svd_errors(J, fit.residual_norm ** 2 / (len(t) - 3))
+        want = svd_errors(J, fit.residual_norm ** 2 / (len(t) - 3))[[0, 2, 1]]
         assert np.isfinite(want).all()
         assert list(fit.errors.values()) == pytest.approx(want, rel=1e-13)
 
@@ -1012,31 +1031,23 @@ class TestPipeline:
     def test_decay_start_reaches_the_box_face(self, monkeypatch):
         # the decay of test_bounded_fits_listed_in_warnings: the log-T2
         # search reaches B = 0, where the bounded projection holds B on its
-        # bound, so the polish starts on that face (scipy's TRF took 10
-        # evaluations from the crossing guess)
+        # bound, and ends on that face in no more projections than scipy's
+        # TRF took evaluations from the crossing guess (10)
         t = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
         p = np.array([fringe_values(phi, v, 0.5 - 0.5 * v, 1.0)
                       for v in np.exp(-((t / 4e-3) ** 2))])
         p[2] = fringe_values(phi, 0.5, -0.02, 1.0)
-        calls = []
-        solve = fitting.least_squares
-
-        def counted(fun, x0, **k):
-            sol = solve(fun, x0, **k)
-            calls.append(sol.nfev)
-            return sol
-
-        monkeypatch.setattr(fitting, "least_squares", counted)
+        sols = TestVisibilityDecay.counted(monkeypatch)
         res = analyze_fringes(FringeSeries(t=t, phi=phi, p=p), delta_bg=0.0)
-        (nfev,) = calls  # one polish
-        assert nfev <= 4
+        (decay,) = sols
+        assert decay.nfev <= 10 and decay.success
         rep, V = res.decay_fit, res.visibility.V
         assert rep.params["B"] == 0.0 and rep.warnings == ["B pinned at a bound"]
-        trf = least_squares(lambda q: _decay_model(t, *q) - V, analysis._crossing_guess(t, V),
-                            jac=lambda q: _decay_jacobian(t, *q), bounds=analysis._DECAY_BOUNDS,
+        trf = least_squares(lambda q: decay_model(t, *q) - V, analysis._crossing_guess(t, V),
+                            jac=lambda q: decay_jacobian(t, *q), bounds=DECAY_BOUNDS,
                             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-        r = _decay_model(t, *(rep.params[k] for k in ("V0", "T2", "B"))) - V
+        r = decay_model(t, *(rep.params[k] for k in ("V0", "T2", "B"))) - V
         assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(V)
 
     def test_pinned_fringe_keeps_its_visibility_error(self):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import least_squares
 
 from impurityprobe import fitting
+from impurityprobe.analysis import fit_visibility_decay
 from impurityprobe.calibration import (LIGHT_SHIFT_THEORY, ZEEMAN_HZ_PER_G,
-                                       _no_bath_jacobian, fit_bfield, fit_light_shift,
+                                       _no_bath_column, fit_bfield, fit_light_shift,
                                        fit_no_bath_trace, fit_release_curve,
                                        fit_zeeman, rabi_lineshape,
                                        release_curve)
@@ -15,6 +17,8 @@ from impurityprobe.constants import CONST
 from impurityprobe.fitting import FitError
 from impurityprobe.ramsey import no_bath_trace
 from impurityprobe.thermal import mb_pdf, zeeman_coefficient_hz_per_G2
+
+from test_analysis import DECAY_BOUNDS, TestDecayReferee, decay_jacobian, decay_model
 
 TWO_PI = 2 * math.pi
 K_B = CONST.k_B
@@ -351,11 +355,18 @@ class TestNoBathTrace:
             fit_no_bath_trace(t, N)
 
 
+def _no_bath_jacobian(t, A, C, delta, T2):
+    """d`no_bath_trace`/d(A, C, delta, T2): the column, the offset's ones and
+    the column's derivative that the fit searches with."""
+    a, jac = _no_bath_column(t, (delta, T2))
+    return np.column_stack([a, np.ones_like(t), jac(A)])
+
+
 class TestNoBathReferee:
     """fit_no_bath_trace on criterion 06's trace and seeded noisy traces,
     unweighted and weighted: a sum of squares at or below that of scipy's
     TRF from the same start, up to the rounding of r.r, with nfev counting
-    every residual evaluation."""
+    every projection."""
 
     T = np.linspace(0.2e-3, 40e-3, 80)  # criterion 06's times
     NAMES = ("A", "C", "delta", "T2")
@@ -374,25 +385,29 @@ class TestNoBathReferee:
     def check(self, monkeypatch, t, N, N_err=None):
         calls, sols, solve = [], [], fitting.least_squares
 
-        def counted(fun, x0, **kw):
-            def fun_counted(p):
+        def counted(column, starts, *a, **kw):
+            def column_counted(p):
                 calls.append(1)
-                return fun(p)
-            sols.append((solve(fun_counted, x0, **kw), x0, kw))
+                return column(p)
+            sols.append((solve(column_counted, starts, *a, **kw), starts))
             return sols[-1][0]
 
         monkeypatch.setattr(fitting, "least_squares", counted)
         rep = fit_no_bath_trace(t, N, N_err=N_err)
         monkeypatch.undo()
-        (sol, x0, kw), = sols
-        assert sol.nfev == len(calls)
+        (sol, [(delta0, T20)]), = sols
+        assert sol.nfev == len(calls) and rep.converged
         w = np.ones_like(N) if N_err is None else 1.0 / N_err
         r = (no_bath_trace(t, *(rep.params[k] for k in self.NAMES)) - N) * w
+        # the start the parent's four-parameter fit took: the trace's span
+        # and minimum for (A, C)
+        x0 = [N.max() - N.min(), N.min(), delta0, T20]
         trf = least_squares(lambda q: (no_bath_trace(t, *q) - N) * w, x0,
                             jac=lambda q: _no_bath_jacobian(t, *q) * w[:, None],
-                            bounds=kw["bounds"], xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                            max_nfev=2000)
+                            bounds=([0.0, -np.inf, 0.0, 1e-9], np.inf), xtol=1e-14,
+                            ftol=1e-14, gtol=1e-14, max_nfev=2000)
         assert r @ r <= trf.fun @ trf.fun + _sum_of_squares_slack(r, N * w)
+        return sol.nfev
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_criterion_06(self, monkeypatch, weighted):
@@ -402,7 +417,7 @@ class TestNoBathReferee:
     @pytest.mark.parametrize("seed", range(20))
     def test_noisy(self, monkeypatch, seed):
         t, N, sigma = self.noisy(seed)
-        self.check(monkeypatch, t, N, sigma if seed % 2 else None)
+        assert self.check(monkeypatch, t, N, sigma if seed % 2 else None) <= 25
 
     def test_jacobian_against_central_differences(self):
         p = np.array([6.0, 2.0, TWO_PI * 135.0, 27.2e-3])
@@ -410,6 +425,45 @@ class TestNoBathReferee:
         fd = np.column_stack([(no_bath_trace(self.T, *(p + dp)) - no_bath_trace(self.T, *(p - dp)))
                               / (2.0 * hk) for hk, dp in zip(h, np.diag(h))])
         assert _no_bath_jacobian(self.T, *p) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+        a, _ = _no_bath_column(self.T, p[2:])
+        assert (p[0] * a + p[1]).tolist() == no_bath_trace(self.T, *p).tolist()
+
+
+class TestEngineReferee:
+    """The property the Levenberg-Marquardt polish used to enforce: scipy's
+    TRF started at a decay or bath-free fit finds no sum of squares lower
+    than the fit's by more than its rounding (`_sum_of_squares_slack`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), weighted=st.booleans())
+    def test_decay(self, seed, weighted):
+        # a seeded decay of 8-30 times, as TestDecayReferee draws them
+        t, V, V_err = TestDecayReferee.series(seed)
+        V_err = np.full(len(t), 0.01) if weighted else None
+        w = np.ones_like(V) if V_err is None else 1.0 / V_err
+        rep = fit_visibility_decay(t, V, V_err=V_err)
+        x = [rep.params[k] for k in ("V0", "T2", "B")]
+        r = (decay_model(t, *x) - V) * w
+        trf = least_squares(lambda q: (decay_model(t, *q) - V) * w, x,
+                            jac=lambda q: decay_jacobian(t, *q) * w[:, None],
+                            bounds=DECAY_BOUNDS, xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            max_nfev=2000)
+        assert trf.fun @ trf.fun >= r @ r - _sum_of_squares_slack(r, V * w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31), weighted=st.booleans())
+    def test_bath_free_trace(self, seed, weighted):
+        t, N, sigma = TestNoBathReferee.noisy(seed)
+        N_err = sigma if weighted else None
+        w = np.ones_like(N) if N_err is None else 1.0 / N_err
+        rep = fit_no_bath_trace(t, N, N_err=N_err)
+        x = [rep.params[k] for k in TestNoBathReferee.NAMES]
+        r = (no_bath_trace(t, *x) - N) * w
+        trf = least_squares(lambda q: (no_bath_trace(t, *q) - N) * w, x,
+                            jac=lambda q: _no_bath_jacobian(t, *q) * w[:, None],
+                            bounds=([0.0, -np.inf, 0.0, 1e-9], np.inf), xtol=1e-14,
+                            ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        assert trf.fun @ trf.fun >= r @ r - _sum_of_squares_slack(r, N * w)
 
 
 BAD_SIGMA = pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf],

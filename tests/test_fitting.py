@@ -10,7 +10,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 from impurityprobe import analysis, calibration, fitting
 from impurityprobe.constants import CONST
 from impurityprobe.fitting import (FitError, distinct, fit_least_squares,
-                                   fit_report, fit_scalar, gauss_newton_1d,
+                                   fit_report, fit_scalar, gauss_newton,
                                    linear_fit, standard_errors)
 from impurityprobe.ramsey import no_bath_trace
 
@@ -222,81 +222,115 @@ def decay_jac(x, a, k):
     return np.column_stack([e, -a * x * e])
 
 
+def decay_column(x, k):
+    """exp(-k x), the column of a exp(-k x) + b, and d(a exp(-k x))/dk."""
+    e = np.exp(-k * x)
+    return e, lambda a: -a * x * e
+
+
+def offset_decay(x, a, b, k):
+    return decay(x, a, k) + b
+
+
+def offset_decay_jac(x, a, b, k):
+    """d offset_decay / d(a, b, k), the engine's x order."""
+    e = np.exp(-k * x)
+    return np.column_stack([e, np.ones_like(x), -a * x * e])
+
+
 class TestFitLeastSquares:
+    """fitting.fit_least_squares on a exp(-k x) + b: a projection over k
+    with (a, b) solved exactly, against scipy's TRF on all three."""
+
     X = np.linspace(0.0, 3.0, 15)
 
     def data(self):
         rng = np.random.default_rng(2)
         sigma = rng.uniform(0.01, 0.03, len(self.X))
-        return decay(self.X, 1.3, 0.8) + sigma * rng.normal(size=len(self.X)), sigma
+        return offset_decay(self.X, 1.3, 0.7, 0.8) + sigma * rng.normal(size=len(self.X)), sigma
 
     def test_analytic_jacobian_weighted_by_sigma(self):
         y, sigma = self.data()
-        an = fit_least_squares(decay, self.X, y, [1.0, 1.0], ["a", "k"], sigma=sigma,
-                               bounds=(-np.inf, np.inf), jac=decay_jac)
-        trf = scipy_least_squares(lambda p: (decay(self.X, *p) - y) / sigma, [1.0, 1.0],
-                                  jac=lambda p: decay_jac(self.X, *p) / sigma[:, None],
+        free = ((-np.inf, np.inf), (-np.inf, np.inf))
+        an = fit_least_squares(decay_column, self.X, y, [1.0], ["a", "b", "k"], sigma=sigma,
+                               bounds=free)
+        trf = scipy_least_squares(lambda p: (offset_decay(self.X, *p) - y) / sigma,
+                                  [1.0, 0.0, 1.0],
+                                  jac=lambda p: offset_decay_jac(self.X, *p) / sigma[:, None],
                                   xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-        r = (decay(self.X, an.params["a"], an.params["k"]) - y) / sigma
+        p = [an.params[k] for k in ("a", "b", "k")]
+        r = (offset_decay(self.X, *p) - y) / sigma
         assert r @ r <= trf.fun @ trf.fun + 4.0 * np.finfo(float).eps * np.abs(r) @ np.abs(y / sigma)
-        for name, ref in zip(("a", "k"), trf.x):
-            assert an.params[name] == pytest.approx(ref, rel=1e-6)
-        a, k = an.params["a"], an.params["k"]
-        Jw = decay_jac(self.X, a, k) / sigma[:, None]
-        assert [an.errors["a"], an.errors["k"]] == \
+        assert p == pytest.approx(trf.x, rel=1e-6)
+        Jw = offset_decay_jac(self.X, *p) / sigma[:, None]
+        assert [an.errors[k] for k in ("a", "b", "k")] == \
             pytest.approx(np.sqrt(np.diag(np.linalg.inv(Jw.T @ Jw))), rel=1e-10)
+        assert an.converged and not an.warnings
 
     def test_pinned_parameter_reports_zero_error(self):
-        # the data decay at k = 0.8 but k <= 0.5: k ends on its bound, so its
-        # error is 0 and a's error is that of a fit with k fixed
+        # the data have b = 0.7 but b <= 0.5: b ends on its bound, so its
+        # error is 0 and (a, k)'s errors are those of a fit with b fixed
         y, sigma = self.data()
-        rep = fit_least_squares(decay, self.X, y, [1.0, 0.2], ["a", "k"], sigma=sigma,
-                                bounds=([0.0, 0.0], [np.inf, 0.5]), jac=decay_jac)
-        assert rep.params["k"] == pytest.approx(0.5, abs=1e-12)
-        assert rep.errors["k"] == 0.0
-        assert rep.warnings == ["k pinned at a bound"]
-        e = np.exp(-0.5 * self.X) / sigma
-        assert rep.errors["a"] == pytest.approx(1.0 / np.linalg.norm(e), rel=1e-10)
-        assert rep.errors["a"] == pytest.approx(
-            1.0 / np.linalg.norm(np.exp(-rep.params["k"] * self.X) / sigma), rel=1e-13)
+        rep = fit_least_squares(decay_column, self.X, y, [1.0], ["a", "b", "k"], sigma=sigma,
+                                bounds=((0.0, np.inf), (0.0, 0.5)))
+        assert rep.params["b"] == 0.5
+        assert rep.errors["b"] == 0.0
+        assert rep.warnings == ["b pinned at a bound"]
+        a, k = rep.params["a"], rep.params["k"]
+        Jw = offset_decay_jac(self.X, a, 0.5, k)[:, [0, 2]] / sigma[:, None]
+        assert [rep.errors["a"], rep.errors["k"]] == \
+            pytest.approx(np.sqrt(np.diag(np.linalg.inv(Jw.T @ Jw))), rel=1e-10)
 
 
 class TestLeastSquaresSolver:
-    """fitting.least_squares, the bounded Levenberg-Marquardt solver."""
+    """fitting.least_squares, the variable-projection engine, on
+    TestFitLeastSquares's data."""
 
     X = TestFitLeastSquares.X
 
-    @staticmethod
-    def solve(fun, x0, jac, bounds=(-np.inf, np.inf)):
-        return fitting.least_squares(fun, x0, bounds=bounds, jac=jac, y=0.0)
+    def solve(self, bounds, starts=(1.0,), column=decay_column):
+        y, sigma = TestFitLeastSquares().data()
+        w = 1.0 / sigma
 
-    def test_start_outside_the_bounds_rejected(self):
-        with pytest.raises(ValueError, match="outside the bounds"):
-            self.solve(lambda p: p - 1.0, [2.0], lambda p: np.ones((1, 1)),
-                       bounds=([0.0], [1.5]))
+        def weighted(k):
+            a, jac = column(self.X, k)
+            return w * a, lambda alpha: w * jac(alpha)
+        return fitting.least_squares(weighted, list(starts), w, w * y, bounds=bounds)
 
     def test_nonfinite_start_rejected(self):
-        with pytest.raises(ValueError, match="not finite"):
-            self.solve(lambda p: np.array([p[0], math.nan]), [1.0],
-                       lambda p: np.array([[1.0], [0.0]]))
+        with pytest.raises(FitError, match="not finite"):
+            self.solve(((0.0, np.inf), (0.0, np.inf)),
+                       column=lambda x, k: (np.full_like(x, np.nan), None))
 
-    def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(fitting, "LSQ_MAX_NFEV", 2)
-        with pytest.raises(FitError, match="no convergence in 2 residual evaluations"):
-            self.solve(lambda p: np.exp(p) - 5.0, [0.0], lambda p: np.exp(p)[:, None])
+    def test_exhausted_budget_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(fitting, "VP_STEPS", 1)
+        free = ((-np.inf, np.inf), (-np.inf, np.inf))
+        assert not self.solve(free, starts=[5.0]).success
+        y, sigma = TestFitLeastSquares().data()
+        rep = fit_least_squares(decay_column, self.X, y, [5.0], ["a", "b", "k"], sigma=sigma,
+                                bounds=free)
+        assert not rep.converged
+        monkeypatch.undo()
+        assert self.solve(free, starts=[5.0]).success
+
+    def test_several_starts_take_the_lowest(self):
+        # from k = 40 the data's decay is lost; the search runs from the
+        # start with the lowest projected r.r, so adding that start changes
+        # nothing, and every start's projection is counted
+        free = ((-np.inf, np.inf), (-np.inf, np.inf))
+        one, both = self.solve(free, starts=[1.0]), self.solve(free, starts=[40.0, 1.0])
+        assert both.x.tolist() == one.x.tolist() and both.nfev == one.nfev + 1
 
     @pytest.mark.parametrize("bounds, x0, k, mask", [
-        (([0.0, 0.0], [np.inf, 0.5]), [1.0, 0.2], 0.5, [0, 1]),
-        (([0.0, 1.0], [np.inf, np.inf]), [1.0, 1.2], 1.0, [0, -1])])
+        (((0.0, np.inf), (0.0, 0.5)), [1.0], 0.5, [0, 1, 0]),
+        (((0.0, np.inf), (1.0, np.inf)), [1.0], 1.0, [0, -1, 0])])
     def test_active_mask_names_the_pinned_bound(self, bounds, x0, k, mask):
-        # TestFitLeastSquares's data decay at k = 0.8: k ends on whichever
-        # bound it is held away from, and only that bound is active
-        y, sigma = TestFitLeastSquares().data()
-        sol = fitting.least_squares(lambda p: (decay(self.X, *p) - y) / sigma, x0,
-                                    bounds=bounds, y=y / sigma,
-                                    jac=lambda p: decay_jac(self.X, *p) / sigma[:, None])
-        assert sol.x[1] == k
+        # TestFitLeastSquares's data have b = 0.7: b ends on whichever bound
+        # it is held away from, and only that bound is active
+        sol = self.solve(bounds, starts=x0)
+        assert sol.x[1] == k and sol.success
         assert sol.active_mask.tolist() == mask
+        assert sol.jac.shape == (len(self.X), 3)
 
 
 class TestFitScalar:
@@ -372,8 +406,9 @@ class TestFitScalar:
 
 
 class TestGaussNewton1d:
-    """The one-parameter search behind fit_scalar, the decay fit's start and
-    the inversion's refinement, on r = p - 10 (minimum at p = 10)."""
+    """The search behind fit_scalar, the projection engine and the
+    inversion's refinement, with one parameter on r = p - 10 (minimum at
+    p = 10)."""
 
     @staticmethod
     def search(p0, slope=None, fails=math.inf, **kw):
@@ -386,11 +421,11 @@ class TestGaussNewton1d:
             seen.append(p)
             return None if p > fails else (np.array([p - 10.0]), None)
 
-        def gauss_newton(p, r, _):
+        def gauss_newton_step(p, r, _):
             j = p if log else 1.0  # dr/dlog p or dr/dp
             return j * r[0], j * j
         kw = {"rel_step": 1e-12, "steps": 60, **kw}
-        out = gauss_newton_1d(residual, slope or gauss_newton, p0,
+        out = gauss_newton(residual, slope or gauss_newton_step, p0,
                               (np.array([p0 - 10.0]), None), np.zeros(1), **kw)
         return out, seen
 
@@ -446,6 +481,36 @@ class TestGaussNewton1d:
         assert p == pytest.approx(10.0 - 8.0 * 0.75**3, rel=1e-15)
 
 
+class TestGaussNewtonTwoParameters:
+    """The same search on a tuple p, as the bath-free fit runs it: Newton
+    steps -h^-1 g on r = (u1 - 3, u2 - 2, u1 + u2 - 5), linear in u = p, or
+    in u2 = log p2 where the second flag is set."""
+
+    @staticmethod
+    def search(p0, log):
+        seen = []
+        J = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # dr/du
+
+        def residual(p):
+            seen.append(p)
+            u = np.array([math.log(x) if lg else x for x, lg in zip(p, log)])
+            return J @ u - [3.0, 2.0, 5.0], None
+        out = gauss_newton(residual, lambda p, r, _: (r @ J, J.T @ J), p0, residual(p0),
+                           np.zeros(3), rel_step=1e-12, steps=10, log=log)
+        return out, seen[1:]
+
+    def test_linear_residual_in_one_newton_step(self):
+        (p, r, _, converged, taken), seen = self.search((0.0, 0.0), (False, False))
+        assert seen == [(3.0, 2.0)] and p == (3.0, 2.0)
+        assert r.tolist() == [0.0, 0.0, 0.0] and converged and taken == 1
+
+    def test_log_step_is_at_most_a_factor_e(self):
+        # the Newton step is 2 in log p2: the first trial moves p2 by e only
+        (p, _, _, converged, _), seen = self.search((0.0, 1.0), (False, True))
+        assert seen[0] == (3.0, pytest.approx(math.e, rel=1e-15))
+        assert converged and p == pytest.approx((3.0, math.exp(2.0)), rel=1e-12)
+
+
 def _noisy(y, scale, seed=3):
     return y + scale * np.random.default_rng(seed).normal(size=len(y))
 
@@ -467,10 +532,9 @@ def _boundary_fits():
                                                   lambda x, k: -x * np.exp(-k * x),
                                                   x, y, 1.0, "k", sigma=s)),
         "fit_least_squares": (
-            x10, _noisy(decay(x10, 2.0, 0.7), 0.01), np.full(10, 0.01),
-            lambda x, y, s: fit_least_squares(decay, x, y, [1.0, 1.0], ["a", "k"], sigma=s,
-                                              bounds=([0.0, 0.0], [np.inf, np.inf]),
-                                              jac=decay_jac)),
+            x10, _noisy(offset_decay(x10, 2.0, 0.3, 0.7), 0.01), np.full(10, 0.01),
+            lambda x, y, s: fit_least_squares(decay_column, x, y, [1.0], ["a", "b", "k"],
+                                              sigma=s, bounds=((0.0, np.inf), (0.0, np.inf)))),
         "fit_visibility_decay": (
             t12, _noisy(0.8 * np.exp(-(t12 / 2e-3) ** 2) + 0.05, 0.01), np.full(12, 0.01),
             lambda x, y, s: analysis.fit_visibility_decay(x, y, V_err=s)),

@@ -30,7 +30,7 @@ def make_bath(n0=1.5e19, T=850e-9):
 class TestForwardObservables:
     def test_fit_errors_do_not_reach_the_posterior(self, monkeypatch):
         # inversions read fitted values only: with the errors of every
-        # fit_report NaN (fringe grid, bounded fringes, decay polish and phase
+        # fit_report NaN (fringe grid, bounded fringes, decay fit and phase
         # slope) the posterior is the same, bit for bit
         proto = make_protocol()
         obs = forward_observables(1.2e19, 700e-9, MODEL, proto, 96, 96)

@@ -4,6 +4,7 @@ canonical JSON form of every artifact."""
 import json
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from impurityprobe import serialization
 from impurityprobe.calibration import release_curve
 from impurityprobe.cli import main
 from impurityprobe.constants import CONST
-from impurityprobe.ramsey import FringeSeries
+from impurityprobe.ramsey import FringeSeries, RamseyProtocol
+from impurityprobe.scattering import ResonanceModel
 from impurityprobe.serialization import (ConfigError, canonical_json,
                                          fringe_from_csv, fringe_to_csv,
                                          xy_from_csv)
@@ -253,3 +255,16 @@ class TestJsonArtifacts:
         assert len(ledger) == 2 and ledger["0" * 64] == old["0" * 64]
         (new,) = (v for k, v in ledger.items() if k != "0" * 64)
         assert new["slope_Hz_per_W"] == pytest.approx(1104.0, rel=1e-9)
+
+
+def test_empty_config_is_the_library_defaults():
+    # units are converted by dividing by exact powers of ten, and times
+    # spaced in seconds, as default_grid spaces them; multiplying by the
+    # inexact 1e-7 and 1e-3 moved B0 and 22 of the 30 times by an ulp
+    cfg = serialization.merge_config({})
+    model, protocol = serialization.model_from_config(cfg), serialization.protocol_from_config(cfg)
+    assert [x.hex() for x in astuple(model)] == [x.hex() for x in astuple(ResonanceModel())]
+    default = RamseyProtocol.default_grid()
+    for name in ("t", "phi", "B", "delta_bg", "T2_bg"):
+        got, want = np.asarray(getattr(protocol, name)), np.asarray(getattr(default, name))
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
