@@ -147,6 +147,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg, model, protocol = _prepare(args)
+    bath = bath_from_config(cfg)
     if args.kind == "density":
         observed = {}
         if args.delta_hz is not None:
@@ -155,16 +156,14 @@ def cmd_infer(args) -> int:
             observed["T2"] = args.t2_ms * 1e-3
         if not observed:
             raise ConfigError("density inference needs --delta-hz and/or --t2-ms")
-        post = infer_density(observed, cfg["bath"]["temperature_nK"] * 1e-9,
-                             model, protocol, **cfg["quadrature"])
+        post = infer_density(observed, bath.T, model, protocol, **cfg["quadrature"])
         payload = {"kind": "density", "estimate_per_cm3": post.estimate / 1e6,
                    "interval_per_cm3": [v / 1e6 for v in post.interval]}
     else:  # temperature
         if args.t2_ms is None:
             raise ConfigError("temperature inference needs --t2-ms")
-        post = infer_temperature(args.t2_ms * 1e-3,
-                                 cfg["bath"]["peak_density_per_cm3"] * 1e6,
-                                 model, protocol, **cfg["quadrature"])
+        post = infer_temperature(args.t2_ms * 1e-3, bath.n0, model, protocol,
+                                 **cfg["quadrature"])
         payload = {"kind": "temperature", "estimate_nK": post.estimate * 1e9,
                    "interval_nK": [v * 1e9 for v in post.interval]}
 

@@ -377,7 +377,11 @@ def projection_report(names, sol, weighted) -> FitReport:
     """FitReport of a `least_squares` solution, names those of its x: a
     coefficient on a bound is pinned, with error 0 (the others get the
     free-parameter covariance) and a warning naming it; converged if the
-    search is."""
+    search is.  Raises FitError where r or dr/dx is not finite (a search
+    stopped at a non-finite step)."""
+    if not (np.isfinite(sol.fun).all() and np.isfinite(sol.jac).all()):
+        raise FitError("the residual or its Jacobian is not finite at "
+                       f"{dict(zip(names, sol.x.tolist()))}")
     pinned = sol.active_mask != 0
     rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun, weighted)
     rep.converged = sol.success

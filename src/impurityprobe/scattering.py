@@ -7,7 +7,8 @@ slides linearly with collision energy,
     a_g(B, E) = a_bg * [1 - dB * (B - B_res(E)) / ((B - B_res(E))^2 + g^2)]
     B_res(E)  = B0 + (dB/dE) * E,
 
-clamped to +-a_cap.  The excited-state scattering length is constant.
+so |a_g| <= |a_bg| (1 + dB / 2g).  The excited-state scattering length
+is constant.
 Thermal statistics (mean, variance, histogram) follow by averaging over
 the Maxwell-Boltzmann collision-energy distribution.
 
@@ -17,7 +18,7 @@ coupled-channel data is available.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ class ResonanceModel:
     delta_B: float = 50.0e-7        # dispersive width, T
     dB_dE: float = 25.0e-7 / (K_B * 1e-6)   # resonance drift, T/J
     gamma_B: float = 6.0e-7         # regularization width, T
-    a_cap: float = 25000.0 * A0     # unitarity-motivated cap on |a|, m
     a_e: float = 539.0 * A0         # excited-state scattering length, m
 
     def __post_init__(self):
@@ -52,12 +52,6 @@ class ResonanceModel:
             raise ValueError("resonance parameters must be finite")
         if self.gamma_B <= 0.0:
             raise ValueError("gamma_B must be positive")
-        if self.a_cap <= abs(self.a_bg):
-            raise ValueError("a_cap must exceed |a_bg|")
-
-    def with_constant_a(self) -> "ResonanceModel":
-        """Copy of the model with the resonant term switched off."""
-        return replace(self, delta_B=0.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,6 @@ def a_ground(B: float, E_c, model) -> float | np.ndarray:
     else:
         b = B - (model.B0 + model.dB_dE * E_c)
         a = model.a_bg * (1.0 - model.delta_B * b / (b * b + model.gamma_B**2))
-        a = np.clip(a, -model.a_cap, model.a_cap)
     return float(a) if np.ndim(a) == 0 else a
 
 

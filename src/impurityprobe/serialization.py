@@ -45,7 +45,6 @@ DEFAULT_CONFIG = {
         "delta_B_mG": 50.0,
         "gamma_B_mG": 6.0,
         "dB_dE_mG_per_kB_uK": 25.0,
-        "a_cap_a0": 25000.0,
         "a_e_a0": 539.0,
         "table_csv": None,
     },
@@ -182,7 +181,6 @@ def model_from_config(cfg: dict):
         delta_B=m["delta_B_mG"] / 1e7,
         gamma_B=m["gamma_B_mG"] / 1e7,
         dB_dE=m["dB_dE_mG_per_kB_uK"] / 1e7 / (CONST.k_B * 1e-6),
-        a_cap=m["a_cap_a0"] * CONST.a_0,
         a_e=m["a_e_a0"] * CONST.a_0,
     )
 

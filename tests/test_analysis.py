@@ -490,6 +490,11 @@ class TestVisibility:
         with pytest.raises(ValueError):
             visibility(0.0, 0.0)
 
+    @pytest.mark.parametrize("A, C", [(-0.1, 0.3), (0.5, [0.2, -1e-3])])
+    def test_negative_amplitude_or_offset_rejected(self, A, C):
+        with pytest.raises(ValueError, match="amplitude and offset must be nonnegative"):
+            visibility(A, C)
+
     def test_error_propagation_against_finite_differences(self):
         A, C = 0.7, 0.15
         eps = 1e-7
@@ -692,6 +697,10 @@ class TestVisibilityDecay:
         args = {"t": [0.0, 1e-3, 2e-3, 3e-3], "V": [0.9, 0.5, 0.2, 0.1], **kw}
         with pytest.raises(ValueError):
             fit_visibility_decay(**args)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            fit_visibility_decay([-1e-3, 0.0, 1e-3, 2e-3], [0.9, 0.5, 0.2, 0.1])
 
     def test_no_decay_flagged(self):
         rep = fit_visibility_decay(self.T, np.full_like(self.T, 0.8))

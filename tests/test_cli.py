@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import impurityprobe
-from impurityprobe import serialization
+from impurityprobe import cli, serialization
 from impurityprobe.cli import main
 from impurityprobe.inference import forward_observables
 from impurityprobe.ramsey import FringeSeries, fringe_closed_form, no_bath_trace
@@ -66,6 +66,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_array_config_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([FAST_CONFIG]))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -102,12 +108,21 @@ class TestConfig:
         ({"protocol": {"rabi_freq_kHz": 15.4}}, "protocol.rabi_freq_kHz"),
         ({"include_background": True}, "include_background"),
         ({"schema_version": 2}, "schema_version"),
+        # the profile is bounded by its width: the model has no cap
+        ({"model": {"a_cap_a0": 25000.0}}, "model.a_cap_a0"),
+        ({"bath": {"peak_density_per_cm3": 0.0}},
+         "bath.peak_density_per_cm3 must be positive"),
+        ({"protocol": {"t_min_ms": 5.0, "t_max_ms": 1.0}}, "0 < t_min_ms < t_max_ms"),
+        ({"protocol": {"n_t": 1}}, "protocol.n_t must be >= 2"),
+        ({"protocol": {"T2_bg_ms": 0.0}}, "protocol.T2_bg_ms must be positive"),
+        ({"quadrature": {"energy_order": 1}}, "quadrature orders must be >= 2"),
     ], ids=["unknown-key", "unknown-section", "string", "bool", "null",
             "fractional-n_t", "float-order", "fractional-seed", "trap-length",
             "trap-string", "string-bool", "spacing", "table-type",
             "phi-step-zero", "phi-step-wide",
             "noise-key", "noise-fraction", "scenario", "rabi-freq",
-            "background-true", "schema-version"])
+            "background-true", "schema-version", "a-cap", "density-zero",
+            "times-reversed", "one-time", "t2-bg-zero", "order-one"])
     def test_bad_key_or_type_is_input_error(self, tmp_path, capsys, extra,
                                              key):
         cfg = write_config(tmp_path, extra)
@@ -403,6 +418,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [
+        None, [300.0, 600.0], {"parameter": "temperature_nK", "values": 300.0},
+        {"parameter": "temperature_nK", "values": [300.0, 600.0], "step": 1}],
+        ids=["missing", "list", "scalar-values", "extra-key"])
+    def test_malformed_section_is_input_error(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path, {} if sweep is None else {"sweep": sweep})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "sweep config needs" in capsys.readouterr().err
+
     def test_unknown_parameter_is_input_error(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {
             "parameter": "rabi_freq_kHz", "values": [1.0, 2.0]}})
@@ -588,6 +612,23 @@ class TestInfer:
         assert result["estimate_nK"] == pytest.approx(850.0, rel=0.02)
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("kind", ["density", "temperature"])
+    def test_known_bath_is_the_simulated_bath(self, tmp_path, monkeypatch, kind):
+        # at 800 nK, 800 * 1e-9 is 1 ulp above the 800 / 1e9 that simulate
+        # synthesizes with; infer takes its bath from the same conversion
+        cfg = write_config(tmp_path, {"bath": {"temperature_nK": 800.0,
+                                               "peak_density_per_cm3": 1.7e13}})
+        bath = serialization.bath_from_config(load_config(cfg))
+        known = []
+
+        def capture(observed, value, *args, **kwargs):
+            known.append(value)
+            raise cli.InferenceError("captured", "test")
+        monkeypatch.setattr(cli, f"infer_{kind}", capture)
+        assert main(["infer", kind, "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--t2-ms", "0.6"]) == 4
+        assert known == [bath.T if kind == "density" else bath.n0]
+
     def test_flat_objective_is_inference_error(self, tmp_path):
         # a_g == a_e: no density dependence anywhere in the signal
         cfg = write_config(tmp_path, {"model": {"delta_B_mG": 0.0,
@@ -619,6 +660,21 @@ class TestInfer:
         cfg = write_config(tmp_path)
         assert main(["infer", "density", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
+
+    def test_temperature_without_t2_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["infer", "temperature", "--config", cfg,
+                     "--out", str(tmp_path / "run"), "--delta-hz", "-50"]) == 2
+        assert "temperature inference needs --t2-ms" in capsys.readouterr().err
+
+    def test_minimum_at_the_bracket_edge_is_inference_error(self, tmp_path, capsys):
+        # no density in the bracket dephases as slowly as 1 s: the misfit
+        # falls toward the lowest density, the bracket's edge
+        cfg = write_config(tmp_path)
+        assert main(["infer", "density", "--config", cfg,
+                     "--out", str(tmp_path / "run"), "--t2-ms", "1000"]) == 4
+        assert "[bracket]: objective minimum not inside the bracket" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,flag,value", [
         ("density", "--delta-hz", "nan"), ("density", "--t2-ms", "inf"),

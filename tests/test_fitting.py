@@ -281,6 +281,16 @@ class TestFitLeastSquares:
         assert [rep.errors["a"], rep.errors["k"]] == \
             pytest.approx(np.sqrt(np.diag(np.linalg.inv(Jw.T @ Jw))), rel=1e-10)
 
+    def test_non_finite_jacobian_is_fit_error(self):
+        # from T2 = 1e-200 s the decay's derivative at t = 0 is 0/0: the
+        # search stops at its start, and the report's SVD would raise
+        # numpy's LinAlgError, a ValueError the CLI calls an input error
+        t = np.arange(5) * 1e-3
+        V = np.array([0.9, 0.7, 0.5, 0.3, 0.2])
+        with pytest.raises(FitError, match="Jacobian is not finite at .*'T2': 1e-200"):
+            fit_least_squares(analysis._decay_column, t, V, [1e-200], ("V0", "B", "T2"),
+                              bounds=((0.0, 2.0), (0.0, 1.0)), log=True)
+
 
 class TestLeastSquaresSolver:
     """fitting.least_squares, the variable-projection engine, on
@@ -391,6 +401,11 @@ class TestFitScalar:
         y[4] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             fit_scalar(self.model, self.slope, self.X, y, 1.0, "k")
+
+    def test_nonfinite_start_residual_rejected(self):
+        y = self.model(self.X, 0.8)
+        with pytest.raises(ValueError, match="not finite at the start k = nan"):
+            fit_scalar(self.model, self.slope, self.X, y, math.nan, "k")
 
     def test_step_budget_raises(self, monkeypatch):
         monkeypatch.setattr(fitting, "SCALAR_STEPS", 2)

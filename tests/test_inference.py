@@ -422,6 +422,14 @@ class TestInvert:
                 infer_temperature(1e-3, known, MODEL, make_protocol())
         assert calls == []
 
+    def test_missing_forward_value_counts_1e3(self):
+        # no slope below T2 gives delta None; a NaN T2 counts the same
+        observed = {"delta": TWO_PI * -50.0, "T2": 1e-3}
+        r = inference._residuals(observed, {"delta": None, "T2": math.nan}, {})
+        assert r.tolist() == [1e3, 1e3]
+        r = inference._residuals(observed, {"T2": 2e-3}, {"T2": 1e-4})
+        assert r.tolist() == [1e3, pytest.approx(10.0, rel=1e-12)]
+
     @pytest.mark.parametrize("errors", [{"delta": None}, {"T2": None}])
     def test_interval_rule_needs_an_observed_error(self, errors):
         # 96 x 96 at 1.5e19 m^-3, 850 nK from T2 alone: an errors dict

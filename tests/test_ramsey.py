@@ -52,6 +52,10 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             fringe_closed_form(1e-3, 0.0, 0.0, 0.0)
 
+    def test_no_bath_trace_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            no_bath_trace([0.0, -1e-3], 6.0, 2.0, TWO_PI * 135.0, 27.2e-3)
+
 
 class TestRamseyPopulation:
     def test_time_zero_is_unity(self):
@@ -806,6 +810,11 @@ class TestProtocol:
     def test_non_finite_parameters_rejected(self, kw):
         with pytest.raises(ValueError):
             make_protocol(**kw)
+
+    @pytest.mark.parametrize("T2_bg", [0.0, -27.2e-3])
+    def test_nonpositive_background_t2_rejected(self, T2_bg):
+        with pytest.raises(ValueError, match="T2_bg must be positive"):
+            make_protocol(T2_bg=T2_bg)
 
     def test_default_grid(self):
         proto = RamseyProtocol.default_grid()

@@ -9,6 +9,7 @@ from impurityprobe.scattering import (ResonanceModel, TabulatedModel, a_ground,
                                       a_histogram, delta_a, mean_a, var_a)
 from impurityprobe.serialization import (ConfigError, merge_config,
                                          model_from_config)
+from impurityprobe.thermal import QuadratureError
 
 A0 = CONST.a_0
 K_B = CONST.k_B
@@ -40,18 +41,16 @@ class TestAGround:
                                                                rel=1e-14)
 
     def test_extrema_at_gamma(self):
-        for sign in (+1.0, -1.0):
-            B = MODEL.B0 + sign * MODEL.gamma_B
-            expected = MODEL.a_bg * (1.0 - sign * MODEL.delta_B
-                                     / (2.0 * MODEL.gamma_B))
-            assert a_ground(B, 0.0, MODEL) == pytest.approx(expected, rel=1e-12)
-
-    def test_clamped_to_cap(self):
+        # the sharp model (delta_B / gamma_B = 5e5) peaks at 2.5e5 a_bg:
+        # the profile is bounded by its width alone
         sharp = replace(MODEL, gamma_B=1e-10, delta_B=500e-7)
-        B = np.linspace(MODEL.B0 - 5e-7, MODEL.B0 + 5e-7, 2001)
-        a = np.array([a_ground(b, 0.0, sharp) for b in B])
-        assert np.max(np.abs(a)) <= sharp.a_cap * (1 + 1e-12)
-        assert np.any(np.isclose(np.abs(a), sharp.a_cap, rtol=1e-12))
+        for model in (MODEL, sharp):
+            for sign in (+1.0, -1.0):
+                B = model.B0 + sign * model.gamma_B
+                expected = model.a_bg * (1.0 - sign * model.delta_B
+                                         / (2.0 * model.gamma_B))
+                assert a_ground(B, 0.0, model) == pytest.approx(expected,
+                                                                rel=1e-12)
 
     def test_single_sign_change_across_resonance(self):
         E = K_B * 300e-9
@@ -96,12 +95,12 @@ class TestDeltaA:
 
 class TestThermalStatistics:
     def test_constant_model_mean_is_background(self):
-        flat = MODEL.with_constant_a()
+        flat = replace(MODEL, delta_B=0.0)
         assert mean_a(MODEL.B0, 600e-9, flat) == pytest.approx(flat.a_bg,
                                                                rel=1e-12)
 
     def test_constant_model_zero_variance(self):
-        flat = MODEL.with_constant_a()
+        flat = replace(MODEL, delta_B=0.0)
         assert var_a(MODEL.B0, 600e-9, flat) == pytest.approx(0.0,
                                                               abs=(1e-6 * A0) ** 2)
 
@@ -109,6 +108,15 @@ class TestThermalStatistics:
         a_cold = mean_a(MODEL.B0 + 10e-7, 1e-12, MODEL)
         assert a_cold == pytest.approx(a_ground(MODEL.B0 + 10e-7, 0.0, MODEL),
                                        rel=1e-3)
+
+    @pytest.mark.parametrize("stat", [mean_a, var_a], ids=["mean", "var"])
+    def test_unresolved_resonance_is_quadrature_error(self, stat):
+        # a 0.1 mG-wide resonance probed 5 mG above B0: 4 energy panels (order 32)
+        # and 8 (order 64) disagree
+        sharp = replace(MODEL, gamma_B=1e-8)
+        with pytest.raises(QuadratureError,
+                           match=f"{stat.__name__} not converged at order 32"):
+            stat(MODEL.B0 + 5e-7, 850e-9, sharp, order=32)
 
     def test_variance_nonnegative(self):
         assert var_a(MODEL.B0, 300e-9, MODEL) >= 0.0
@@ -134,7 +142,7 @@ class TestHistogram:
         assert abs(masses.sum() - 1.0) < 1e-9
 
     def test_constant_model_single_bin(self):
-        flat = MODEL.with_constant_a()
+        flat = replace(MODEL, delta_B=0.0)
         _, masses = a_histogram(MODEL.B0, 600e-9, flat, bins=20)
         assert np.count_nonzero(masses) == 1
 
@@ -152,12 +160,17 @@ class TestHistogram:
 
 class TestResonanceModel:
     @pytest.mark.parametrize("field", ["a_bg", "B0", "delta_B", "dB_dE",
-                                       "gamma_B", "a_cap", "a_e"])
+                                       "gamma_B", "a_e"])
     def test_non_finite_parameter_rejected(self, field):
         with pytest.raises(ValueError):
             ResonanceModel(**{field: math.nan})
         with pytest.raises(ValueError):
             replace(MODEL, **{field: -math.inf})
+
+    @pytest.mark.parametrize("gamma_B", [0.0, -6e-7])
+    def test_nonpositive_width_rejected(self, gamma_B):
+        with pytest.raises(ValueError, match="gamma_B must be positive"):
+            ResonanceModel(gamma_B=gamma_B)
 
 
 class TestTabulatedModel:
@@ -215,6 +228,12 @@ class TestTabulatedModel:
     def test_bad_csv_rejected(self, tmp_path, lines, match):
         with pytest.raises(ConfigError, match=match):
             self.load(tmp_path, lines)
+
+    def test_grid_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="table shape mismatch"):
+            TabulatedModel(B_grid=np.array([0.5, 1.0]),
+                           E_grid=np.array([0.0, 1.0, 2.0]),
+                           a_grid=np.zeros((3, 2)))
 
     def test_nonmonotone_grid_rejected(self):
         with pytest.raises(ValueError):
