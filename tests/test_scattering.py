@@ -41,16 +41,21 @@ class TestAGround:
                                                                rel=1e-14)
 
     def test_extrema_at_gamma(self):
-        # the sharp model (delta_B / gamma_B = 5e5) peaks at 2.5e5 a_bg:
-        # the profile is bounded by its width alone
+        for sign in (+1.0, -1.0):
+            B = MODEL.B0 + sign * MODEL.gamma_B
+            expected = MODEL.a_bg * (1.0 - sign * MODEL.delta_B
+                                     / (2.0 * MODEL.gamma_B))
+            assert a_ground(B, 0.0, MODEL) == pytest.approx(expected, rel=1e-12)
+
+    def test_clamped_to_cap(self):
+        # no clip: the width alone caps the profile at |a_bg| (1 + dB / 2g),
+        # 2.5e5 a_bg for this sharp model, and the cap is reached at B0 -+ g
         sharp = replace(MODEL, gamma_B=1e-10, delta_B=500e-7)
-        for model in (MODEL, sharp):
-            for sign in (+1.0, -1.0):
-                B = model.B0 + sign * model.gamma_B
-                expected = model.a_bg * (1.0 - sign * model.delta_B
-                                         / (2.0 * model.gamma_B))
-                assert a_ground(B, 0.0, model) == pytest.approx(expected,
-                                                                rel=1e-12)
+        cap = abs(sharp.a_bg) * (1.0 + sharp.delta_B / (2.0 * sharp.gamma_B))
+        B = np.linspace(MODEL.B0 - 5e-7, MODEL.B0 + 5e-7, 10001)
+        a = np.array([a_ground(b, 0.0, sharp) for b in B])
+        assert np.max(np.abs(a)) <= cap * (1 + 1e-12)
+        assert np.any(np.isclose(np.abs(a), cap, rtol=1e-12))
 
     def test_single_sign_change_across_resonance(self):
         E = K_B * 300e-9
