@@ -232,8 +232,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite")
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QuadratureError, FitError) as exc:

@@ -35,12 +35,6 @@ class Constants:
     g_J: float = 2.00254032                # Cs 6S1/2 fine-structure g
     g_I: float = -0.00039885395            # Cs nuclear g factor
 
-    def __post_init__(self):
-        for name in ("hbar", "h", "k_B", "mu_B", "a_0", "amu",
-                     "m_Rb", "m_Cs", "delta_E_hfs", "g_J"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be positive")
-
 
 CONST = Constants()
 

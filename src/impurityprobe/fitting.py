@@ -234,13 +234,13 @@ def gauss_newton(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
 
 
 def _newton_step(g, h):
-    """-g/h for floats, -h^-1 g for a vector and a 2 x 2 matrix, as a list
-    of floats; zeros for a singular h."""
-    if not isinstance(h, np.ndarray):
-        return [-float(g) / float(h) if h != 0.0 else 0.0]
-    (a, b), (_, e), (x, z) = *h.tolist(), g.tolist()
-    det = a * e - b * b
-    return [(b * z - e * x) / det, (b * x - a * z) / det] if det != 0.0 else [0.0, 0.0]
+    """-h^-1 g by `_adjugate`, for floats or for a vector and a 2 x 2
+    matrix, as a list of floats; zeros for a singular h."""
+    g, h = (g.tolist(), h.tolist()) if isinstance(h, np.ndarray) else ([float(g)], [[float(h)]])
+    adj, det = _adjugate(h)
+    # each row's sum starts at -0.0, the identity of +, so a zero keeps its sign
+    return [sum([-c * x for c, x in zip(row, g)], -0.0) / det if det != 0.0 else 0.0
+            for row in adj]
 
 
 def least_squares(column, starts, w, y, *, bounds, log=False, rel_step=VP_REL_STEP):

@@ -117,12 +117,14 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
     error, else scaled by the residual misfit.  Where JtJ is so small that this
     half-width exceeds the searched bracket (a residual stationary at a
     nonzero value), the interval is the bracket and the posterior is
-    flagged unbounded.  A single observable is flagged unreached if its
-    residual has one sign at every memoized x, and reached more than once
-    if it changes sign more than once on the coarse scan.  At the estimate,
-    forward(x, pipeline_observables) runs the full pipeline once, and the
-    posterior is flagged if its delta or T2 differs from the memo's by more
-    than PIPELINE_RTOL (relative), or is None where the memo's is not.
+    flagged unbounded.  A refinement that stops unconverged (after GN_STEPS
+    steps, or at a non-finite step) is flagged with the steps it took.  A
+    single observable is flagged unreached if its residual has one sign at
+    every memoized x, and reached more than once if it changes sign more
+    than once on the coarse scan.  At the estimate, forward(x,
+    pipeline_observables) runs the full pipeline once, and the posterior is
+    flagged if its delta or T2 differs from the memo's by more than
+    PIPELINE_RTOL (relative), or is None where the memo's is not.
     """
     errors = {k: v for k, v in (errors or {}).items() if v is not None}
     unobserved = set(errors) - set(observed)
@@ -165,7 +167,7 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
         return J @ r, J @ J
 
     y = np.array([obs / errors.get(key, abs(obs)) for key, obs in observed.items()])
-    x, r, _, _, steps = gauss_newton(
+    x, r, _, converged, steps = gauss_newton(
         lambda x: (residuals(x), None), slope, xs[k], (rs[k], None), y,
         bracket=(xs[k - 1], xs[k + 1]), rel_step=GN_REL_STEP, steps=GN_STEPS)
     jtj = float(slope(x, r, None)[1])  # memoized, unless the steps ran out
@@ -175,6 +177,9 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
     post = Posterior1D(estimate=x, interval=(x - half, x + half),
                        curve=sorted((x, float(r @ r)) for x, (_, r) in memo.items()),
                        iterations=steps)
+    if not converged:
+        post.flags.append(f"refinement not converged: stopped after {steps} Gauss-Newton "
+                          f"steps (GN_STEPS = {GN_STEPS}) at {name} {x!r}")
     if half > bracket[1] - bracket[0]:
         post.interval = tuple(bracket)
         post.flags.append("interval unbounded: the residuals are stationary "

@@ -104,18 +104,20 @@ def delta_a(B: float, E_c, model) -> float | np.ndarray:
     return model.a_e - a_ground(B, E_c, model)
 
 
-def _thermal_nodes(B, T_bath, model, order):
-    """a_g on the panel MB energy rule, with its weights."""
-    E, w = mb_quadrature(T_bath, order=order)
-    return a_ground(B, E, model), w
+def _thermal_moments(B, T_bath, model, order):
+    """(mean, variance) of a_g over the MB collision energies on the panel
+    rule of `order` nodes, then on that of 2 * order."""
+    def moments(n):
+        E, w = mb_quadrature(T_bath, order=n)
+        a = a_ground(B, E, model)
+        m = float(np.dot(w, a))
+        return m, float(np.dot(w, (a - m) ** 2))
+    return moments(order), moments(2 * order)
 
 
 def mean_a(B: float, T_bath: float, model, order: int = 512) -> float:
     """Thermal mean of a_g (m) at twice `order`, checked against `order`."""
-    a, w = _thermal_nodes(B, T_bath, model, order)
-    m1 = float(np.dot(w, a))
-    a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
-    m1b = float(np.dot(w2, a2))
+    (m1, _), (m1b, _) = _thermal_moments(B, T_bath, model, order)
     scale = max(abs(m1b), abs(model.a_bg) if hasattr(model, "a_bg") else abs(m1b))
     if abs(m1b - m1) > 1e-4 * scale:
         raise QuadratureError(
@@ -125,14 +127,7 @@ def mean_a(B: float, T_bath: float, model, order: int = 512) -> float:
 
 def var_a(B: float, T_bath: float, model, order: int = 512) -> float:
     """Thermal variance of a_g (m^2) at twice `order`, checked against `order`."""
-    def centered_var(a, w):
-        m1 = float(np.dot(w, a))
-        return float(np.dot(w, (a - m1) ** 2)), m1
-
-    a, w = _thermal_nodes(B, T_bath, model, order)
-    v, _ = centered_var(a, w)
-    a2, w2 = _thermal_nodes(B, T_bath, model, 2 * order)
-    vb, m1b = centered_var(a2, w2)
+    (_, v), (m1b, vb) = _thermal_moments(B, T_bath, model, order)
     scale = max(vb, (1e-2 * abs(m1b)) ** 2)
     if abs(vb - v) > 1e-4 * scale and abs(vb - v) > 1e-3 * vb:
         raise QuadratureError(
@@ -149,7 +144,8 @@ def a_histogram(B: float, T_bath: float, model, bins: int = 50,
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    a, w = _thermal_nodes(B, T_bath, model, order)
+    E, w = mb_quadrature(T_bath, order=order)
+    a = a_ground(B, E, model)
     lo, hi = float(np.min(a)), float(np.max(a))
     if hi == lo:  # constant scattering length: single occupied bin
         hi = lo + max(abs(lo), A0) * 1e-12

@@ -539,7 +539,7 @@ class TestCalibrate:
         assert f"{path}: row 1 must be the header" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failed_replace_keeps_ledger(self, tmp_path, monkeypatch):
+    def test_failed_replace_keeps_ledger(self, tmp_path, monkeypatch, capsys):
         P = np.linspace(0.0, 1.0, 10)
         out = tmp_path / "cal"
         paths = []
@@ -555,8 +555,8 @@ class TestCalibrate:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["calibrate", "lightshift", str(paths[1]), "--out", str(out)])
+        assert main(["calibrate", "lightshift", str(paths[1]), "--out", str(out)]) == 2
+        assert "input error: disk full" in capsys.readouterr().err
         assert (out / "calibration.json").read_bytes() == ledger
         assert os.listdir(out) == ["calibration.json"]
 
@@ -746,7 +746,8 @@ class TestNumberArguments:
 class TestPathErrors:
     """A path of the wrong kind is an input error (exit 2) whose message
     names the path: a directory or a non-UTF-8 file where a file is read,
-    and a file where the output directory goes."""
+    a file where the output directory goes, and a name of 300 characters
+    (ENAMETOOLONG, an OSError of no narrower class) in either place."""
 
     @pytest.mark.parametrize("argv, name", [
         (["analyze", "{dir}", "--out", "{out}"], "{dir}"),
@@ -757,9 +758,12 @@ class TestPathErrors:
         (["calibrate", "lightshift", "{cal}", "--out", "{file}"], "{file}"),
         (["calibrate", "lightshift", "{cal}", "--out", "{file}/sub"], "{file}/sub"),
         (["analyze", "{fringes}", "--out", "{file}"], "{file}"),
+        (["calibrate", "lightshift", "{cal}", "--out", "{long}"], "{long}"),
+        (["analyze", "{long}.csv", "--out", "{out}"], "{long}.csv"),
     ], ids=["analyze-directory", "analyze-non-utf8", "config-directory",
             "config-non-utf8", "table-directory", "out-is-a-file",
-            "out-under-a-file", "analyze-out-is-a-file"])
+            "out-under-a-file", "analyze-out-is-a-file", "out-name-too-long",
+            "analyze-name-too-long"])
     def test_wrong_kind_of_path_is_input_error(self, tmp_path, capsys, argv, name):
         t = np.linspace(0.5e-3, 3e-3, 6)
         phi = np.linspace(0.0, TWO_PI, 12, endpoint=False)
@@ -778,8 +782,22 @@ class TestPathErrors:
                  "latin1_json": tmp_path / "latin1.json",
                  "table_config": write_config(tmp_path, {"model": {
                      "table_csv": str(tmp_path / "dir")}}, name="table.json"),
-                 "out": tmp_path / "run"}
+                 "out": tmp_path / "run", "long": tmp_path / ("x" * 300)}
         assert main([a.format(**files) for a in argv]) == 2
         assert name.format(**files) in capsys.readouterr().err
         assert (tmp_path / "file").read_text() == "not a directory\n"
         assert not (tmp_path / "run").exists()
+
+    def test_permission_error_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # a directory the CLI may not create (file modes cannot show it to
+        # a root user, so os.makedirs raises it here)
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(serialization.os, "makedirs", refuse)
+        cal = tmp_path / "cal.csv"
+        cal.write_text("P_W,shift_Hz\n" + "".join(
+            f"{x},{1083.0 * x}\n" for x in np.linspace(0.0, 1.0, 10)))
+        out = tmp_path / "run"
+        assert main(["calibrate", "lightshift", str(cal), "--out", str(out)]) == 2
+        assert f"input error: [Errno 13] Permission denied: '{out}'" in capsys.readouterr().err
+        assert not out.exists()

@@ -179,6 +179,19 @@ class TestInferDensity:
         assert post.estimate == pytest.approx(n_true, rel=0.02)
         assert not post.flags
 
+    def test_unconverged_refinement_flagged(self, monkeypatch):
+        # criterion 04's density inversion: no flag at the default GN_STEPS;
+        # stopped after one Gauss-Newton step, a flag that names the steps
+        proto = make_protocol()
+        obs = forward_observables(1e19, 850e-9, MODEL, proto)
+        assert infer_density(obs, 850e-9, MODEL, proto).flags == []
+        monkeypatch.setattr(inference, "GN_STEPS", 1)
+        post = infer_density(obs, 850e-9, MODEL, proto)
+        assert post.iterations == 1
+        assert [f for f in post.flags if f.startswith("refinement")] == [
+            "refinement not converged: stopped after 1 Gauss-Newton steps "
+            f"(GN_STEPS = 1) at density {post.estimate!r}"]
+
     def test_roundtrip_from_t2_only(self):
         proto = make_protocol()
         n_true = 2.2e19
