@@ -12,10 +12,13 @@ bound reported pinned) and the decay fit (searching log T2 through
 `fitting.fit_least_squares`, whose projected minimum is the reported fit,
 with its errors from the analytic Jacobian).  The interaction phase is
 `np.unwrap` of the non-constant fringes' phase minus the background
-delta_bg * t; its slope is `fitting.linear_fit` on [t, 1] for t below the
+delta_bg * t; its slope is `fitting.linear_solve` on [t, 1] for t below the
 dephasing time, weighted if every fringe there has a phase error.  Every
 fitted report is built by `fitting.fit_report`.  The steps after the fringe
-fits are `decay_and_slope`, which the inversion's forward model runs on the
+fits are `decay_and_slope`.  Each of its rules (the decay's crossing start
+and V0 = 0 restart, the slope's window and its 2 phases at least) is
+written once and serves two steps: the reports, and the solves alone,
+`solve_decay_and_slope`, which the inversion's forward model runs on the
 visibility and phase it reads from the coherence trace.
 """
 
@@ -27,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import TWO_PI
-from .fitting import (FitError, FitReport, distinct, fit_inputs, fit_least_squares,
-                      fit_report, least_squares, linear_fit, projection_report, weights)
+from .fitting import (FitError, FitReport, distinct, finite_solution, fit_inputs,
+                      fit_least_squares, fit_report, least_squares, linear_report,
+                      linear_solve, projection_report, residual_norms, weights)
 from .ramsey import FringeSeries
 
 
@@ -160,6 +164,8 @@ def _decay_column(t, T2):
 DECAY_REL_STEP = 1e-10  # step in log T2 below which the decay fit stops
 PHI0_REL_STEP = 1e-13  # relative step in phi0 below which the bounded fringe fit stops
 UNSEEN_DECAY = 0.99  # exp(-(t_max/T2)^2) above which the data cannot fix T2
+DECAY_NAMES = ("V0", "B", "T2")  # the decay search's (alpha, beta, p)
+DECAY_SEARCH = {"bounds": ((0.0, 2.0), (0.0, 1.0)), "log": True, "rel_step": DECAY_REL_STEP}
 
 
 def _crossing_guess(t, V):
@@ -180,34 +186,54 @@ def fit_visibility_decay(t, V, V_err=None) -> FitReport:
     [0, 1], errors from the analytic Jacobian and any coefficient on a bound
     pinned.  With V0 = 0, r.r does not depend on T2, so a fit that ends
     there restarts from the data time with the lowest projected r.r, kept
-    if it ends lower.  It warns where exp(-(t_max/T2)^2) > UNSEEN_DECAY.
-    Constant visibility yields a 'no decay detected' report with T2
-    infinite; a monotonically increasing series is rejected.
+    if it ends lower (`_decay_search`).  It warns where
+    exp(-(t_max/T2)^2) > UNSEEN_DECAY.  Constant visibility yields a 'no
+    decay detected' report with T2 infinite; a monotonically increasing
+    series is rejected.
     """
-    t, V, _ = fit_inputs(t, V, V_err, at_least=4, what="times and visibilities")
-    if (t < 0.0).any():
-        raise ValueError("times must be nonnegative")
-    if V.max() - V.min() < 1e-12:
+    t, V, _ = _decay_inputs(t, V, V_err)
+
+    def fit(starts):
+        rep = fit_least_squares(_decay_column, t, V, starts, DECAY_NAMES, sigma=V_err,
+                                **DECAY_SEARCH)
+        return rep.params["V0"], rep.residual_norm, rep
+    rep = _decay_search(t, V, fit)
+    if rep is None:
         return FitReport(params={"V0": 0.0, "T2": float("inf"), "B": float(V[0])},
                          errors={"V0": 0.0, "T2": float("nan"), "B": 0.0},
                          residual_norm=0.0, n_points=len(V), converged=True,
                          warnings=["no decay detected"])
-    if (V[1:] >= V[:-1]).all():
-        raise FitError("visibility increases monotonically: unphysical decay")
-
-    def fit(starts):
-        return fit_least_squares(_decay_column, t, V, starts, ("V0", "B", "T2"), sigma=V_err,
-                                 bounds=((0.0, 2.0), (0.0, 1.0)), log=True,
-                                 rel_step=DECAY_REL_STEP)
-    rep = fit([_crossing_guess(t, V)[1]])
-    if rep.params["V0"] == 0.0:
-        again = fit(t[t > 0.0].tolist())
-        rep = again if again.residual_norm < rep.residual_norm else rep
     rep.params, rep.errors = ({k: d[k] for k in ("V0", "T2", "B")} for d in (rep.params, rep.errors))
     if math.exp(-((t.max() / rep.params["T2"]) ** 2)) > UNSEEN_DECAY:
         rep.warnings.append(f"T2 = {rep.params['T2']:.3g} s is not constrained: the fitted "
                             f"decay is under 1% by t = {t.max():.3g} s")
     return rep
+
+
+def _decay_inputs(t, V, V_err=None):
+    """The decay fit's t, V and weights from `fit_inputs` (at least 4
+    points), refused for a negative time."""
+    t, V, w = fit_inputs(t, V, V_err, at_least=4, what="times and visibilities")
+    if (t < 0.0).any():
+        raise ValueError("times must be nonnegative")
+    return t, V, w
+
+
+def _decay_search(t, V, fit):
+    """The decay fit's rules, on checked t and V: None for a constant V, a
+    FitError for a monotonically increasing one, else the result of
+    fit(starts) -> (V0, residual norm, result), one search from the first
+    crossing and, where it ends at V0 = 0, one from every data time t > 0,
+    the lower kept."""
+    if V.max() - V.min() < 1e-12:
+        return None
+    if (V[1:] >= V[:-1]).all():
+        raise FitError("visibility increases monotonically: unphysical decay")
+    V0, norm, out = fit([_crossing_guess(t, V)[1]])
+    if V0 == 0.0:
+        _, again_norm, again = fit(t[t > 0.0].tolist())
+        out = again if again_norm < norm else out
+    return out
 
 
 def extract_phase_series(t, phi0, delta_bg: float):
@@ -219,12 +245,18 @@ def extract_phase_series(t, phi0, delta_bg: float):
     one finite phase per time.
     """
     t, phi0, _ = fit_inputs(t, phi0, at_least=0, what="times and phases")
-    unwrapped = np.unwrap(phi0)
+    unwrapped, Phi = _interaction_phase(t, phi0, delta_bg)
     steps = np.diff(unwrapped)
     warnings = [f"branch-ambiguous phase step of {steps[k]:.3f} rad at "
                 f"t={t[k + 1]:.4g} s"
                 for k in np.flatnonzero(np.abs(steps) > 0.5 * math.pi)]
-    return unwrapped - delta_bg * t, warnings
+    return Phi, warnings
+
+
+def _interaction_phase(t, phi0, delta_bg):
+    """unwrap(phi0), and Phi = unwrap(phi0) - delta_bg * t."""
+    unwrapped = np.unwrap(phi0)
+    return unwrapped, unwrapped - delta_bg * t
 
 
 def _errors_at(err, keep):
@@ -238,15 +270,31 @@ def _errors_at(err, keep):
 
 
 def fit_phase_slope(t, Phi, T2: float, Phi_err=None) -> FitReport:
-    """Weighted linear fit Phi = delta * t + const on the points t <= T2 and their errors."""
+    """Weighted linear fit Phi = delta * t + const on the points t <= T2 and
+    their errors (`_slope_solve`); FitError where fewer than 2 are there."""
     t, Phi, _ = fit_inputs(t, Phi, at_least=0, what="times and phases")
+    solved = _slope_solve(t, Phi, T2, Phi_err)
+    if solved is None:
+        raise FitError("fewer than 2 phase points below the dephasing time")
+    return linear_report(("delta", "intercept"), *solved, Phi_err is not None)
+
+
+def _slope_solve(t, Phi, T2, Phi_err=None):
+    """`fitting.linear_solve` of Phi = delta * t + const on the checked
+    points t <= T2, rows weighted by 1/Phi_err (None, one for all or one per
+    point); None where fewer than 2 points are there."""
     mask = t <= T2
     sigma = _errors_at(Phi_err, mask)
     if np.count_nonzero(mask) < 2:
-        raise FitError("fewer than 2 phase points below the dephasing time")
-    tm = t[mask]
-    return linear_fit(np.column_stack([tm, np.ones_like(tm)]), Phi[mask],
-                      ["delta", "intercept"], sigma=sigma)
+        return None
+    tm, y = t[mask], Phi[mask]
+    return linear_solve(np.column_stack([tm, np.ones_like(tm)]), y,
+                        weights(y, sigma, "design matrix and data: sigma"))
+
+
+def _window(T2, t) -> float:
+    """The slope's window: t <= T2, or t <= t_max where T2 is infinite."""
+    return T2 if math.isfinite(T2) else float(t[-1])
 
 
 @dataclass
@@ -344,12 +392,29 @@ def decay_and_slope(t, V, phi0, delta_bg: float, V_err=None, phi0_err=None):
     Phi[phased], phase_warnings = extract_phase_series(tp, phi0[phased], delta_bg)
     warnings += phase_warnings
     slope = None
-    T2 = decay.params["T2"]
+    window = _window(decay.params["T2"], t)
     try:
-        window = T2 if math.isfinite(T2) else float(t[-1])
         use = err is not None and np.all((err > 0) | (tp > window))
         slope = fit_phase_slope(tp, Phi[phased], window,  # weighted if every error > 0
                                 Phi_err=err if use else None)
     except FitError as exc:
         warnings.append(f"phase slope not extracted: {exc}")
     return decay, Phi, slope, warnings
+
+
+def solve_decay_and_slope(t, V, phi0, delta_bg: float):
+    """(T2, delta) that `decay_and_slope` reports for an unweighted V and a
+    finite phase phi0 at every time, from the same solves without the
+    reports: t and V are checked once, as the decay fit checks them, and no
+    error, covariance or warning is built.  delta is None where
+    `decay_and_slope` has no slope."""
+    t, V, w = _decay_inputs(t, V)
+
+    def fit(starts):  # fit_visibility_decay's searches, refused alike, without the report
+        sol = finite_solution(DECAY_NAMES, least_squares(
+            lambda T2: _decay_column(t, T2), starts, w, V, **DECAY_SEARCH))
+        return sol.x[0], residual_norms(sol.fun)[0], sol
+    sol = _decay_search(t, V, fit)
+    T2 = math.inf if sol is None else float(sol.x[2])
+    solved = _slope_solve(t, _interaction_phase(t, phi0, delta_bg)[1], _window(T2, t))
+    return T2, None if solved is None else float(solved[2][0])

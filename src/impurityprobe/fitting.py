@@ -6,12 +6,14 @@ residuals into a FitReport with 1-sigma uncertainties from the local
 quadratic model (`standard_errors`: the inverse of the Gram matrix in closed
 form, `_covariance`, where it is well conditioned, else the SVD); every
 fit's x, y and sigma pass `fit_inputs`.  Linear models go through
-`linear_fit`, the normal equations solved by the same closed form (else
-`lstsq`), one-parameter models through `fit_scalar`, and every model
-linear in two coefficients, alpha a(p) + beta, through one nonlinear
-engine: `least_squares`, the bounded variable projection (Golub & Pereyra;
-Kaufman's projected Jacobian) behind the bounded fringe fit, the decay fit
-and the bath-free trace fit, checked and reported by `fit_least_squares`.
+`linear_solve`, the normal equations solved by the same closed form (else
+`lstsq`), which `linear_fit` checks and reports, one-parameter models
+through `fit_scalar`, and every model linear in two coefficients, alpha
+a(p) + beta, through one nonlinear engine: `least_squares`, the bounded
+variable projection (Golub & Pereyra; Kaufman's projected Jacobian) behind
+the bounded fringe fit, the decay fit and the bath-free trace fit, checked
+and reported by `fit_least_squares`.  The solves run without a report where
+only their numbers are needed (the inversion's forward model).
 All of them search with `gauss_newton`, on one parameter or a pair, always
 with the model's analytic derivatives.  A coefficient left on a bound is
 reported pinned, with error 0.  No module loads scipy, and `distinct`
@@ -122,11 +124,16 @@ def fit_report(names, values, jac, resid, weighted: bool, var=None):
     resid_var = np.asarray(1.0 if weighted else np.einsum("...i,...i", resid, resid)
                            / max(resid.shape[-1] - n, 1))
     errs = standard_errors(jac, resid_var) if var is None else np.sqrt(var * resid_var[..., None])
-    rr = resid[..., None, :] @ resid[..., :, None]  # np.linalg.norm's dot, not einsum's sum
     reports = [FitReport(dict(zip(names, v)), dict(zip(names, e)), r, resid.shape[-1], True)
                for v, e, r in zip(values.reshape(-1, n).tolist(), errs.reshape(-1, n).tolist(),
-                                  np.sqrt(rr).ravel().tolist())]
+                                  residual_norms(resid).tolist())]
     return reports if values.ndim > 1 else reports[0]
+
+
+def residual_norms(resid) -> np.ndarray:
+    """sqrt(r.r) of each residual vector r of resid (m,) or (k, m), flat:
+    np.linalg.norm's dot, not einsum's sum."""
+    return np.sqrt(resid[..., None, :] @ resid[..., :, None]).ravel()
 
 
 def distinct(x) -> int:
@@ -166,23 +173,38 @@ def fit_inputs(x, y, sigma=None, *, at_least, what):
 
 def linear_fit(X, y, names, sigma=None, *, what="design matrix and data") -> FitReport:
     """Exact least-squares fit of y = X @ p, one X column per name in `names`,
-    rows weighted by 1/sigma if given (`what` names the data in refusals).  The
-    normal equations are solved in closed form (`_covariance`), whose inverse
-    gives the errors; where it declines, `lstsq` solves the system."""
+    rows weighted by 1/sigma if given (`what` names the data in refusals):
+    `linear_solve`, reported by `linear_report`."""
     X, y, w = fit_inputs(X, y, sigma, at_least=len(names), what=what)
+    return linear_report(names, *linear_solve(X, y, w), sigma is not None)
+
+
+def linear_solve(X, y, w):
+    """(Xw, yw, coef, cov): the rows of X and y weighted by w, the
+    least-squares coef of Xw @ coef = yw and cov = (Xw^T Xw)^-1 as rows of
+    floats.  The normal equations are solved in closed form (`_covariance`)
+    with one refinement, lstsq's accuracy; where the closed form declines,
+    `lstsq` solves the system and cov is None.  The callers check X, y, w."""
     Xw, yw = X * w[:, None], y * w
     cov = _covariance(Xw)
     if cov is None:
-        coef = np.linalg.lstsq(Xw, yw, rcond=None)[0]
-        return fit_report(names, coef, Xw, Xw @ coef - yw, sigma is not None)
+        return Xw, yw, np.linalg.lstsq(Xw, yw, rcond=None)[0], None
 
     def solve(v):  # (Xw^T Xw)^-1 Xw^T v
         b = np.einsum("ki,k->i", Xw, v).tolist()
         return np.array([sum(c * x for c, x in zip(row, b)) for row in cov])
     coef = solve(yw)
-    coef -= solve(np.einsum("ki,i->k", Xw, coef) - yw)  # one refinement: lstsq's accuracy
-    return fit_report(names, coef, None, np.einsum("ki,i->k", Xw, coef) - yw,
-                      sigma is not None, var=np.array([row[i] for i, row in enumerate(cov)]))
+    coef -= solve(np.einsum("ki,i->k", Xw, coef) - yw)
+    return Xw, yw, coef, cov
+
+
+def linear_report(names, Xw, yw, coef, cov, weighted: bool) -> FitReport:
+    """FitReport of `linear_solve`'s solution: the errors from cov, else
+    from the SVD of Xw."""
+    if cov is None:
+        return fit_report(names, coef, Xw, Xw @ coef - yw, weighted)
+    return fit_report(names, coef, None, np.einsum("ki,i->k", Xw, coef) - yw, weighted,
+                      var=np.array([row[i] for i, row in enumerate(cov)]))
 
 
 def gauss_newton(residual, slope, p, at_p, y, *, rel_step, steps, log=False,
@@ -377,13 +399,19 @@ def projection_report(names, sol, weighted) -> FitReport:
     """FitReport of a `least_squares` solution, names those of its x: a
     coefficient on a bound is pinned, with error 0 (the others get the
     free-parameter covariance) and a warning naming it; converged if the
-    search is.  Raises FitError where r or dr/dx is not finite (a search
-    stopped at a non-finite step)."""
-    if not (np.isfinite(sol.fun).all() and np.isfinite(sol.jac).all()):
-        raise FitError("the residual or its Jacobian is not finite at "
-                       f"{dict(zip(names, sol.x.tolist()))}")
-    pinned = sol.active_mask != 0
+    search is; `finite_solution` refuses it first."""
+    pinned = finite_solution(names, sol).active_mask != 0
     rep = fit_report(names, sol.x, np.where(pinned, 0.0, sol.jac), sol.fun, weighted)
     rep.converged = sol.success
     rep.warnings += [f"{name} pinned at a bound" for name, on in zip(names, pinned) if on]
     return rep
+
+
+def finite_solution(names, sol):
+    """sol, a `least_squares` solution whose x has the names; raises
+    FitError where r or dr/dx is not finite (a search stopped at a
+    non-finite step)."""
+    if not (np.isfinite(sol.fun).all() and np.isfinite(sol.jac).all()):
+        raise FitError("the residual or its Jacobian is not finite at "
+                       f"{dict(zip(names, sol.x.tolist()))}")
+    return sol

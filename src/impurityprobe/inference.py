@@ -4,9 +4,11 @@ bath temperature from T2, and collision-count diagnostics.
 Inversions are pipeline-consistent: a trial's forward values are what the
 fringe analysis applied to the data recovers from a noiseless signal.
 `forward_observables` reads the fringes' visibility and phase straight
-from the coherence trace (`ramsey.visibility_phase`) and runs the
-analysis's own decay and slope fits on them (`analysis.decay_and_slope`),
-which agrees with synthesizing the grid and analyzing it to round-off.
+from the coherence trace (`ramsey.visibility_phase`) and runs the solves of
+the analysis's own decay and slope fits on them
+(`analysis.solve_decay_and_slope`: `analysis.decay_and_slope`'s numbers
+without its reports), which agrees with synthesizing the grid and
+analyzing it to round-off.
 Each inversion checks that at its estimate: `pipeline_observables` runs
 the full synthesis and analysis there once, and the posterior is flagged
 if delta or T2 differs by more than PIPELINE_RTOL.
@@ -15,11 +17,12 @@ if delta or T2 differs by more than PIPELINE_RTOL.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import analyze_fringes, decay_and_slope
+from .analysis import analyze_fringes, solve_decay_and_slope
 from .bath import BathState
 from .fitting import gauss_newton
 from .ramsey import (DENSITY_ORDER, ENERGY_ORDER, RamseyProtocol,
@@ -66,15 +69,15 @@ def forward_observables(n0: float, T: float, model, protocol: RamseyProtocol,
                         energy_order: int = ENERGY_ORDER) -> dict:
     """{delta, T2} that analyzing the noiseless signal, background included,
     would give, from the visibility and fringe phase of the coherence trace
-    (`ramsey.visibility_phase`) through the analysis's unweighted decay and
-    slope fits: `pipeline_observables` to round-off, without the population
-    grid and its fringe fits."""
+    (`ramsey.visibility_phase`) through the solves of the analysis's
+    unweighted decay and slope fits (`analysis.solve_decay_and_slope`):
+    `pipeline_observables` to round-off, without the population grid, its
+    fringe fits and any fit report."""
     V, phi0 = visibility_phase(protocol, BathState(n0=n0, T=T), model,
                                density_order=density_order,
                                energy_order=energy_order)
-    decay, _, slope, _ = decay_and_slope(protocol.t, V, phi0, protocol.delta_bg)
-    return {"delta": None if slope is None else slope.params["delta"],
-            "T2": decay.params["T2"]}
+    T2, delta = solve_decay_and_slope(protocol.t, V, phi0, protocol.delta_bg)
+    return {"delta": delta, "T2": T2}
 
 
 def pipeline_observables(n0: float, T: float, model, protocol: RamseyProtocol,
@@ -130,6 +133,10 @@ def _invert(forward, observed: dict, errors: dict | None, bracket, name: str):
     unobserved = set(errors) - set(observed)
     if unobserved:
         raise ValueError(f"errors given for unobserved {sorted(unobserved)}")
+    for what, values in (("observed {}", observed), ("error of {}", errors)):
+        for key, value in values.items():
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{what.format(key)} must be a number, not {value!r}")
     if observed.get("T2", 1.0) <= 0.0:
         raise ValueError("observed T2 must be positive")
     for key, obs in observed.items():

@@ -869,6 +869,56 @@ class TestPhaseSlope:
                             T2=0.5e-3)
 
 
+class TestSolveAndReport:
+    """solve_decay_and_slope, the inversion's forward extraction, runs the
+    solves of decay_and_slope without building their reports: on each edge
+    of the decay and slope rules the two give the same outcome."""
+
+    T = np.linspace(0.2e-3, 6e-3, 15)
+    DELTA_BG = -TWO_PI * 135.0
+
+    def both(self, t, V):
+        """decay_and_slope's (decay, slope), once the solve path gave its
+        T2 and delta."""
+        phi0 = ((TWO_PI * 220.0 + self.DELTA_BG) * t) % TWO_PI
+        decay, _, slope, _ = analysis.decay_and_slope(t, V, phi0, self.DELTA_BG)
+        T2, delta = analysis.solve_decay_and_slope(t, V, phi0, self.DELTA_BG)
+        assert T2 == decay.params["T2"]
+        assert delta == (None if slope is None else slope.params["delta"])
+        return decay, slope
+
+    def test_constant_visibility_windows_at_t_max(self):
+        decay, slope = self.both(self.T, np.full(len(self.T), 0.8))
+        assert decay.params["T2"] == math.inf and slope.n_points == len(self.T)
+
+    def test_restarts_off_the_v0_plateau_alike(self, monkeypatch):
+        # the series whose search from the crossing ends at V0 = 0: both
+        # paths search again from every data time
+        t, V, _ = TestDecayReferee.series(658)
+        starts, solve = [], fitting.least_squares
+
+        def counted(column, s, *a, **k):
+            starts.append(len(s))
+            return solve(column, s, *a, **k)
+        for module in (fitting, analysis):
+            monkeypatch.setattr(module, "least_squares", counted)
+        self.both(t, V)
+        assert starts == [1, len(t), 1, len(t)]
+
+    def test_window_under_two_phases_has_no_slope(self):
+        V = 0.9 * np.exp(-((self.T / 0.3e-3) ** 2)) + 0.05
+        decay, slope = self.both(self.T, V)
+        assert decay.params["T2"] < self.T[1] and slope is None
+
+    def test_monotone_visibility_refused_alike(self):
+        V, phi0 = np.linspace(0.1, 0.9, len(self.T)), np.zeros(len(self.T))
+        with pytest.raises(FitError) as report:
+            analysis.decay_and_slope(self.T, V, phi0, 0.0)
+        with pytest.raises(FitError) as solve:
+            analysis.solve_decay_and_slope(self.T, V, phi0, 0.0)
+        assert str(solve.value) == str(report.value)
+
+
 class TestPipeline:
     BATH = BathState(n0=1.5e19, T=850e-9, omega_x=TWO_PI * 100,
                      omega_y=TWO_PI * 100, omega_z=TWO_PI * 100)

@@ -119,6 +119,38 @@ class TestForwardShortcut:
         np.testing.assert_allclose(gap, 0.0, rtol=0.0, atol=1e-12)
 
 
+class TestSolvePath:
+    """forward_observables runs decay_and_slope's solves without building
+    its reports: it gives the reports' numbers exactly, and checks its
+    input once."""
+
+    @pytest.mark.parametrize("protocol", DRIFT_PROTOCOLS)
+    def test_equals_the_reports_on_a_grid_of_baths(self, protocol):
+        proto = protocol()
+        for n0, T in DRIFT_BATHS:
+            fast = forward_observables(n0, T, MODEL, proto)
+            V, phi0 = visibility_phase(proto, BathState(n0=n0, T=T), MODEL)
+            decay, _, slope, _ = analysis.decay_and_slope(proto.t, V, phi0, proto.delta_bg)
+            assert fast["T2"] == decay.params["T2"]
+            assert fast["delta"] == (None if slope is None else slope.params["delta"])
+
+    def test_input_checked_once(self, monkeypatch):
+        # nested, fit_phase_slope checked twice and forward_observables 5 times
+        checks, check = [], fitting.fit_inputs
+
+        def counted(*a, **k):
+            checks.append(k["what"])
+            return check(*a, **k)
+        for module in (fitting, analysis):
+            monkeypatch.setattr(module, "fit_inputs", counted)
+        t = np.linspace(0.2e-3, 6e-3, 12)
+        analysis.fit_phase_slope(t, 900.0 * t + 0.3, 3e-3, Phi_err=np.full(12, 0.02))
+        assert checks == ["times and phases"]
+        checks.clear()
+        forward_observables(1.5e19, 850e-9, MODEL, make_protocol(), 96, 96)
+        assert len(checks) <= 1
+
+
 class TestPipelineCheck:
     """Each inversion runs the full pipeline once at its estimate and flags
     a gap above PIPELINE_RTOL between it and the shortcut."""
@@ -388,14 +420,14 @@ class TestInvert:
 
         monkeypatch.setattr(inference, "forward_observables", fail)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "1e-3"])
     @pytest.mark.parametrize("invert,valid", WRAPPERS)
     def test_nonfinite_observable_rejected(self, no_forward, invert, valid,
                                            value):
         with pytest.raises(ValueError):
             invert(value)
 
-    @pytest.mark.parametrize("error", [0.0, -1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("error", [0.0, -1e-4, math.nan, math.inf, "1e-4"])
     @pytest.mark.parametrize("invert,valid", WRAPPERS)
     def test_bad_error_rejected(self, no_forward, invert, valid, error):
         with pytest.raises(ValueError, match="error"):
